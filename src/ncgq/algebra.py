@@ -420,11 +420,9 @@ class QuantumAlgebra:
 
     # -- relation audit -----------------------------------------------------------
 
-    def relation_residuals(self, beta_star: AlgebraElement | None = None,
-                           delta: AlgebraElement | None = None) -> dict[str, AlgebraElement]:
-        """Residual (lhs - rhs) of each defining relation under given normal forms."""
-        bs = self.beta_star if beta_star is None else beta_star
-        dl = self.delta if delta is None else delta
+    def relation_residuals(self) -> dict[str, AlgebraElement]:
+        """Residual (lhs - rhs) of each defining relation under the operational normal forms."""
+        bs, dl = self.beta_star, self.delta
         a, b, mu = self.alpha, self.beta, self.mu
         q2 = self.q2
         res = {

@@ -9,18 +9,14 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from . import linalg
 from .algebra import QuantumAlgebra, basis_monomials
 from .calculus import Calculus, DiffForm, FORMS
-from .constants import (AD_L_PRINTED, AD_R_PRINTED, CONNECTION_PRINTED,
-                        LAMBDA_C, NU, XI, evaluate_ad_table,
+from .constants import (CONNECTION_PRINTED, LAMBDA_C, NU, XI,
                         evaluate_connection_printed)
-from .fixtures import (printed_spectrum, printed_translation_matrices,
-                       reconstructed_offdiagonal_scalars)
-from .riemannian import (TensorForm, assemble_connection_system,
-                         connection_residuals, covariant_derivative_basis,
+from .fixtures import printed_spectrum, printed_translation_matrices
+from .riemannian import (ConnectionAssembler, TensorForm, connection_residuals,
+                         covariant_derivative_basis, printed_ad_tables,
                          reference_connection, regularity_check, riemann_basis)
 from .scalars import ONE, ZERO, format_gaussian
 
@@ -246,8 +242,7 @@ def audit_calculus(cal: Calculus) -> list[AuditRow]:
     ))
 
     # structure constants: recomputed vs printed, entrywise counts
-    printed_r = evaluate_ad_table(AD_R_PRINTED, q)
-    printed_l = evaluate_ad_table(AD_L_PRINTED, q)
+    printed_l, printed_r = printed_ad_tables(q)
     got_r = cal.ad_right()
     got_l = cal.ad_left()
     for label, printed_t, got_t in (("right", printed_r, got_r), ("left", printed_l, got_l)):
@@ -303,7 +298,7 @@ def audit_riemannian(cal: Calculus) -> list[AuditRow]:
     rows: list[AuditRow] = []
     q = cal.algebra.q
 
-    system = assemble_connection_system(cal)
+    system = ConnectionAssembler(cal).assemble()
     rep = system.rank_report()
     rows.append(_row(
         "riemannian", "torsion + cotorsion linear system",
@@ -315,12 +310,14 @@ def audit_riemannian(cal: Calculus) -> list[AuditRow]:
 
     conn = reference_connection(cal)
     printed_vals = evaluate_connection_printed(q)
+    rest = system.substitute(printed_vals).rank_report()
     rows.append(_row(
         "riemannian", "reference connection table vs the assembled equations",
         "stated to solve the torsion/cotorsion equations",
-        "substituting the 13 parseable values leaves an inconsistent system in "
-        "the 3 remaining unknowns (every assembly convention; see scripts/)",
-        "mismatch",
+        f"substituting the {len(printed_vals)} parseable values leaves "
+        f"{'a consistent' if rest['consistent'] else 'an inconsistent'} system in "
+        f"the {rest['n_unknowns']} remaining unknowns (every assembly convention; see scripts/)",
+        _verdict(rest["consistent"]),
     ))
     res = connection_residuals(cal, conn)
     n_torsion = sum(1 for v in res["torsion"].values() if v)

@@ -26,7 +26,6 @@ from .algebra import AlgebraElement, QuantumAlgebra, basis_monomials
 from .scalars import ZERO, ONE, GaussianRational
 
 FORMS = ("a", "b", "c", "d")
-FORM_INDEX = {f: k for k, f in enumerate(FORMS)}
 
 WedgeWord = tuple[str, ...]
 
@@ -174,12 +173,6 @@ class DiffForm:
     def degrees(self) -> set[int]:
         return {len(w) for w in self.terms}
 
-    def component(self, degree: int) -> "DiffForm":
-        return DiffForm(self.calculus, {w: f for w, f in self.terms.items() if len(w) == degree})
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def coefficient(self, word: WedgeWord) -> AlgebraElement:
         return self.terms.get(tuple(word), self.calculus.algebra.zero)
 
@@ -232,17 +225,10 @@ class Calculus:
             raise ValueError(f"unknown basis 1-form {name!r}")
         return DiffForm(self, {(name,): coeff if coeff is not None else self.algebra.one})
 
-    def invariant_form(self, weights: Mapping[str, GaussianRational]) -> DiffForm:
-        alg = self.algebra
-        return DiffForm(self, {(f,): alg.scalar(c) for f, c in weights.items() if c})
-
     def theta(self) -> DiffForm:
         return DiffForm(self, {("a",): self.algebra.one, ("d",): self.algebra.one})
 
     # -- bimodule commutation -----------------------------------------------------
-
-    def commute_letter_past_generator(self, form: str, gen: str) -> list[tuple[GaussianRational, AlgebraElement, str]]:
-        return list(self._rules[(form, gen)])
 
     def commute_past(self, form: str, f: AlgebraElement) -> DiffForm:
         """e_form * f rewritten with all algebra coefficients moved to the left."""

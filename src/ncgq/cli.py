@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -42,6 +43,8 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError(f"invalid q mode {cfg.qmode!r}; choose from {VALID_Q}")
     if cfg.format not in ("json", "text"):
         raise ConfigError(f"invalid format {cfg.format!r}")
+    if not (math.isfinite(cfg.tol) and cfg.tol >= 0):
+        raise ConfigError(f"invalid tolerance {cfg.tol!r}; it must be finite and >= 0")
     if cfg.command in ("connection", "curvature") and cfg.qmode == "1":
         raise ConfigError("q=1 is an extrapolated spectral mode only; "
                           "forms-level commands need generic, i or -i")
@@ -112,14 +115,14 @@ def _calculus(mode: str):
 
 
 def cmd_connection(cfg: RunConfig) -> int:
-    from .riemannian import (assemble_connection_system, connection_residuals,
+    from .riemannian import (ConnectionAssembler, connection_residuals,
                              reference_connection)
 
     modes = ROOT_MODES if cfg.qmode == "generic" else (cfg.qmode,)
     docs = {}
     for mode in modes:
         cal = _calculus(mode)
-        system = assemble_connection_system(cal)
+        system = ConnectionAssembler(cal).assemble()
         report = system.rank_report()
         conn = reference_connection(cal)
         res = connection_residuals(cal, conn)

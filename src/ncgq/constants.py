@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from .scalars import GaussianRational, RationalFunctionQ, rf
 
-FORMS = ("a", "b", "c", "d")
-
 Q = RationalFunctionQ.q()
 ONE_RF = RationalFunctionQ.constant(1)
 

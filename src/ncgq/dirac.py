@@ -106,9 +106,7 @@ class DiracMatrix:
     mode: str
     matrix: np.ndarray
     scalars: dict
-    normalization: str = "unnormalized"
     extrapolated: bool = False
-    connection_term_included: bool = True
 
 
 def diagonal_scalars(mode: str) -> dict[str, GaussianRational]:
@@ -165,9 +163,7 @@ def build_dirac(mode: str, include_connection: bool = True) -> DiracMatrix:
         [Ra - I + s[(0, 0)] * I, Rbs + s[(0, 1)] * I],
         [Rb + s[(1, 0)] * I, Rd - I + s[(1, 1)] * I],
     ])
-    return DiracMatrix(mode=mode, matrix=m, scalars=s,
-                       extrapolated=(mode == "1"),
-                       connection_term_included=include_connection)
+    return DiracMatrix(mode=mode, matrix=m, scalars=s, extrapolated=(mode == "1"))
 
 
 class EigensolverError(RuntimeError):
@@ -180,7 +176,6 @@ class Spectrum:
     eigenvalues: list
     residuals: list
     matrix_norm: float
-    normalization: str = "unnormalized"
 
     def max_residual(self) -> float:
         return max(self.residuals)
@@ -210,7 +205,6 @@ class MatchReport:
     mode: str
     max_distance: float
     mean_distance: float
-    permutation: list
     distances: list
 
 
@@ -228,7 +222,6 @@ def compare_spectrum(computed: Spectrum, reference: list[complex]) -> MatchRepor
         mode=computed.mode,
         max_distance=float(d.max()),
         mean_distance=float(d.mean()),
-        permutation=[int(c) for c in cols[np.argsort(rows)]],
         distances=[float(x) for x in d[np.argsort(rows)]],
     )
 

@@ -21,9 +21,13 @@ def fixture_dir() -> Path:
     return Path(__file__).resolve().parent / "fixtures"
 
 
-@lru_cache(maxsize=None)
 def _load(name: str) -> dict:
-    path = fixture_dir() / name
+    return _read((fixture_dir() / name).resolve())
+
+
+@lru_cache(maxsize=None)
+def _read(path: Path) -> dict:
+    # keyed by resolved path, so a changed NCGQ_FIXTURES is honoured mid-process
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -61,16 +65,14 @@ def printed_spectrum(mode: str) -> list[complex]:
     return [complex(re, im) for re, im in pairs]
 
 
-def printed_connection_raw() -> dict:
-    return _load("connection_table.json")
-
-
 def reconstructed_offdiagonal_scalars(mode: str) -> dict[str, complex]:
     """Off-diagonal Dirac connection scalars, adjudicated against the spectra.
 
     The reference table entries feeding these scalars are corrupted; the values
-    here are reconstructed from the published eigenvalue lists (see the audit
-    report and scripts/ for the decode).  Provenance is carried in the fixture.
+    here are reconstructed from the published eigenvalue lists.  The q=1 pair
+    is an exact decode (tests/test_dirac.py::TestSpectra checks it against a
+    closed-form oracle); provenance, including how the q=i pair was fitted, is
+    carried in the fixture.
     """
     data = _load("dirac_scalars.json")
     try:

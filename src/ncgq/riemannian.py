@@ -6,18 +6,20 @@ torsion and cotorsion equations
     d e_i + sum_jk ad_L(jk|i) A_j ^ e_k = 0
     d e_i + sum_jk ad_R(jk|i) e_j ^ A_k = 0
 
-with the reference structure-constant tables as operative input.  Exhaustive
-exploration (see scripts/) shows the assembled system is exactly inconsistent
-for every assembly convention, and that the reference connection table solves
-none of them: the reference geometry data is internally corrupted beyond
-reconstruction of "the" system.  The solver therefore reports the exact rank
-defect, and downstream geometry consumes the reference closed forms (whose
-uncorrupted entries are independently confirmed by the spectral layer),
-carrying provenance and honest residuals.
+with the reference structure-constant tables as operative input.  The
+assembled system is exactly inconsistent, and the reference connection table
+solves no assembly convention (tables, transposes, sides, signs, scales of d,
+both pair rules, the metric-derived cotorsion); each is checked by exact rank
+in tests/test_connection_conventions.py.  The reference geometry data is
+internally corrupted beyond reconstruction of "the" system.  The solver
+therefore reports the exact rank defect, and downstream geometry consumes the
+reference closed forms (whose uncorrupted entries are independently confirmed
+by the spectral layer), carrying provenance and honest residuals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 from . import linalg
@@ -74,10 +76,6 @@ class Metric:
         return out
 
 
-def build_metric(calculus: Calculus) -> Metric:
-    return Metric(calculus)
-
-
 @dataclass
 class ConnectionSystem:
     """Assembled linear system: rows over the 16 unknown coefficients."""
@@ -92,9 +90,11 @@ class ConnectionSystem:
         return len(self.matrix)
 
     def rank_report(self) -> dict:
-        aug = [row + [self.rhs[k]] for k, row in enumerate(self.matrix)]
-        r_coeff = linalg.rank(self.matrix)
-        r_aug = linalg.rank(aug)
+        # one reduction of [A | b]: its pivots left of b are exactly those of A
+        n = len(self.unknowns)
+        _, pivots = linalg.row_reduce([row + [b] for row, b in zip(self.matrix, self.rhs)])
+        r_aug = len(pivots)
+        r_coeff = r_aug - (n in pivots)
         return {
             "n_equations": self.n_equations,
             "n_unknowns": len(self.unknowns),
@@ -106,6 +106,15 @@ class ConnectionSystem:
     def solve(self) -> dict[tuple[str, str], GaussianRational]:
         x = linalg.solve_unique(self.matrix, self.rhs, ZERO)
         return dict(zip(self.unknowns, x))
+
+    def substitute(self, values: Mapping[tuple[str, str], GaussianRational]) -> "ConnectionSystem":
+        """The system left in the unknowns that `values` does not fix."""
+        keep = [k for k, u in enumerate(self.unknowns) if u not in values]
+        return ConnectionSystem(
+            matrix=[[row[k] for k in keep] for row in self.matrix],
+            rhs=[-r for r in self.residual(values)],
+            row_labels=list(self.row_labels),
+            unknowns=tuple(self.unknowns[k] for k in keep))
 
     def residual(self, values: Mapping[tuple[str, str], GaussianRational]) -> list[GaussianRational]:
         vec = [values.get(u, ZERO) for u in self.unknowns]
@@ -127,7 +136,6 @@ class SpinConnection:
     source: str  # "solver" | "reference-table"
     torsion_free: bool | None = None
     cotorsion_free: bool | None = None
-    regular: bool | None = None
 
     def form(self, i: str, calculus: Calculus) -> DiffForm:
         alg = calculus.algebra
@@ -140,14 +148,18 @@ class SpinConnection:
         return self.coefficients[(i, j)]
 
 
+@lru_cache(maxsize=None)
+def printed_ad_tables(q: GaussianRational) -> tuple[dict, dict]:
+    """(ad_L, ad_R) evaluated at q, once per root; shared, so never mutate them."""
+    return evaluate_ad_table(AD_L_PRINTED, q), evaluate_ad_table(AD_R_PRINTED, q)
+
+
 class ConnectionAssembler:
     """Builds the torsion/cotorsion equations over one root-of-unity calculus."""
 
     def __init__(self, calculus: Calculus):
         self.calculus = calculus
-        q = calculus.algebra.q
-        self.ad_left = evaluate_ad_table(AD_L_PRINTED, q)
-        self.ad_right = evaluate_ad_table(AD_R_PRINTED, q)
+        self.ad_left, self.ad_right = printed_ad_tables(calculus.algebra.q)
 
     def _de_coords(self, i: str) -> dict[tuple[str, str], GaussianRational]:
         df = self.calculus.exterior_d(self.calculus.basis_form(i), normalized=True)
@@ -156,16 +168,20 @@ class ConnectionAssembler:
     def _wedge_pair(self, x: str, y: str) -> dict[tuple[str, str], GaussianRational]:
         return {(w[0], w[1]): c for w, c in self.calculus.exterior.reduce_word((x, y)).items()}
 
-    def _family(self, i: str, table, side: str, label: str):
+    def _family(self, i: str, entries, rhs, side: str, label: str):
+        """Equations rhs + sum_jk entries[jk] X_jk = 0, one per 2-form basis word.
+
+        X_jk is A_j ^ e_k on the "left" side and e_j ^ A_k on the "right";
+        rhs holds the 2-form coordinates of the constant term (d e_i).
+        """
         coeff: dict[tuple[str, str], dict[tuple[str, str], GaussianRational]] = {}
-        for (j, k), c in table[i].items():
+        for (j, k), c in entries.items():
             for m in FORMS:
                 red = self._wedge_pair(m, k) if side == "left" else self._wedge_pair(j, m)
                 unk = (j, m) if side == "left" else (k, m)
                 for w, sc in red.items():
                     d = coeff.setdefault(w, {})
                     d[unk] = d.get(unk, ZERO) + c * sc
-        rhs = self._de_coords(i)
         rows, consts, labels = [], [], []
         for w in LAMBDA2_BASIS:
             row = [coeff.get(w, {}).get(u, ZERO) for u in UNKNOWNS]
@@ -176,20 +192,15 @@ class ConnectionAssembler:
                 labels.append(f"{label}[{i}; {w[0]}^{w[1]}]")
         return rows, consts, labels
 
-    def assemble(self, torsion: bool = True, cotorsion: bool = True) -> ConnectionSystem:
+    def assemble(self) -> ConnectionSystem:
         matrix, rhs, labels = [], [], []
         for i in FORMS:
-            if torsion:
-                r, c, l = self._family(i, self.ad_left, "left", "torsion")
-                matrix += r; rhs += c; labels += l
-            if cotorsion:
-                r, c, l = self._family(i, self.ad_right, "right", "cotorsion")
+            de = self._de_coords(i)
+            for table, side, label in ((self.ad_left, "left", "torsion"),
+                                       (self.ad_right, "right", "cotorsion")):
+                r, c, l = self._family(i, table[i], de, side, label)
                 matrix += r; rhs += c; labels += l
         return ConnectionSystem(matrix=matrix, rhs=rhs, row_labels=labels)
-
-
-def assemble_connection_system(calculus: Calculus) -> ConnectionSystem:
-    return ConnectionAssembler(calculus).assemble()
 
 
 def solve_connection(calculus: Calculus) -> SpinConnection:
@@ -199,7 +210,7 @@ def solve_connection(calculus: Calculus) -> SpinConnection:
     this reference data the full system is inconsistent (see module docstring
     and the audit report).
     """
-    system = assemble_connection_system(calculus)
+    system = ConnectionAssembler(calculus).assemble()
     values = system.solve()  # raises with rank defect when not uniquely solvable
     conn = SpinConnection(coefficients=values, source="solver")
     res = connection_residuals(calculus, conn)
@@ -208,8 +219,7 @@ def solve_connection(calculus: Calculus) -> SpinConnection:
     return conn
 
 
-def reference_connection(calculus: Calculus,
-                         db_constant: int = DB_DENOMINATOR_CONSTANT) -> SpinConnection:
+def reference_connection(calculus: Calculus) -> SpinConnection:
     """The reference closed-form connection table evaluated at this q.
 
     Unprinted entries are taken as zero (the reference Dirac construction
@@ -220,7 +230,7 @@ def reference_connection(calculus: Calculus,
     values = evaluate_connection_printed(q)
     for key in CONNECTION_UNPRINTED:
         values[key] = ZERO
-    values[("d", "b")] = connection_db_candidate(db_constant).evaluate_at(q)
+    values[("d", "b")] = connection_db_candidate(DB_DENOMINATOR_CONSTANT).evaluate_at(q)
     conn = SpinConnection(coefficients=values, source="reference-table")
     res = connection_residuals(calculus, conn)
     conn.torsion_free = not any(res["torsion"].values())
@@ -230,16 +240,16 @@ def reference_connection(calculus: Calculus,
 
 def connection_residuals(calculus: Calculus, connection: SpinConnection) -> dict:
     """Exact torsion and cotorsion residuals of a connection, per basis 1-form."""
-    asm = ConnectionAssembler(calculus)
+    ad_left, ad_right = printed_ad_tables(calculus.algebra.q)
     out = {"torsion": {}, "cotorsion": {}}
     for i in FORMS:
         de = calculus.exterior_d(calculus.basis_form(i), normalized=True)
         t = de
-        for (j, k), c in asm.ad_left[i].items():
+        for (j, k), c in ad_left[i].items():
             t = t + calculus.wedge(connection.form(j, calculus), calculus.basis_form(k)).scale(c)
         out["torsion"][i] = t
         ct = de
-        for (j, k), c in asm.ad_right[i].items():
+        for (j, k), c in ad_right[i].items():
             ct = ct + calculus.wedge(calculus.basis_form(j), connection.form(k, calculus)).scale(c)
         out["cotorsion"][i] = ct
     return out
@@ -296,9 +306,9 @@ class TensorForm:
 
 def covariant_derivative_basis(calculus: Calculus, connection: SpinConnection, i: str) -> TensorForm:
     """nabla e_i = - sum ad_L(jk|i) A_j (x) e_k, from the operative table."""
-    asm = ConnectionAssembler(calculus)
+    ad_left, _ = printed_ad_tables(calculus.algebra.q)
     legs: dict[str, DiffForm] = {}
-    for (j, k), c in asm.ad_left[i].items():
+    for (j, k), c in ad_left[i].items():
         add = connection.form(j, calculus).scale(-c)
         legs[k] = legs.get(k, calculus.zero()) + add
     return TensorForm(calculus, legs)

@@ -47,12 +47,6 @@ class GaussianRational:
         self.re = _frac(re)
         self.im = _frac(im)
 
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, x: RationalLike) -> "GaussianRational":
-        return cls(_frac(x), 0)
-
     # -- basic protocol ----------------------------------------------------
 
     def __repr__(self) -> str:
@@ -148,10 +142,6 @@ class GaussianRational:
 
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
-
-    @property
-    def is_rational(self) -> bool:
-        return not self.im
 
 
 def _coerce(x) -> GaussianRational | None:

@@ -11,7 +11,7 @@ import random
 
 from .algebra import QuantumAlgebra, basis_monomials
 from .calculus import Calculus, DiffForm, FORMS
-from .riemannian import (build_metric, reference_connection, regularity_check,
+from .riemannian import (Metric, reference_connection, regularity_check,
                          riemann, riemann_basis, covariant_derivative)
 from .scalars import GaussianRational, ONE
 
@@ -50,7 +50,7 @@ def run_checks(mode: str, forms_level_only: bool = False) -> list[dict]:
     )
     record("wedge normal form confluence on basis triples", conf_ok)
 
-    metric = build_metric(cal)
+    metric = Metric(cal)
     sym_ok = not metric.wedge_contraction()
     for _ in range(10):
         c = GaussianRational(rng.randrange(-9, 10), rng.randrange(-9, 10))

@@ -27,9 +27,8 @@ from ncgq.calculus import Calculus, DiffForm, FORMS
 from ncgq.constants import evaluate_connection_printed
 from ncgq.dirac import Spectrum, compare_spectrum, spectrum_pipeline
 from ncgq.fixtures import printed_spectrum, printed_translation_matrices
-from ncgq.riemannian import (assemble_connection_system, build_metric,
-                             reference_connection, regularity_check, riemann,
-                             riemann_basis)
+from ncgq.riemannian import (ConnectionAssembler, Metric, reference_connection,
+                             regularity_check, riemann, riemann_basis)
 from ncgq.scalars import GaussianRational, ONE, ZERO
 
 
@@ -69,14 +68,15 @@ def test_criterion_1_spectrum_q_i():
         "The 32 computed eigenvalues do not match the published q=i list at "
         f"1e-3: max distance {report.max_distance:.4g}, worst matches {worst}. "
         "Forensics: the printed list's eigenvalue sum and exact pairwise "
-        "point-symmetry confirm the diagonal blocks and connection scalars, "
-        "but no block operator built from the published translation matrices "
-        "(all left/right/transposed/monomial variants, arbitrary graded "
-        "elements, both delta-block readings) reproduces its fine structure. "
-        "The shipped reconstruction is the best principled fit.  Every printed "
-        "translation matrix commutes with the anticommuting L_a, L_b, so every "
-        "such operator has even multiplicities and misses the list by at least "
-        "half its minimum gap (tests/test_dirac.py::TestMultiplicityObstruction)."
+        "point-symmetry confirm the diagonal blocks and connection scalars. "
+        "The shipped reconstruction is the best principled fit.  The printed "
+        "translation matrices, their transposes and all right translations "
+        "commute with the anticommuting L_a, L_b, and all left translations "
+        "with the anticommuting R_a, R_b; so every operator built from one of "
+        "these families plus scalar blocks has even multiplicities and misses "
+        "the list by at least half its minimum gap "
+        "(tests/test_dirac.py::TestMultiplicityObstruction).  Operators that "
+        "mix left and right translations are not covered."
     )
 
 
@@ -120,7 +120,7 @@ PINNED_TABLE_EQUATION = "torsion[a; a^b]"
 def _connection_certificates(mode):
     """Failed certificates of the operative assembly's inconsistency at one root, and a summary."""
     cal = Calculus(QuantumAlgebra(mode))
-    system = assemble_connection_system(cal)
+    system = ConnectionAssembler(cal).assemble()
     a, b = system.matrix, system.rhs
     failed = []
     left_null = linalg.nullspace([list(col) for col in zip(*a)], ONE, ZERO)
@@ -129,22 +129,19 @@ def _connection_certificates(mode):
         failed.append("no y with y^T A = 0, y.b != 0")
     support = min((sum(1 for c in y if c) for y in certificates), default=0)
 
-    # substitute the 13 parseable entries; b - A x_known is minus the residual
-    known = evaluate_connection_printed(cal.algebra.q)
-    missing = [u for u in system.unknowns if u not in known]
-    if missing != MISSING_CONNECTION_ENTRIES:
-        failed.append(f"unknowns left open {missing}")
-    cols = [k for k, u in enumerate(system.unknowns) if u in missing]
-    a3 = [[row[k] for k in cols] for row in a]
-    b3 = [-r for r in system.residual(known)]
-    ranks = (linalg.rank(a3), linalg.rank([row + [c] for row, c in zip(a3, b3)]))
+    # substitute the 13 parseable entries
+    rest = system.substitute(evaluate_connection_printed(cal.algebra.q))
+    if list(rest.unknowns) != MISSING_CONNECTION_ENTRIES:
+        failed.append(f"unknowns left open {rest.unknowns}")
+    rep = rest.rank_report()
+    ranks = (rep["rank"], rep["augmented_rank"])
     if ranks != (3, 4):
         failed.append(f"substituted system rank/augmented rank {ranks}")
-    pinned = [ONE if label == PINNED_TABLE_EQUATION else ZERO for label in system.row_labels]
-    if not _certifies_inconsistency(pinned, a3, b3):
+    pinned = [ONE if label == PINNED_TABLE_EQUATION else ZERO for label in rest.row_labels]
+    if not _certifies_inconsistency(pinned, rest.matrix, rest.rhs):
         failed.append(f"{PINNED_TABLE_EQUATION} no longer certifies the printed table")
     return failed, (f"q={mode}: y^T A = 0, y.b != 0 with {support} nonzeros; printed "
-                    f"table leaves rank {ranks[0]}/{ranks[1]} in {len(missing)} unknowns")
+                    f"table leaves rank {ranks[0]}/{ranks[1]} in {len(rest.unknowns)} unknowns")
 
 
 def test_criterion_4_connection_correctness():
@@ -152,7 +149,7 @@ def test_criterion_4_connection_correctness():
 
     The criterion line reports "not met": the system has no solution to match.
     The test asserts the certificates of that verdict for the operative
-    assembly convention (assemble_connection_system); the solver's rank defect
+    assembly convention (ConnectionAssembler.assemble); the solver's rank defect
     itself is tested in test_riemannian.py.  A re-assembly that became
     consistent would turn this test red, and the criterion would need
     re-adjudication rather than these certificates.
@@ -172,9 +169,8 @@ def test_criterion_4_connection_correctness():
         f"longer holds: {failed}.  Checked here: a certificate y^T A = 0, "
         "y.b != 0 for the assembled system, and the rank-3/augmented-rank-4 "
         "system left after substituting the 13 parseable reference entries, "
-        "certified by a single equation.  Other assembly conventions are "
-        "covered only by the untested scripts/explore_connection*.py and "
-        "scripts/explore_final_sweep.py."
+        "certified by a single equation.  Every other assembly convention is "
+        "checked in tests/test_connection_conventions.py."
     )
 
 
@@ -258,7 +254,7 @@ def test_criterion_7_metric_symmetry():
         ok = True
         rng = random.Random(7)
         for mode in ("i", "-i"):
-            m = build_metric(Calculus(QuantumAlgebra(mode)))
+            m = Metric(Calculus(QuantumAlgebra(mode)))
             ok = ok and not m.wedge_contraction()
             for _ in range(10):
                 c = GaussianRational(rng.randrange(-9, 10), rng.randrange(-9, 10))

@@ -33,6 +33,13 @@ class TestConfigValidation:
         code, _, err = run_cli(["dirac", "--q", "generic"])
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_rejected(self, tol):
+        code, out, err = run_cli(["dirac", "--q", "i", "--tol", tol])
+        assert code == 2
+        assert not out
+        assert err.count("\n") == 1 and "invalid tolerance" in err
+
 
 class TestCommands:
     def test_connection_emits_16_exact_coefficients(self, tmp_path):

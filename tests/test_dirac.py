@@ -3,15 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
-from ncgq import linalg
+from ncgq import dirac, linalg
 from ncgq.algebra import QuantumAlgebra, basis_monomials
 from ncgq.calculus import Calculus
+from ncgq.constants import (CONNECTION_UNPRINTED, connection_db_candidate,
+                            evaluate_connection_printed)
 from ncgq.dirac import (DiracMatrix, EigensolverError, MatchReport, Spectrum,
                         a_slash_first_principles, a_slash_printed, build_dirac,
                         compare_spectrum, diagonal_scalars, eigenvalues,
                         gamma_matrix, spectrum_pipeline)
 from ncgq.fixtures import printed_spectrum, printed_translation_matrices
-from ncgq.riemannian import reference_connection
+from ncgq.riemannian import DB_DENOMINATOR_CONSTANT, SpinConnection, reference_connection
 from ncgq.scalars import ZERO, GaussianRational, q_root
 
 
@@ -177,6 +179,20 @@ class TestSpectra:
         rep = compare_spectrum(got, spec_mi.eigenvalues)
         assert rep.max_distance <= 1e-9
 
+    @pytest.mark.parametrize("mode", ["1", "i"])
+    def test_printed_offdiagonal_formulas_miss_by_more_than_one(self, mode, monkeypatch):
+        # the audit's "values give distance ~3": the proof formulas for s12 and
+        # s21, fed the reference table, give spectra far from both lists
+        q = q_root(mode)
+        values = evaluate_connection_printed(q)
+        values.update(dict.fromkeys(CONNECTION_UNPRINTED, ZERO))
+        values[("d", "b")] = connection_db_candidate(DB_DENOMINATOR_CONSTANT).evaluate_at(q)
+        s = a_slash_printed(SpinConnection(values, "reference-table"), q)
+        printed = {"s12": s[(0, 1)].to_complex(), "s21": s[(1, 0)].to_complex()}
+        monkeypatch.setattr(dirac, "reconstructed_offdiagonal_scalars", lambda m: printed)
+        _, _, report = spectrum_pipeline(mode)
+        assert report.max_distance > 1
+
     def test_connection_term_changes_spectrum(self):
         _, full, _ = spectrum_pipeline("i")
         _, bare, _ = spectrum_pipeline("i", include_connection=False)
@@ -192,41 +208,65 @@ def _left_multiplication(alg, x):
 
 
 class TestMultiplicityObstruction:
-    """The published q=i list is out of reach of the published translation matrices.
+    """The published q=i list is out of reach of every operator family searched.
 
-    Data only, exact over Q(i).  Let D be built from the four printed
-    translation matrices plus scalar multiples of I.  If each matrix commutes
-    with L_a and L_b, then D commutes with I_2 (x) L_a and I_2 (x) L_b, which
-    preserve every generalized eigenspace V of D.  On V,
-    det(L_a L_b) = det(-L_b L_a) = (-1)^dim V det(L_b L_a), and with both L_a
-    and L_b invertible, dim V is even.  Two copies of one eigenvalue must then
-    match two published values at least g apart, so the match misses by at
-    least g/2.  This says nothing of operators built otherwise, e.g. from the
-    first-principles partials.
+    Data only, exact over Q(i).  Let D be built from scalar multiples of I and
+    16x16 blocks that all commute with two invertible, anticommuting matrices
+    P and Q.  Then I_2 (x) P and I_2 (x) Q commute with D and preserve every
+    generalized eigenspace V of D.  On V, det(PQ) = det(-QP) =
+    (-1)^dim V det(QP), so dim V is even.  Two copies of one eigenvalue must
+    then match two published values at least g apart, so the match misses by
+    at least g/2.  With P, Q = L_a, L_b this covers blocks taken from the four
+    printed translation matrices, their transposes, and all right translations
+    (each a polynomial in R_a and R_b); with P, Q = R_a, R_b it covers all
+    left translations.  It says nothing of operators that mix left and right
+    translations, or of those built otherwise, e.g. from the first-principles
+    partials.
     """
 
     @pytest.fixture(scope="class")
     def multiplications(self):
         alg = QuantumAlgebra("i")
-        return alg, _left_multiplication(alg, alg.alpha), _left_multiplication(alg, alg.beta)
+        left = [_left_multiplication(alg, x) for x in (alg.alpha, alg.beta)]
+        right = [alg.translation_matrix(name).rows() for name in ("alpha", "beta")]
+        return alg, left, right
 
     @staticmethod
     def _mul(x, y):
         return linalg.mat_mul(x, y, ZERO)
 
+    def _commute(self, x, y):
+        return linalg.mat_eq(self._mul(x, y), self._mul(y, x))
+
+    def _invertible_and_anticommuting(self, x, y):
+        return (linalg.rank(x) == linalg.rank(y) == 16 and linalg.mat_eq(
+            self._mul(x, y), [[-c for c in row] for row in self._mul(y, x)]))
+
     def test_left_multiplications_invertible_and_anticommuting(self, multiplications):
-        _, la, lb = multiplications
-        assert linalg.rank(la) == linalg.rank(lb) == 16
-        assert linalg.mat_eq(self._mul(la, lb),
-                             [[-c for c in row] for row in self._mul(lb, la)])
+        _, (la, lb), _ = multiplications
+        assert self._invertible_and_anticommuting(la, lb)
 
     def test_printed_matrices_commute_with_left_multiplications(self, multiplications):
-        alg, la, lb = multiplications
+        alg, left, _ = multiplications
         printed = printed_translation_matrices(alg.q)
         assert len(printed) == 4
         for name, tm in printed.items():
-            for l in (la, lb):
-                assert linalg.mat_eq(self._mul(tm.rows(), l), self._mul(l, tm.rows())), name
+            assert all(self._commute(tm.rows(), l) for l in left), name
+
+    def test_printed_transposes_commute_with_left_multiplications(self, multiplications):
+        alg, left, _ = multiplications
+        for name, tm in printed_translation_matrices(alg.q).items():
+            transpose = [list(col) for col in zip(*tm.rows())]
+            assert all(self._commute(transpose, l) for l in left), name
+
+    def test_right_translations_commute_with_left_multiplications(self, multiplications):
+        _, left, right = multiplications
+        assert all(self._commute(r, l) for r in right for l in left)
+
+    def test_right_multiplications_invertible_and_anticommuting(self, multiplications):
+        # left translations commute with R_a and R_b by the test above
+        _, _, (ra, rb) = multiplications
+        assert self._invertible_and_anticommuting(ra, rb)
 
     def test_published_gap_exceeds_tolerance(self):
         published = printed_spectrum("i")

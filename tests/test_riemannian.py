@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -5,8 +6,9 @@ import pytest
 from ncgq import linalg
 from ncgq.algebra import QuantumAlgebra
 from ncgq.calculus import Calculus, DiffForm, FORMS
-from ncgq.constants import evaluate_connection_printed
-from ncgq.riemannian import (assemble_connection_system, build_metric,
+from ncgq.constants import (CONNECTION_DB_DENOMINATOR_TAIL, CONNECTION_PRINTED,
+                            evaluate_connection_printed)
+from ncgq.riemannian import (DB_DENOMINATOR_CONSTANT, ConnectionAssembler, Metric,
                              connection_residuals, covariant_derivative,
                              covariant_derivative_basis, reference_connection,
                              regularity_check, riemann, riemann_basis,
@@ -36,10 +38,10 @@ def random_element(alg, rng, n_terms=2):
 
 class TestMetric:
     def test_symmetry(self, cal):
-        assert not build_metric(cal).wedge_contraction()
+        assert not Metric(cal).wedge_contraction()
 
     def test_symmetry_with_theta_shifts(self, cal):
-        m = build_metric(cal)
+        m = Metric(cal)
         rng = random.Random(3)
         for _ in range(10):
             c = GaussianRational(rng.randrange(-9, 10), rng.randrange(-9, 10))
@@ -47,10 +49,10 @@ class TestMetric:
 
     def test_rho_value_at_root(self):
         cal = Calculus(QuantumAlgebra("i"))
-        assert build_metric(cal).rho == GaussianRational("3/2", "1/2")
+        assert Metric(cal).rho == GaussianRational("3/2", "1/2")
 
     def test_coefficient_entries(self, cal):
-        m = build_metric(cal)
+        m = Metric(cal)
         q = cal.algebra.q
         assert m.coeffs[("c", "b")] == ONE
         assert m.coeffs[("b", "c")] == q * q
@@ -58,7 +60,7 @@ class TestMetric:
 
 class TestConnectionSystem:
     def test_assembly_shape(self, cal):
-        system = assemble_connection_system(cal)
+        system = ConnectionAssembler(cal).assemble()
         assert system.n_equations == 48
         assert len(system.unknowns) == 16
 
@@ -68,7 +70,7 @@ class TestConnectionSystem:
         # holds at the reference values; locate a row proportional to it.
         q = cal.algebra.q
         A = evaluate_connection_printed(q)
-        system = assemble_connection_system(cal)
+        system = ConnectionAssembler(cal).assemble()
         res = system.residual({k: v for k, v in A.items()})
         # rows from the cotorsion family for e_c must include two that vanish
         labels = [lab for lab, r in zip(system.row_labels, res)
@@ -76,7 +78,7 @@ class TestConnectionSystem:
         assert len(labels) >= 2
 
     def test_system_is_exactly_inconsistent(self, cal):
-        report = assemble_connection_system(cal).rank_report()
+        report = ConnectionAssembler(cal).assemble().rank_report()
         assert report["rank"] == 16
         assert report["augmented_rank"] == 17
         assert not report["consistent"]
@@ -86,8 +88,16 @@ class TestConnectionSystem:
             solve_connection(cal)
         assert err.value.rank == 16
 
+    def test_substitute_keeps_the_equations_in_the_open_unknowns(self, cal):
+        system = ConnectionAssembler(cal).assemble()
+        printed = evaluate_connection_printed(cal.algebra.q)
+        rest = system.substitute(printed)
+        assert rest.unknowns == (("c", "a"), ("c", "b"), ("d", "b"))
+        trial = {u: GaussianRational(k + 1, -k) for k, u in enumerate(rest.unknowns)}
+        assert rest.residual(trial) == system.residual({**printed, **trial})
+
     def test_reference_values_do_not_solve_any_row_subset_fully(self, cal):
-        system = assemble_connection_system(cal)
+        system = ConnectionAssembler(cal).assemble()
         conn = reference_connection(cal)
         res = system.residual(conn.coefficients)
         assert any(res)  # nonzero residual rows exist: the table fails the equations
@@ -102,6 +112,17 @@ class TestReferenceConnection:
         assert conn.entry("c", "c") == GaussianRational("2/17", "-9/17")
         assert conn.entry("b", "b") == GaussianRational("-11/17", "7/17")
         assert conn.entry("b", "a") == ZERO
+
+    def test_adopted_db_constant_is_the_digit_pattern(self):
+        # q^2 den(a,b) mod (q^4 - 1), in the printed integers, gives the (d,b)
+        # denominator: the adopted constant (the audit's "9"), then the readable tail
+        den = CONNECTION_PRINTED[("a", "b")].den.coeffs
+        scale = math.lcm(*(c.denominator for c in den))
+        folded = [0] * 4
+        for k, c in enumerate(den):
+            folded[(k + 2) % 4] += int(c * scale)
+        assert folded == [DB_DENOMINATOR_CONSTANT, *CONNECTION_DB_DENOMINATOR_TAIL]
+        assert DB_DENOMINATOR_CONSTANT == 9
 
     def test_closed_forms_at_one(self):
         one = GaussianRational(1)
