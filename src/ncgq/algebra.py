@@ -63,7 +63,7 @@ class AlgebraElement:
     # -- plumbing ---------------------------------------------------------
 
     def _check_mode(self, other: "AlgebraElement") -> None:
-        if other.algebra.q != self.algebra.q:
+        if other.algebra.mode != self.algebra.mode:
             raise ValueError("mixed q modes in one expression")
 
     def __bool__(self) -> bool:
@@ -72,7 +72,7 @@ class AlgebraElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.algebra.q == other.algebra.q and self.coeffs == other.coeffs
+        return self.algebra.mode == other.algebra.mode and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash(frozenset(self.coeffs.items()))
@@ -115,15 +115,15 @@ class AlgebraElement:
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check_mode(other)
-        alg = self.algebra
         out: dict[Monomial, GaussianRational] = {}
         for (p1, r1), c1 in self.coeffs.items():
             for (p2, r2), c2 in other.coeffs.items():
-                # b^r1 a^p2 = q^(2 r1 p2) a^p2 b^r1; a^4 = b^4 = 1
-                phase = alg.q ** ((2 * r1 * p2) % 4)
-                m = ((p1 + p2) % 4, (r1 + r2) % 4)
-                out[m] = out.get(m, ZERO) + c1 * c2 * phase
-        return AlgebraElement(alg, out)
+                # b^r1 a^p2 = q^(2 r1 p2) a^p2 b^r1 = (-1)^(r1 p2) a^p2 b^r1,
+                # since q^2 = -1; a^4 = b^4 = 1
+                c = -(c1 * c2) if r1 * p2 & 1 else c1 * c2
+                m = ((p1 + p2) & 3, (r1 + r2) & 3)
+                out[m] = out[m] + c if m in out else c
+        return AlgebraElement(self.algebra, out)
 
     def __pow__(self, n: int) -> "AlgebraElement":
         if n < 0:

@@ -15,7 +15,7 @@ from .calculus import Calculus, DiffForm, FORMS
 from .constants import (CONNECTION_PRINTED, LAMBDA_C, NU, XI,
                         evaluate_connection_printed)
 from .fixtures import printed_spectrum, printed_translation_matrices
-from .riemannian import (ConnectionAssembler, TensorForm, connection_residuals,
+from .riemannian import (ConnectionAssembler, SpinConnection, TensorForm,
                          covariant_derivative_basis, printed_ad_tables,
                          reference_connection, regularity_check, riemann_basis)
 from .scalars import ONE, ZERO, format_gaussian
@@ -294,7 +294,7 @@ def audit_calculus(cal: Calculus) -> list[AuditRow]:
 # -- riemannian section ---------------------------------------------------------------
 
 
-def audit_riemannian(cal: Calculus) -> list[AuditRow]:
+def audit_riemannian(cal: Calculus, conn: SpinConnection) -> list[AuditRow]:
     rows: list[AuditRow] = []
     q = cal.algebra.q
 
@@ -308,7 +308,6 @@ def audit_riemannian(cal: Calculus) -> list[AuditRow]:
         _verdict(rep["consistent"]),
     ))
 
-    conn = reference_connection(cal)
     printed_vals = evaluate_connection_printed(q)
     rest = system.substitute(printed_vals).rank_report()
     rows.append(_row(
@@ -319,7 +318,7 @@ def audit_riemannian(cal: Calculus) -> list[AuditRow]:
         f"the {rest['n_unknowns']} remaining unknowns (every assembly convention; see scripts/)",
         _verdict(rest["consistent"]),
     ))
-    res = connection_residuals(cal, conn)
+    res = conn.residuals
     n_torsion = sum(1 for v in res["torsion"].values() if v)
     n_cotorsion = sum(1 for v in res["cotorsion"].values() if v)
     rows.append(_row(
@@ -403,14 +402,13 @@ def audit_riemannian(cal: Calculus) -> list[AuditRow]:
 # -- dirac section -------------------------------------------------------------------
 
 
-def audit_dirac(cal: Calculus) -> list[AuditRow]:
+def audit_dirac(cal: Calculus, conn: SpinConnection) -> list[AuditRow]:
     from .dirac import (a_slash_first_principles, a_slash_printed,
                         build_dirac, compare_spectrum, diagonal_scalars,
                         eigenvalues)
 
     rows: list[AuditRow] = []
     q = cal.algebra.q
-    conn = reference_connection(cal)
 
     printed_as = a_slash_printed(conn, q)
     fp_as = a_slash_first_principles(cal, conn)
@@ -470,8 +468,9 @@ def build_audit_report(mode: str = "i") -> dict:
     rows: list[AuditRow] = []
     rows += audit_algebra(alg)
     rows += audit_calculus(cal)
-    rows += audit_riemannian(cal)
-    rows += audit_dirac(cal)
+    conn = reference_connection(cal)
+    rows += audit_riemannian(cal, conn)
+    rows += audit_dirac(cal, conn)
     summary = {
         "match": sum(1 for r in rows if r.verdict == "match"),
         "mismatch": sum(1 for r in rows if r.verdict == "mismatch"),

@@ -12,22 +12,25 @@ terminating rewriting system whose confluence is checked by tests rather than
 assumed; the metric symmetry and all four reference values of the exterior
 derivative on basis 1-forms come out exactly.
 
-The bimodule structure moves basis 1-forms past algebra elements through the
-eight generator-level rules for a^p b^r monomials; the dependent-generator
-rules of the reference table (including the repaired assignment of the
-orphaned rule to the pair (c, delta)) are retained as audit fixtures in
-:mod:`ncgq.fixtures`.
+The bimodule structure moves basis 1-forms past algebra elements through a
+table of the 64 images e_x a^p b^r, built once per calculus by pushing each
+form through the monomial with the eight generator-level rules; the
+dependent-generator rules of the reference table (including the repaired
+assignment of the orphaned rule to the pair (c, delta)) are retained as audit
+fixtures in :mod:`ncgq.fixtures`.
 """
 from __future__ import annotations
 
 from typing import Mapping
 
-from .algebra import AlgebraElement, QuantumAlgebra, basis_monomials
+from .algebra import AlgebraElement, Monomial, QuantumAlgebra, basis_monomials
 from .scalars import ZERO, ONE, GaussianRational
 
 FORMS = ("a", "b", "c", "d")
 
 WedgeWord = tuple[str, ...]
+# e_x * monomial as [(form y, [(monomial, coefficient)])]: the y-coefficients on the left
+BimoduleImage = list[tuple[str, list[tuple[Monomial, GaussianRational]]]]
 
 
 class ExteriorAlgebra:
@@ -211,6 +214,7 @@ class Calculus:
             ("d", "alpha"): [(qi, a, "d"), (mu, b, "b")],
             ("d", "beta"): [(q, b, "d"), (mu, a, "c"), (q * mu * mu, b, "a")],
         }
+        self._images: dict[tuple[str, Monomial], BimoduleImage] | None = None
 
     # -- construction helpers ---------------------------------------------------
 
@@ -230,23 +234,39 @@ class Calculus:
 
     # -- bimodule commutation -----------------------------------------------------
 
+    def _bimodule_images(self) -> dict[tuple[str, Monomial], BimoduleImage]:
+        """e_x * a^p b^r for all 4 forms and 16 monomials, built once per calculus."""
+        if self._images is None:
+            self._images = {(form, m): self._push_through(form, m)
+                            for form in FORMS for m in basis_monomials()}
+        return self._images
+
+    def _push_through(self, form: str, m: Monomial) -> BimoduleImage:
+        """e_form * a^p b^r by the eight generator rules, letter by letter."""
+        alg = self.algebra
+        p, r = m
+        partial: dict[str, AlgebraElement] = {form: alg.one}
+        for letter in ["alpha"] * p + ["beta"] * r:
+            nxt: dict[str, AlgebraElement] = {}
+            for fm, coeff_el in partial.items():
+                for s, el, fm2 in self._rules[(fm, letter)]:
+                    nxt[fm2] = nxt.get(fm2, alg.zero) + coeff_el.scale(s) * el
+            partial = {k: v for k, v in nxt.items() if v}
+        return [(fm, list(el.coeffs.items())) for fm, el in partial.items()]
+
     def commute_past(self, form: str, f: AlgebraElement) -> DiffForm:
         """e_form * f rewritten with all algebra coefficients moved to the left."""
+        images = self._bimodule_images()
+        out: dict[str, dict[Monomial, GaussianRational]] = {}
+        for m, c in f.coeffs.items():
+            # linear in f: c times the tabulated image of e_form * m
+            for fm, terms in images[(form, m)]:
+                acc = out.setdefault(fm, {})
+                for m2, s in terms:
+                    v = c * s
+                    acc[m2] = acc[m2] + v if m2 in acc else v
         alg = self.algebra
-        out: dict[str, AlgebraElement] = {}
-        for (p, r), c in f.coeffs.items():
-            # push e_form through a^p b^r letter by letter
-            partial: dict[str, AlgebraElement] = {form: alg.scalar(c)}
-            for letter in ["alpha"] * p + ["beta"] * r:
-                nxt: dict[str, AlgebraElement] = {}
-                for fm, coeff_el in partial.items():
-                    for s, el, fm2 in self._rules[(fm, letter)]:
-                        add = coeff_el.scale(s) * el
-                        nxt[fm2] = nxt.get(fm2, alg.zero) + add
-                partial = {k: v for k, v in nxt.items() if v}
-            for fm, coeff_el in partial.items():
-                out[fm] = out.get(fm, alg.zero) + coeff_el
-        return DiffForm(self, {(fm,): el for fm, el in out.items() if el})
+        return DiffForm(self, {(fm,): AlgebraElement(alg, acc) for fm, acc in out.items()})
 
     def _word_past(self, word: WedgeWord, f: AlgebraElement) -> dict[WedgeWord, AlgebraElement]:
         """word * f -> sum (coefficient) * word' with coefficients on the left."""

@@ -4,7 +4,9 @@ Grammar:
     ncgq <verify|connection|curvature|dirac|audit> --q <generic|1|i|-i>
          [--format json|text] [--out PATH] [--tol FLOAT]
 
-Exit codes: 0 success, 1 mathematical failure, 2 usage error.  JSON output is
+Exit codes: 0 success, 1 mathematical failure, 2 usage error, 3 fixture
+(reference-data) error: a fixture file that is missing, not JSON, or not of
+its expected shape, reported in one line on stderr.  JSON output is
 deterministic (sorted keys, fixed float formatting); text output is
 human-oriented and unstable.  Files are written atomically.
 """
@@ -115,8 +117,7 @@ def _calculus(mode: str):
 
 
 def cmd_connection(cfg: RunConfig) -> int:
-    from .riemannian import (ConnectionAssembler, connection_residuals,
-                             reference_connection)
+    from .riemannian import ConnectionAssembler, reference_connection
 
     modes = ROOT_MODES if cfg.qmode == "generic" else (cfg.qmode,)
     docs = {}
@@ -125,7 +126,7 @@ def cmd_connection(cfg: RunConfig) -> int:
         system = ConnectionAssembler(cal).assemble()
         report = system.rank_report()
         conn = reference_connection(cal)
-        res = connection_residuals(cal, conn)
+        res = conn.residuals
         docs[mode] = {
             "system": report,
             "solver": {
@@ -279,11 +280,16 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2
+    from .fixtures import FixtureError
+
     try:
         return COMMANDS[cfg.command](cfg)
     except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2
+    except FixtureError as exc:
+        sys.stderr.write(f"fixture error: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

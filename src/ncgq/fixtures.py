@@ -1,7 +1,9 @@
 """Loaders for the versioned reference-data fixtures (JSON, tagged source: paper).
 
 The fixture directory can be overridden with the NCGQ_FIXTURES environment
-variable so audits can be pointed at alternative transcriptions.
+variable so audits can be pointed at alternative transcriptions.  Each file is
+checked against its expected shape when it is read; a missing, unreadable or
+malformed file raises FixtureError.
 """
 from __future__ import annotations
 
@@ -21,6 +23,21 @@ def fixture_dir() -> Path:
     return Path(__file__).resolve().parent / "fixtures"
 
 
+class FixtureError(ValueError):
+    """A fixture file that is missing, not JSON, or not of its expected shape."""
+
+
+# fixture entries are tiny polynomials in q
+ENTRY_SYMBOLS = {
+    "0": PolyQ([0]),
+    "1": PolyQ([1]),
+    "q^2": PolyQ([0, 0, 1]),
+    "-q^2": PolyQ([0, 0, -1]),
+}
+MATRIX_NAMES = ("alpha", "beta", "beta_star", "delta")
+SPECTRAL_MODES = ("1", "i", "-i")
+
+
 def _load(name: str) -> dict:
     return _read((fixture_dir() / name).resolve())
 
@@ -28,26 +45,72 @@ def _load(name: str) -> dict:
 @lru_cache(maxsize=None)
 def _read(path: Path) -> dict:
     # keyed by resolved path, so a changed NCGQ_FIXTURES is honoured mid-process
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise FixtureError(f"{path}: {exc}") from None
+    problem = _SHAPES[path.name](data) if isinstance(data, dict) else "not a JSON object"
+    if problem:
+        raise FixtureError(f"{path}: {problem}")
+    return data
 
 
-def _entry_value(symbol: str, q: GaussianRational) -> GaussianRational:
-    # fixture entries are tiny polynomials in q: "0", "1", "q^2", "-q^2"
-    table = {
-        "0": PolyQ([0]),
-        "1": PolyQ([1]),
-        "q^2": PolyQ([0, 0, 1]),
-        "-q^2": PolyQ([0, 0, -1]),
-    }
-    return table[symbol].evaluate(q)
+def _is_pair(x) -> bool:
+    return (isinstance(x, list) and len(x) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x))
+
+
+def _version_problem(data: dict) -> str | None:
+    return None if data.get("version") == 1 else "version is not 1"
+
+
+def _translation_matrices_problem(data: dict) -> str | None:
+    matrices = data.get("matrices")
+    if not isinstance(matrices, dict) or sorted(matrices) != sorted(MATRIX_NAMES):
+        return f"matrices must be exactly {', '.join(MATRIX_NAMES)}"
+    for name, rows in matrices.items():
+        if not (isinstance(rows, list) and len(rows) == 16
+                and all(isinstance(row, list) and len(row) == 16 for row in rows)):
+            return f"matrix {name} is not 16x16"
+        if not all(isinstance(sym, str) and sym in ENTRY_SYMBOLS for row in rows for sym in row):
+            return f"matrix {name} has an entry outside {sorted(ENTRY_SYMBOLS)}"
+    return _version_problem(data)
+
+
+def _spectra_problem(data: dict) -> str | None:
+    lists = data.get("lists")
+    if not isinstance(lists, dict) or not all(m in lists for m in SPECTRAL_MODES):
+        return f"lists must hold the modes {', '.join(SPECTRAL_MODES)}"
+    for mode, pairs in lists.items():
+        if not (isinstance(pairs, list) and len(pairs) == 32 and all(map(_is_pair, pairs))):
+            return f"list {mode} is not 32 [re, im] pairs"
+    return _version_problem(data)
+
+
+def _dirac_scalars_problem(data: dict) -> str | None:
+    modes = data.get("modes")
+    if not isinstance(modes, dict) or not all(m in modes for m in SPECTRAL_MODES):
+        return f"modes must hold {', '.join(SPECTRAL_MODES)}"
+    for mode, entry in modes.items():
+        if not (isinstance(entry, dict) and _is_pair(entry.get("s12")) and _is_pair(entry.get("s21"))):
+            return f"mode {mode} needs s12 and s21 as [re, im] pairs"
+    return _version_problem(data)
+
+
+_SHAPES = {
+    "translation_matrices.json": _translation_matrices_problem,
+    "spectra.json": _spectra_problem,
+    "dirac_scalars.json": _dirac_scalars_problem,
+}
 
 
 def printed_translation_matrix(name: str, q: GaussianRational) -> TranslationMatrix:
     """One of the reference right-translation matrices, evaluated at q."""
     data = _load("translation_matrices.json")
     rows = data["matrices"][name]
-    entries = tuple(tuple(_entry_value(sym, q) for sym in row) for row in rows)
+    values = {sym: poly.evaluate(q) for sym, poly in ENTRY_SYMBOLS.items()}
+    entries = tuple(tuple(values[sym] for sym in row) for row in rows)
     return TranslationMatrix(tag=name, source="printed", entries=entries)
 
 

@@ -136,6 +136,7 @@ class SpinConnection:
     source: str  # "solver" | "reference-table"
     torsion_free: bool | None = None
     cotorsion_free: bool | None = None
+    residuals: dict | None = None  # connection_residuals(), kept by the builders
 
     def form(self, i: str, calculus: Calculus) -> DiffForm:
         alg = calculus.algebra
@@ -213,9 +214,7 @@ def solve_connection(calculus: Calculus) -> SpinConnection:
     system = ConnectionAssembler(calculus).assemble()
     values = system.solve()  # raises with rank defect when not uniquely solvable
     conn = SpinConnection(coefficients=values, source="solver")
-    res = connection_residuals(calculus, conn)
-    conn.torsion_free = not any(res["torsion"].values())
-    conn.cotorsion_free = not any(res["cotorsion"].values())
+    _record_residuals(calculus, conn)
     return conn
 
 
@@ -232,10 +231,15 @@ def reference_connection(calculus: Calculus) -> SpinConnection:
         values[key] = ZERO
     values[("d", "b")] = connection_db_candidate(DB_DENOMINATOR_CONSTANT).evaluate_at(q)
     conn = SpinConnection(coefficients=values, source="reference-table")
+    _record_residuals(calculus, conn)
+    return conn
+
+
+def _record_residuals(calculus: Calculus, conn: SpinConnection) -> None:
     res = connection_residuals(calculus, conn)
+    conn.residuals = res
     conn.torsion_free = not any(res["torsion"].values())
     conn.cotorsion_free = not any(res["cotorsion"].values())
-    return conn
 
 
 def connection_residuals(calculus: Calculus, connection: SpinConnection) -> dict:

@@ -9,6 +9,7 @@ layer converts finished matrices.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, Fraction, str]
@@ -35,17 +36,35 @@ def _frac(x: RationalLike) -> Fraction:
 
 
 class GaussianRational:
-    """An element re + im*i of the field Q(i), held in lowest terms.
+    """An element (a + b*i)/d of the field Q(i), held as a normalised integer triple.
 
-    Immutable by convention; every operation returns a new value, so
+    The triple satisfies d > 0 and gcd(a, b, d) = 1, so zero is (0, 0, 1) and
+    equal values have equal triples.  Gaussian integers (d = 1) take a fast
+    path through addition and multiplication; every other result costs one
+    gcd.  Immutable by convention; every operation returns a new value, so
     instances are safe to share between threads.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        self.re = _frac(re)
-        self.im = _frac(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = _frac(re), _frac(im)
+        # the lcm of two lowest-terms denominators leaves gcd(a, b, d) = 1
+        d = lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- basic protocol ----------------------------------------------------
 
@@ -56,35 +75,51 @@ class GaussianRational:
         return format_gaussian(self)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a) or bool(self._b)
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self) -> int:
+        # equal to hash((re, im)), computed without Fractions for Gaussian integers
+        if self._d == 1:
+            return hash((self._a, self._b))
         return hash((self.re, self.im))
 
     # -- field operations ---------------------------------------------------
 
     def __add__(self, other) -> "GaussianRational":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d, od = self._d, other._d
+        if d == od:
+            if d == 1:
+                return _triple(self._a + other._a, self._b + other._b, 1)
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * od + other._a * d, self._b * od + other._b * d, d * od)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def __sub__(self, other) -> "GaussianRational":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d, od = self._d, other._d
+        if d == od:
+            if d == 1:
+                return _triple(self._a - other._a, self._b - other._b, 1)
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * od - other._a * d, self._b * od - other._b * d, d * od)
 
     def __rsub__(self, other) -> "GaussianRational":
         other = _coerce(other)
@@ -93,21 +128,24 @@ class GaussianRational:
         return other - self
 
     def __mul__(self, other) -> "GaussianRational":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
+        d = self._d * other._d
+        if d == 1:
+            return _triple(a * c - b * e, a * e + b * c, 1)
+        return _reduced(a * c - b * e, a * e + b * c, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if not n:
             raise DegenerateDenominator("inverse of exact zero")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _reduced(a * d, -b * d, n)
 
     def __truediv__(self, other) -> "GaussianRational":
         other = _coerce(other)
@@ -138,17 +176,42 @@ class GaussianRational:
     # -- misc ----------------------------------------------------------------
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _triple(self._a, -self._b, self._d)
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        # int / int rounds correctly, exactly as float(Fraction) does
+        return complex(self._a / self._d, self._b / self._d)
+
+
+_new = object.__new__
+
+
+def _triple(a: int, b: int, d: int) -> GaussianRational:
+    """A value from a triple already in normal form, without a gcd."""
+    z = _new(GaussianRational)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """A value from any triple with d != 0, brought to normal form."""
+    if d < 0:
+        a, b, d = -a, -b, -d
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _triple(a, b, d)
 
 
 def _coerce(x) -> GaussianRational | None:
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x, 0)
+    if isinstance(x, int):
+        return _triple(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _triple(x.numerator, 0, x.denominator)
     return None
 
 

@@ -162,6 +162,38 @@ class TestCommutePast:
                     step2 = step2 + cal.commute_past(fm, m2).left_multiply(el)
                 assert via_product == step2
 
+    def test_bimodule_action_on_all_monomial_pairs(self, cal):
+        # e_x (m1 m2) = (e_x m1) m2 for all 4 x 16 x 16 basis cases, and e_x 1 = e_x:
+        # commute_past is linear in f, so this proves the tabulated images form
+        # a right module action of the algebra
+        alg = cal.algebra
+        monomials = [alg.monomial(p, r) for (p, r) in basis_monomials()]
+        cases = 0
+        for form in FORMS:
+            assert cal.commute_past(form, alg.one) == cal.basis_form(form)
+            for m1 in monomials:
+                step1 = cal.commute_past(form, m1)
+                for m2 in monomials:
+                    step2 = cal.zero()
+                    for (fm,), el in step1.terms.items():
+                        step2 = step2 + cal.commute_past(fm, m2).left_multiply(el)
+                    assert cal.commute_past(form, m1 * m2) == step2
+                    cases += 1
+        assert cases == 1024
+
+    def test_fresh_calculus_gives_the_warm_images(self, cal):
+        fresh = Calculus(QuantumAlgebra(cal.algebra.mode))
+        alg, fresh_alg = cal.algebra, fresh.algebra
+        scale = GaussianRational(Fraction(3, 1000003), -2)
+        for form in FORMS:
+            for (p, r) in basis_monomials():
+                f = fresh.commute_past(form, fresh_alg.monomial(p, r).scale(scale))
+                # the warm table is not changed by use with a non-unit coefficient
+                warm = cal.commute_past(form, alg.monomial(p, r).scale(scale))
+                assert warm == cal.commute_past(form, alg.monomial(p, r)).scale(scale)
+                assert {w: el.coeffs for w, el in f.terms.items()} == \
+                    {w: el.coeffs for w, el in warm.terms.items()}
+
 
 class TestExteriorDerivative:
     def test_d_of_unit(self, cal):

@@ -1,11 +1,15 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from ncgq import fixtures
 from ncgq.cli import main
+
+COMMITTED_FIXTURES = Path(fixtures.__file__).resolve().parent / "fixtures"
 
 
 def run_cli(args):
@@ -132,3 +136,54 @@ class TestMinusIMode:
         code, _, _ = run_cli(["dirac", "--q", "-i", "--tol", "1", "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["q"] == "-i"
+
+
+def _truncate(path: Path) -> None:
+    path.write_text(path.read_text()[:200])
+
+
+def _drop_matrix_row(path: Path) -> None:
+    doc = json.loads(path.read_text())
+    doc["matrices"]["beta"].pop()
+    path.write_text(json.dumps(doc))
+
+
+def _bad_symbol(path: Path) -> None:
+    doc = json.loads(path.read_text())
+    doc["matrices"]["alpha"][3][5] = "q^3"
+    path.write_text(json.dumps(doc))
+
+
+def _short_spectrum(path: Path) -> None:
+    doc = json.loads(path.read_text())
+    doc["lists"]["i"] = doc["lists"]["i"][:31]
+    path.write_text(json.dumps(doc))
+
+
+class TestFixtureErrors:
+    """A broken fixture is exit 3 with one line on stderr, never a traceback."""
+
+    @pytest.mark.parametrize("name, damage, needle", [
+        ("spectra.json", _truncate, "spectra.json"),
+        ("dirac_scalars.json", Path.unlink, "dirac_scalars.json"),
+        ("translation_matrices.json", _drop_matrix_row, "matrix beta is not 16x16"),
+        ("translation_matrices.json", _bad_symbol, "matrix alpha has an entry outside"),
+        ("spectra.json", _short_spectrum, "list i is not 32 [re, im] pairs"),
+    ])
+    def test_broken_fixture_exits_3(self, tmp_path, monkeypatch, name, damage, needle):
+        broken = tmp_path / "fixtures"
+        shutil.copytree(COMMITTED_FIXTURES, broken)
+        damage(broken / name)
+        monkeypatch.setenv("NCGQ_FIXTURES", str(broken))
+        code, out, err = run_cli(["dirac", "--q", "1"])
+        assert code == 3
+        assert not out
+        assert err.startswith("fixture error: ") and err.count("\n") == 1
+        assert needle in err
+
+    def test_committed_fixtures_pass_their_shape_checks(self, tmp_path, monkeypatch):
+        intact = tmp_path / "fixtures"
+        shutil.copytree(COMMITTED_FIXTURES, intact)
+        monkeypatch.setenv("NCGQ_FIXTURES", str(intact))
+        code, _, err = run_cli(["dirac", "--q", "1"])
+        assert code == 0, err

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +75,103 @@ class TestGaussianRational:
             q = q_root(mode)
             assert q ** 4 == gr(1)
             assert q ** 2 != gr(1)
+
+
+# coefficients as the benchmark's library inputs draw them: mostly small
+# Gaussian integers, some rationals with 6- to 7-digit denominators
+parts = st.one_of(
+    st.integers(-9, 9).map(Fraction),
+    rationals,
+    st.builds(Fraction, st.integers(-10**7, 10**7), st.integers(10**5, 10**7)),
+)
+pairs = st.tuples(parts, parts)
+
+
+def _reference_mul(x, y):
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c
+
+
+def _reference_inverse(x):
+    a, b = x
+    n = a * a + b * b
+    return a / n, -b / n
+
+
+def _triple(z):
+    return z._a, z._b, z._d
+
+
+def _assert_normal(z):
+    a, b, d = _triple(z)
+    assert d > 0 and gcd(a, b, d) == 1
+    if not z:
+        assert (a, b, d) == (0, 0, 1)
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z.re, z.im) == (Fraction(a, d), Fraction(b, d))
+
+
+class TestTripleAgainstFractionPairs:
+    """The (a, b, d) triple against a pair-of-Fraction model of Q(i)."""
+
+    @given(pairs, pairs)
+    @settings(max_examples=300, deadline=None)
+    def test_field_operations(self, x, y):
+        zx, zy = GaussianRational(*x), GaussianRational(*y)
+        results = {
+            "add": (zx + zy, (x[0] + y[0], x[1] + y[1])),
+            "sub": (zx - zy, (x[0] - y[0], x[1] - y[1])),
+            "mul": (zx * zy, _reference_mul(x, y)),
+            "neg": (-zx, (-x[0], -x[1])),
+            "conjugate": (zx.conjugate(), (x[0], -x[1])),
+        }
+        if any(y):
+            results["div"] = (zx / zy, _reference_mul(x, _reference_inverse(y)))
+            results["inverse"] = (zy.inverse(), _reference_inverse(y))
+        for name, (z, (re, im)) in results.items():
+            _assert_normal(z)
+            assert (z.re, z.im) == (re, im), name
+
+    @given(pairs, st.integers(-9, 9))
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_with_int_and_fraction(self, x, k):
+        z = GaussianRational(*x)
+        for other in (k, Fraction(k, 7)):
+            assert z + other == GaussianRational(x[0] + other, x[1])
+            assert other - z == GaussianRational(other - x[0], -x[1])
+            assert other * z == GaussianRational(other * x[0], other * x[1])
+            _assert_normal(z * other)
+
+    @given(pairs, pairs)
+    @settings(max_examples=200, deadline=None)
+    def test_equal_values_compare_and_hash_equal(self, x, y):
+        z = GaussianRational(*x)
+        paths = [
+            GaussianRational(f"{x[0]}", f"{x[1]}"),
+            parse_gaussian(format_gaussian(z)),
+            (z + GaussianRational(*y)) - GaussianRational(*y),
+            z * gr(3, 4) / gr(3, 4),
+            z.conjugate().conjugate(),
+        ]
+        for w in paths:
+            _assert_normal(w)
+            assert w == z and hash(w) == hash(z)
+            # the hash is that of the (re, im) pair of Fractions
+            assert hash(w) == hash((w.re, w.im))
+
+    def test_zero_is_one_triple(self):
+        z = gr(0)
+        for zero in (gr(0), GaussianRational(Fraction(0, 5), 0), gr("1/3") - gr("1/3"),
+                     GaussianRational(0, Fraction(7, 10**6)) * 0, -gr(0)):
+            _assert_normal(zero)
+            assert _triple(zero) == (0, 0, 1)
+            assert zero == z == 0 and hash(zero) == hash(z)
+
+    def test_triples_of_examples(self):
+        assert _triple(GaussianRational("-11/17", "7/17")) == (-11, 7, 17)
+        assert _triple(GaussianRational("1/2", "1/3")) == (3, 2, 6)
+        assert _triple(gr(2, 4) / 2) == (1, 2, 1)
+        assert repr(GaussianRational("1/2", 3)) == "GaussianRational(Fraction(1, 2), Fraction(3, 1))"
 
 
 class TestRationalFunctionQ:
