@@ -6,8 +6,10 @@ Grammar:
 
 Exit codes: 0 success, 1 mathematical failure, 2 usage error, 3 fixture
 (reference-data) error: a fixture file that is missing, not JSON, or not of
-its expected shape, reported in one line on stderr.  JSON output is
-deterministic (sorted keys, fixed float formatting); text output is
+its expected shape (a NaN or infinite number included), reported in one line
+on stderr.  JSON output is
+deterministic (sorted keys, fixed float formatting; `dirac` lists its
+eigenvalues in a canonical order, not LAPACK's); text output is
 human-oriented and unstable.  Files are written atomically.
 """
 from __future__ import annotations
@@ -193,21 +195,27 @@ def cmd_dirac(cfg: RunConfig) -> int:
     except EigensolverError as exc:
         sys.stderr.write(f"eigensolver failure: {exc}\n")
         return 1
+    # LAPACK's eigenvalue order differs between BLAS builds, so emit a canonical
+    # one: by real, then imaginary part at 9 decimals, then by the full values
+    lam = spec.eigenvalues
+    order = sorted(range(len(lam)), key=lambda k: (round(lam[k].real, 9), round(lam[k].imag, 9),
+                                                   lam[k].real, lam[k].imag))
+    eigs = [lam[k] for k in order]
     doc = {
         "q": cfg.qmode,
         "normalization": "unnormalized",
         "extrapolated": dm.extrapolated,
-        "eigenvalues": [[z.real, z.imag] for z in spec.eigenvalues],
+        "eigenvalues": [[z.real, z.imag] for z in eigs],
         "max_residual": spec.max_residual(),
         "reference": "paper-prop4",
         "max_match_distance": report.max_distance if report else None,
         "mean_match_distance": report.mean_distance if report else None,
-        "match_distances": report.distances if report else None,
+        "match_distances": [report.distances[k] for k in order] if report else None,
         "connection_scalars": {str(k): [v.real, v.imag] for k, v in dm.scalars.items()},
     }
     lines = [f"Dirac spectrum (q = {cfg.qmode}, unnormalized"
              f"{', extrapolated' if dm.extrapolated else ''})"]
-    for z in spec.eigenvalues:
+    for z in eigs:
         lines.append(f"  {z.real:+.6f} {z.imag:+.6f}i")
     if report:
         lines.append(f"max match distance vs reference list: {report.max_distance:.3g}")

@@ -14,10 +14,10 @@ reconstructed fixture values with provenance flags.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .algebra import TranslationMatrix
 from .calculus import Calculus, FORMS
@@ -216,7 +216,7 @@ def compare_spectrum(computed: Spectrum, reference: list[complex]) -> MatchRepor
     a = np.array(computed.eigenvalues)
     b = np.array(reference)
     cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = _linear_sum_assignment(cost)
     d = cost[rows, cols]
     return MatchReport(
         mode=computed.mode,
@@ -224,6 +224,73 @@ def compare_spectrum(computed: Spectrum, reference: list[complex]) -> MatchRepor
         mean_distance=float(d.mean()),
         distances=[float(x) for x in d[np.argsort(rows)]],
     )
+
+
+def _linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost perfect matching of a square cost matrix, as (rows, cols).
+
+    A square-only port of the shortest-augmenting-path solver with dual updates
+    behind scipy.optimize.linear_sum_assignment (Crouse, "On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 52(4), 2016).  It returns
+    scipy's assignment, not only one of equal cost, because it keeps the three
+    details that break near-ties (the computed q = i spectrum comes in exact
+    pairs): the reduced cost is summed in scipy's order, the unscanned columns
+    start reversed and a scanned one is replaced by the last, and on an equal
+    path cost an unassigned column wins.
+    """
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise ValueError(f"cost matrix is not square: shape {cost.shape}")
+    if not np.all(np.isfinite(cost)):
+        raise ValueError("cost matrix has non-finite entries")
+    n = cost.shape[0]
+    c = cost.tolist()
+    u = [0.0] * n
+    v = [0.0] * n
+    path = [-1] * n
+    col4row = [-1] * n
+    row4col = [-1] * n
+    for cur in range(n):
+        # shortest augmenting path from the unassigned row cur
+        spc = [math.inf] * n
+        remaining = list(range(n - 1, -1, -1))
+        n_remaining = n
+        rows_seen, cols_seen = [], []
+        min_val = 0.0
+        i, sink = cur, -1
+        while sink == -1:
+            rows_seen.append(i)
+            row, ui = c[i], u[i]
+            lowest, index = math.inf, -1
+            for it in range(n_remaining):
+                j = remaining[it]
+                r = min_val + row[j] - ui - v[j]
+                if r < spc[j]:
+                    path[j] = i
+                    spc[j] = r
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
+                    lowest, index = spc[j], it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen.append(j)
+            n_remaining -= 1
+            remaining[index] = remaining[n_remaining]
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return np.arange(n), np.array(col4row)
 
 
 def spectrum_pipeline(mode: str, include_connection: bool = True) -> tuple[DiracMatrix, Spectrum, MatchReport | None]:

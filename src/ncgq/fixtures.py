@@ -8,6 +8,7 @@ malformed file raises FixtureError.
 from __future__ import annotations
 
 import json
+import math
 import os
 from functools import lru_cache
 from pathlib import Path
@@ -57,8 +58,18 @@ def _read(path: Path) -> dict:
 
 
 def _is_pair(x) -> bool:
-    return (isinstance(x, list) and len(x) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x))
+    return isinstance(x, list) and len(x) == 2 and all(map(_is_finite_number, x))
+
+
+def _is_finite_number(v) -> bool:
+    # JSON parsing accepts NaN and Infinity; an int too large for a float
+    # would only fail later, in complex()
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _version_problem(data: dict) -> str | None:
@@ -84,7 +95,7 @@ def _spectra_problem(data: dict) -> str | None:
         return f"lists must hold the modes {', '.join(SPECTRAL_MODES)}"
     for mode, pairs in lists.items():
         if not (isinstance(pairs, list) and len(pairs) == 32 and all(map(_is_pair, pairs))):
-            return f"list {mode} is not 32 [re, im] pairs"
+            return f"list {mode} is not 32 [re, im] pairs of finite numbers"
     return _version_problem(data)
 
 
@@ -94,7 +105,7 @@ def _dirac_scalars_problem(data: dict) -> str | None:
         return f"modes must hold {', '.join(SPECTRAL_MODES)}"
     for mode, entry in modes.items():
         if not (isinstance(entry, dict) and _is_pair(entry.get("s12")) and _is_pair(entry.get("s21"))):
-            return f"mode {mode} needs s12 and s21 as [re, im] pairs"
+            return f"mode {mode} needs s12 and s21 as [re, im] pairs of finite numbers"
     return _version_problem(data)
 
 

@@ -4,10 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ncgq import fixtures
 from ncgq.cli import main
+from ncgq.dirac import build_dirac
 
 COMMITTED_FIXTURES = Path(fixtures.__file__).resolve().parent / "fixtures"
 
@@ -86,6 +88,25 @@ class TestCommands:
         for row in doc["rows"]:
             assert row["verdict"] in ("match", "mismatch", "unparseable")
 
+    @pytest.mark.parametrize("q, exit_code", [("1", 0), ("i", 1), ("-i", 1)])
+    def test_dirac_eigenvalue_order_is_canonical(self, tmp_path, monkeypatch, q, exit_code):
+        # the emitted order must not follow LAPACK's, which differs between BLAS builds
+        plain, flipped = tmp_path / "plain.json", tmp_path / "flipped.json"
+        assert run_cli(["dirac", "--q", q, "--out", str(plain)])[0] == exit_code
+        eig = np.linalg.eig
+
+        def reversed_eig(matrix):
+            lam, vecs = eig(matrix)
+            return lam[::-1], vecs[:, ::-1]
+
+        monkeypatch.setattr(np.linalg, "eig", reversed_eig)
+        assert run_cli(["dirac", "--q", q, "--out", str(flipped)])[0] == exit_code
+        a, b = json.loads(plain.read_text()), json.loads(flipped.read_text())
+        assert a["eigenvalues"] == b["eigenvalues"]
+        tol = 1e-9 * np.linalg.norm(build_dirac(q).matrix, 2)
+        for key in ("max_match_distance", "mean_match_distance"):
+            assert abs(a[key] - b[key]) <= tol
+
     def test_dirac_qi_exit_code_reflects_tolerance(self, tmp_path):
         # the q=i reference list is not reproducible to 1e-3 (see audit);
         # the artifact is still written and the exit code reports the failure
@@ -160,6 +181,15 @@ def _short_spectrum(path: Path) -> None:
     path.write_text(json.dumps(doc))
 
 
+def _set_number(path: Path, value) -> None:
+    doc = json.loads(path.read_text())
+    if path.name == "spectra.json":
+        doc["lists"]["i"][5][0] = value
+    else:
+        doc["modes"]["i"]["s21"][1] = value
+    path.write_text(json.dumps(doc))
+
+
 class TestFixtureErrors:
     """A broken fixture is exit 3 with one line on stderr, never a traceback."""
 
@@ -180,6 +210,23 @@ class TestFixtureErrors:
         assert not out
         assert err.startswith("fixture error: ") and err.count("\n") == 1
         assert needle in err
+
+    @pytest.mark.parametrize("command", ["dirac", "audit", "verify"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10 ** 400],
+                             ids=["NaN", "Infinity", "huge-integer"])
+    @pytest.mark.parametrize("name", ["spectra.json", "dirac_scalars.json"])
+    def test_non_finite_number_exits_3(self, tmp_path, monkeypatch, name, value, command):
+        # JSON parsing accepts NaN, Infinity and integers no float can hold;
+        # before the check the spectral match ended in a traceback
+        broken = tmp_path / "fixtures"
+        shutil.copytree(COMMITTED_FIXTURES, broken)
+        _set_number(broken / name, value)
+        monkeypatch.setenv("NCGQ_FIXTURES", str(broken))
+        code, out, err = run_cli([command, "--q", "i"])
+        assert code == 3
+        assert not out
+        assert err.startswith("fixture error: ") and err.count("\n") == 1
+        assert name in err and "finite numbers" in err
 
     def test_committed_fixtures_pass_their_shape_checks(self, tmp_path, monkeypatch):
         intact = tmp_path / "fixtures"

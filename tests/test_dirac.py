@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +116,72 @@ class TestCompareSpectrum:
         spec = Spectrum(mode="i", eigenvalues=[0j], residuals=[0.0], matrix_norm=1.0)
         with pytest.raises(ValueError):
             compare_spectrum(spec, printed_spectrum("i"))
+
+
+def _paired_rows_cost(rng, n):
+    # rows in pairs 1e-15 apart, like the computed q=i spectrum against a list
+    z = rng.normal(size=(n + 1) // 2) + 1j * rng.normal(size=(n + 1) // 2)
+    a = np.repeat(z, 2)[:n]
+    a[1::2] += 1e-15 * (rng.normal(size=n // 2) + 1j * rng.normal(size=n // 2))
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return np.abs(a[:, None] - b[None, :])
+
+
+class TestAssignmentSolver:
+    """The in-repo solver gives scipy's assignment, ties broken alike."""
+
+    @pytest.fixture(scope="class")
+    def scipy_lsa(self):
+        return pytest.importorskip("scipy.optimize").linear_sum_assignment
+
+    def _assert_same(self, cost, scipy_lsa):
+        rows, cols = dirac._linear_sum_assignment(cost)
+        want_rows, want_cols = scipy_lsa(cost)
+        assert rows.tolist() == list(range(cost.shape[0])) == want_rows.tolist()
+        assert cols.tolist() == want_cols.tolist()
+
+    @pytest.mark.parametrize("mode", ["1", "i", "-i"])
+    def test_matches_scipy_on_the_spectral_cost_matrices(self, mode, scipy_lsa):
+        a = np.array(eigenvalues(build_dirac(mode).matrix).eigenvalues)
+        b = np.array(printed_spectrum(mode))
+        self._assert_same(np.abs(a[:, None] - b[None, :]), scipy_lsa)
+
+    @pytest.mark.parametrize("make_cost", [
+        lambda rng, n: rng.random((n, n)),
+        lambda rng, n: rng.integers(0, 3, (n, n)).astype(float),  # many ties
+        _paired_rows_cost,
+    ], ids=["uniform", "small-integers", "paired-rows"])
+    def test_matches_scipy_on_seeded_matrices(self, make_cost, scipy_lsa):
+        rng = np.random.default_rng(5)
+        for k in range(400):
+            self._assert_same(make_cost(rng, k % 32 + 1), scipy_lsa)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_costs(self, bad):
+        cost = np.ones((4, 4))
+        cost[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            dirac._linear_sum_assignment(cost)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (16,)])
+    def test_rejects_non_square_costs(self, shape):
+        with pytest.raises(ValueError, match="not square"):
+            dirac._linear_sum_assignment(np.ones(shape))
+
+    def test_runtime_never_imports_scipy(self, tmp_path):
+        src = Path(dirac.__file__).resolve().parents[1]
+        program = (
+            "import sys\n"
+            "import ncgq.cli, ncgq.verification, ncgq.audit, ncgq.dirac\n"
+            f"code = ncgq.cli.main(['dirac', '--q', '1', '--out', {str(tmp_path / 'd.json')!r}])\n"
+            "print(code, 'scipy' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", program], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "False"]
 
 
 class TestAssembly:
