@@ -46,6 +46,24 @@ def monomial_name(m: Monomial) -> str:
     return " ".join(out) if out else "1"
 
 
+def monomial_product(m1: Monomial, m2: Monomial) -> tuple[Monomial, bool]:
+    """a^p1 b^r1 * a^p2 b^r2 as (a^(p1+p2) b^(r1+r2), whether it is negated).
+
+    b^r1 a^p2 = q^(2 r1 p2) a^p2 b^r1 = (-1)^(r1 p2) a^p2 b^r1, since q^2 = -1;
+    a^4 = b^4 = 1.  This is the whole product of the twisted group algebra of Z4 x Z4.
+    """
+    (p1, r1), (p2, r2) = m1, m2
+    return ((p1 + p2) & 3, (r1 + r2) & 3), bool(r1 * p2 & 1)
+
+
+def _check_mode(x, y) -> None:
+    if x.algebra.mode != y.algebra.mode:
+        raise ValueError("mixed q modes in one expression")
+
+
+_MONOMIALS_BY_NAME = {monomial_name(m): m for m in basis_monomials()}
+
+
 class AlgebraElement:
     """Element of the reduced algebra as a sparse coefficient map over monomials."""
 
@@ -53,18 +71,9 @@ class AlgebraElement:
 
     def __init__(self, algebra: "QuantumAlgebra", coeffs: Mapping[Monomial, GaussianRational] | None = None):
         self.algebra = algebra
-        pruned = {}
-        if coeffs:
-            for m, c in coeffs.items():
-                if c:
-                    pruned[m] = c
-        self.coeffs = pruned
+        self.coeffs = {m: c for m, c in coeffs.items() if c} if coeffs else {}
 
     # -- plumbing ---------------------------------------------------------
-
-    def _check_mode(self, other: "AlgebraElement") -> None:
-        if other.algebra.mode != self.algebra.mode:
-            raise ValueError("mixed q modes in one expression")
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -96,7 +105,7 @@ class AlgebraElement:
     # -- linear structure ---------------------------------------------------
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_mode(other)
+        _check_mode(self, other)
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
             out[m] = out.get(m, ZERO) + c
@@ -114,14 +123,12 @@ class AlgebraElement:
     # -- multiplication -------------------------------------------------------
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_mode(other)
+        _check_mode(self, other)
         out: dict[Monomial, GaussianRational] = {}
-        for (p1, r1), c1 in self.coeffs.items():
-            for (p2, r2), c2 in other.coeffs.items():
-                # b^r1 a^p2 = q^(2 r1 p2) a^p2 b^r1 = (-1)^(r1 p2) a^p2 b^r1,
-                # since q^2 = -1; a^4 = b^4 = 1
-                c = -(c1 * c2) if r1 * p2 & 1 else c1 * c2
-                m = ((p1 + p2) & 3, (r1 + r2) & 3)
+        for m1, c1 in self.coeffs.items():
+            for m2, c2 in other.coeffs.items():
+                m, negated = monomial_product(m1, m2)
+                c = -(c1 * c2) if negated else c1 * c2
                 out[m] = out[m] + c if m in out else c
         return AlgebraElement(self.algebra, out)
 
@@ -165,12 +172,7 @@ class TensorElement:
 
     def __init__(self, algebra: "QuantumAlgebra", coeffs: Mapping[tuple[Monomial, Monomial], GaussianRational] | None = None):
         self.algebra = algebra
-        pruned = {}
-        if coeffs:
-            for k, c in coeffs.items():
-                if c:
-                    pruned[k] = c
-        self.coeffs = pruned
+        self.coeffs = {k: c for k, c in coeffs.items() if c} if coeffs else {}
 
     @classmethod
     def pure(cls, x: AlgebraElement, y: AlgebraElement) -> "TensorElement":
@@ -187,9 +189,10 @@ class TensorElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorElement):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.algebra.mode == other.algebra.mode and self.coeffs == other.coeffs
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
+        _check_mode(self, other)
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, ZERO) + c
@@ -205,17 +208,16 @@ class TensorElement:
         return TensorElement(self.algebra, {k: s * c for k, c in self.coeffs.items()})
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
-        alg = self.algebra
+        _check_mode(self, other)
         out: dict[tuple[Monomial, Monomial], GaussianRational] = {}
         for (x1, y1), c1 in self.coeffs.items():
             for (x2, y2), c2 in other.coeffs.items():
-                left = AlgebraElement(alg, {x1: ONE}) * AlgebraElement(alg, {x2: ONE})
-                right = AlgebraElement(alg, {y1: ONE}) * AlgebraElement(alg, {y2: ONE})
-                for mx, cx in left.coeffs.items():
-                    for my, cy in right.coeffs.items():
-                        key = (mx, my)
-                        out[key] = out.get(key, ZERO) + c1 * c2 * cx * cy
-        return TensorElement(alg, out)
+                mx, neg_x = monomial_product(x1, x2)
+                my, neg_y = monomial_product(y1, y2)
+                c = -(c1 * c2) if neg_x != neg_y else c1 * c2
+                key = (mx, my)
+                out[key] = out[key] + c if key in out else c
+        return TensorElement(self.algebra, out)
 
     def apply(self, f_left: Callable[[AlgebraElement], AlgebraElement] | None,
               f_right: Callable[[AlgebraElement], AlgebraElement] | None) -> "TensorElement":
@@ -237,12 +239,13 @@ class TensorElement:
 
     def multiply_out(self) -> AlgebraElement:
         """Collapse x (x) y -> x*y."""
-        alg = self.algebra
-        out = alg.zero
+        out: dict[Monomial, GaussianRational] = {}
         for (mx, my), c in self.coeffs.items():
-            prod = AlgebraElement(alg, {mx: ONE}) * AlgebraElement(alg, {my: ONE})
-            out = out + prod.scale(c)
-        return out
+            m, negated = monomial_product(mx, my)
+            if negated:
+                c = -c
+            out[m] = out[m] + c if m in out else c
+        return AlgebraElement(self.algebra, out)
 
 
 @dataclass(frozen=True)
@@ -310,17 +313,10 @@ class QuantumAlgebra:
 
         coeffs: dict[Monomial, GaussianRational] = {}
         for item in items:
-            name = item["monomial"].replace(" ", "")
-            p = r = 0
-            for part in filter(None, name.replace("a", " a").replace("b", " b").split()):
-                power = 1 if "^" not in part else int(part.split("^")[1])
-                if part.startswith("a"):
-                    p = power
-                elif part.startswith("b"):
-                    r = power
-            if name in ("", "1"):
-                p = r = 0
-            key = (p % 4, r % 4)
+            name = item["monomial"]
+            key = _MONOMIALS_BY_NAME.get(name) if isinstance(name, str) else None
+            if key is None:
+                raise ValueError(f"not a normal-form monomial name: {item!r}")
             coeffs[key] = coeffs.get(key, ZERO) + parse_gaussian(item["coeff"])
         return AlgebraElement(self, coeffs)
 
@@ -425,7 +421,7 @@ class QuantumAlgebra:
         bs, dl = self.beta_star, self.delta
         a, b, mu = self.alpha, self.beta, self.mu
         q2 = self.q2
-        res = {
+        return {
             "b a = q^2 a b": b * a - (a * b).scale(q2),
             "delta a = a delta": dl * a - a * dl,
             "[b, bstar] = mu a (delta - a)": (b * bs - bs * b) - (a * (dl - a)).scale(mu),
@@ -435,4 +431,3 @@ class QuantumAlgebra:
             "delta^4 = 1": dl ** 4 - self.one,
             "b^4 = bstar^4": self.beta ** 4 - bs ** 4,
         }
-        return res

@@ -13,24 +13,62 @@ assumed; the metric symmetry and all four reference values of the exterior
 derivative on basis 1-forms come out exactly.
 
 The bimodule structure moves basis 1-forms past algebra elements through a
-table of the 64 images e_x a^p b^r, built once per calculus by pushing each
-form through the monomial with the eight generator-level rules; the
-dependent-generator rules of the reference table (including the repaired
+table of the 64 images e_x a^p b^r, built once per q mode and shared by
+pushing each form through the monomial with the eight generator-level rules;
+the dependent-generator rules of the reference table (including the repaired
 assignment of the orphaned rule to the pair (c, delta)) are retained as audit
 fixtures in :mod:`ncgq.fixtures`.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Mapping
 
-from .algebra import AlgebraElement, Monomial, QuantumAlgebra, basis_monomials
-from .scalars import ZERO, ONE, GaussianRational
+from .algebra import AlgebraElement, Monomial, QuantumAlgebra, basis_monomials, monomial_product
+from .scalars import ZERO, ONE, GaussianRational, q_root
 
 FORMS = ("a", "b", "c", "d")
 
 WedgeWord = tuple[str, ...]
-# e_x * monomial as [(form y, [(monomial, coefficient)])]: the y-coefficients on the left
-BimoduleImage = list[tuple[str, list[tuple[Monomial, GaussianRational]]]]
+
+
+@lru_cache(maxsize=None)
+def bimodule_table(mode: str) -> dict[tuple[str, Monomial], tuple[tuple[GaussianRational, Monomial, str], ...]]:
+    """e_x a^p b^r = sum of coefficient * monomial * e_y, for all 4 forms x and 16 monomials.
+
+    Built once per q mode from the eight generator rules, letter by letter;
+    shared, so never mutate it.
+    """
+    q = q_root(mode)
+    qi, q2 = q.inverse(), q * q
+    mu = ONE - q2.inverse()
+    a, b = (1, 0), (0, 1)
+    # e_x * generator = sum coefficient * monomial * e_y over the listed (coefficient, monomial, y)
+    rules = {
+        ("a", a): [(q, a, "a")],
+        ("a", b): [(qi, b, "a")],
+        ("b", a): [(qi, a, "b")],
+        ("b", b): [(qi, b, "b"), (mu, a, "a")],
+        ("c", a): [(q, a, "c"), (q2 * mu, b, "a")],
+        ("c", b): [(q, b, "c")],
+        ("d", a): [(qi, a, "d"), (mu, b, "b")],
+        ("d", b): [(q, b, "d"), (mu, a, "c"), (q * mu * mu, b, "a")],
+    }
+    table = {}
+    for form in FORMS:
+        for p, r in basis_monomials():
+            partial = {(form, (0, 0)): ONE}
+            for g in [a] * p + [b] * r:
+                nxt: dict[tuple[str, Monomial], GaussianRational] = {}
+                for (fm, m), c in partial.items():
+                    for s, el, fm2 in rules[(fm, g)]:
+                        m2, negated = monomial_product(m, el)
+                        v = -(c * s) if negated else c * s
+                        key = (fm2, m2)
+                        nxt[key] = nxt[key] + v if key in nxt else v
+                partial = {k: v for k, v in nxt.items() if v}
+            table[(form, (p, r))] = tuple((c, m, fm) for (fm, m), c in partial.items())
+    return table
 
 
 class ExteriorAlgebra:
@@ -89,35 +127,17 @@ class ExteriorAlgebra:
 
     def graded_dimensions(self) -> list[int]:
         """Dimension of each graded piece, computed by exact reduction, not assumed."""
-        dims = []
-        degree = 0
-        while True:
-            words = self._all_words(degree)
-            if degree > 0 and all(not self.reduce_word(w) for w in words):
-                break
-            span: dict[WedgeWord, int] = {}
-            vecs = []
-            for w in words:
-                red = self.reduce_word(w)
-                for m in red:
-                    span.setdefault(m, len(span))
-            cols = sorted(span, key=span.get)
-            rows = []
-            for w in words:
-                red = self.reduce_word(w)
-                rows.append([red.get(m, ZERO) for m in cols])
-            from . import linalg
-
-            dims.append(linalg.rank(rows) if rows and cols else (1 if degree == 0 else 0))
-            degree += 1
-            if degree > 8:  # safety; the calculus terminates well before this
-                break
-        return dims
-
-    def _all_words(self, degree: int) -> list[WedgeWord]:
         from itertools import product
+        from . import linalg
 
-        return [tuple(w) for w in product(FORMS, repeat=degree)] if degree else [()]
+        dims = []
+        for degree in range(9):  # safety bound; the calculus terminates well before it
+            reduced = [self.reduce_word(w) for w in product(FORMS, repeat=degree)]
+            if not any(reduced):
+                break
+            cols = sorted({m for red in reduced for m in red})
+            dims.append(linalg.rank([[red.get(m, ZERO) for m in cols] for red in reduced]))
+        return dims
 
 
 class DiffForm:
@@ -127,12 +147,7 @@ class DiffForm:
 
     def __init__(self, calculus: "Calculus", terms: Mapping[WedgeWord, AlgebraElement] | None = None):
         self.calculus = calculus
-        pruned: dict[WedgeWord, AlgebraElement] = {}
-        if terms:
-            for w, f in terms.items():
-                if f:
-                    pruned[w] = f
-        self.terms = pruned
+        self.terms = {w: f for w, f in terms.items() if f} if terms else {}
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -200,21 +215,6 @@ class Calculus:
     def __init__(self, algebra: QuantumAlgebra):
         self.algebra = algebra
         self.exterior = ExteriorAlgebra(algebra.q)
-        q, mu = algebra.q, algebra.mu
-        qi = q.inverse()
-        a, b = algebra.alpha, algebra.beta
-        # e_x * g = sum coeff * (element) * e_y over the listed (coeff, element, y)
-        self._rules: dict[tuple[str, str], list[tuple[GaussianRational, AlgebraElement, str]]] = {
-            ("a", "alpha"): [(q, a, "a")],
-            ("a", "beta"): [(qi, b, "a")],
-            ("b", "alpha"): [(qi, a, "b")],
-            ("b", "beta"): [(qi, b, "b"), (mu, a, "a")],
-            ("c", "alpha"): [(q, a, "c"), (algebra.q2 * mu, b, "a")],
-            ("c", "beta"): [(q, b, "c")],
-            ("d", "alpha"): [(qi, a, "d"), (mu, b, "b")],
-            ("d", "beta"): [(q, b, "d"), (mu, a, "c"), (q * mu * mu, b, "a")],
-        }
-        self._images: dict[tuple[str, Monomial], BimoduleImage] | None = None
 
     # -- construction helpers ---------------------------------------------------
 
@@ -234,72 +234,44 @@ class Calculus:
 
     # -- bimodule commutation -----------------------------------------------------
 
-    def _bimodule_images(self) -> dict[tuple[str, Monomial], BimoduleImage]:
-        """e_x * a^p b^r for all 4 forms and 16 monomials, built once per calculus."""
-        if self._images is None:
-            self._images = {(form, m): self._push_through(form, m)
-                            for form in FORMS for m in basis_monomials()}
-        return self._images
-
-    def _push_through(self, form: str, m: Monomial) -> BimoduleImage:
-        """e_form * a^p b^r by the eight generator rules, letter by letter."""
-        alg = self.algebra
-        p, r = m
-        partial: dict[str, AlgebraElement] = {form: alg.one}
-        for letter in ["alpha"] * p + ["beta"] * r:
-            nxt: dict[str, AlgebraElement] = {}
-            for fm, coeff_el in partial.items():
-                for s, el, fm2 in self._rules[(fm, letter)]:
-                    nxt[fm2] = nxt.get(fm2, alg.zero) + coeff_el.scale(s) * el
-            partial = {k: v for k, v in nxt.items() if v}
-        return [(fm, list(el.coeffs.items())) for fm, el in partial.items()]
-
     def commute_past(self, form: str, f: AlgebraElement) -> DiffForm:
         """e_form * f rewritten with all algebra coefficients moved to the left."""
-        images = self._bimodule_images()
-        out: dict[str, dict[Monomial, GaussianRational]] = {}
-        for m, c in f.coeffs.items():
-            # linear in f: c times the tabulated image of e_form * m
-            for fm, terms in images[(form, m)]:
-                acc = out.setdefault(fm, {})
-                for m2, s in terms:
-                    v = c * s
-                    acc[m2] = acc[m2] + v if m2 in acc else v
-        alg = self.algebra
-        return DiffForm(self, {(fm,): AlgebraElement(alg, acc) for fm, acc in out.items()})
-
-    def _word_past(self, word: WedgeWord, f: AlgebraElement) -> dict[WedgeWord, AlgebraElement]:
-        """word * f -> sum (coefficient) * word' with coefficients on the left."""
-        alg = self.algebra
-        if not word:
-            return {(): f} if f else {}
-        head, last = word[:-1], word[-1]
-        moved = self.commute_past(last, f)
-        out: dict[WedgeWord, AlgebraElement] = {}
-        for (fm,), el in moved.terms.items():
-            for w2, el2 in self._word_past(head, el).items():
-                key = w2 + (fm,)
-                out[key] = out.get(key, alg.zero) + el2
-        return {k: v for k, v in out.items() if v}
+        return self.wedge(self.basis_form(form), self.from_function(f))
 
     # -- wedge product ---------------------------------------------------------------
 
     def wedge(self, x: DiffForm, y: DiffForm) -> DiffForm:
-        alg = self.algebra
-        acc: dict[WedgeWord, AlgebraElement] = {}
+        table = bimodule_table(self.algebra.mode)
+        reduce_word = self.exterior.reduce_word
+        acc: dict[tuple[WedgeWord, Monomial], GaussianRational] = {}
         for w1, f1 in x.terms.items():
             for w2, f2 in y.terms.items():
-                for w1b, coeff_el in self._word_past(w1, f2).items():
-                    total = f1 * coeff_el
-                    if not total:
-                        continue
-                    for wred, s in self.exterior.reduce_word(w1b + w2).items():
-                        cur = acc.get(wred, alg.zero) + total.scale(s)
-                        if cur:
-                            acc[wred] = cur
-                        elif wred in acc:
-                            del acc[wred]
-        return DiffForm(self, acc)
+                # w1 * f2 = sum over words w of (monomial coefficients) * w: f2's
+                # monomials pass the letters of w1 from right to left
+                moved = {(): f2.coeffs}
+                for letter in reversed(w1):
+                    nxt: dict[WedgeWord, dict[Monomial, GaussianRational]] = {}
+                    for tail, coeffs in moved.items():
+                        for m, c in coeffs.items():
+                            for s, m2, fm in table[(letter, m)]:
+                                out = nxt.setdefault((fm,) + tail, {})
+                                v = c * s
+                                out[m2] = out[m2] + v if m2 in out else v
+                    moved = nxt
+                for w, coeffs in moved.items():
+                    for wred, s in reduce_word(w + w2).items():
+                        for m, c in coeffs.items():
+                            cs = c * s
+                            for m1, c1 in f1.coeffs.items():
+                                mp, negated = monomial_product(m1, m)
+                                v = -(c1 * cs) if negated else c1 * cs
+                                key = (wred, mp)
+                                acc[key] = acc[key] + v if key in acc else v
+        terms: dict[WedgeWord, dict[Monomial, GaussianRational]] = {}
+        for (w, m), c in acc.items():
+            terms.setdefault(w, {})[m] = c
+        alg = self.algebra
+        return DiffForm(self, {w: AlgebraElement(alg, cs) for w, cs in terms.items()})
 
     # -- exterior derivative -----------------------------------------------------------
 
@@ -318,10 +290,7 @@ class Calculus:
     def partials(self, f: AlgebraElement, normalized: bool = True) -> dict[str, AlgebraElement]:
         """Unique left coefficients of d f on the basis 1-forms."""
         df = self.exterior_d(self.from_function(f), normalized=normalized)
-        out = {}
-        for name in FORMS:
-            out[name] = df.coefficient((name,))
-        return out
+        return {name: df.coefficient((name,)) for name in FORMS}
 
     def pi_tilde(self, f: AlgebraElement) -> dict[str, GaussianRational]:
         """Projection to invariant 1-forms: counit of each partial derivative."""

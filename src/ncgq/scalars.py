@@ -272,16 +272,19 @@ def parse_gaussian(s: str) -> GaussianRational:
     terms.append(cur)
     re = Fraction(0)
     im = Fraction(0)
-    for t in terms:
-        if t.endswith("*i") or t == "i" or t == "-i" or t == "+i":
-            if t in ("i", "+i"):
-                im += 1
-            elif t == "-i":
-                im -= 1
+    try:
+        for t in terms:
+            if t.endswith("*i") or t == "i" or t == "-i" or t == "+i":
+                if t in ("i", "+i"):
+                    im += 1
+                elif t == "-i":
+                    im -= 1
+                else:
+                    im += Fraction(t[:-2])
             else:
-                im += Fraction(t[:-2])
-        else:
-            re += Fraction(t)
+                re += Fraction(t)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {s!r}") from None
     return GaussianRational(re, im)
 
 

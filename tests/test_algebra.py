@@ -87,6 +87,28 @@ class TestMultiply:
             assert (x * y) * z == x * (y * z)
 
 
+class TestModeChecks:
+    """Tensors of the two roots never meet: equal coefficients, different algebras."""
+
+    @pytest.fixture
+    def pair(self):
+        a_i, a_mi = QuantumAlgebra("i"), QuantumAlgebra("-i")
+        return a_i.coproduct(a_i.alpha * a_i.beta), a_mi.coproduct(a_mi.alpha * a_mi.beta)
+
+    def test_tensor_equality_needs_one_mode(self, pair):
+        x, y = pair
+        assert x.coeffs == y.coeffs
+        assert x != y
+
+    def test_tensor_sum_rejects_mixed_modes(self, pair):
+        with pytest.raises(ValueError, match="mixed q modes"):
+            pair[0] + pair[1]
+
+    def test_tensor_product_rejects_mixed_modes(self, pair):
+        with pytest.raises(ValueError, match="mixed q modes"):
+            pair[0] * pair[1]
+
+
 class TestHopfStructure:
     def test_coproduct_unit(self, alg):
         assert alg.coproduct(alg.one) == TensorElement.pure(alg.one, alg.one)

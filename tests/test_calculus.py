@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ncgq.algebra import QuantumAlgebra, basis_monomials
-from ncgq.calculus import Calculus, DiffForm, FORMS
+from ncgq.calculus import Calculus, DiffForm, FORMS, bimodule_table
 from ncgq.constants import AD_R_PRINTED, evaluate_ad_table
 from ncgq.scalars import GaussianRational, ONE, ZERO, q_root
 
@@ -194,6 +194,15 @@ class TestCommutePast:
                 assert {w: el.coeffs for w, el in f.terms.items()} == \
                     {w: el.coeffs for w, el in warm.terms.items()}
 
+    def test_second_calculus_builds_no_new_table(self, cal):
+        # the 64 images are fixed by the q mode: a fresh context reuses them
+        cal.commute_past("a", cal.algebra.alpha)
+        built = bimodule_table.cache_info().misses
+        fresh = Calculus(QuantumAlgebra(cal.algebra.mode))
+        for form in FORMS:
+            fresh.commute_past(form, fresh.algebra.alpha * fresh.algebra.beta)
+        assert bimodule_table.cache_info().misses == built
+
 
 class TestExteriorDerivative:
     def test_d_of_unit(self, cal):
@@ -233,6 +242,23 @@ class TestExteriorDerivative:
             sign = ONE if deg_x % 2 == 0 else -ONE
             rhs = cal.wedge(cal.exterior_d(x), y) + cal.wedge(x, cal.exterior_d(y)).scale(sign)
             assert lhs == rhs
+
+    def test_graded_leibniz_on_basis_pairs(self, cal):
+        # both sides are bilinear, so the 80 x 80 pairs of basis elements m and
+        # m e_x of degrees 0 and 1 prove the rule on all of degrees 0 and 1
+        alg = cal.algebra
+        monomials = [alg.monomial(p, r) for (p, r) in basis_monomials()]
+        basis = [cal.from_function(m) for m in monomials]
+        basis += [cal.basis_form(f, m) for f in FORMS for m in monomials]
+        derivatives = [cal.exterior_d(x) for x in basis]
+        cases = 0
+        for x, dx in zip(basis, derivatives):
+            sign = ONE if x.degrees() == {0} else -ONE
+            for y, dy in zip(basis, derivatives):
+                lhs = cal.exterior_d(cal.wedge(x, y))
+                assert lhs == cal.wedge(dx, y) + cal.wedge(x, dy).scale(sign)
+                cases += 1
+        assert cases == 6400
 
 
 class TestPartialsAndProjection:

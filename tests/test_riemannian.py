@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ncgq import linalg
-from ncgq.algebra import QuantumAlgebra
+from ncgq.algebra import QuantumAlgebra, basis_monomials
 from ncgq.calculus import Calculus, DiffForm, FORMS
 from ncgq.constants import (CONNECTION_DB_DENOMINATOR_TAIL, CONNECTION_PRINTED,
                             evaluate_connection_printed)
@@ -158,6 +158,15 @@ class TestCovariantDerivativeAndCurvature:
             lhs = riemann(cal, conn, DiffForm(cal, {(i,): f}))
             rhs = riemann_basis(cal, conn, i).left_multiply(f)
             assert lhs == rhs
+
+    def test_riemann_tensoriality_on_basis(self, cal, conn):
+        # R(f e_i) = f R(e_i) is linear in f, so the 16 monomials x 4 forms prove it
+        alg = cal.algebra
+        for i in FORMS:
+            base = riemann_basis(cal, conn, i)
+            for (p, r) in basis_monomials():
+                m = alg.monomial(p, r)
+                assert riemann(cal, conn, DiffForm(cal, {(i,): m})) == base.left_multiply(m)
 
     def test_riemann_nonzero(self, cal, conn):
         assert any(riemann_basis(cal, conn, i) for i in FORMS)
