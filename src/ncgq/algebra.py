@@ -56,7 +56,8 @@ def monomial_product(m1: Monomial, m2: Monomial) -> tuple[Monomial, bool]:
     return ((p1 + p2) & 3, (r1 + r2) & 3), bool(r1 * p2 & 1)
 
 
-def _check_mode(x, y) -> None:
+def check_mode(x, y) -> None:
+    """Raise ValueError unless x and y (anything with an .algebra) share one q mode."""
     if x.algebra.mode != y.algebra.mode:
         raise ValueError("mixed q modes in one expression")
 
@@ -64,24 +65,49 @@ def _check_mode(x, y) -> None:
 _MONOMIALS_BY_NAME = {monomial_name(m): m for m in basis_monomials()}
 
 
-class AlgebraElement:
-    """Element of the reduced algebra as a sparse coefficient map over monomials."""
+class ScalarSum:
+    """Finite sum of Q(i) coefficients over a fixed basis, in one q mode.
+
+    The linear structure shared by algebra and tensor elements: zero terms are
+    pruned on construction, equality needs one q mode, and + raises ValueError
+    on mixed modes.
+    """
 
     __slots__ = ("algebra", "coeffs")
 
-    def __init__(self, algebra: "QuantumAlgebra", coeffs: Mapping[Monomial, GaussianRational] | None = None):
+    def __init__(self, algebra: "QuantumAlgebra", coeffs: Mapping | None = None):
         self.algebra = algebra
-        self.coeffs = {m: c for m, c in coeffs.items() if c} if coeffs else {}
-
-    # -- plumbing ---------------------------------------------------------
+        self.coeffs = {k: c for k, c in coeffs.items() if c} if coeffs else {}
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, AlgebraElement):
+        if type(other) is not type(self):
             return NotImplemented
         return self.algebra.mode == other.algebra.mode and self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        check_mode(self, other)
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, ZERO) + c
+        return type(self)(self.algebra, out)
+
+    def __neg__(self):
+        return type(self)(self.algebra, {k: -c for k, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, s: GaussianRational):
+        return type(self)(self.algebra, {k: s * c for k, c in self.coeffs.items()})
+
+
+class AlgebraElement(ScalarSum):
+    """Element of the reduced algebra as a sparse coefficient map over monomials."""
+
+    __slots__ = ()
 
     def __hash__(self) -> int:
         return hash(frozenset(self.coeffs.items()))
@@ -102,28 +128,10 @@ class AlgebraElement:
                 parts.append(f"({c})*{name}")
         return " + ".join(parts)
 
-    # -- linear structure ---------------------------------------------------
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _check_mode(self, other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, ZERO) + c
-        return AlgebraElement(self.algebra, out)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, {m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def scale(self, s: GaussianRational) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, {m: s * c for m, c in self.coeffs.items()})
-
     # -- multiplication -------------------------------------------------------
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _check_mode(self, other)
+        check_mode(self, other)
         out: dict[Monomial, GaussianRational] = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
@@ -165,14 +173,10 @@ class AlgebraElement:
         return out
 
 
-class TensorElement:
+class TensorElement(ScalarSum):
     """Element of the 256-dimensional two-fold tensor square of the algebra."""
 
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra: "QuantumAlgebra", coeffs: Mapping[tuple[Monomial, Monomial], GaussianRational] | None = None):
-        self.algebra = algebra
-        self.coeffs = {k: c for k, c in coeffs.items() if c} if coeffs else {}
+    __slots__ = ()
 
     @classmethod
     def pure(cls, x: AlgebraElement, y: AlgebraElement) -> "TensorElement":
@@ -183,32 +187,8 @@ class TensorElement:
                 out[key] = out.get(key, ZERO) + c1 * c2
         return cls(x.algebra, out)
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self.algebra.mode == other.algebra.mode and self.coeffs == other.coeffs
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        _check_mode(self, other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, ZERO) + c
-        return TensorElement(self.algebra, out)
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement(self.algebra, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + (-other)
-
-    def scale(self, s: GaussianRational) -> "TensorElement":
-        return TensorElement(self.algebra, {k: s * c for k, c in self.coeffs.items()})
-
     def __mul__(self, other: "TensorElement") -> "TensorElement":
-        _check_mode(self, other)
+        check_mode(self, other)
         out: dict[tuple[Monomial, Monomial], GaussianRational] = {}
         for (x1, y1), c1 in self.coeffs.items():
             for (x2, y2), c2 in other.coeffs.items():
@@ -255,9 +235,6 @@ class TranslationMatrix:
     tag: str
     source: str  # "derived" or "printed"
     entries: tuple  # tuple of 16 row-tuples of GaussianRational
-
-    def column(self, j: int) -> list[GaussianRational]:
-        return [self.entries[i][j] for i in range(DIM)]
 
     def __getitem__(self, ij: tuple[int, int]) -> GaussianRational:
         return self.entries[ij[0]][ij[1]]

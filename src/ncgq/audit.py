@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from . import linalg
-from .algebra import QuantumAlgebra, basis_monomials
+from .algebra import QuantumAlgebra
 from .calculus import Calculus, DiffForm, FORMS
 from .constants import (CONNECTION_PRINTED, LAMBDA_C, NU, XI,
                         evaluate_connection_printed)
@@ -19,6 +19,7 @@ from .riemannian import (ConnectionAssembler, SpinConnection, TensorForm,
                          covariant_derivative_basis, printed_ad_tables,
                          reference_connection, regularity_check, riemann_basis)
 from .scalars import ONE, ZERO, format_gaussian
+from .verification import antipode_axioms_hold, reference_d_values
 
 
 @dataclass
@@ -122,10 +123,7 @@ def audit_algebra(alg: QuantumAlgebra) -> list[AuditRow]:
     ))
 
     # Hopf axioms
-    ok = True
-    for (p, r) in basis_monomials():
-        left, right = alg.antipode_axiom_defect(alg.monomial(p, r))
-        ok = ok and not left and not right
+    ok = antipode_axioms_hold(alg)
     rows.append(_row(
         "algebra", "antipode axioms on all 16 monomials",
         "required", "hold exactly" if ok else "fail", _verdict(ok),
@@ -152,18 +150,8 @@ def audit_algebra(alg: QuantumAlgebra) -> list[AuditRow]:
 def audit_calculus(cal: Calculus) -> list[AuditRow]:
     rows: list[AuditRow] = []
     alg = cal.algebra
-    e = cal.basis_form
-    w = cal.wedge
 
-    mc = {
-        "d e_a = -e_c ^ e_b": cal.exterior_d(e("a")) == -w(e("c"), e("b")),
-        "d e_b = -q^-2 e_b ^ e_a + e_b ^ e_d":
-            cal.exterior_d(e("b")) == -w(e("b"), e("a")).scale(alg.q2.inverse()) + w(e("b"), e("d")),
-        "d e_c = e_c ^ e_a - q^2 e_c ^ e_d":
-            cal.exterior_d(e("c")) == w(e("c"), e("a")) - w(e("c"), e("d")).scale(alg.q2),
-        "d e_d = e_c ^ e_b": cal.exterior_d(e("d")) == w(e("c"), e("b")),
-    }
-    for q_, ok in mc.items():
+    for q_, ok in reference_d_values(cal).items():
         rows.append(_row("calculus", q_, "reference value", "reproduced exactly" if ok else "differs",
                          _verdict(ok)))
 

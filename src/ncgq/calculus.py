@@ -24,10 +24,14 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Mapping
 
-from .algebra import AlgebraElement, Monomial, QuantumAlgebra, basis_monomials, monomial_product
+from .algebra import (AlgebraElement, Monomial, QuantumAlgebra, basis_monomials, check_mode,
+                      monomial_product)
 from .scalars import ZERO, ONE, GaussianRational, q_root
 
 FORMS = ("a", "b", "c", "d")
+# basis 1-form -> its 2x2 matrix unit (row, column), the index pair of the
+# generator matrix t = [[alpha, beta], [beta_star, delta]] it is attached to
+MATRIX_UNITS = {"a": (0, 0), "b": (0, 1), "c": (1, 0), "d": (1, 1)}
 
 WedgeWord = tuple[str, ...]
 
@@ -100,9 +104,12 @@ class ExteriorAlgebra:
         }
 
     def reduce_word(self, word: WedgeWord) -> dict[WedgeWord, GaussianRational]:
-        """Canonical form of a wedge word as a combination of ordered monomials."""
+        """Canonical form of a wedge word as a combination of ordered monomials.
+
+        Memoised per word; the result is shared, so never mutate it.
+        """
         if word in self._memo:
-            return dict(self._memo[word])
+            return self._memo[word]
         out: dict[WedgeWord, GaussianRational] = {}
         stack: list[tuple[GaussianRational, WedgeWord]] = [(ONE, word)]
         while stack:
@@ -115,15 +122,8 @@ class ExteriorAlgebra:
                     break
             else:
                 out[w] = out.get(w, ZERO) + coeff
-        out = {w: c for w, c in out.items() if c}
-        self._memo[word] = dict(out)
+        out = self._memo[word] = {w: c for w, c in out.items() if c}
         return out
-
-    def basis(self, degree: int) -> list[WedgeWord]:
-        """Irreducible (strictly increasing) wedge monomials of a given degree."""
-        from itertools import combinations
-
-        return [tuple(c) for c in combinations(FORMS, degree)]
 
     def graded_dimensions(self) -> list[int]:
         """Dimension of each graded piece, computed by exact reduction, not assumed."""
@@ -140,22 +140,50 @@ class ExteriorAlgebra:
         return dims
 
 
-class DiffForm:
-    """Sum of (algebra coefficient) x (ordered wedge monomial), coefficients on the left."""
+class ModuleSum:
+    """Finite sum of module-valued terms over a fixed basis, in one q mode.
+
+    The linear structure shared by differential forms (algebra coefficients on
+    wedge words) and tensor forms (forms on the invariant right leg): zero
+    terms are pruned on construction, equality needs one q mode, and + raises
+    ValueError on mixed modes even when the two sums share no basis key.
+    """
 
     __slots__ = ("calculus", "terms")
 
-    def __init__(self, calculus: "Calculus", terms: Mapping[WedgeWord, AlgebraElement] | None = None):
+    def __init__(self, calculus: "Calculus", terms: Mapping | None = None):
         self.calculus = calculus
-        self.terms = {w: f for w, f in terms.items() if f} if terms else {}
+        self.terms = {k: x for k, x in terms.items() if x} if terms else {}
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, DiffForm):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.terms == other.terms
+        return self.calculus.algebra.mode == other.calculus.algebra.mode and self.terms == other.terms
+
+    def __add__(self, other):
+        check_mode(self.calculus, other.calculus)
+        out = dict(self.terms)
+        for k, x in other.terms.items():
+            out[k] = out[k] + x if k in out else x
+        return type(self)(self.calculus, out)
+
+    def __neg__(self):
+        return type(self)(self.calculus, {k: -x for k, x in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, s: GaussianRational):
+        return type(self)(self.calculus, {k: x.scale(s) for k, x in self.terms.items()})
+
+
+class DiffForm(ModuleSum):
+    """Sum of (algebra coefficient) x (ordered wedge monomial), coefficients on the left."""
+
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"<DiffForm {self}>"
@@ -168,22 +196,6 @@ class DiffForm:
             mono = "^".join(f"e_{x}" for x in w) if w else "1"
             bits.append(f"[{self.terms[w]}] {mono}")
         return "  +  ".join(bits)
-
-    def __add__(self, other: "DiffForm") -> "DiffForm":
-        out = dict(self.terms)
-        alg = self.calculus.algebra
-        for w, f in other.terms.items():
-            out[w] = out.get(w, alg.zero) + f
-        return DiffForm(self.calculus, out)
-
-    def __neg__(self) -> "DiffForm":
-        return DiffForm(self.calculus, {w: -f for w, f in self.terms.items()})
-
-    def __sub__(self, other: "DiffForm") -> "DiffForm":
-        return self + (-other)
-
-    def scale(self, s: GaussianRational) -> "DiffForm":
-        return DiffForm(self.calculus, {w: f.scale(s) for w, f in self.terms.items()})
 
     def left_multiply(self, g: AlgebraElement) -> "DiffForm":
         return DiffForm(self.calculus, {w: g * f for w, f in self.terms.items()})
@@ -204,9 +216,6 @@ class DiffForm:
                 for w, f in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
             ],
         }
-
-    def wedge(self, other: "DiffForm") -> "DiffForm":
-        return self.calculus.wedge(self, other)
 
 
 class Calculus:
@@ -241,6 +250,8 @@ class Calculus:
     # -- wedge product ---------------------------------------------------------------
 
     def wedge(self, x: DiffForm, y: DiffForm) -> DiffForm:
+        check_mode(self, x.calculus)
+        check_mode(self, y.calculus)
         table = bimodule_table(self.algebra.mode)
         reduce_word = self.exterior.reduce_word
         acc: dict[tuple[WedgeWord, Monomial], GaussianRational] = {}
@@ -277,6 +288,7 @@ class Calculus:
 
     def exterior_d(self, x: DiffForm, normalized: bool = True) -> DiffForm:
         """Graded-commutator derivative: c * (theta ^ x - (-1)^deg x ^ theta)."""
+        check_mode(self, x.calculus)
         th = self.theta()
         out = self.zero()
         for w, f in x.terms.items():
@@ -307,47 +319,30 @@ class Calculus:
 
     # -- braided-Lie structure constants, first principles ------------------------------
 
-    def _form_matrix_labels(self) -> dict[str, tuple[int, int]]:
-        return {"a": (0, 0), "b": (0, 1), "c": (1, 0), "d": (1, 1)}
-
     def right_coaction_on_form(self, form: str) -> list[tuple[str, AlgebraElement]]:
         """Delta_R(e_form) as sum e_g (x) (algebra element)."""
         alg = self.algebra
         t = alg.generator_matrix()
-        lab = self._form_matrix_labels()
-        al, be = lab[form]
-        out: dict[str, AlgebraElement] = {}
-        for g_form, (ga, de) in lab.items():
-            coeff = t[ga][al] * alg.antipode(t[be][de])
-            if coeff:
-                out[g_form] = out.get(g_form, alg.zero) + coeff
-        return [(g, c) for g, c in out.items() if c]
+        al, be = MATRIX_UNITS[form]
+        out = [(g, t[ga][al] * alg.antipode(t[be][de])) for g, (ga, de) in MATRIX_UNITS.items()]
+        return [(g, c) for g, c in out if c]
 
     def ad_right(self) -> dict[str, dict[tuple[str, str], GaussianRational]]:
         """(id (x) pi_tilde) applied to the right coaction, from first principles."""
-        out: dict[str, dict[tuple[str, str], GaussianRational]] = {}
-        for form in FORMS:
-            row: dict[tuple[str, str], GaussianRational] = {}
-            for g, coeff in self.right_coaction_on_form(form):
-                proj = self.pi_tilde(coeff)
-                for k, s in proj.items():
-                    if s:
-                        row[(g, k)] = row.get((g, k), ZERO) + s
-            out[form] = {jk: s for jk, s in row.items() if s}
-        return out
+        return self._ad(left=False)
 
     def ad_left(self) -> dict[str, dict[tuple[str, str], GaussianRational]]:
         """(pi_tilde (x) id) applied to the flipped coaction with inverse antipode."""
-        alg = self.algebra
+        return self._ad(left=True)
+
+    def _ad(self, left: bool) -> dict[str, dict[tuple[str, str], GaussianRational]]:
+        # each coaction term has its own g and each projection its own k, so no key repeats
         out: dict[str, dict[tuple[str, str], GaussianRational]] = {}
         for form in FORMS:
-            row: dict[tuple[str, str], GaussianRational] = {}
+            row = out[form] = {}
             for g, coeff in self.right_coaction_on_form(form):
-                proj = self.pi_tilde(alg.inverse_antipode(coeff))
-                for k, s in proj.items():
-                    if s:
-                        row[(k, g)] = row.get((k, g), ZERO) + s
-            out[form] = {jk: s for jk, s in row.items() if s}
+                proj = self.pi_tilde(self.algebra.inverse_antipode(coeff) if left else coeff)
+                row.update({((k, g) if left else (g, k)): s for k, s in proj.items() if s})
         return out
 
     # -- kernel computations --------------------------------------------------------------

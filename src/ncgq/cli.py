@@ -171,9 +171,9 @@ def cmd_curvature(cfg: RunConfig) -> int:
         riem = {}
         for i in FORMS:
             nd = covariant_derivative_basis(cal, conn, i)
-            nabla[i] = {k: str(x) for k, x in nd.legs.items()}
+            nabla[i] = {k: str(x) for k, x in nd.terms.items()}
             rd = riemann_basis(cal, conn, i)
-            riem[i] = {k: str(x) for k, x in rd.legs.items()}
+            riem[i] = {k: str(x) for k, x in rd.terms.items()}
         docs[mode] = {"covariant_derivative": nabla, "riemann": riem,
                       "connection_source": conn.source}
     doc = {"command": "curvature", "q": cfg.qmode, "results": docs}

@@ -20,20 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import TranslationMatrix
-from .calculus import Calculus, FORMS
+from .calculus import MATRIX_UNITS, Calculus, FORMS
 from .constants import (ASLASH_GENERATOR_VALUES, ASLASH_MATRIX_PRINTED,
                         F_DIAG, Q_OVER_2Q, Q2_OVER_2Q)
 from .fixtures import printed_spectrum, printed_translation_matrices, reconstructed_offdiagonal_scalars
 from .riemannian import SpinConnection
 from .scalars import GaussianRational, ZERO, q_root
 
-GAMMA_BASIS = {"a": (0, 0), "b": (0, 1), "c": (1, 0), "d": (1, 1)}
-
 
 def gamma_matrix(form: str) -> list[list[int]]:
     """Elementary 2x2 matrix attached to a basis 1-form (identity map in the
     endomorphism labeling)."""
-    i, j = GAMMA_BASIS[form]
+    i, j = MATRIX_UNITS[form]
     out = [[0, 0], [0, 0]]
     out[i][j] = 1
     return out
@@ -42,7 +40,7 @@ def gamma_matrix(form: str) -> list[list[int]]:
 def gamma_of_invariant_form(weights: dict[str, GaussianRational]) -> list[list[GaussianRational]]:
     out = [[ZERO, ZERO], [ZERO, ZERO]]
     for f, c in weights.items():
-        i, j = GAMMA_BASIS[f]
+        i, j = MATRIX_UNITS[f]
         out[i][j] = out[i][j] + c
     return out
 
@@ -298,8 +296,5 @@ def spectrum_pipeline(mode: str, include_connection: bool = True) -> tuple[Dirac
     spec = eigenvalues(dm.matrix, mode=mode)
     report = None
     if include_connection:
-        try:
-            report = compare_spectrum(spec, printed_spectrum(mode))
-        except KeyError:
-            report = None
+        report = compare_spectrum(spec, printed_spectrum(mode))
     return dm, spec, report

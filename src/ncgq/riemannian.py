@@ -18,13 +18,14 @@ by the spectral layer), carrying provenance and honest residuals.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
 from . import linalg
 from .algebra import AlgebraElement
-from .calculus import Calculus, DiffForm, FORMS
+from .calculus import Calculus, DiffForm, FORMS, ModuleSum
 from .constants import (AD_L_PRINTED, AD_R_PRINTED, CONNECTION_UNPRINTED, RHO,
                         TWO_Q, connection_db_candidate, evaluate_ad_table,
                         evaluate_connection_printed)
@@ -243,69 +244,36 @@ def _record_residuals(calculus: Calculus, conn: SpinConnection) -> None:
 
 
 def connection_residuals(calculus: Calculus, connection: SpinConnection) -> dict:
-    """Exact torsion and cotorsion residuals of a connection, per basis 1-form."""
-    ad_left, ad_right = printed_ad_tables(calculus.algebra.q)
-    out = {"torsion": {}, "cotorsion": {}}
-    for i in FORMS:
-        de = calculus.exterior_d(calculus.basis_form(i), normalized=True)
-        t = de
-        for (j, k), c in ad_left[i].items():
-            t = t + calculus.wedge(connection.form(j, calculus), calculus.basis_form(k)).scale(c)
-        out["torsion"][i] = t
-        ct = de
-        for (j, k), c in ad_right[i].items():
-            ct = ct + calculus.wedge(calculus.basis_form(j), connection.form(k, calculus)).scale(c)
-        out["cotorsion"][i] = ct
+    """Exact torsion and cotorsion residuals of a connection, per basis 1-form.
+
+    Read from the assembled equations: out[kind][i] maps each 2-form basis
+    word (x, y) whose row kind[i; x^y] fails to its nonzero residual, so an
+    empty map means the equations for e_i hold.
+    """
+    system = ConnectionAssembler(calculus).assemble()
+    out: dict = {"torsion": {i: {} for i in FORMS}, "cotorsion": {i: {} for i in FORMS}}
+    for label, r in zip(system.row_labels, system.residual(connection.coefficients)):
+        if r:
+            kind, i, x, y = re.split(r"\[|; |\^", label[:-1])
+            out[kind][i][(x, y)] = r
     return out
 
 
 # -- covariant derivative and curvature ----------------------------------------------
 
 
-class TensorForm:
+class TensorForm(ModuleSum):
     """Element of Omega^* (x) Lambda^1: left legs keyed by the invariant right leg."""
 
-    __slots__ = ("calculus", "legs")
-
-    def __init__(self, calculus: Calculus, legs: Mapping[str, DiffForm] | None = None):
-        self.calculus = calculus
-        pruned = {}
-        if legs:
-            for k, x in legs.items():
-                if x:
-                    pruned[k] = x
-        self.legs = pruned
-
-    def __bool__(self) -> bool:
-        return bool(self.legs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorForm):
-            return NotImplemented
-        return self.legs == other.legs
-
-    def __add__(self, other: "TensorForm") -> "TensorForm":
-        out = dict(self.legs)
-        for k, x in other.legs.items():
-            out[k] = out.get(k, self.calculus.zero()) + x
-        return TensorForm(self.calculus, out)
-
-    def __neg__(self) -> "TensorForm":
-        return TensorForm(self.calculus, {k: -x for k, x in self.legs.items()})
-
-    def __sub__(self, other: "TensorForm") -> "TensorForm":
-        return self + (-other)
-
-    def scale(self, s: GaussianRational) -> "TensorForm":
-        return TensorForm(self.calculus, {k: x.scale(s) for k, x in self.legs.items()})
+    __slots__ = ()
 
     def left_multiply(self, f: AlgebraElement) -> "TensorForm":
-        return TensorForm(self.calculus, {k: x.left_multiply(f) for k, x in self.legs.items()})
+        return TensorForm(self.calculus, {k: x.left_multiply(f) for k, x in self.terms.items()})
 
     def __str__(self) -> str:
-        if not self.legs:
+        if not self.terms:
             return "0"
-        return "  +  ".join(f"({self.legs[k]}) (x) e_{k}" for k in sorted(self.legs))
+        return "  +  ".join(f"({self.terms[k]}) (x) e_{k}" for k in sorted(self.terms))
 
 
 def covariant_derivative_basis(calculus: Calculus, connection: SpinConnection, i: str) -> TensorForm:
@@ -334,10 +302,10 @@ def covariant_derivative(calculus: Calculus, connection: SpinConnection, x: Diff
 def riemann_of_tensor(calculus: Calculus, connection: SpinConnection, t: TensorForm) -> TensorForm:
     """(id ^ nabla - d (x) id) applied to an element of Omega^1 (x) Lambda^1."""
     out = TensorForm(calculus, {})
-    for k, x in t.legs.items():
+    for k, x in t.terms.items():
         # id ^ nabla on the invariant right leg
         nk = covariant_derivative_basis(calculus, connection, k)
-        for m, leg in nk.legs.items():
+        for m, leg in nk.terms.items():
             out = out + TensorForm(calculus, {m: calculus.wedge(x, leg)})
         # - d (x) id
         out = out - TensorForm(calculus, {k: calculus.exterior_d(x, normalized=True)})

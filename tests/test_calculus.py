@@ -7,7 +7,7 @@ import pytest
 from ncgq.algebra import QuantumAlgebra, basis_monomials
 from ncgq.calculus import Calculus, DiffForm, FORMS, bimodule_table
 from ncgq.constants import AD_R_PRINTED, evaluate_ad_table
-from ncgq.scalars import GaussianRational, ONE, ZERO, q_root
+from ncgq.scalars import GaussianRational, ONE, ZERO
 
 random.seed(20260810)
 
@@ -202,6 +202,42 @@ class TestCommutePast:
         for form in FORMS:
             fresh.commute_past(form, fresh.algebra.alpha * fresh.algebra.beta)
         assert bimodule_table.cache_info().misses == built
+
+
+class TestModeChecks:
+    """Forms of the two roots never meet, even where their coefficients agree."""
+
+    @pytest.fixture
+    def pair(self):
+        return Calculus(QuantumAlgebra("i")), Calculus(QuantumAlgebra("-i"))
+
+    def test_wedge_rejects_an_operand_of_another_mode(self, pair):
+        cal_i, cal_mi = pair
+        x = cal_i.basis_form("a", cal_i.algebra.beta)
+        y = cal_mi.basis_form("b", cal_mi.algebra.alpha)
+        for args in ((x, y), (y, x), (y, y)):
+            with pytest.raises(ValueError, match="mixed q modes"):
+                cal_i.wedge(*args)
+
+    def test_exterior_d_rejects_a_form_of_another_mode(self, pair):
+        cal_i, cal_mi = pair
+        for x in (cal_mi.basis_form("a"), cal_mi.from_function(cal_mi.algebra.beta)):
+            with pytest.raises(ValueError, match="mixed q modes"):
+                cal_i.exterior_d(x)
+
+    def test_sum_rejects_mixed_modes_on_disjoint_words(self, pair):
+        cal_i, cal_mi = pair
+        x, y = cal_i.basis_form("a"), cal_mi.basis_form("b")
+        for lhs, rhs in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="mixed q modes"):
+                lhs + rhs
+            with pytest.raises(ValueError, match="mixed q modes"):
+                lhs - rhs
+
+    def test_equality_needs_one_mode(self, pair):
+        cal_i, cal_mi = pair
+        assert cal_i.basis_form("a").terms.keys() == cal_mi.basis_form("a").terms.keys()
+        assert cal_i.basis_form("a") != cal_mi.basis_form("a")
 
 
 class TestExteriorDerivative:

@@ -9,8 +9,9 @@ from ncgq.calculus import Calculus, DiffForm, FORMS
 from ncgq.constants import (CONNECTION_DB_DENOMINATOR_TAIL, CONNECTION_PRINTED,
                             evaluate_connection_printed)
 from ncgq.riemannian import (DB_DENOMINATOR_CONSTANT, ConnectionAssembler, Metric,
-                             connection_residuals, covariant_derivative,
-                             covariant_derivative_basis, reference_connection,
+                             SpinConnection, TensorForm, connection_residuals,
+                             covariant_derivative, covariant_derivative_basis,
+                             printed_ad_tables, reference_connection,
                              regularity_check, riemann, riemann_basis,
                              solve_connection)
 from ncgq.scalars import GaussianRational, ONE, ZERO
@@ -137,6 +138,49 @@ class TestReferenceConnection:
         assert conn.cotorsion_free is False
 
 
+def wedge_residuals(cal, connection):
+    """Oracle: the torsion and cotorsion 2-forms of a connection, by wedges of forms.
+
+    d e_i + sum_jk ad_L(jk|i) A_j ^ e_k and d e_i + sum_jk ad_R(jk|i) e_j ^ A_k.
+    """
+    ad_left, ad_right = printed_ad_tables(cal.algebra.q)
+    out = {"torsion": {}, "cotorsion": {}}
+    for i in FORMS:
+        de = cal.exterior_d(cal.basis_form(i))
+        t = ct = de
+        for (j, k), c in ad_left[i].items():
+            t = t + cal.wedge(connection.form(j, cal), cal.basis_form(k)).scale(c)
+        for (j, k), c in ad_right[i].items():
+            ct = ct + cal.wedge(cal.basis_form(j), connection.form(k, cal)).scale(c)
+        out["torsion"][i], out["cotorsion"][i] = t, ct
+    return out
+
+
+class TestConnectionResiduals:
+    """The residuals read off the assembled equations are the wedge-formula 2-forms."""
+
+    def _check(self, cal, connection):
+        got = connection_residuals(cal, connection)
+        want = wedge_residuals(cal, connection)
+        alg = cal.algebra
+        for kind in ("torsion", "cotorsion"):
+            assert set(got[kind]) == set(FORMS)
+            for i in FORMS:
+                form = DiffForm(cal, {w: alg.scalar(r) for w, r in got[kind][i].items()})
+                assert form == want[kind][i]
+
+    def test_reference_connection(self, cal, conn):
+        self._check(cal, conn)
+        assert conn.residuals == connection_residuals(cal, conn)
+
+    def test_random_connections(self, cal):
+        rng = random.Random(13)
+        for _ in range(10):
+            values = {(i, j): GaussianRational(rng.randrange(-4, 5), rng.randrange(-4, 5))
+                      for i in FORMS for j in FORMS}
+            self._check(cal, SpinConnection(coefficients=values, source="test"))
+
+
 class TestCovariantDerivativeAndCurvature:
     def test_derivation_rule(self, cal, conn):
         rng = random.Random(9)
@@ -145,8 +189,6 @@ class TestCovariantDerivativeAndCurvature:
             i = rng.choice(FORMS)
             lhs = covariant_derivative(cal, conn, DiffForm(cal, {(i,): f}))
             df = cal.exterior_d(cal.from_function(f))
-            from ncgq.riemannian import TensorForm
-
             rhs = TensorForm(cal, {i: df}) + covariant_derivative_basis(cal, conn, i).left_multiply(f)
             assert lhs == rhs
 
@@ -170,6 +212,14 @@ class TestCovariantDerivativeAndCurvature:
 
     def test_riemann_nonzero(self, cal, conn):
         assert any(riemann_basis(cal, conn, i) for i in FORMS)
+
+    def test_tensor_sum_rejects_mixed_modes_on_disjoint_legs(self):
+        cal_i, cal_mi = Calculus(QuantumAlgebra("i")), Calculus(QuantumAlgebra("-i"))
+        x = TensorForm(cal_i, {"a": cal_i.basis_form("a")})
+        y = TensorForm(cal_mi, {"b": cal_mi.basis_form("a")})
+        for lhs, rhs in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="mixed q modes"):
+                lhs + rhs
 
 
 class TestRegularity:
