@@ -232,8 +232,6 @@ class TensorElement(ScalarSum):
 class TranslationMatrix:
     """16x16 matrix of right multiplication: column j holds monomial_j * g."""
 
-    tag: str
-    source: str  # "derived" or "printed"
     entries: tuple  # tuple of 16 row-tuples of GaussianRational
 
     def __getitem__(self, ij: tuple[int, int]) -> GaussianRational:
@@ -378,13 +376,13 @@ class QuantumAlgebra:
 
     # -- translation operators -----------------------------------------------
 
-    def right_multiplication_matrix(self, x: AlgebraElement, tag: str = "", source: str = "derived") -> TranslationMatrix:
+    def right_multiplication_matrix(self, x: AlgebraElement) -> TranslationMatrix:
         cols = [(self.monomial(p, r) * x).coords() for (p, r) in basis_monomials()]
         entries = tuple(tuple(cols[j][i] for j in range(DIM)) for i in range(DIM))
-        return TranslationMatrix(tag=tag, source=source, entries=entries)
+        return TranslationMatrix(entries=entries)
 
     def translation_matrix(self, name: str) -> TranslationMatrix:
-        return self.right_multiplication_matrix(self.generator(name), tag=name, source="derived")
+        return self.right_multiplication_matrix(self.generator(name))
 
     # -- generator matrix -------------------------------------------------------
 

@@ -287,14 +287,14 @@ class Calculus:
     # -- exterior derivative -----------------------------------------------------------
 
     def exterior_d(self, x: DiffForm, normalized: bool = True) -> DiffForm:
-        """Graded-commutator derivative: c * (theta ^ x - (-1)^deg x ^ theta)."""
+        """Graded-commutator derivative: c * (theta ^ x - sigma(x) ^ theta).
+
+        sigma is the grading automorphism: it negates the odd-degree terms.
+        """
         check_mode(self, x.calculus)
         th = self.theta()
-        out = self.zero()
-        for w, f in x.terms.items():
-            piece = DiffForm(self, {w: f})
-            sign = ONE if len(w) % 2 == 0 else -ONE
-            out = out + self.wedge(th, piece) - self.wedge(piece, th).scale(sign)
+        sigma_x = DiffForm(self, {w: -f if len(w) % 2 else f for w, f in x.terms.items()})
+        out = self.wedge(th, x) - self.wedge(sigma_x, th)
         if normalized:
             out = out.scale(self.algebra.mu.inverse())
         return out

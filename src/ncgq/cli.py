@@ -6,8 +6,9 @@ Grammar:
 
 Exit codes: 0 success, 1 mathematical failure, 2 usage error, 3 fixture
 (reference-data) error: a fixture file that is missing, not JSON, or not of
-its expected shape (a NaN or infinite number included), reported in one line
-on stderr.  JSON output is
+its expected shape (a NaN or infinite number included), 4 output error: the
+--out file cannot be written (a directory, or a path under a regular file).
+Errors are reported in one line on stderr.  JSON output is
 deterministic (sorted keys, fixed float formatting; `dirac` lists its
 eigenvalues in a canonical order, not LAPACK's); text output is
 human-oriented and unstable.  Files are written atomically.
@@ -39,6 +40,10 @@ class RunConfig:
 
 
 class ConfigError(ValueError):
+    pass
+
+
+class OutputError(OSError):
     pass
 
 
@@ -78,7 +83,12 @@ def emit(cfg: RunConfig, document: dict, text_lines: list[str]) -> None:
     else:
         payload = "\n".join(text_lines) + "\n"
     if cfg.out:
-        _atomic_write(cfg.out, payload)
+        try:
+            _atomic_write(cfg.out, payload)
+        except OSError as exc:
+            # os.replace names its target second; mkdir names the blocking path
+            where = exc.filename2 or exc.filename
+            raise OutputError(f"cannot write {cfg.out}: {exc.strerror or exc}: {where}") from exc
     else:
         sys.stdout.write(payload)
 
@@ -119,7 +129,7 @@ def _calculus(mode: str):
 
 
 def cmd_connection(cfg: RunConfig) -> int:
-    from .riemannian import ConnectionAssembler, reference_connection
+    from .riemannian import ConnectionAssembler, connection_residuals, reference_connection
 
     modes = ROOT_MODES if cfg.qmode == "generic" else (cfg.qmode,)
     docs = {}
@@ -128,7 +138,7 @@ def cmd_connection(cfg: RunConfig) -> int:
         system = ConnectionAssembler(cal).assemble()
         report = system.rank_report()
         conn = reference_connection(cal)
-        res = conn.residuals
+        res = connection_residuals(system, conn)
         docs[mode] = {
             "system": report,
             "solver": {
@@ -141,8 +151,8 @@ def cmd_connection(cfg: RunConfig) -> int:
                 for (i, j) in sorted(conn.coefficients)
             },
             "connection_source": conn.source,
-            "torsion_free": conn.torsion_free,
-            "cotorsion_free": conn.cotorsion_free,
+            "torsion_free": not any(res["torsion"].values()),
+            "cotorsion_free": not any(res["cotorsion"].values()),
             "nonzero_torsion_rows": sum(1 for v in res["torsion"].values() if v),
             "nonzero_cotorsion_rows": sum(1 for v in res["cotorsion"].values() if v),
         }
@@ -298,6 +308,9 @@ def main(argv: list[str] | None = None) -> int:
     except FixtureError as exc:
         sys.stderr.write(f"fixture error: {exc}\n")
         return 3
+    except OutputError as exc:
+        sys.stderr.write(f"output error: {exc}\n")
+        return 4
 
 
 if __name__ == "__main__":

@@ -122,7 +122,7 @@ def printed_translation_matrix(name: str, q: GaussianRational) -> TranslationMat
     rows = data["matrices"][name]
     values = {sym: poly.evaluate(q) for sym, poly in ENTRY_SYMBOLS.items()}
     entries = tuple(tuple(values[sym] for sym in row) for row in rows)
-    return TranslationMatrix(tag=name, source="printed", entries=entries)
+    return TranslationMatrix(entries=entries)
 
 
 def printed_translation_matrices(q: GaussianRational) -> dict[str, TranslationMatrix]:

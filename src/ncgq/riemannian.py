@@ -18,7 +18,6 @@ by the spectral layer), carrying provenance and honest residuals.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -79,7 +78,7 @@ class Metric:
 
 @dataclass
 class ConnectionSystem:
-    """Assembled linear system: rows over the 16 unknown coefficients."""
+    """Assembled linear system: rows over the 16 unknowns, labelled (kind, i, (x, y))."""
 
     matrix: list
     rhs: list
@@ -131,13 +130,10 @@ class ConnectionSystem:
 
 @dataclass
 class SpinConnection:
-    """Coefficients A_i^j plus provenance and exactly-computed property flags."""
+    """Coefficients A_i^j plus their provenance."""
 
     coefficients: dict
     source: str  # "solver" | "reference-table"
-    torsion_free: bool | None = None
-    cotorsion_free: bool | None = None
-    residuals: dict | None = None  # connection_residuals(), kept by the builders
 
     def form(self, i: str, calculus: Calculus) -> DiffForm:
         alg = calculus.algebra
@@ -170,11 +166,12 @@ class ConnectionAssembler:
     def _wedge_pair(self, x: str, y: str) -> dict[tuple[str, str], GaussianRational]:
         return {(w[0], w[1]): c for w, c in self.calculus.exterior.reduce_word((x, y)).items()}
 
-    def _family(self, i: str, entries, rhs, side: str, label: str):
-        """Equations rhs + sum_jk entries[jk] X_jk = 0, one per 2-form basis word.
+    def _family(self, i: str, entries, rhs, side: str, kind: str):
+        """Equations rhs + sum_jk entries[jk] X_jk = 0, one per 2-form basis word w.
 
         X_jk is A_j ^ e_k on the "left" side and e_j ^ A_k on the "right";
-        rhs holds the 2-form coordinates of the constant term (d e_i).
+        rhs holds the 2-form coordinates of the constant term (d e_i).  Each
+        row is labelled (kind, i, w).
         """
         coeff: dict[tuple[str, str], dict[tuple[str, str], GaussianRational]] = {}
         for (j, k), c in entries.items():
@@ -191,16 +188,16 @@ class ConnectionAssembler:
             if any(row) or const:
                 rows.append(row)
                 consts.append(-const)
-                labels.append(f"{label}[{i}; {w[0]}^{w[1]}]")
+                labels.append((kind, i, w))
         return rows, consts, labels
 
     def assemble(self) -> ConnectionSystem:
         matrix, rhs, labels = [], [], []
         for i in FORMS:
             de = self._de_coords(i)
-            for table, side, label in ((self.ad_left, "left", "torsion"),
-                                       (self.ad_right, "right", "cotorsion")):
-                r, c, l = self._family(i, table[i], de, side, label)
+            for table, side, kind in ((self.ad_left, "left", "torsion"),
+                                      (self.ad_right, "right", "cotorsion")):
+                r, c, l = self._family(i, table[i], de, side, kind)
                 matrix += r; rhs += c; labels += l
         return ConnectionSystem(matrix=matrix, rhs=rhs, row_labels=labels)
 
@@ -214,9 +211,7 @@ def solve_connection(calculus: Calculus) -> SpinConnection:
     """
     system = ConnectionAssembler(calculus).assemble()
     values = system.solve()  # raises with rank defect when not uniquely solvable
-    conn = SpinConnection(coefficients=values, source="solver")
-    _record_residuals(calculus, conn)
-    return conn
+    return SpinConnection(coefficients=values, source="solver")
 
 
 def reference_connection(calculus: Calculus) -> SpinConnection:
@@ -224,38 +219,27 @@ def reference_connection(calculus: Calculus) -> SpinConnection:
 
     Unprinted entries are taken as zero (the reference Dirac construction
     implicitly does the same); the corrupted (d,b) denominator uses the adopted
-    constant term.  Residual flags are computed, not assumed.
+    constant term.
     """
     q = calculus.algebra.q
     values = evaluate_connection_printed(q)
     for key in CONNECTION_UNPRINTED:
         values[key] = ZERO
     values[("d", "b")] = connection_db_candidate(DB_DENOMINATOR_CONSTANT).evaluate_at(q)
-    conn = SpinConnection(coefficients=values, source="reference-table")
-    _record_residuals(calculus, conn)
-    return conn
+    return SpinConnection(coefficients=values, source="reference-table")
 
 
-def _record_residuals(calculus: Calculus, conn: SpinConnection) -> None:
-    res = connection_residuals(calculus, conn)
-    conn.residuals = res
-    conn.torsion_free = not any(res["torsion"].values())
-    conn.cotorsion_free = not any(res["cotorsion"].values())
-
-
-def connection_residuals(calculus: Calculus, connection: SpinConnection) -> dict:
+def connection_residuals(system: ConnectionSystem, connection: SpinConnection) -> dict:
     """Exact torsion and cotorsion residuals of a connection, per basis 1-form.
 
     Read from the assembled equations: out[kind][i] maps each 2-form basis
-    word (x, y) whose row kind[i; x^y] fails to its nonzero residual, so an
-    empty map means the equations for e_i hold.
+    word (x, y) whose row (kind, i, (x, y)) fails to its nonzero residual, so
+    an empty map means the equations for e_i hold.
     """
-    system = ConnectionAssembler(calculus).assemble()
     out: dict = {"torsion": {i: {} for i in FORMS}, "cotorsion": {i: {} for i in FORMS}}
-    for label, r in zip(system.row_labels, system.residual(connection.coefficients)):
+    for (kind, i, w), r in zip(system.row_labels, system.residual(connection.coefficients)):
         if r:
-            kind, i, x, y = re.split(r"\[|; |\^", label[:-1])
-            out[kind][i][(x, y)] = r
+            out[kind][i][w] = r
     return out
 
 

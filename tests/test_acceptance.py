@@ -113,8 +113,10 @@ def _certifies_inconsistency(y, matrix, rhs):
 
 # Unknowns the reference table leaves open: (c,a), (c,b) never printed, (d,b) corrupted.
 MISSING_CONNECTION_ENTRIES = [("c", "a"), ("c", "b"), ("d", "b")]
-# An equation that involves only A_b^b, which the printed table violates.
-PINNED_TABLE_EQUATION = "torsion[a; a^b]"
+# An equation that involves only A_b^b, which the printed table violates: the
+# a^b component of the torsion equation of e_a.
+PINNED_ROW = ("torsion", "a", ("a", "b"))
+PINNED_TABLE_EQUATION = "{}[{}; {}^{}]".format(*PINNED_ROW[:2], *PINNED_ROW[2])
 
 
 def _connection_certificates(mode):
@@ -137,7 +139,7 @@ def _connection_certificates(mode):
     ranks = (rep["rank"], rep["augmented_rank"])
     if ranks != (3, 4):
         failed.append(f"substituted system rank/augmented rank {ranks}")
-    pinned = [ONE if label == PINNED_TABLE_EQUATION else ZERO for label in rest.row_labels]
+    pinned = [ONE if label == PINNED_ROW else ZERO for label in rest.row_labels]
     if not _certifies_inconsistency(pinned, rest.matrix, rest.rhs):
         failed.append(f"{PINNED_TABLE_EQUATION} no longer certifies the printed table")
     return failed, (f"q={mode}: y^T A = 0, y.b != 0 with {support} nonzeros; printed "

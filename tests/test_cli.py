@@ -234,3 +234,46 @@ class TestFixtureErrors:
         monkeypatch.setenv("NCGQ_FIXTURES", str(intact))
         code, _, err = run_cli(["dirac", "--q", "1"])
         assert code == 0, err
+
+
+class TestOutputErrors:
+    """An --out path that cannot be written is exit 4 with one line on stderr."""
+
+    def _check(self, args, parent):
+        code, out, err = run_cli(["connection", "--q", "i", *args])
+        assert code == 4
+        assert not out
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert not list(parent.glob(".ncgq-*"))
+
+    def test_out_is_a_directory(self, tmp_path):
+        target = tmp_path / "report"
+        target.mkdir()
+        self._check(["--out", str(target)], tmp_path)
+        assert target.is_dir() and not any(target.iterdir())
+
+    def test_out_under_a_regular_file(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        self._check(["--out", str(blocker / "x.json")], tmp_path)
+        assert blocker.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command, q, builds", [
+    ("verify", "i", 0), ("curvature", "i", 0), ("connection", "i", 1),
+    ("connection", "generic", 2), ("audit", "i", 1),
+])
+def test_each_report_assembles_the_connection_system_once_per_mode(
+        command, q, builds, tmp_path, monkeypatch):
+    from ncgq.riemannian import ConnectionAssembler
+
+    assemble, calls = ConnectionAssembler.assemble, []
+
+    def counted(self):
+        calls.append(self.calculus.algebra.mode)
+        return assemble(self)
+
+    monkeypatch.setattr(ConnectionAssembler, "assemble", counted)
+    code, _, err = run_cli([command, "--q", q, "--out", str(tmp_path / "out.json")])
+    assert code == 0, err
+    assert len(calls) == builds and len(set(calls)) == builds
