@@ -18,6 +18,7 @@ The reference matrices stay the operative input of the spectral layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import linalg
@@ -91,7 +92,7 @@ class ScalarSum:
         check_mode(self, other)
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            out[k] = out.get(k, ZERO) + c
+            out[k] = out[k] + c if k in out else c
         return type(self)(self.algebra, out)
 
     def __neg__(self):
@@ -180,12 +181,9 @@ class TensorElement(ScalarSum):
 
     @classmethod
     def pure(cls, x: AlgebraElement, y: AlgebraElement) -> "TensorElement":
-        out: dict[tuple[Monomial, Monomial], GaussianRational] = {}
-        for m1, c1 in x.coeffs.items():
-            for m2, c2 in y.coeffs.items():
-                key = (m1, m2)
-                out[key] = out.get(key, ZERO) + c1 * c2
-        return cls(x.algebra, out)
+        # each (m1, m2) occurs once, so no coefficient needs summing
+        return cls(x.algebra, {(m1, m2): c1 * c2 for m1, c1 in x.coeffs.items()
+                               for m2, c2 in y.coeffs.items()})
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         check_mode(self, other)
@@ -214,7 +212,8 @@ class TensorElement(ScalarSum):
             for m1, c1 in ex.coeffs.items():
                 for m2, c2 in ey.coeffs.items():
                     key = (m1, m2)
-                    out[key] = out.get(key, ZERO) + c * c1 * c2
+                    v = c * c1 * c2
+                    out[key] = out[key] + v if key in out else v
         return TensorElement(alg, out)
 
     def multiply_out(self) -> AlgebraElement:
@@ -312,18 +311,8 @@ class QuantumAlgebra:
     # -- Hopf-type structure ----------------------------------------------------
 
     def coproduct(self, x: AlgebraElement) -> TensorElement:
-        da = TensorElement.pure(self.alpha, self.alpha) + TensorElement.pure(self.beta, self.beta_star)
-        db = TensorElement.pure(self.alpha, self.beta) + TensorElement.pure(self.beta, self.delta)
-        out = TensorElement(self, {})
-        unit = TensorElement.pure(self.one, self.one)
-        for (p, r), c in x.coeffs.items():
-            term = unit
-            for _ in range(p):
-                term = term * da
-            for _ in range(r):
-                term = term * db
-            out = out + term.scale(c)
-        return out
+        """Delta x, read from the per-mode table of the 16 monomial images."""
+        return TensorElement(self, _apply_images(coproduct_table(self.mode), x))
 
     def counit(self, x: AlgebraElement) -> GaussianRational:
         return x.counit()
@@ -337,18 +326,8 @@ class QuantumAlgebra:
         }[name]
 
     def antipode(self, x: AlgebraElement) -> AlgebraElement:
-        """Anti-multiplicative extension of the generator values."""
-        s_a = self.antipode_on_generator("alpha")
-        s_b = self.antipode_on_generator("beta")
-        out = self.zero
-        for (p, r), c in x.coeffs.items():
-            term = self.one
-            for _ in range(r):  # reversed word: S(a^p b^r) = S(b)^r S(a)^p
-                term = term * s_b
-            for _ in range(p):
-                term = term * s_a
-            out = out + term.scale(c)
-        return out
+        """Anti-multiplicative extension of the generator values, read from the per-mode table."""
+        return AlgebraElement(self, _apply_images(antipode_table(self.mode), x))
 
     def _antipode_matrices(self) -> tuple[list[list[GaussianRational]], list[list[GaussianRational]]]:
         if self._antipode_matrix is None:
@@ -406,3 +385,73 @@ class QuantumAlgebra:
             "delta^4 = 1": dl ** 4 - self.one,
             "b^4 = bstar^4": self.beta ** 4 - bs ** 4,
         }
+
+
+# -- tables of basis images ------------------------------------------------------------
+
+# one stored copy of each key and coefficient that the tables hold; it holds
+# only immutable values, and at q = +-i the coefficients take a handful of values
+_SHARED: dict = {}
+
+
+def flat_entry(coeffs: Mapping) -> tuple:
+    """The nonzero terms of {key: coefficient} as one flat (key, coefficient, ...) table entry."""
+    share = _SHARED.setdefault
+    return tuple(share(x, x) for k, c in coeffs.items() if c for x in (k, c))
+
+
+def add_entry(acc: dict, entry: tuple, c: GaussianRational) -> None:
+    """acc += c * entry, for a flat (key, coefficient, ...) table entry."""
+    it = iter(entry)
+    for key, s in zip(it, it):
+        v = c * s
+        acc[key] = acc[key] + v if key in acc else v
+
+
+def _apply_images(images: tuple, x: AlgebraElement) -> dict:
+    """Coefficients of the linear map whose image of monomial index 4p + r is images[4p + r]."""
+    out: dict = {}
+    for (p, r), c in x.coeffs.items():
+        add_entry(out, images[4 * p + r], c)
+    return out
+
+
+@lru_cache(maxsize=None)
+def coproduct_table(mode: str) -> tuple[tuple, ...]:
+    """Delta(a^p b^r) = Delta(a)^p Delta(b)^r at index 4p + r, as flat entries keyed by (m1, m2).
+
+    Built once per q mode on first use; shared, so never mutate it.
+    """
+    alg = QuantumAlgebra(mode)
+    da = TensorElement.pure(alg.alpha, alg.alpha) + TensorElement.pure(alg.beta, alg.beta_star)
+    db = TensorElement.pure(alg.alpha, alg.beta) + TensorElement.pure(alg.beta, alg.delta)
+    unit = TensorElement.pure(alg.one, alg.one)
+    images = []
+    for p, r in basis_monomials():
+        term = unit
+        for _ in range(p):
+            term = term * da
+        for _ in range(r):
+            term = term * db
+        images.append(flat_entry(term.coeffs))
+    return tuple(images)
+
+
+@lru_cache(maxsize=None)
+def antipode_table(mode: str) -> tuple[tuple, ...]:
+    """S(a^p b^r) = S(b)^r S(a)^p at index 4p + r, as flat entries keyed by monomial.
+
+    Built once per q mode on first use; shared, so never mutate it.
+    """
+    alg = QuantumAlgebra(mode)
+    s_a = alg.antipode_on_generator("alpha")
+    s_b = alg.antipode_on_generator("beta")
+    images = []
+    for p, r in basis_monomials():
+        term = alg.one
+        for _ in range(r):  # reversed word
+            term = term * s_b
+        for _ in range(p):
+            term = term * s_a
+        images.append(flat_entry(term.coeffs))
+    return tuple(images)

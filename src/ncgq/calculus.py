@@ -18,14 +18,19 @@ pushing each form through the monomial with the eight generator-level rules;
 the dependent-generator rules of the reference table (including the repaired
 assignment of the orphaned rule to the pair (c, delta)) are retained as audit
 fixtures in :mod:`ncgq.fixtures`.
+
+The wedge product and d are fixed linear maps for a given exterior algebra.
+Each ExteriorAlgebra tabulates the word products e_w1 m ^ e_w2 and the images
+d(m e_w) of its basis elements, one entry at a time on first use; every
+calculus of a q mode shares one default exterior algebra and so its tables.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Mapping
 
-from .algebra import (AlgebraElement, Monomial, QuantumAlgebra, basis_monomials, check_mode,
-                      monomial_product)
+from .algebra import (DIM, AlgebraElement, Monomial, QuantumAlgebra, add_entry, basis_monomials,
+                      check_mode, flat_entry, monomial_product)
 from .scalars import ZERO, ONE, GaussianRational, q_root
 
 FORMS = ("a", "b", "c", "d")
@@ -34,6 +39,8 @@ FORMS = ("a", "b", "c", "d")
 MATRIX_UNITS = {"a": (0, 0), "b": (0, 1), "c": (1, 0), "d": (1, 1)}
 
 WedgeWord = tuple[str, ...]
+# a form as its scalar coordinates {(word, monomial): coefficient}
+Terms = dict[tuple[WedgeWord, Monomial], GaussianRational]
 
 
 @lru_cache(maxsize=None)
@@ -75,8 +82,23 @@ def bimodule_table(mode: str) -> dict[tuple[str, Monomial], tuple[tuple[Gaussian
     return table
 
 
+def _slots(table: dict, key) -> list:
+    """The 16 entries of table[key] by monomial index 4p + r, created empty on first use."""
+    slots = table.get(key)
+    if slots is None:
+        slots = table[key] = [None] * DIM
+    return slots
+
+
 class ExteriorAlgebra:
-    """Normal forms for wedge words with scalar coefficients, at a fixed root q."""
+    """Normal forms for wedge words with scalar coefficients, at a fixed root q.
+
+    Also the tables that the wedge relations fix: the word products
+    e_w1 m ^ e_w2 and the images d(m e_w), the latter filled by
+    Calculus.exterior_d.  Both are filled lazily, one entry at a time, and
+    keyed by words and the monomial index 4p + r; an instance with other pair
+    rules has tables of its own.
+    """
 
     def __init__(self, q: GaussianRational):
         if q * q != GaussianRational(-1):
@@ -84,8 +106,13 @@ class ExteriorAlgebra:
         self.q = q
         self.q2 = q * q
         self.mu = ONE - (q * q).inverse()
+        self.mode = "i" if q == q_root("i") else "-i"
         self._pair_rules = self._build_pair_rules()
         self._memo: dict[WedgeWord, dict[WedgeWord, GaussianRational]] = {}
+        # (w1, w2) -> the 16 slots of e_w1 m ^ e_w2 by monomial index, None until read
+        self._products: dict = {}
+        # w -> the 16 slots of the unnormalised d(m e_w), filled by Calculus.exterior_d
+        self.d_images: dict = {}
 
     def _build_pair_rules(self) -> dict[tuple[str, str], list[tuple[GaussianRational, WedgeWord]]]:
         q2, mu = self.q2, self.mu
@@ -121,23 +148,61 @@ class ExteriorAlgebra:
                         stack.append((coeff * c2, w[:k] + repl + w[k + 2:]))
                     break
             else:
-                out[w] = out.get(w, ZERO) + coeff
+                out[w] = out[w] + coeff if w in out else coeff
         out = self._memo[word] = {w: c for w, c in out.items() if c}
         return out
+
+    def word_product(self, w1: WedgeWord, m: Monomial, w2: WedgeWord) -> tuple:
+        """e_w1 m ^ e_w2 as a flat table entry keyed by (ordered word, monomial).
+
+        Filled on first use by moving m past the letters of w1, right to left,
+        through the bimodule table, then reducing each word followed by w2.
+        Shared, so never mutate it.
+        """
+        slots = _slots(self._products, (w1, w2))
+        index = 4 * m[0] + m[1]
+        entry = slots[index]
+        if entry is None:
+            table = bimodule_table(self.mode)
+            moved: Terms = {((), m): ONE}
+            for letter in reversed(w1):
+                nxt: Terms = {}
+                for (tail, m1), c in moved.items():
+                    for s, m2, fm in table[(letter, m1)]:
+                        key = ((fm,) + tail, m2)
+                        v = c * s
+                        nxt[key] = nxt[key] + v if key in nxt else v
+                moved = nxt
+            acc: Terms = {}
+            for (w, m1), c in moved.items():
+                for wred, s in self.reduce_word(w + w2).items():
+                    key = (wred, m1)
+                    v = c * s
+                    acc[key] = acc[key] + v if key in acc else v
+            entry = slots[index] = flat_entry(acc)
+        return entry
 
     def graded_dimensions(self) -> list[int]:
         """Dimension of each graded piece, computed by exact reduction, not assumed."""
         from itertools import product
         from . import linalg
 
+        # a scratch copy, so the memo of every word up to degree 5 is not kept
+        scratch = type(self)(self.q)
         dims = []
         for degree in range(9):  # safety bound; the calculus terminates well before it
-            reduced = [self.reduce_word(w) for w in product(FORMS, repeat=degree)]
+            reduced = [scratch.reduce_word(w) for w in product(FORMS, repeat=degree)]
             if not any(reduced):
                 break
             cols = sorted({m for red in reduced for m in red})
             dims.append(linalg.rank([[red.get(m, ZERO) for m in cols] for red in reduced]))
         return dims
+
+
+@lru_cache(maxsize=None)
+def default_exterior(mode: str) -> ExteriorAlgebra:
+    """The exterior algebra of the reference wedge relations, one per q mode, with its tables."""
+    return ExteriorAlgebra(q_root(mode))
 
 
 class ModuleSum:
@@ -223,7 +288,7 @@ class Calculus:
 
     def __init__(self, algebra: QuantumAlgebra):
         self.algebra = algebra
-        self.exterior = ExteriorAlgebra(algebra.q)
+        self.exterior = default_exterior(algebra.mode)
 
     # -- construction helpers ---------------------------------------------------
 
@@ -252,32 +317,24 @@ class Calculus:
     def wedge(self, x: DiffForm, y: DiffForm) -> DiffForm:
         check_mode(self, x.calculus)
         check_mode(self, y.calculus)
-        table = bimodule_table(self.algebra.mode)
-        reduce_word = self.exterior.reduce_word
-        acc: dict[tuple[WedgeWord, Monomial], GaussianRational] = {}
+        product = self.exterior.word_product
+        acc: Terms = {}
         for w1, f1 in x.terms.items():
+            # f1 e_w1 ^ y = f1 (e_w1 ^ y): collect e_w1 ^ y, then multiply by f1 once
+            right: Terms = {}
             for w2, f2 in y.terms.items():
-                # w1 * f2 = sum over words w of (monomial coefficients) * w: f2's
-                # monomials pass the letters of w1 from right to left
-                moved = {(): f2.coeffs}
-                for letter in reversed(w1):
-                    nxt: dict[WedgeWord, dict[Monomial, GaussianRational]] = {}
-                    for tail, coeffs in moved.items():
-                        for m, c in coeffs.items():
-                            for s, m2, fm in table[(letter, m)]:
-                                out = nxt.setdefault((fm,) + tail, {})
-                                v = c * s
-                                out[m2] = out[m2] + v if m2 in out else v
-                    moved = nxt
-                for w, coeffs in moved.items():
-                    for wred, s in reduce_word(w + w2).items():
-                        for m, c in coeffs.items():
-                            cs = c * s
-                            for m1, c1 in f1.coeffs.items():
-                                mp, negated = monomial_product(m1, m)
-                                v = -(c1 * cs) if negated else c1 * cs
-                                key = (wred, mp)
-                                acc[key] = acc[key] + v if key in acc else v
+                for m, c in f2.coeffs.items():
+                    add_entry(right, product(w1, m, w2), c)
+            for (w, m), c in right.items():
+                for m1, c1 in f1.coeffs.items():
+                    mp, negated = monomial_product(m1, m)
+                    v = -(c1 * c) if negated else c1 * c
+                    key = (w, mp)
+                    acc[key] = acc[key] + v if key in acc else v
+        return self._form(acc)
+
+    def _form(self, acc: Terms) -> DiffForm:
+        """The form with these scalar coordinates."""
         terms: dict[WedgeWord, dict[Monomial, GaussianRational]] = {}
         for (w, m), c in acc.items():
             terms.setdefault(w, {})[m] = c
@@ -290,14 +347,31 @@ class Calculus:
         """Graded-commutator derivative: c * (theta ^ x - sigma(x) ^ theta).
 
         sigma is the grading automorphism: it negates the odd-degree terms.
+        Linear over the scalars, so read off the tabulated images of the basis
+        elements m e_w, each derived once by its two wedges with theta.
         """
         check_mode(self, x.calculus)
-        th = self.theta()
-        sigma_x = DiffForm(self, {w: -f if len(w) % 2 else f for w, f in x.terms.items()})
-        out = self.wedge(th, x) - self.wedge(sigma_x, th)
+        images = self.exterior.d_images
+        acc: Terms = {}
+        for w, f in x.terms.items():
+            slots = _slots(images, w)
+            for m, c in f.coeffs.items():
+                index = 4 * m[0] + m[1]
+                entry = slots[index]
+                if entry is None:
+                    entry = slots[index] = self._d_image(m, w)
+                add_entry(acc, entry, c)
         if normalized:
-            out = out.scale(self.algebra.mu.inverse())
-        return out
+            scale = self.algebra.mu.inverse()
+            acc = {key: c * scale for key, c in acc.items()}
+        return self._form(acc)
+
+    def _d_image(self, m: Monomial, w: WedgeWord) -> tuple:
+        """The unnormalised d(m e_w) = theta ^ m e_w - sigma(m e_w) ^ theta, as a flat table entry."""
+        basis = DiffForm(self, {w: AlgebraElement(self.algebra, {m: ONE})})
+        sigma = -basis if len(w) % 2 else basis
+        image = self.wedge(self.theta(), basis) - self.wedge(sigma, self.theta())
+        return flat_entry({(v, mv): c for v, g in image.terms.items() for mv, c in g.coeffs.items()})
 
     def partials(self, f: AlgebraElement, normalized: bool = True) -> dict[str, AlgebraElement]:
         """Unique left coefficients of d f on the basis 1-forms."""

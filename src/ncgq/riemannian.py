@@ -18,7 +18,7 @@ by the spectral layer), carrying provenance and honest residuals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping
 
@@ -130,10 +130,12 @@ class ConnectionSystem:
 
 @dataclass
 class SpinConnection:
-    """Coefficients A_i^j plus their provenance."""
+    """Coefficients A_i^j plus their provenance; the coefficients are fixed once built."""
 
     coefficients: dict
     source: str  # "solver" | "reference-table"
+    # (q mode, i) -> the legs of nabla e_i, filled by covariant_derivative_basis
+    _nabla: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def form(self, i: str, calculus: Calculus) -> DiffForm:
         alg = calculus.algebra
@@ -261,13 +263,20 @@ class TensorForm(ModuleSum):
 
 
 def covariant_derivative_basis(calculus: Calculus, connection: SpinConnection, i: str) -> TensorForm:
-    """nabla e_i = - sum ad_L(jk|i) A_j (x) e_k, from the operative table."""
-    ad_left, _ = printed_ad_tables(calculus.algebra.q)
-    legs: dict[str, DiffForm] = {}
-    for (j, k), c in ad_left[i].items():
-        add = connection.form(j, calculus).scale(-c)
-        legs[k] = legs.get(k, calculus.zero()) + add
-    return TensorForm(calculus, legs)
+    """nabla e_i = - sum ad_L(jk|i) A_j (x) e_k, from the operative table.
+
+    Computed once per q mode and connection; each call wraps the legs in its own calculus.
+    """
+    key = (calculus.algebra.mode, i)
+    legs = connection._nabla.get(key)
+    if legs is None:
+        ad_left, _ = printed_ad_tables(calculus.algebra.q)
+        forms: dict[str, DiffForm] = {}
+        for (j, k), c in ad_left[i].items():
+            add = connection.form(j, calculus).scale(-c)
+            forms[k] = forms[k] + add if k in forms else add
+        legs = connection._nabla[key] = {k: x.terms for k, x in forms.items() if x}
+    return TensorForm(calculus, {k: DiffForm(calculus, terms) for k, terms in legs.items()})
 
 
 def covariant_derivative(calculus: Calculus, connection: SpinConnection, x: DiffForm) -> TensorForm:
@@ -285,15 +294,18 @@ def covariant_derivative(calculus: Calculus, connection: SpinConnection, x: Diff
 
 def riemann_of_tensor(calculus: Calculus, connection: SpinConnection, t: TensorForm) -> TensorForm:
     """(id ^ nabla - d (x) id) applied to an element of Omega^1 (x) Lambda^1."""
-    out = TensorForm(calculus, {})
+    legs: dict[str, DiffForm] = {}
+
+    def add(k: str, x: DiffForm) -> None:
+        legs[k] = legs[k] + x if k in legs else x
+
     for k, x in t.terms.items():
         # id ^ nabla on the invariant right leg
-        nk = covariant_derivative_basis(calculus, connection, k)
-        for m, leg in nk.terms.items():
-            out = out + TensorForm(calculus, {m: calculus.wedge(x, leg)})
+        for m, leg in covariant_derivative_basis(calculus, connection, k).terms.items():
+            add(m, calculus.wedge(x, leg))
         # - d (x) id
-        out = out - TensorForm(calculus, {k: calculus.exterior_d(x, normalized=True)})
-    return out
+        add(k, -calculus.exterior_d(x, normalized=True))
+    return TensorForm(calculus, legs)
 
 
 def riemann(calculus: Calculus, connection: SpinConnection, x: DiffForm) -> TensorForm:

@@ -4,12 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from ncgq.algebra import QuantumAlgebra, basis_monomials
-from ncgq.calculus import Calculus, DiffForm, FORMS, bimodule_table
+from ncgq.algebra import QuantumAlgebra, antipode_table, basis_monomials, coproduct_table
+from ncgq.calculus import Calculus, DiffForm, FORMS, bimodule_table, default_exterior
 from ncgq.constants import AD_R_PRINTED, evaluate_ad_table
 from ncgq.scalars import GaussianRational, ONE, ZERO
+from ncgq.verification import run_checks
+from test_connection_conventions import SymmetricPairRule
 
 random.seed(20260810)
+
+ORDERED_WORDS = [w for n in range(5) for w in itertools.combinations(FORMS, n)]
 
 
 @pytest.fixture(scope="module", params=["i", "-i"])
@@ -20,6 +24,12 @@ def cal(request):
 @pytest.fixture(scope="module")
 def cal_i():
     return Calculus(QuantumAlgebra("i"))
+
+
+def table_sizes(exterior):
+    """Filled entries of an exterior algebra's word-product and d tables."""
+    return (sum(e is not None for slots in exterior._products.values() for e in slots),
+            sum(e is not None for slots in exterior.d_images.values() for e in slots))
 
 
 def random_element(alg, rng, n_terms=2):
@@ -64,6 +74,33 @@ class TestWedgeNormalForm:
 
     def test_graded_dimensions(self, cal):
         assert cal.exterior.graded_dimensions() == [1, 4, 6, 4, 1]
+
+    def test_associativity_on_all_word_triples(self, cal):
+        # the wedge is linear over the scalars in each factor, so the 16^3
+        # triples of ordered words prove associativity on forms with scalar
+        # coefficients, in every degree
+        e = {w: DiffForm(cal, {w: cal.algebra.one}) for w in ORDERED_WORDS}
+        w = cal.wedge
+        cases = 0
+        for x, y, z in itertools.product(ORDERED_WORDS, repeat=3):
+            assert w(w(e[x], e[y]), e[z]) == w(e[x], w(e[y], e[z]))
+            cases += 1
+        assert cases == 4096
+
+    def test_module_compatibility_on_all_word_monomial_triples(self, cal):
+        # e_u ^ (m e_v) = (e_u m) ^ e_v for every (word, monomial, word) triple,
+        # where e_u m is e_u with m moved to the left by the bimodule action
+        alg = cal.algebra
+        e = {w: DiffForm(cal, {w: alg.one}) for w in ORDERED_WORDS}
+        cases = 0
+        for (p, r) in basis_monomials():
+            m = alg.monomial(p, r)
+            for u in ORDERED_WORDS:
+                moved = cal.wedge(e[u], cal.from_function(m))
+                for v in ORDERED_WORDS:
+                    assert cal.wedge(e[u], DiffForm(cal, {v: m})) == cal.wedge(moved, e[v])
+                    cases += 1
+        assert cases == 4096
 
 
 class TestCommutePast:
@@ -195,13 +232,50 @@ class TestCommutePast:
                     {w: el.coeffs for w, el in warm.terms.items()}
 
     def test_second_calculus_builds_no_new_table(self, cal):
-        # the 64 images are fixed by the q mode: a fresh context reuses them
-        cal.commute_past("a", cal.algebra.alpha)
-        built = bimodule_table.cache_info().misses
+        # every table is fixed by the q mode: a fresh context reuses them all
+        def work(c):
+            alg = c.algebra
+            for form in FORMS:
+                c.commute_past(form, alg.alpha * alg.beta)
+            x = DiffForm(c, {("a",): alg.beta, ("b", "d"): alg.alpha})
+            c.exterior_d(c.wedge(x, c.basis_form("c", alg.beta ** 3)))
+            alg.antipode_axiom_defect(alg.alpha * alg.beta)
+
+        first = Calculus(QuantumAlgebra(cal.algebra.mode))
+        work(first)
+        caches = (bimodule_table, coproduct_table, antipode_table, default_exterior)
+        built = [f.cache_info().misses for f in caches]
+        filled = table_sizes(first.exterior)
         fresh = Calculus(QuantumAlgebra(cal.algebra.mode))
-        for form in FORMS:
-            fresh.commute_past(form, fresh.algebra.alpha * fresh.algebra.beta)
-        assert bimodule_table.cache_info().misses == built
+        assert fresh.exterior is first.exterior
+        work(fresh)
+        assert [f.cache_info().misses for f in caches] == built
+        assert table_sizes(fresh.exterior) == filled
+
+    def test_swapped_exterior_keeps_its_own_tables(self, cal):
+        # warm the default tables on e_c ^ e_b and d e_a, then swap in the
+        # printed pair rule e_c ^ e_b = +e_b ^ e_c: its results are its own
+        e = cal.basis_form
+        assert cal.wedge(e("c"), e("b")) == -cal.wedge(e("b"), e("c"))
+        assert cal.exterior_d(e("a")) == -cal.wedge(e("c"), e("b"))
+        sym = Calculus(QuantumAlgebra(cal.algebra.mode))
+        sym.exterior = SymmetricPairRule(cal.algebra.q)
+        s = sym.basis_form
+        assert sym.wedge(s("c"), s("b")) == sym.wedge(s("b"), s("c"))
+        assert sym.exterior_d(s("a")) == -sym.wedge(s("b"), s("c"))
+        assert sym.exterior_d(s("a")) == -cal.exterior_d(e("a"))
+        # and the default tables are untouched by the swapped calculus
+        assert cal.wedge(e("c"), e("b")) == -cal.wedge(e("b"), e("c"))
+        assert Calculus(QuantumAlgebra(cal.algebra.mode)).exterior is default_exterior(cal.algebra.mode)
+
+    def test_run_checks_fills_at_most_the_basis_tables(self, cal):
+        # from empty tables, one verify run reads only ordered words: at most
+        # 16^3 word products and 256 images of d
+        default_exterior.cache_clear()
+        run_checks(cal.algebra.mode)
+        products, images = table_sizes(default_exterior(cal.algebra.mode))
+        assert 0 < products <= 16 ** 3
+        assert 0 < images <= 256
 
 
 class TestModeChecks:

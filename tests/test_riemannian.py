@@ -213,6 +213,20 @@ class TestCovariantDerivativeAndCurvature:
     def test_riemann_nonzero(self, cal, conn):
         assert any(riemann_basis(cal, conn, i) for i in FORMS)
 
+    def test_nabla_basis_is_reused_in_each_calculus(self, cal, conn):
+        # nabla e_i is computed once per mode and connection; every call gets
+        # the defining sum, bound to the calculus it passed
+        ad_left, _ = printed_ad_tables(cal.algebra.q)
+        fresh = Calculus(QuantumAlgebra(cal.algebra.mode))
+        for i in FORMS:
+            want = TensorForm(cal, {})
+            for (j, k), c in ad_left[i].items():
+                want = want + TensorForm(cal, {k: conn.form(j, cal).scale(-c)})
+            for c in (cal, fresh, cal):
+                got = covariant_derivative_basis(c, conn, i)
+                assert got == want
+                assert got.calculus is c and all(leg.calculus is c for leg in got.terms.values())
+
     def test_tensor_sum_rejects_mixed_modes_on_disjoint_legs(self):
         cal_i, cal_mi = Calculus(QuantumAlgebra("i")), Calculus(QuantumAlgebra("-i"))
         x = TensorForm(cal_i, {"a": cal_i.basis_form("a")})
