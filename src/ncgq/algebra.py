@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import linalg
-from .scalars import ZERO, ONE, GaussianRational, q_root
+from .scalars import ZERO, ONE, GaussianRational, from_numerators, numerators, q_root
 
 Monomial = tuple[int, int]  # (p, r): exponents of a and b
 
@@ -57,6 +58,16 @@ def monomial_product(m1: Monomial, m2: Monomial) -> tuple[Monomial, bool]:
     return ((p1 + p2) & 3, (r1 + r2) & 3), bool(r1 * p2 & 1)
 
 
+@lru_cache(maxsize=None)
+def monomial_table() -> tuple[tuple[tuple[Monomial, bool], ...], ...]:
+    """monomial_product(m_i, m_j) at [i][j], for monomial indices i and j (4p + r).
+
+    Read from monomial_product on first use, so the sign law is stated once.
+    """
+    monomials = basis_monomials()
+    return tuple(tuple(monomial_product(m1, m2) for m2 in monomials) for m1 in monomials)
+
+
 def check_mode(x, y) -> None:
     """Raise ValueError unless x and y (anything with an .algebra) share one q mode."""
     if x.algebra.mode != y.algebra.mode:
@@ -71,14 +82,31 @@ class ScalarSum:
 
     The linear structure shared by algebra and tensor elements: zero terms are
     pruned on construction, equality needs one q mode, and + raises ValueError
-    on mixed modes.
+    on mixed modes.  A sum is a value: its coefficients never change after it
+    is made, so the numerators the kernels read are computed once.
     """
 
-    __slots__ = ("algebra", "coeffs")
+    __slots__ = ("algebra", "coeffs", "_num")
 
     def __init__(self, algebra: "QuantumAlgebra", coeffs: Mapping | None = None):
         self.algebra = algebra
         self.coeffs = {k: c for k, c in coeffs.items() if c} if coeffs else {}
+        self._num = None
+
+    @classmethod
+    def _of(cls, algebra: "QuantumAlgebra", coeffs: dict):
+        """An instance holding coeffs itself, which must have no zero coefficient."""
+        out = object.__new__(cls)
+        out.algebra = algebra
+        out.coeffs = coeffs
+        out._num = None
+        return out
+
+    def numerators(self) -> tuple[list, int]:
+        """scalars.numerators of the coefficients, computed on first use."""
+        if self._num is None:
+            self._num = numerators(self.coeffs)
+        return self._num
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -133,13 +161,14 @@ class AlgebraElement(ScalarSum):
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         check_mode(self, other)
-        out: dict[Monomial, GaussianRational] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m, negated = monomial_product(m1, m2)
-                c = -(c1 * c2) if negated else c1 * c2
-                out[m] = out[m] + c if m in out else c
-        return AlgebraElement(self.algebra, out)
+        products = monomial_table()
+        xs, dx = self.numerators()
+        ys, dy = other.numerators()
+        acc: dict = {}
+        terms = [(acc, 4 * p + r, c, e) for (p, r), c, e in ys]
+        for (p, r), a, b in xs:
+            add_products(terms, products[4 * p + r], a, b)
+        return AlgebraElement._of(self.algebra, from_numerators(acc, dx * dy))
 
     def __pow__(self, n: int) -> "AlgebraElement":
         if n < 0:
@@ -182,49 +211,58 @@ class TensorElement(ScalarSum):
     @classmethod
     def pure(cls, x: AlgebraElement, y: AlgebraElement) -> "TensorElement":
         # each (m1, m2) occurs once, so no coefficient needs summing
-        return cls(x.algebra, {(m1, m2): c1 * c2 for m1, c1 in x.coeffs.items()
-                               for m2, c2 in y.coeffs.items()})
+        xs, dx = x.numerators()
+        ys, dy = y.numerators()
+        acc = {(m1, m2): (a * c - b * e, a * e + b * c) for m1, a, b in xs for m2, c, e in ys}
+        return cls._of(x.algebra, from_numerators(acc, dx * dy))
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         check_mode(self, other)
-        out: dict[tuple[Monomial, Monomial], GaussianRational] = {}
-        for (x1, y1), c1 in self.coeffs.items():
-            for (x2, y2), c2 in other.coeffs.items():
-                mx, neg_x = monomial_product(x1, x2)
-                my, neg_y = monomial_product(y1, y2)
-                c = -(c1 * c2) if neg_x != neg_y else c1 * c2
-                key = (mx, my)
-                out[key] = out[key] + c if key in out else c
-        return TensorElement(self.algebra, out)
+        products = monomial_table()
+        xs, dx = self.numerators()
+        ys, dy = other.numerators()
+        ys = [(4 * p2 + r2, 4 * s2 + t2, c, e) for ((p2, r2), (s2, t2)), c, e in ys]
+        acc: dict = {}
+        for ((p1, r1), (s1, t1)), a, b in xs:
+            row_x, row_y = products[4 * p1 + r1], products[4 * s1 + t1]
+            for jx, jy, c, e in ys:
+                mx, neg_x = row_x[jx]
+                my, neg_y = row_y[jy]
+                u, v = a * c - b * e, a * e + b * c
+                if neg_x != neg_y:
+                    u, v = -u, -v
+                _add(acc, (mx, my), u, v)
+        return TensorElement._of(self.algebra, from_numerators(acc, dx * dy))
 
     def apply(self, f_left: Callable[[AlgebraElement], AlgebraElement] | None,
               f_right: Callable[[AlgebraElement], AlgebraElement] | None) -> "TensorElement":
         """Apply linear maps to the tensor factors (None = identity)."""
         alg = self.algebra
-        out: dict[tuple[Monomial, Monomial], GaussianRational] = {}
-        for (mx, my), c in self.coeffs.items():
-            ex = AlgebraElement(alg, {mx: ONE})
-            ey = AlgebraElement(alg, {my: ONE})
-            if f_left is not None:
-                ex = f_left(ex)
-            if f_right is not None:
-                ey = f_right(ey)
-            for m1, c1 in ex.coeffs.items():
-                for m2, c2 in ey.coeffs.items():
-                    key = (m1, m2)
-                    v = c * c1 * c2
-                    out[key] = out[key] + v if key in out else v
-        return TensorElement(alg, out)
+        ts, dt = self.numerators()
+        left = {m: _image(alg, f_left, m) for m in {mx for (mx, _), _, _ in ts}}
+        right = {m: _image(alg, f_right, m) for m in {my for (_, my), _, _ in ts}}
+        scale = lcm(*{left[mx][1] * right[my][1] for (mx, my), _, _ in ts})
+        acc: dict = {}
+        for (mx, my), c, e in ts:
+            (xs, dx), (ys, dy) = left[mx], right[my]
+            f = scale // (dx * dy)
+            for m1, s, t in xs:
+                u, v = f * (c * s - e * t), f * (c * t + e * s)
+                for m2, g, h in ys:
+                    _add(acc, (m1, m2), u * g - v * h, u * h + v * g)
+        return TensorElement._of(alg, from_numerators(acc, dt * scale))
 
     def multiply_out(self) -> AlgebraElement:
         """Collapse x (x) y -> x*y."""
-        out: dict[Monomial, GaussianRational] = {}
-        for (mx, my), c in self.coeffs.items():
-            m, negated = monomial_product(mx, my)
+        products = monomial_table()
+        ts, d = self.numerators()
+        acc: dict = {}
+        for ((p, r), (s, t)), a, b in ts:
+            m, negated = products[4 * p + r][4 * s + t]
             if negated:
-                c = -c
-            out[m] = out[m] + c if m in out else c
-        return AlgebraElement(self.algebra, out)
+                a, b = -a, -b
+            _add(acc, m, a, b)
+        return AlgebraElement._of(self.algebra, from_numerators(acc, d))
 
 
 @dataclass(frozen=True)
@@ -271,6 +309,11 @@ class QuantumAlgebra:
     # -- element constructors ------------------------------------------------
 
     def element(self, coeffs: Mapping[Monomial, GaussianRational]) -> AlgebraElement:
+        """The element sum c * a^p b^r; every key must be a normal-form (p, r), 0 <= p, r <= 3."""
+        for key in coeffs:
+            if not (type(key) is tuple and len(key) == 2 and all(type(x) is int and 0 <= x <= 3
+                                                                  for x in key)):
+                raise ValueError(f"not a normal-form monomial (p, r) with 0 <= p, r <= 3: {key!r}")
         return AlgebraElement(self, coeffs)
 
     def scalar(self, s: GaussianRational) -> AlgebraElement:
@@ -280,6 +323,8 @@ class QuantumAlgebra:
         return AlgebraElement(self, {(p % 4, r % 4): ONE})
 
     def from_coords(self, v: Sequence[GaussianRational]) -> AlgebraElement:
+        if len(v) != DIM:
+            raise ValueError(f"expected {DIM} coordinates, got {len(v)}")
         return AlgebraElement(self, {m: v[monomial_index(m)] for m in basis_monomials()})
 
     def from_json(self, items: Iterable[Mapping[str, str]]) -> AlgebraElement:
@@ -312,7 +357,7 @@ class QuantumAlgebra:
 
     def coproduct(self, x: AlgebraElement) -> TensorElement:
         """Delta x, read from the per-mode table of the 16 monomial images."""
-        return TensorElement(self, _apply_images(coproduct_table(self.mode), x))
+        return TensorElement._of(self, _apply_images(coproduct_table(self.mode), x))
 
     def counit(self, x: AlgebraElement) -> GaussianRational:
         return x.counit()
@@ -327,7 +372,7 @@ class QuantumAlgebra:
 
     def antipode(self, x: AlgebraElement) -> AlgebraElement:
         """Anti-multiplicative extension of the generator values, read from the per-mode table."""
-        return AlgebraElement(self, _apply_images(antipode_table(self.mode), x))
+        return AlgebraElement._of(self, _apply_images(antipode_table(self.mode), x))
 
     def _antipode_matrices(self) -> tuple[list[list[GaussianRational]], list[list[GaussianRational]]]:
         if self._antipode_matrix is None:
@@ -387,33 +432,103 @@ class QuantumAlgebra:
         }
 
 
+# -- fraction-free accumulation ---------------------------------------------------------
+#
+# Each map brings its inputs to Gaussian-integer numerators over one common
+# denominator (scalars.numerators) and sums plain ints into an accumulator
+# {key: [A, B]}, read as (A + B*i)/d for the d its kernel keeps; only the
+# nonzero output coordinates are then normalised, one gcd each.
+
+
+def _add(acc: dict, key, u: int, v: int) -> None:
+    """acc[key] += u + v*i."""
+    t = acc.get(key)
+    if t is None:
+        acc[key] = [u, v]
+    else:
+        t[0] += u
+        t[1] += v
+
+
+def add_products(terms: list, row: tuple, a: int, b: int) -> None:
+    """out[m] += (a + b*i)(c + e*i) for each (out, j, c, e), where m_i m_j = +-m.
+
+    row = monomial_table()[i] for the left monomial m_i, so row[j] = (m, negated).
+    """
+    for out, j, c, e in terms:
+        m, negated = row[j]
+        u, v = a * c - b * e, a * e + b * c
+        if negated:
+            u, v = -u, -v
+        t = out.get(m)
+        if t is None:
+            out[m] = [u, v]
+        else:
+            t[0] += u
+            t[1] += v
+
+
+def _image(alg: "QuantumAlgebra", f: Callable[[AlgebraElement], AlgebraElement] | None,
+           m: Monomial) -> tuple[list, int]:
+    """The numerators and denominator of f(m), for a linear map f (None = identity)."""
+    return ([(m, 1, 0)], 1) if f is None else f(alg.monomial(*m)).numerators()
+
+
 # -- tables of basis images ------------------------------------------------------------
 
-# one stored copy of each key and coefficient that the tables hold; it holds
-# only immutable values, and at q = +-i the coefficients take a handful of values
+# one stored copy of each key that the tables hold; it holds only immutable values
 _SHARED: dict = {}
 
 
 def flat_entry(coeffs: Mapping) -> tuple:
-    """The nonzero terms of {key: coefficient} as one flat (key, coefficient, ...) table entry."""
+    """{key: coefficient} as one flat table entry (E, key, A, B, key, A, B, ...).
+
+    Each nonzero coefficient is (A + B*i)/E over the entry's one denominator E.
+    """
+    terms, d = numerators({k: c for k, c in coeffs.items() if c})
     share = _SHARED.setdefault
-    return tuple(share(x, x) for k, c in coeffs.items() if c for x in (k, c))
+    entry = [d]
+    for k, a, b in terms:
+        entry += (share(k, k), a, b)
+    return tuple(entry)
 
 
-def add_entry(acc: dict, entry: tuple, c: GaussianRational) -> None:
-    """acc += c * entry, for a flat (key, coefficient, ...) table entry."""
-    it = iter(entry)
-    for key, s in zip(it, it):
-        v = c * s
-        acc[key] = acc[key] + v if key in acc else v
+def sum_entries(terms: Iterable[tuple]) -> tuple[dict, int]:
+    """The sum of (c + e*i) * entry over the (entry, c, e) in terms, with its denominator.
+
+    Returned as an accumulator {key: [A, B]} over the lcm of the entries'
+    denominators E, and that lcm (1 unless an entry has a non-integral coefficient).
+    """
+    acc: dict = {}
+    scale = 1
+    for entry, c, e in terms:
+        it = iter(entry)
+        d = next(it)
+        if scale % d:
+            # bring what is summed so far over a denominator that d divides
+            f = d // gcd(scale, d)
+            for sums in acc.values():
+                sums[0] *= f
+                sums[1] *= f
+            scale *= f
+        if d != scale:
+            c, e = c * (scale // d), e * (scale // d)
+        for key, s, t in zip(it, it, it):
+            u, v = c * s - e * t, c * t + e * s
+            sums = acc.get(key)
+            if sums is None:
+                acc[key] = [u, v]
+            else:
+                sums[0] += u
+                sums[1] += v
+    return acc, scale
 
 
 def _apply_images(images: tuple, x: AlgebraElement) -> dict:
     """Coefficients of the linear map whose image of monomial index 4p + r is images[4p + r]."""
-    out: dict = {}
-    for (p, r), c in x.coeffs.items():
-        add_entry(out, images[4 * p + r], c)
-    return out
+    xs, d = x.numerators()
+    acc, scale = sum_entries([(images[4 * p + r], a, b) for (p, r), a, b in xs])
+    return from_numerators(acc, d * scale)
 
 
 @lru_cache(maxsize=None)

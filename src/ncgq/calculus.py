@@ -26,12 +26,13 @@ calculus of a q mode shares one default exterior algebra and so its tables.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 from typing import Mapping
 
-from .algebra import (DIM, AlgebraElement, Monomial, QuantumAlgebra, add_entry, basis_monomials,
-                      check_mode, flat_entry, monomial_product)
-from .scalars import ZERO, ONE, GaussianRational, q_root
+from .algebra import (DIM, AlgebraElement, Monomial, QuantumAlgebra, add_products, basis_monomials,
+                      check_mode, flat_entry, monomial_product, monomial_table, sum_entries)
+from .scalars import ZERO, ONE, GaussianRational, from_numerators, numerators, q_root
 
 FORMS = ("a", "b", "c", "d")
 # basis 1-form -> its 2x2 matrix unit (row, column), the index pair of the
@@ -80,6 +81,24 @@ def bimodule_table(mode: str) -> dict[tuple[str, Monomial], tuple[tuple[Gaussian
                 partial = {k: v for k, v in nxt.items() if v}
             table[(form, (p, r))] = tuple((c, m, fm) for (fm, m), c in partial.items())
     return table
+
+
+def _form_numerators(x: "DiffForm") -> tuple[list[tuple[WedgeWord, list, int]], int]:
+    """[(word, [(monomial, A, B)], f)] and d, for coefficients (A + B*i) * f / d of a form.
+
+    Each word's coefficients are (A + B*i)/dw over their own lcm dw, d is the
+    lcm of the dw, and f = d // dw lifts a word to d.
+    """
+    by_word = []
+    d = 1
+    for w, f in x.terms.items():
+        terms, dw = f.numerators()
+        by_word.append((w, terms, dw))
+        if d % dw:
+            d = lcm(d, dw)
+    if d == 1:  # every dw is 1, and so is every f
+        return by_word, 1
+    return [(w, terms, d // dw) for w, terms, dw in by_word], d
 
 
 def _slots(table: dict, key) -> list:
@@ -220,6 +239,14 @@ class ModuleSum:
         self.calculus = calculus
         self.terms = {k: x for k, x in terms.items() if x} if terms else {}
 
+    @classmethod
+    def _of(cls, calculus: "Calculus", terms: dict):
+        """An instance holding terms itself, which must have no zero term."""
+        out = object.__new__(cls)
+        out.calculus = calculus
+        out.terms = terms
+        return out
+
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -318,28 +345,37 @@ class Calculus:
         check_mode(self, x.calculus)
         check_mode(self, y.calculus)
         product = self.exterior.word_product
-        acc: Terms = {}
+        products = monomial_table()
+        ys, dy = _form_numerators(y)
+        # f1 e_w1 ^ y = f1 (e_w1 ^ y) for each word w1 of x, with f1 over its own dw and
+        # e_w1 ^ y over dy * scale, summed into {output word: {monomial: [A, B]}} over dy * d
+        acc: dict = {}
+        d = 1
         for w1, f1 in x.terms.items():
-            # f1 e_w1 ^ y = f1 (e_w1 ^ y): collect e_w1 ^ y, then multiply by f1 once
-            right: Terms = {}
-            for w2, f2 in y.terms.items():
-                for m, c in f2.coeffs.items():
-                    add_entry(right, product(w1, m, w2), c)
-            for (w, m), c in right.items():
-                for m1, c1 in f1.coeffs.items():
-                    mp, negated = monomial_product(m1, m)
-                    v = -(c1 * c) if negated else c1 * c
-                    key = (w, mp)
-                    acc[key] = acc[key] + v if key in acc else v
-        return self._form(acc)
-
-    def _form(self, acc: Terms) -> DiffForm:
-        """The form with these scalar coordinates."""
-        terms: dict[WedgeWord, dict[Monomial, GaussianRational]] = {}
-        for (w, m), c in acc.items():
-            terms.setdefault(w, {})[m] = c
-        alg = self.algebra
-        return DiffForm(self, {w: AlgebraElement(alg, cs) for w, cs in terms.items()})
+            xs, dw = f1.numerators()
+            right, scale = sum_entries([(product(w1, m, w2), c * fy, e * fy)
+                                        for w2, coords, fy in ys for m, c, e in coords])
+            dr = dw * scale
+            if d % dr:
+                # bring what is summed so far over a denominator that dr divides
+                g = dr // gcd(d, dr)
+                for out in acc.values():
+                    for sums in out.values():
+                        sums[0] *= g
+                        sums[1] *= g
+                d *= g
+            f = d // dr
+            right = [(acc.setdefault(w, {}), 4 * p + r, c * f, e * f)
+                     for (w, (p, r)), (c, e) in right.items() if c or e]
+            for (p, r), a, b in xs:
+                add_products(right, products[4 * p + r], a, b)
+        d *= dy
+        alg, form = self.algebra, {}
+        for w, out in acc.items():
+            coeffs = from_numerators(out, d)
+            if coeffs:
+                form[w] = AlgebraElement._of(alg, coeffs)
+        return DiffForm._of(self, form)
 
     # -- exterior derivative -----------------------------------------------------------
 
@@ -352,19 +388,31 @@ class Calculus:
         """
         check_mode(self, x.calculus)
         images = self.exterior.d_images
-        acc: Terms = {}
-        for w, f in x.terms.items():
+        xs, d = _form_numerators(x)
+        # normalized: the numerator of 1/mu multiplies the inputs, its denominator joins d
+        ia, ib, di = self._inverse_mu if normalized else (1, 0, 1)
+        terms = []
+        for w, coords, f in xs:
             slots = _slots(images, w)
-            for m, c in f.coeffs.items():
+            g, h = ia * f, ib * f
+            for m, a, b in coords:
                 index = 4 * m[0] + m[1]
                 entry = slots[index]
                 if entry is None:
                     entry = slots[index] = self._d_image(m, w)
-                add_entry(acc, entry, c)
-        if normalized:
-            scale = self.algebra.mu.inverse()
-            acc = {key: c * scale for key, c in acc.items()}
-        return self._form(acc)
+                terms.append((entry, a * g - b * h, a * h + b * g))
+        acc, scale = sum_entries(terms)
+        by_word: dict[WedgeWord, dict[Monomial, GaussianRational]] = {}
+        for (w, m), c in from_numerators(acc, d * di * scale).items():
+            by_word.setdefault(w, {})[m] = c
+        alg = self.algebra
+        return DiffForm._of(self, {w: AlgebraElement._of(alg, cs) for w, cs in by_word.items()})
+
+    @cached_property
+    def _inverse_mu(self) -> tuple[int, int, int]:
+        """1/mu = (A + B*i)/D as (A, B, D)."""
+        ((_, a, b),), d = numerators({None: self.algebra.mu.inverse()})
+        return a, b, d
 
     def _d_image(self, m: Monomial, w: WedgeWord) -> tuple:
         """The unnormalised d(m e_w) = theta ^ m e_w - sigma(m e_w) ^ theta, as a flat table entry."""

@@ -5,14 +5,23 @@ Q(i) for the root-of-unity modes (q = i or q = -i), and Q(q) for the
 closed-form constants that are stored as rational functions and evaluated
 exactly at any non-pole point.  No floating point enters until the spectral
 layer converts finished matrices.
+
+A GaussianRational is normalised when it is made: each arithmetic operation
+costs one gcd unless its result is a Gaussian integer.  The linear and
+bilinear maps of the algebra and the calculus (the products, the coproduct,
+the antipode, the wedge and d) do not go through these operations term by
+term.  They bring their inputs to Gaussian-integer numerators over one
+common denominator with :func:`numerators`, accumulate plain ints, and
+normalise once per nonzero output coordinate with :func:`from_numerators`.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Hashable, Iterable, Mapping, Sequence, TypeVar, Union
 
 RationalLike = Union[int, Fraction, str]
+K = TypeVar("K", bound=Hashable)
 
 
 class ScalarError(ArithmeticError):
@@ -203,6 +212,30 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     if g != 1:
         a, b, d = a // g, b // g, d // g
     return _triple(a, b, d)
+
+
+def numerators(coeffs: Mapping[K, GaussianRational]) -> tuple[list[tuple[K, int, int]], int]:
+    """The terms of {key: c} as [(key, A, B)] over one d, the lcm of the denominators.
+
+    Each coefficient is c = (A + B*i)/d.
+    """
+    d = 1
+    for c in coeffs.values():
+        if c._d != 1:
+            d = lcm(d, c._d)
+    if d == 1:
+        return [(k, c._a, c._b) for k, c in coeffs.items()], 1
+    return [(k, c._a * (d // c._d), c._b * (d // c._d)) for k, c in coeffs.items()], d
+
+
+def from_numerators(acc: Mapping[K, Sequence[int]], d: int) -> dict[K, GaussianRational]:
+    """{key: (A + B*i)/d} in normal form for each key: (A, B) of acc with A or B nonzero; d > 0.
+
+    The inverse of :func:`numerators`, at one gcd per nonzero coordinate.
+    """
+    if d == 1:
+        return {k: _triple(a, b, 1) for k, (a, b) in acc.items() if a or b}
+    return {k: _reduced(a, b, d) for k, (a, b) in acc.items() if a or b}
 
 
 def _coerce(x) -> GaussianRational | None:

@@ -68,6 +68,39 @@ class TestNormalize:
         assert alg.from_coords(x.coords()) == x
 
 
+class TestElementValidation:
+    """Coefficient keys enter only as the 16 normal-form monomials (p, r), 0 <= p, r <= 3."""
+
+    @pytest.mark.parametrize("key", [(0, 4), (4, 0), (-1, 2), (2, -1), (1, 2, 0), (1,), "a",
+                                     (1.0, 0), (True, 0), None])
+    def test_element_rejects_keys_outside_the_normal_form(self, alg, key):
+        with pytest.raises(ValueError):
+            alg.element({key: ONE})
+        with pytest.raises(ValueError):
+            alg.element({(1, 1): ONE, key: ONE})
+
+    def test_out_of_range_key_cannot_alias_a_monomial(self, alg):
+        # b^4 = 1, but the key (0, 4) would have read table slot 4p + r = 4, that of a
+        with pytest.raises(ValueError):
+            alg.element({(0, 4): ONE})
+        x = alg.element({(0, 0): ONE})
+        assert x * alg.one == x and x == alg.one
+        assert alg.antipode(alg.monomial(0, 4)) == alg.one
+
+    def test_element_accepts_every_normal_form_key(self, alg):
+        x = alg.element({m: ONE for m in basis_monomials()})
+        assert sorted(x.coeffs) == basis_monomials()
+
+    @pytest.mark.parametrize("n", [0, 15, 17])
+    def test_from_coords_needs_sixteen_entries(self, alg, n):
+        with pytest.raises(ValueError):
+            alg.from_coords([ONE] * n)
+
+    def test_from_coords_round_trip(self, alg):
+        x = random_element(alg, random.Random(5))
+        assert alg.from_coords(x.coords()) == x
+
+
 class TestMultiply:
     def test_unit(self, alg):
         rng = random.Random(1)

@@ -1,0 +1,191 @@
+"""The fraction-free maps against their term-by-term GaussianRational oracles.
+
+Every map of the algebra and the calculus accumulates Gaussian-integer
+numerators over one common denominator and normalises once per output
+coordinate.  These tests hold each map to the oracles of
+tests/test_table_oracles.py, at both roots, on the inputs where that can go
+wrong: 6- to 7-digit denominators, denominators that share factors (so their
+lcm is not their product), results that cancel to Gaussian integers or to
+exact zero, and an exterior algebra whose pair rule has a non-integral
+coefficient, so that its table entries carry a denominator of their own.
+"""
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from ncgq.algebra import (AlgebraElement, QuantumAlgebra, TensorElement, basis_monomials,
+                          monomial_product, monomial_table)
+from ncgq.calculus import Calculus, DiffForm, ExteriorAlgebra, FORMS
+from ncgq.scalars import GaussianRational
+from test_table_oracles import (oracle_antipode, oracle_apply, oracle_coproduct, oracle_d,
+                                oracle_multiply_out, oracle_mul, oracle_pure, oracle_tensor_mul,
+                                oracle_wedge)
+
+ORDERED_WORDS = [w for n in range(5) for w in itertools.combinations(FORMS, n)]
+# denominators built from a few shared primes, so the lcm of several is far below their product
+SHARED_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@pytest.fixture(scope="module", params=["i", "-i"])
+def cal(request):
+    return Calculus(QuantumAlgebra(request.param))
+
+
+def large_denominators(rng: random.Random) -> GaussianRational:
+    if rng.randrange(3):
+        return GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9))
+    return GaussianRational(Fraction(rng.randint(-10**7, 10**7), rng.randint(10**5, 10**7)),
+                            Fraction(rng.randint(-10**7, 10**7), rng.randint(10**5, 10**7)))
+
+
+def shared_denominators(rng: random.Random) -> GaussianRational:
+    def den():
+        out = 1
+        for p in rng.sample(SHARED_PRIMES, 3):
+            out *= p ** rng.randint(1, 3)
+        return out
+    return GaussianRational(Fraction(rng.randint(-999, 999), den()),
+                            Fraction(rng.randint(-999, 999), den()))
+
+
+SCALARS = {"large": large_denominators, "shared": shared_denominators}
+
+
+def element(alg: QuantumAlgebra, rng: random.Random, scalar, density: int) -> AlgebraElement:
+    return alg.element({m: scalar(rng) for m in rng.sample(basis_monomials(), density)})
+
+
+def form(cal: Calculus, rng: random.Random, scalar, words=None) -> DiffForm:
+    words = words or rng.sample(ORDERED_WORDS, rng.randint(1, 3))
+    return DiffForm(cal, {w: element(cal.algebra, rng, scalar, rng.randint(1, 16)) for w in words})
+
+
+def tensor(alg: QuantumAlgebra, rng: random.Random, scalar) -> TensorElement:
+    pairs = rng.sample(list(itertools.product(basis_monomials(), repeat=2)), rng.randint(1, 40))
+    return TensorElement(alg, {pair: scalar(rng) for pair in pairs})
+
+
+def assert_pruned(x) -> None:
+    """No stored zero: every coefficient (and every form coefficient) is nonzero."""
+    for c in getattr(x, "coeffs", {}).values():
+        assert c
+    for f in getattr(x, "terms", {}).values():
+        assert f
+        assert_pruned(f)
+
+
+def test_monomial_table_is_monomial_product():
+    table = monomial_table()
+    cases = 0
+    for (i, m1), (j, m2) in itertools.product(enumerate(basis_monomials()), repeat=2):
+        assert i == 4 * m1[0] + m1[1] and j == 4 * m2[0] + m2[1]
+        assert table[i][j] == monomial_product(m1, m2)
+        cases += 1
+    assert cases == 256
+
+
+@pytest.mark.parametrize("kind", sorted(SCALARS))
+def test_algebra_maps_on_rational_inputs(cal, kind):
+    alg, scalar = cal.algebra, SCALARS[kind]
+    rng = random.Random(61)
+    for _ in range(25):
+        x = element(alg, rng, scalar, rng.randint(1, 16))
+        y = element(alg, rng, scalar, rng.randint(1, 16))
+        s, t = tensor(alg, rng, scalar), tensor(alg, rng, scalar)
+        results = [
+            (x * y, oracle_mul(x, y)),
+            (TensorElement.pure(x, y), oracle_pure(x, y)),
+            (s * t, oracle_tensor_mul(s, t)),
+            (s.multiply_out(), oracle_multiply_out(s)),
+            (s.apply(alg.antipode, None), oracle_apply(s, alg.antipode, None)),
+            (s.apply(None, alg.antipode), oracle_apply(s, None, alg.antipode)),
+            (alg.coproduct(x), oracle_coproduct(alg, x)),
+            (alg.antipode(x), oracle_antipode(alg, x)),
+        ]
+        for got, want in results:
+            assert got == want
+            assert_pruned(got)
+
+
+@pytest.mark.parametrize("kind", sorted(SCALARS))
+def test_wedge_and_d_on_rational_inputs(cal, kind):
+    rng = random.Random(67)
+    for _ in range(20):
+        x, y = form(cal, rng, SCALARS[kind]), form(cal, rng, SCALARS[kind])
+        got = cal.wedge(x, y)
+        assert got == oracle_wedge(cal, x, y)
+        assert_pruned(got)
+        for normalized in (True, False):
+            got = cal.exterior_d(x, normalized)
+            assert got == oracle_d(cal, x, normalized)
+            assert_pruned(got)
+
+
+def test_results_that_cancel_to_zero(cal):
+    alg = cal.algebra
+    rng = random.Random(71)
+    for _ in range(10):
+        c, k = large_denominators(rng) or GaussianRational(3), shared_denominators(rng)
+        # (1 + a^2)(1 - a^2) = 1 - a^4 = 0
+        x = (alg.one + alg.monomial(2, 0)).scale(c)
+        y = (alg.one - alg.monomial(2, 0)).scale(k)
+        assert (x * y).coeffs == {} and oracle_mul(x, y) == alg.zero
+        # f e_a ^ g e_a = f (e_a g) ^ e_a = 0
+        f, g = element(alg, rng, large_denominators, 6), element(alg, rng, shared_denominators, 6)
+        assert cal.wedge(cal.basis_form("a", f), cal.basis_form("a", g)).terms == {}
+        # d^2 = 0 and both antipode axioms, on rational inputs
+        z = form(cal, rng, large_denominators)
+        for normalized in (True, False):
+            assert cal.exterior_d(cal.exterior_d(z, normalized), normalized).terms == {}
+        left, right = alg.antipode_axiom_defect(element(alg, rng, shared_denominators, 16))
+        assert left.coeffs == {} and right.coeffs == {}
+
+
+def test_results_that_cancel_to_gaussian_integers(cal):
+    alg = cal.algebra
+    rng = random.Random(73)
+    for _ in range(10):
+        k = shared_denominators(rng) or GaussianRational(Fraction(1, 6))
+        x = element(alg, rng, lambda r: GaussianRational(r.randint(-9, 9), r.randint(-9, 9)), 8)
+        y = element(alg, rng, lambda r: GaussianRational(r.randint(-9, 9), r.randint(-9, 9)), 8)
+        # x k and y / k carry denominators that cancel in their product
+        got = x.scale(k) * y.scale(k.inverse())
+        assert got == oracle_mul(x, y) == x * y
+        assert all(c.re.denominator == 1 and c.im.denominator == 1 for c in got.coeffs.values())
+        assert_pruned(got)
+        u = DiffForm(cal, {("b",): x.scale(k)})
+        v = DiffForm(cal, {("c",): y.scale(k.inverse())})
+        got = cal.wedge(u, v)
+        assert got == oracle_wedge(cal, u, v)
+        assert all(c.re.denominator == 1 and c.im.denominator == 1
+                   for f in got.terms.values() for c in f.coeffs.values())
+
+
+class ThirdPairRule(ExteriorAlgebra):
+    """A swapped exterior algebra: e_c ^ e_b = (2/3 + i/5) e_b ^ e_c, a non-integral coefficient."""
+
+    def _build_pair_rules(self):
+        rules = super()._build_pair_rules()
+        rules[("c", "b")] = [(GaussianRational(Fraction(2, 3), Fraction(1, 5)), ("b", "c"))]
+        return rules
+
+
+def test_non_integral_pair_rule_stays_exact(cal):
+    swapped = Calculus(QuantumAlgebra(cal.algebra.mode))
+    swapped.exterior = ThirdPairRule(cal.algebra.q)
+    rng = random.Random(79)
+    e = swapped.basis_form
+    assert swapped.wedge(e("c"), e("b")) == swapped.wedge(e("b"), e("c")).scale(
+        GaussianRational(Fraction(2, 3), Fraction(1, 5)))
+    for _ in range(20):
+        x, y = form(swapped, rng, large_denominators), form(swapped, rng, shared_denominators)
+        assert swapped.wedge(x, y) == oracle_wedge(swapped, x, y)
+        assert swapped.wedge(y, x) == oracle_wedge(swapped, y, x)
+        for normalized in (True, False):
+            assert swapped.exterior_d(x, normalized) == oracle_d(swapped, x, normalized)
+    # the entries that the non-integral rule reaches carry a denominator of their own
+    entries = [entry for slots in swapped.exterior._products.values() for entry in slots if entry]
+    entries += [entry for slots in swapped.exterior.d_images.values() for entry in slots if entry]
+    assert any(entry[0] != 1 for entry in entries)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +13,8 @@ from ncgq.scalars import (
     PolyQ,
     RationalFunctionQ,
     format_gaussian,
+    from_numerators,
+    numerators,
     parse_gaussian,
     q_root,
     rf,
@@ -178,6 +180,49 @@ class TestTripleAgainstFractionPairs:
         assert _triple(GaussianRational("1/2", "1/3")) == (3, 2, 6)
         assert _triple(gr(2, 4) / 2) == (1, 2, 1)
         assert repr(GaussianRational("1/2", 3)) == "GaussianRational(Fraction(1, 2), Fraction(3, 1))"
+
+
+class TestNumeratorHelpers:
+    """numerators and from_numerators, the two ends of every fraction-free map."""
+
+    # a coefficient as (re numerator, re denominator, im numerator, im denominator): small
+    # integers, zero, or 6- to 7-digit denominators, drawn as integers
+    @given(st.lists(st.tuples(st.integers(-10**7, 10**7), st.sampled_from((1, 2, 6, 10**5, 999983)),
+                              st.integers(-9, 9), st.integers(1, 10**7)), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, drawn):
+        coeffs = {k: GaussianRational(Fraction(a, b), Fraction(c, e))
+                  for k, (a, b, c, e) in enumerate(drawn)}
+        terms, d = numerators(coeffs)
+        assert d > 0 and d == lcm(*(c._d for c in coeffs.values()))
+        assert [k for k, _, _ in terms] == list(coeffs)
+        for k, a, b in terms:
+            assert (Fraction(a, d), Fraction(b, d)) == (coeffs[k].re, coeffs[k].im)
+        back = from_numerators({k: (a, b) for k, a, b in terms}, d)
+        assert back == {k: c for k, c in coeffs.items() if c}
+        for c in back.values():
+            _assert_normal(c)
+
+    @given(st.dictionaries(st.integers(0, 30), st.tuples(st.integers(-10**8, 10**8),
+                                                         st.integers(-10**8, 10**8)), max_size=8),
+           st.integers(1, 10**7), st.integers(1, 10**4))
+    @settings(max_examples=200, deadline=None)
+    def test_one_normal_form_per_coordinate(self, acc, d, g):
+        # numerators scaled by any common factor g give the same coefficients, zeros dropped
+        out = from_numerators(acc, d)
+        assert out == from_numerators({k: (a * g, b * g) for k, (a, b) in acc.items()}, d * g)
+        assert sorted(out) == sorted(k for k, (a, b) in acc.items() if a or b)
+        for k, z in out.items():
+            _assert_normal(z)
+            assert (z.re, z.im) == (Fraction(acc[k][0], d), Fraction(acc[k][1], d))
+
+    def test_examples(self):
+        coeffs = {"x": GaussianRational("1/6", "1/4"), "y": GaussianRational(2, -1), "z": gr(0)}
+        assert numerators(coeffs) == ([("x", 2, 3), ("y", 24, -12), ("z", 0, 0)], 12)
+        assert numerators({}) == ([], 1)
+        assert from_numerators({"x": (2, 3), "y": (24, -12), "z": (0, 0)}, 12) == {
+            "x": GaussianRational("1/6", "1/4"), "y": GaussianRational(2, -1)}
+        assert _triple(from_numerators({"x": (-6, 4)}, 10)["x"]) == (-3, 2, 5)
 
 
 class TestRationalFunctionQ:

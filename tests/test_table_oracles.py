@@ -4,8 +4,11 @@ The oracles below derive each map again on every call, as the library did
 before it tabulated them: the wedge moves each monomial past the letters of
 the left word and reduces the result, d is two wedges with theta, and the
 coproduct and antipode multiply out the generator images letter by letter.
-The library must agree with them exactly, on every basis element and on
-seeded random sparse forms with rational coefficients.
+Every oracle computes term by term in GaussianRational arithmetic, as the
+library did before its maps accumulated numerators over one denominator:
+the algebra and tensor products, multiply_out and apply below are those
+loops.  The library must agree with them exactly, on every basis element and
+on seeded random sparse forms with rational coefficients.
 """
 import itertools
 import random
@@ -16,7 +19,7 @@ import pytest
 from ncgq.algebra import (AlgebraElement, QuantumAlgebra, TensorElement, basis_monomials,
                           monomial_product)
 from ncgq.calculus import Calculus, DiffForm, FORMS, bimodule_table
-from ncgq.scalars import GaussianRational
+from ncgq.scalars import ONE, GaussianRational
 
 ORDERED_WORDS = [w for n in range(5) for w in itertools.combinations(FORMS, n)]
 
@@ -68,17 +71,72 @@ def oracle_d(cal: Calculus, x: DiffForm, normalized: bool = True) -> DiffForm:
     return out
 
 
+def oracle_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    out = {}
+    for m1, c1 in x.coeffs.items():
+        for m2, c2 in y.coeffs.items():
+            m, negated = monomial_product(m1, m2)
+            c = -(c1 * c2) if negated else c1 * c2
+            out[m] = out[m] + c if m in out else c
+    return AlgebraElement(x.algebra, out)
+
+
+def oracle_pure(x: AlgebraElement, y: AlgebraElement) -> TensorElement:
+    return TensorElement(x.algebra, {(m1, m2): c1 * c2 for m1, c1 in x.coeffs.items()
+                                     for m2, c2 in y.coeffs.items()})
+
+
+def oracle_tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
+    out = {}
+    for (x1, y1), c1 in s.coeffs.items():
+        for (x2, y2), c2 in t.coeffs.items():
+            mx, neg_x = monomial_product(x1, x2)
+            my, neg_y = monomial_product(y1, y2)
+            c = -(c1 * c2) if neg_x != neg_y else c1 * c2
+            key = (mx, my)
+            out[key] = out[key] + c if key in out else c
+    return TensorElement(s.algebra, out)
+
+
+def oracle_apply(t: TensorElement, f_left, f_right) -> TensorElement:
+    alg = t.algebra
+    out = {}
+    for (mx, my), c in t.coeffs.items():
+        ex = AlgebraElement(alg, {mx: ONE})
+        ey = AlgebraElement(alg, {my: ONE})
+        if f_left is not None:
+            ex = f_left(ex)
+        if f_right is not None:
+            ey = f_right(ey)
+        for m1, c1 in ex.coeffs.items():
+            for m2, c2 in ey.coeffs.items():
+                key = (m1, m2)
+                v = c * c1 * c2
+                out[key] = out[key] + v if key in out else v
+    return TensorElement(alg, out)
+
+
+def oracle_multiply_out(t: TensorElement) -> AlgebraElement:
+    out = {}
+    for (mx, my), c in t.coeffs.items():
+        m, negated = monomial_product(mx, my)
+        if negated:
+            c = -c
+        out[m] = out[m] + c if m in out else c
+    return AlgebraElement(t.algebra, out)
+
+
 def oracle_coproduct(alg: QuantumAlgebra, x: AlgebraElement) -> TensorElement:
-    da = TensorElement.pure(alg.alpha, alg.alpha) + TensorElement.pure(alg.beta, alg.beta_star)
-    db = TensorElement.pure(alg.alpha, alg.beta) + TensorElement.pure(alg.beta, alg.delta)
+    da = oracle_pure(alg.alpha, alg.alpha) + oracle_pure(alg.beta, alg.beta_star)
+    db = oracle_pure(alg.alpha, alg.beta) + oracle_pure(alg.beta, alg.delta)
     out = TensorElement(alg, {})
-    unit = TensorElement.pure(alg.one, alg.one)
+    unit = oracle_pure(alg.one, alg.one)
     for (p, r), c in x.coeffs.items():
         term = unit
         for _ in range(p):
-            term = term * da
+            term = oracle_tensor_mul(term, da)
         for _ in range(r):
-            term = term * db
+            term = oracle_tensor_mul(term, db)
         out = out + term.scale(c)
     return out
 
@@ -90,9 +148,9 @@ def oracle_antipode(alg: QuantumAlgebra, x: AlgebraElement) -> AlgebraElement:
     for (p, r), c in x.coeffs.items():
         term = alg.one
         for _ in range(r):  # reversed word: S(a^p b^r) = S(b)^r S(a)^p
-            term = term * s_b
+            term = oracle_mul(term, s_b)
         for _ in range(p):
-            term = term * s_a
+            term = oracle_mul(term, s_a)
         out = out + term.scale(c)
     return out
 
