@@ -14,16 +14,23 @@ close exactly on all 16 basis monomials; the reference right-translation
 matrix instead encodes bstar = q^2 (a - 1) b^3, and audit_relations()
 reports every defining relation that the operational normal forms break.
 The reference matrices stay the operative input of the spectral layer.
+
+An element is one denominator den > 0 over Gaussian-integer numerators num,
+with gcd(den, *num) == 1: 32 ints (Re, Im) by monomial index for an
+AlgebraElement.  Every map is a fixed linear or bilinear map on that basis,
+so it sums plain ints over one denominator and normalises its result by one
+gcd per element; GaussianRationals appear only in the .coeffs view.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import linalg
-from .scalars import ZERO, ONE, GaussianRational, from_numerators, numerators, q_root
+from .scalars import ZERO, ONE, GaussianRational, format_gaussian, gaussian, parse_gaussian, q_root
 
 Monomial = tuple[int, int]  # (p, r): exponents of a and b
 
@@ -59,13 +66,13 @@ def monomial_product(m1: Monomial, m2: Monomial) -> tuple[Monomial, bool]:
 
 
 @lru_cache(maxsize=None)
-def monomial_table() -> tuple[tuple[tuple[Monomial, bool], ...], ...]:
-    """monomial_product(m_i, m_j) at [i][j], for monomial indices i and j (4p + r).
+def monomial_table() -> tuple[tuple[tuple[int, bool], ...], ...]:
+    """m_i m_j = +-m_k as (2k, negated) at [i][j], for monomial indices i, j and k (4p + r).
 
-    Read from monomial_product on first use, so the sign law is stated once.
+    2k is the slot of m_k's real part in a numerator vector.  Read from monomial_product.
     """
-    monomials = basis_monomials()
-    return tuple(tuple(monomial_product(m1, m2) for m2 in monomials) for m1 in monomials)
+    return tuple(tuple((2 * monomial_index(m), negated) for m, negated in
+                       (monomial_product(m1, m2) for m2 in _MONOMIALS)) for m1 in _MONOMIALS)
 
 
 def check_mode(x, y) -> None:
@@ -74,101 +81,116 @@ def check_mode(x, y) -> None:
         raise ValueError("mixed q modes in one expression")
 
 
-_MONOMIALS_BY_NAME = {monomial_name(m): m for m in basis_monomials()}
+_MONOMIALS = tuple(basis_monomials())
+_MONOMIAL_SET = frozenset(_MONOMIALS)
+_MONOMIALS_BY_NAME = {monomial_name(m): m for m in _MONOMIALS}
 
 
 class ScalarSum:
-    """Finite sum of Q(i) coefficients over a fixed basis, in one q mode.
+    """Finite sum of Q(i) coefficients over a fixed basis, in one q mode, over one denominator.
 
-    The linear structure shared by algebra and tensor elements: zero terms are
-    pruned on construction, equality needs one q mode, and + raises ValueError
-    on mixed modes.  A sum is a value: its coefficients never change after it
-    is made, so the numerators the kernels read are computed once.
+    The value is num / den: den > 0 and the Gaussian-integer numerators num
+    are canonical, gcd(den, *num) == 1, so zero has den == 1 and equal values
+    have equal (den, num).  A sum is a value: den and num never change after
+    it is made.  Equality needs one q mode, and + raises ValueError on mixed
+    modes.  The read-only view .coeffs gives {basis key: GaussianRational}.
     """
 
-    __slots__ = ("algebra", "coeffs", "_num")
-
-    def __init__(self, algebra: "QuantumAlgebra", coeffs: Mapping | None = None):
-        self.algebra = algebra
-        self.coeffs = {k: c for k, c in coeffs.items() if c} if coeffs else {}
-        self._num = None
+    __slots__ = ("algebra", "den", "num", "_nonzero")  # _nonzero: AlgebraElement.nonzero(), kept
 
     @classmethod
-    def _of(cls, algebra: "QuantumAlgebra", coeffs: dict):
-        """An instance holding coeffs itself, which must have no zero coefficient."""
+    def _of(cls, algebra: "QuantumAlgebra", den: int, num, nonzero: list | None = None):
+        """An instance holding num itself; (den, num) must be canonical, and nonzero its support or None."""
         out = object.__new__(cls)
-        out.algebra = algebra
-        out.coeffs = coeffs
-        out._num = None
+        out.algebra, out.den, out.num, out._nonzero = algebra, den, num, nonzero
         return out
-
-    def numerators(self) -> tuple[list, int]:
-        """scalars.numerators of the coefficients, computed on first use."""
-        if self._num is None:
-            self._num = numerators(self.coeffs)
-        return self._num
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self.algebra.mode == other.algebra.mode and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        check_mode(self, other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out[k] + c if k in out else c
-        return type(self)(self.algebra, out)
-
-    def __neg__(self):
-        return type(self)(self.algebra, {k: -c for k, c in self.coeffs.items()})
+        return (self.algebra.mode == other.algebra.mode and self.den == other.den
+                and self.num == other.num)
 
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, s: GaussianRational):
-        return type(self)(self.algebra, {k: s * c for k, c in self.coeffs.items()})
-
 
 class AlgebraElement(ScalarSum):
-    """Element of the reduced algebra as a sparse coefficient map over monomials."""
+    """Element of the reduced algebra: num holds (Re, Im) of monomial index k at slots 2k, 2k + 1."""
 
     __slots__ = ()
 
+    def __init__(self, algebra: "QuantumAlgebra", coeffs: Mapping | None = None):
+        """The element sum c * a^p b^r over {(p, r): GaussianRational c}."""
+        items = [(4 * p + r, c.triple) for (p, r), c in coeffs.items()] if coeffs else ()
+        den = lcm(*[t[2] for _, t in items])
+        num = [0] * (2 * DIM)
+        for k, (a, b, d) in items:
+            num[2 * k], num[2 * k + 1] = a * (den // d), b * (den // d)
+        self.algebra, self.den, self.num, self._nonzero = algebra, den, num, None
+
+    @classmethod
+    def _reduce(cls, algebra: "QuantumAlgebra", den: int, num: list) -> "AlgebraElement":
+        """num / den, for any den > 0, brought to canonical form by one gcd."""
+        g = gcd(den, *num) if den != 1 else 1
+        if g != 1:
+            den, num = den // g, [v // g for v in num]
+        return cls._of(algebra, den, num)
+
+    def nonzero(self) -> list[tuple[int, int, int]]:
+        """support(self.num), found on first use: the terms that every kernel loops over."""
+        if self._nonzero is None:
+            self._nonzero = support(self.num)
+        return self._nonzero
+
+    @property
+    def coeffs(self) -> dict[Monomial, GaussianRational]:
+        """{monomial: coefficient} of the nonzero terms, built on each read."""
+        return {_MONOMIALS[k]: gaussian(a, b, self.den) for k, a, b in self.nonzero()}
+
+    def __bool__(self) -> bool:
+        return any(self.num)
+
     def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
+        return hash((self.algebra.mode, self.den, tuple(self.num)))
+
+    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+        check_mode(self, other)
+        if self.den == other.den:
+            return AlgebraElement._reduce(self.algebra, self.den,
+                                          [u + v for u, v in zip(self.num, other.num)])
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
+        return AlgebraElement._reduce(self.algebra, den,
+                                      [u * f + v * g for u, v in zip(self.num, other.num)])
+
+    def __neg__(self) -> "AlgebraElement":
+        return AlgebraElement._of(self.algebra, self.den, [-v for v in self.num])
+
+    def scale(self, s: GaussianRational) -> "AlgebraElement":
+        a, b, d = s.triple
+        it = iter(self.num)
+        return AlgebraElement._reduce(self.algebra, self.den * d, [
+            v for c, e in zip(it, it) for v in (a * c - b * e, a * e + b * c)])
 
     def __repr__(self) -> str:
         return f"<{self}>"
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for m in sorted(self.coeffs, key=monomial_index):
-            c = self.coeffs[m]
-            name = monomial_name(m)
-            if name == "1":
-                parts.append(f"({c})")
-            else:
-                parts.append(f"({c})*{name}")
-        return " + ".join(parts)
+        coeffs = self.coeffs
+        return " + ".join(f"({coeffs[m]})" + (f"*{monomial_name(m)}" if m != (0, 0) else "")
+                          for m in sorted(coeffs, key=monomial_index)) or "0"
 
     # -- multiplication -------------------------------------------------------
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         check_mode(self, other)
-        products = monomial_table()
-        xs, dx = self.numerators()
-        ys, dy = other.numerators()
-        acc: dict = {}
-        terms = [(acc, 4 * p + r, c, e) for (p, r), c, e in ys]
-        for (p, r), a, b in xs:
-            add_products(terms, products[4 * p + r], a, b)
-        return AlgebraElement._of(self.algebra, from_numerators(acc, dx * dy))
+        out = [0] * (2 * DIM)
+        add_products(out, self.nonzero(), other.nonzero())
+        return AlgebraElement._reduce(self.algebra, self.den * other.den, out)
+
+    def left_multiply(self, g: "AlgebraElement") -> "AlgebraElement":
+        return g * self
 
     def __pow__(self, n: int) -> "AlgebraElement":
         if n < 0:
@@ -181,88 +203,131 @@ class AlgebraElement(ScalarSum):
     # -- conversions ------------------------------------------------------------
 
     def coords(self) -> list[GaussianRational]:
-        v = [ZERO] * DIM
-        for m, c in self.coeffs.items():
-            v[monomial_index(m)] = c
-        return v
+        it = iter(self.num)
+        return [gaussian(a, b, self.den) if a or b else ZERO for a, b in zip(it, it)]
 
     def to_json(self) -> list[dict]:
         """Wire format: [{"monomial": "a^p b^r", "coeff": scalar-string}, ...]."""
-        from .scalars import format_gaussian
-
-        return [
-            {"monomial": monomial_name(m), "coeff": format_gaussian(self.coeffs[m])}
-            for m in sorted(self.coeffs, key=monomial_index)
-        ]
+        coeffs = self.coeffs
+        return [{"monomial": monomial_name(m), "coeff": format_gaussian(coeffs[m])}
+                for m in sorted(coeffs, key=monomial_index)]
 
     def counit(self) -> GaussianRational:
-        out = ZERO
-        for (p, r), c in self.coeffs.items():
-            if r == 0:
-                out = out + c
-        return out
+        # the monomials a^p, at indices 4p, hold their real parts at slots 8p
+        return gaussian(sum(self.num[0::8]), sum(self.num[1::8]), self.den)
 
 
 class TensorElement(ScalarSum):
-    """Element of the 256-dimensional two-fold tensor square of the algebra."""
+    """Element of the 256-dimensional two-fold tensor square of the algebra.
+
+    num is {(i, j): [A, B]}: the nonzero numerator A + B*i of m_i (x) m_j, by monomial index.
+    """
 
     __slots__ = ()
 
+    def __init__(self, algebra: "QuantumAlgebra", coeffs: Mapping | None = None):
+        """The sum c * m1 (x) m2 over {(m1, m2): GaussianRational c}."""
+        items = [(4 * p + r, 4 * s + t, c.triple)
+                 for ((p, r), (s, t)), c in coeffs.items() if c] if coeffs else ()
+        den = lcm(*[t[2] for _, _, t in items])
+        self.algebra, self.den, self.num = algebra, den, {
+            (i, j): [a * (den // d), b * (den // d)] for i, j, (a, b, d) in items}
+
+    @classmethod
+    def _reduce(cls, algebra: "QuantumAlgebra", den: int, num: dict) -> "TensorElement":
+        """num / den, for any den > 0, without zero terms and brought to canonical form by one gcd."""
+        num = {k: ab for k, ab in num.items() if ab[0] or ab[1]}
+        g = gcd(den, *chain.from_iterable(num.values())) if den != 1 else 1
+        if g != 1:
+            den, num = den // g, {k: [a // g, b // g] for k, (a, b) in num.items()}
+        return cls._of(algebra, den, num)
+
+    @property
+    def coeffs(self) -> dict[tuple[Monomial, Monomial], GaussianRational]:
+        """{(m1, m2): coefficient} of the nonzero terms, built on each read."""
+        return {(_MONOMIALS[i], _MONOMIALS[j]): gaussian(a, b, self.den)
+                for (i, j), (a, b) in self.num.items()}
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    def __add__(self, other: "TensorElement") -> "TensorElement":
+        check_mode(self, other)
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
+        num = {k: [a * f, b * f] for k, (a, b) in self.num.items()}
+        for k, (a, b) in other.num.items():
+            _add(num, k, a * g, b * g)
+        return TensorElement._reduce(self.algebra, den, num)
+
+    def __neg__(self) -> "TensorElement":
+        return TensorElement._of(self.algebra, self.den, {k: [-a, -b] for k, (a, b) in self.num.items()})
+
+    def scale(self, s: GaussianRational) -> "TensorElement":
+        a, b, d = s.triple
+        return TensorElement._reduce(self.algebra, self.den * d, {
+            k: [a * c - b * e, a * e + b * c] for k, (c, e) in self.num.items()})
+
     @classmethod
     def pure(cls, x: AlgebraElement, y: AlgebraElement) -> "TensorElement":
-        # each (m1, m2) occurs once, so no coefficient needs summing
-        xs, dx = x.numerators()
-        ys, dy = y.numerators()
-        acc = {(m1, m2): (a * c - b * e, a * e + b * c) for m1, a, b in xs for m2, c, e in ys}
-        return cls._of(x.algebra, from_numerators(acc, dx * dy))
+        ys = y.nonzero()
+        return cls._reduce(x.algebra, x.den * y.den, {
+            (i, j): [a * c - b * e, a * e + b * c] for i, a, b in x.nonzero() for j, c, e in ys})
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         check_mode(self, other)
         products = monomial_table()
-        xs, dx = self.numerators()
-        ys, dy = other.numerators()
-        ys = [(4 * p2 + r2, 4 * s2 + t2, c, e) for ((p2, r2), (s2, t2)), c, e in ys]
-        acc: dict = {}
-        for ((p1, r1), (s1, t1)), a, b in xs:
-            row_x, row_y = products[4 * p1 + r1], products[4 * s1 + t1]
-            for jx, jy, c, e in ys:
-                mx, neg_x = row_x[jx]
-                my, neg_y = row_y[jy]
+        ys = [(i, j, c, e) for (i, j), (c, e) in other.num.items()]
+        num: dict = {}
+        for (i1, j1), (a, b) in self.num.items():
+            row_x, row_y = products[i1], products[j1]
+            for i2, j2, c, e in ys:
+                sx, neg_x = row_x[i2]
+                sy, neg_y = row_y[j2]
                 u, v = a * c - b * e, a * e + b * c
                 if neg_x != neg_y:
                     u, v = -u, -v
-                _add(acc, (mx, my), u, v)
-        return TensorElement._of(self.algebra, from_numerators(acc, dx * dy))
+                _add(num, (sx >> 1, sy >> 1), u, v)
+        return TensorElement._reduce(self.algebra, self.den * other.den, num)
 
     def apply(self, f_left: Callable[[AlgebraElement], AlgebraElement] | None,
               f_right: Callable[[AlgebraElement], AlgebraElement] | None) -> "TensorElement":
         """Apply linear maps to the tensor factors (None = identity)."""
         alg = self.algebra
-        ts, dt = self.numerators()
-        left = {m: _image(alg, f_left, m) for m in {mx for (mx, _), _, _ in ts}}
-        right = {m: _image(alg, f_right, m) for m in {my for (_, my), _, _ in ts}}
-        scale = lcm(*{left[mx][1] * right[my][1] for (mx, my), _, _ in ts})
-        acc: dict = {}
-        for (mx, my), c, e in ts:
-            (xs, dx), (ys, dy) = left[mx], right[my]
-            f = scale // (dx * dy)
-            for m1, s, t in xs:
+        # (den, support) of f_left(m_i) and f_right(m_j), for each left index i and right index j
+        images = {}
+        for side, f in ((0, f_left), (1, f_right)):
+            for k in {key[side] for key in self.num}:
+                x = f(alg.monomial(k >> 2, k & 3)) if f else None
+                images[side, k] = (x.den, x.nonzero()) if f else (1, [(k, 1, 0)])
+        # summed over the lcm of the products of their denominators
+        den = lcm(*{images[0, i][0] * images[1, j][0] for i, j in self.num})
+        num: dict = {}
+        for (i, j), (c, e) in self.num.items():
+            (dx, xs), (dy, ys) = images[0, i], images[1, j]
+            f = den // (dx * dy)
+            for k, s, t in xs:
                 u, v = f * (c * s - e * t), f * (c * t + e * s)
-                for m2, g, h in ys:
-                    _add(acc, (m1, m2), u * g - v * h, u * h + v * g)
-        return TensorElement._of(alg, from_numerators(acc, dt * scale))
+                for m, g, h in ys:
+                    _add(num, (k, m), u * g - v * h, u * h + v * g)
+        return TensorElement._reduce(alg, self.den * den, num)
 
     def multiply_out(self) -> AlgebraElement:
         """Collapse x (x) y -> x*y."""
         products = monomial_table()
-        ts, d = self.numerators()
-        acc: dict = {}
-        for ((p, r), (s, t)), a, b in ts:
-            m, negated = products[4 * p + r][4 * s + t]
-            if negated:
-                a, b = -a, -b
-            _add(acc, m, a, b)
-        return AlgebraElement._of(self.algebra, from_numerators(acc, d))
+        out = [0] * (2 * DIM)
+        for (i, j), (a, b) in self.num.items():
+            s, negated = products[i][j]
+            out[s] += -a if negated else a
+            out[s + 1] += -b if negated else b
+        return AlgebraElement._reduce(self.algebra, self.den, out)
+
+
+def _add(num: dict, key, u: int, v: int) -> None:
+    """num[key] += u + v*i, for num {key: [A, B]}."""
+    t = num.setdefault(key, [0, 0])
+    t[0] += u
+    t[1] += v
 
 
 @dataclass(frozen=True)
@@ -292,13 +357,11 @@ class QuantumAlgebra:
         self.q = q_root(mode)
         self.q2 = self.q * self.q  # equals -1 in both modes
         self.mu = ONE - (self.q * self.q).inverse()  # 1 - q^-2 = 2 at q = +/-i
-        self.zero = AlgebraElement(self, {})
-        self.one = AlgebraElement(self, {(0, 0): ONE})
-        self.alpha = AlgebraElement(self, {(1, 0): ONE})
-        self.beta = AlgebraElement(self, {(0, 1): ONE})
+        self.zero = AlgebraElement(self)
+        self.one, self.alpha, self.beta = self.monomial(0, 0), self.monomial(1, 0), self.monomial(0, 1)
         # dependent generators, eliminated on input (see module docstring)
-        self.beta_star = AlgebraElement(self, {})
-        self.delta = AlgebraElement(self, {(3, 0): ONE})
+        self.beta_star = AlgebraElement(self)
+        self.delta = self.monomial(3, 0)
         # reference normal form encoded by the printed translation matrix
         self.beta_star_reference = AlgebraElement(
             self, {(1, 3): self.q2, (0, 3): -self.q2}
@@ -311,8 +374,7 @@ class QuantumAlgebra:
     def element(self, coeffs: Mapping[Monomial, GaussianRational]) -> AlgebraElement:
         """The element sum c * a^p b^r; every key must be a normal-form (p, r), 0 <= p, r <= 3."""
         for key in coeffs:
-            if not (type(key) is tuple and len(key) == 2 and all(type(x) is int and 0 <= x <= 3
-                                                                  for x in key)):
+            if not (type(key) is tuple and key in _MONOMIAL_SET and type(key[0]) is type(key[1]) is int):
                 raise ValueError(f"not a normal-form monomial (p, r) with 0 <= p, r <= 3: {key!r}")
         return AlgebraElement(self, coeffs)
 
@@ -320,7 +382,9 @@ class QuantumAlgebra:
         return AlgebraElement(self, {(0, 0): s})
 
     def monomial(self, p: int, r: int) -> AlgebraElement:
-        return AlgebraElement(self, {(p % 4, r % 4): ONE})
+        k, num = 4 * (p % 4) + r % 4, [0] * (2 * DIM)
+        num[2 * k] = 1
+        return AlgebraElement._of(self, 1, num, [(k, 1, 0)])
 
     def from_coords(self, v: Sequence[GaussianRational]) -> AlgebraElement:
         if len(v) != DIM:
@@ -328,8 +392,6 @@ class QuantumAlgebra:
         return AlgebraElement(self, {m: v[monomial_index(m)] for m in basis_monomials()})
 
     def from_json(self, items: Iterable[Mapping[str, str]]) -> AlgebraElement:
-        from .scalars import parse_gaussian
-
         coeffs: dict[Monomial, GaussianRational] = {}
         for item in items:
             name = item["monomial"]
@@ -357,7 +419,9 @@ class QuantumAlgebra:
 
     def coproduct(self, x: AlgebraElement) -> TensorElement:
         """Delta x, read from the per-mode table of the 16 monomial images."""
-        return TensorElement._of(self, _apply_images(coproduct_table(self.mode), x))
+        acc, den = _apply_images(coproduct_table(self.mode), x)
+        return TensorElement._reduce(self, den, {(i, j): [a, b] for i, row in acc.items()
+                                                 for j, a, b in support(row)})
 
     def counit(self, x: AlgebraElement) -> GaussianRational:
         return x.counit()
@@ -372,7 +436,8 @@ class QuantumAlgebra:
 
     def antipode(self, x: AlgebraElement) -> AlgebraElement:
         """Anti-multiplicative extension of the generator values, read from the per-mode table."""
-        return AlgebraElement._of(self, _apply_images(antipode_table(self.mode), x))
+        acc, den = _apply_images(antipode_table(self.mode), x)
+        return AlgebraElement._reduce(self, den, acc.get(0) or [0] * (2 * DIM))
 
     def _antipode_matrices(self) -> tuple[list[list[GaussianRational]], list[list[GaussianRational]]]:
         if self._antipode_matrix is None:
@@ -432,108 +497,85 @@ class QuantumAlgebra:
         }
 
 
-# -- fraction-free accumulation ---------------------------------------------------------
-#
-# Each map brings its inputs to Gaussian-integer numerators over one common
-# denominator (scalars.numerators) and sums plain ints into an accumulator
-# {key: [A, B]}, read as (A + B*i)/d for the d its kernel keeps; only the
-# nonzero output coordinates are then normalised, one gcd each.
+# -- numerator vectors: each map sums plain ints over one denominator --------------------
 
 
-def _add(acc: dict, key, u: int, v: int) -> None:
-    """acc[key] += u + v*i."""
-    t = acc.get(key)
-    if t is None:
-        acc[key] = [u, v]
-    else:
-        t[0] += u
-        t[1] += v
+def support(num: list) -> list[tuple[int, int, int]]:
+    """[(k, A, B)] for each monomial index k whose numerator A + B*i in num is nonzero."""
+    it = iter(num)
+    return [(k, a, b) for k, a, b in zip(range(DIM), it, it) if a or b]
 
 
-def add_products(terms: list, row: tuple, a: int, b: int) -> None:
-    """out[m] += (a + b*i)(c + e*i) for each (out, j, c, e), where m_i m_j = +-m.
-
-    row = monomial_table()[i] for the left monomial m_i, so row[j] = (m, negated).
-    """
-    for out, j, c, e in terms:
-        m, negated = row[j]
-        u, v = a * c - b * e, a * e + b * c
-        if negated:
-            u, v = -u, -v
-        t = out.get(m)
-        if t is None:
-            out[m] = [u, v]
-        else:
-            t[0] += u
-            t[1] += v
-
-
-def _image(alg: "QuantumAlgebra", f: Callable[[AlgebraElement], AlgebraElement] | None,
-           m: Monomial) -> tuple[list, int]:
-    """The numerators and denominator of f(m), for a linear map f (None = identity)."""
-    return ([(m, 1, 0)], 1) if f is None else f(alg.monomial(*m)).numerators()
+def add_products(out: list, xs: Iterable, ys: list) -> None:
+    """out += x * y, for x and y given by their supports xs and ys (see support)."""
+    products = monomial_table()
+    for i, a, b in xs:
+        row = products[i]
+        for j, c, e in ys:
+            s, negated = row[j]
+            if negated:
+                out[s] -= a * c - b * e
+                out[s + 1] -= a * e + b * c
+            else:
+                out[s] += a * c - b * e
+                out[s + 1] += a * e + b * c
 
 
 # -- tables of basis images ------------------------------------------------------------
 
-# one stored copy of each key that the tables hold; it holds only immutable values
-_SHARED: dict = {}
-
 
 def flat_entry(coeffs: Mapping) -> tuple:
-    """{key: coefficient} as one flat table entry (E, key, A, B, key, A, B, ...).
+    """{(key, monomial): coefficient} as one flat table entry (E, key, s, A, B, key, s, A, B, ...).
 
-    Each nonzero coefficient is (A + B*i)/E over the entry's one denominator E.
+    E is the lcm of the denominators, and each nonzero coefficient is (A + B*i)/E,
+    at the slot s = 2k of its monomial index k in the numerator vector of its key.
     """
-    terms, d = numerators({k: c for k, c in coeffs.items() if c})
-    share = _SHARED.setdefault
-    entry = [d]
-    for k, a, b in terms:
-        entry += (share(k, k), a, b)
+    e = lcm(*[c.triple[2] for c in coeffs.values()])
+    entry = [e]
+    for (key, m), c in coeffs.items():
+        a, b, d = c.triple
+        if a or b:
+            entry += (key, 2 * monomial_index(m), a * (e // d), b * (e // d))
     return tuple(entry)
 
 
 def sum_entries(terms: Iterable[tuple]) -> tuple[dict, int]:
     """The sum of (c + e*i) * entry over the (entry, c, e) in terms, with its denominator.
 
-    Returned as an accumulator {key: [A, B]} over the lcm of the entries'
-    denominators E, and that lcm (1 unless an entry has a non-integral coefficient).
+    Returned as {key: numerator vector} over the lcm of the entries' denominators E,
+    and that lcm (1 unless an entry has a non-integral coefficient).
     """
     acc: dict = {}
     scale = 1
     for entry, c, e in terms:
         it = iter(entry)
         d = next(it)
-        if scale % d:
-            # bring what is summed so far over a denominator that d divides
-            f = d // gcd(scale, d)
-            for sums in acc.values():
-                sums[0] *= f
-                sums[1] *= f
-            scale *= f
         if d != scale:
+            if scale % d:
+                # bring what is summed so far over a denominator that d divides
+                f = d // gcd(scale, d)
+                for out in acc.values():
+                    out[:] = [v * f for v in out]
+                scale *= f
             c, e = c * (scale // d), e * (scale // d)
-        for key, s, t in zip(it, it, it):
-            u, v = c * s - e * t, c * t + e * s
-            sums = acc.get(key)
-            if sums is None:
-                acc[key] = [u, v]
-            else:
-                sums[0] += u
-                sums[1] += v
+        for key, k, s, t in zip(it, it, it, it):
+            out = acc.get(key) or acc.setdefault(key, [0] * (2 * DIM))
+            out[k] += c * s - e * t
+            out[k + 1] += c * t + e * s
     return acc, scale
 
 
-def _apply_images(images: tuple, x: AlgebraElement) -> dict:
-    """Coefficients of the linear map whose image of monomial index 4p + r is images[4p + r]."""
-    xs, d = x.numerators()
-    acc, scale = sum_entries([(images[4 * p + r], a, b) for (p, r), a, b in xs])
-    return from_numerators(acc, d * scale)
+def _apply_images(images: tuple, x: AlgebraElement) -> tuple[dict, int]:
+    """The linear map whose image of monomial index k is images[k], on x: sum_entries' result."""
+    acc, scale = sum_entries([(images[k], a, b) for k, a, b in x.nonzero()])
+    return acc, x.den * scale
 
 
 @lru_cache(maxsize=None)
 def coproduct_table(mode: str) -> tuple[tuple, ...]:
-    """Delta(a^p b^r) = Delta(a)^p Delta(b)^r at index 4p + r, as flat entries keyed by (m1, m2).
+    """Delta(a^p b^r) = Delta(a)^p Delta(b)^r at index 4p + r, as flat entries keyed by left index i.
+
+    The slots of key i hold the right legs m_j of the terms m_i (x) m_j.
 
     Built once per q mode on first use; shared, so never mutate it.
     """
@@ -548,13 +590,13 @@ def coproduct_table(mode: str) -> tuple[tuple, ...]:
             term = term * da
         for _ in range(r):
             term = term * db
-        images.append(flat_entry(term.coeffs))
+        images.append(flat_entry({(monomial_index(m1), m2): c for (m1, m2), c in term.coeffs.items()}))
     return tuple(images)
 
 
 @lru_cache(maxsize=None)
 def antipode_table(mode: str) -> tuple[tuple, ...]:
-    """S(a^p b^r) = S(b)^r S(a)^p at index 4p + r, as flat entries keyed by monomial.
+    """S(a^p b^r) = S(b)^r S(a)^p at index 4p + r, as flat entries under the one key 0.
 
     Built once per q mode on first use; shared, so never mutate it.
     """
@@ -568,5 +610,5 @@ def antipode_table(mode: str) -> tuple[tuple, ...]:
             term = term * s_b
         for _ in range(p):
             term = term * s_a
-        images.append(flat_entry(term.coeffs))
+        images.append(flat_entry({(0, m): c for m, c in term.coeffs.items()}))
     return tuple(images)

@@ -23,16 +23,18 @@ The wedge product and d are fixed linear maps for a given exterior algebra.
 Each ExteriorAlgebra tabulates the word products e_w1 m ^ e_w2 and the images
 d(m e_w) of its basis elements, one entry at a time on first use; every
 calculus of a q mode shares one default exterior algebra and so its tables.
+Both maps sum those entries into one numerator vector per output word over
+one denominator, so each coefficient of a result costs one gcd.
 """
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .algebra import (DIM, AlgebraElement, Monomial, QuantumAlgebra, add_products, basis_monomials,
-                      check_mode, flat_entry, monomial_product, monomial_table, sum_entries)
-from .scalars import ZERO, ONE, GaussianRational, from_numerators, numerators, q_root
+                      check_mode, flat_entry, monomial_product, sum_entries, support)
+from .scalars import ZERO, ONE, GaussianRational, q_root
 
 FORMS = ("a", "b", "c", "d")
 # basis 1-form -> its 2x2 matrix unit (row, column), the index pair of the
@@ -83,30 +85,9 @@ def bimodule_table(mode: str) -> dict[tuple[str, Monomial], tuple[tuple[Gaussian
     return table
 
 
-def _form_numerators(x: "DiffForm") -> tuple[list[tuple[WedgeWord, list, int]], int]:
-    """[(word, [(monomial, A, B)], f)] and d, for coefficients (A + B*i) * f / d of a form.
-
-    Each word's coefficients are (A + B*i)/dw over their own lcm dw, d is the
-    lcm of the dw, and f = d // dw lifts a word to d.
-    """
-    by_word = []
-    d = 1
-    for w, f in x.terms.items():
-        terms, dw = f.numerators()
-        by_word.append((w, terms, dw))
-        if d % dw:
-            d = lcm(d, dw)
-    if d == 1:  # every dw is 1, and so is every f
-        return by_word, 1
-    return [(w, terms, d // dw) for w, terms, dw in by_word], d
-
-
-def _slots(table: dict, key) -> list:
-    """The 16 entries of table[key] by monomial index 4p + r, created empty on first use."""
-    slots = table.get(key)
-    if slots is None:
-        slots = table[key] = [None] * DIM
-    return slots
+def _lifted(coords: list, f: int) -> list:
+    """The support coords [(k, A, B)] of a numerator vector, times the integer f."""
+    return coords if f == 1 else [(k, a * f, b * f) for k, a, b in coords]
 
 
 class ExteriorAlgebra:
@@ -171,34 +152,31 @@ class ExteriorAlgebra:
         out = self._memo[word] = {w: c for w, c in out.items() if c}
         return out
 
-    def word_product(self, w1: WedgeWord, m: Monomial, w2: WedgeWord) -> tuple:
-        """e_w1 m ^ e_w2 as a flat table entry keyed by (ordered word, monomial).
+    def word_product(self, w1: WedgeWord, k: int, w2: WedgeWord) -> tuple:
+        """e_w1 m ^ e_w2, for m of monomial index k, as a flat table entry keyed by ordered word.
 
         Filled on first use by moving m past the letters of w1, right to left,
         through the bimodule table, then reducing each word followed by w2.
         Shared, so never mutate it.
         """
-        slots = _slots(self._products, (w1, w2))
-        index = 4 * m[0] + m[1]
-        entry = slots[index]
+        slots = self._products.get((w1, w2)) or self._products.setdefault((w1, w2), [None] * DIM)
+        entry = slots[k]
         if entry is None:
             table = bimodule_table(self.mode)
-            moved: Terms = {((), m): ONE}
+            moved: Terms = {((), (k >> 2, k & 3)): ONE}
             for letter in reversed(w1):
                 nxt: Terms = {}
                 for (tail, m1), c in moved.items():
                     for s, m2, fm in table[(letter, m1)]:
-                        key = ((fm,) + tail, m2)
-                        v = c * s
+                        key, v = ((fm,) + tail, m2), c * s
                         nxt[key] = nxt[key] + v if key in nxt else v
                 moved = nxt
             acc: Terms = {}
             for (w, m1), c in moved.items():
                 for wred, s in self.reduce_word(w + w2).items():
-                    key = (wred, m1)
-                    v = c * s
+                    key, v = (wred, m1), c * s
                     acc[key] = acc[key] + v if key in acc else v
-            entry = slots[index] = flat_entry(acc)
+            entry = slots[k] = flat_entry(acc)
         return entry
 
     def graded_dimensions(self) -> list[int]:
@@ -229,23 +207,32 @@ class ModuleSum:
 
     The linear structure shared by differential forms (algebra coefficients on
     wedge words) and tensor forms (forms on the invariant right leg): zero
-    terms are pruned on construction, equality needs one q mode, and + raises
-    ValueError on mixed modes even when the two sums share no basis key.
+    terms are pruned on construction, equality needs one q mode, and
+    construction and + raise ValueError on mixed modes, even for a zero term
+    or when the two sums share no basis key.
     """
 
     __slots__ = ("calculus", "terms")
 
     def __init__(self, calculus: "Calculus", terms: Mapping | None = None):
         self.calculus = calculus
-        self.terms = {k: x for k, x in terms.items() if x} if terms else {}
+        self.terms = {}
+        for k, x in terms.items() if terms else ():
+            check_mode(calculus, x)
+            if x:
+                self.terms[k] = x
 
     @classmethod
     def _of(cls, calculus: "Calculus", terms: dict):
-        """An instance holding terms itself, which must have no zero term."""
+        """An instance holding terms itself, which must have no zero term and one q mode."""
         out = object.__new__(cls)
         out.calculus = calculus
         out.terms = terms
         return out
+
+    @property
+    def algebra(self) -> QuantumAlgebra:
+        return self.calculus.algebra
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -256,20 +243,25 @@ class ModuleSum:
         return self.calculus.algebra.mode == other.calculus.algebra.mode and self.terms == other.terms
 
     def __add__(self, other):
-        check_mode(self.calculus, other.calculus)
+        check_mode(self, other)
         out = dict(self.terms)
         for k, x in other.terms.items():
             out[k] = out[k] + x if k in out else x
-        return type(self)(self.calculus, out)
+        return self._of(self.calculus, {k: x for k, x in out.items() if x})
 
     def __neg__(self):
-        return type(self)(self.calculus, {k: -x for k, x in self.terms.items()})
+        return self._of(self.calculus, {k: -x for k, x in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, s: GaussianRational):
-        return type(self)(self.calculus, {k: x.scale(s) for k, x in self.terms.items()})
+        return self._of(self.calculus, {k: y for k, x in self.terms.items() if (y := x.scale(s))})
+
+    def left_multiply(self, g: AlgebraElement):
+        """g times each term, from the left."""
+        check_mode(self, g)
+        return self._of(self.calculus, {k: y for k, x in self.terms.items() if (y := x.left_multiply(g))})
 
 
 class DiffForm(ModuleSum):
@@ -281,16 +273,8 @@ class DiffForm(ModuleSum):
         return f"<DiffForm {self}>"
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            mono = "^".join(f"e_{x}" for x in w) if w else "1"
-            bits.append(f"[{self.terms[w]}] {mono}")
-        return "  +  ".join(bits)
-
-    def left_multiply(self, g: AlgebraElement) -> "DiffForm":
-        return DiffForm(self.calculus, {w: g * f for w, f in self.terms.items()})
+        return "  +  ".join(f"[{self.terms[w]}] " + ("^".join(f"e_{x}" for x in w) if w else "1")
+                            for w in sorted(self.terms, key=lambda w: (len(w), w))) or "0"
 
     def degrees(self) -> set[int]:
         return {len(w) for w in self.terms}
@@ -342,40 +326,44 @@ class Calculus:
     # -- wedge product ---------------------------------------------------------------
 
     def wedge(self, x: DiffForm, y: DiffForm) -> DiffForm:
-        check_mode(self, x.calculus)
-        check_mode(self, y.calculus)
-        product = self.exterior.word_product
-        products = monomial_table()
-        ys, dy = _form_numerators(y)
-        # f1 e_w1 ^ y = f1 (e_w1 ^ y) for each word w1 of x, with f1 over its own dw and
-        # e_w1 ^ y over dy * scale, summed into {output word: {monomial: [A, B]}} over dy * d
+        return self.wedge_sum([(x, y)])
+
+    def wedge_sum(self, pairs: Iterable[tuple[DiffForm, DiffForm]]) -> DiffForm:
+        """The sum of x ^ y over the pairs (x, y) of forms, over one denominator."""
+        table, product = self.exterior._products, self.exterior.word_product
+        # f1 e_w1 ^ y = f1 (e_w1 ^ y) for each word w1 of x, with e_w1 ^ y over dy * scale,
+        # summed into {output word: numerator vector} over d
         acc: dict = {}
         d = 1
-        for w1, f1 in x.terms.items():
-            xs, dw = f1.numerators()
-            right, scale = sum_entries([(product(w1, m, w2), c * fy, e * fy)
-                                        for w2, coords, fy in ys for m, c, e in coords])
-            dr = dw * scale
-            if d % dr:
-                # bring what is summed so far over a denominator that dr divides
-                g = dr // gcd(d, dr)
-                for out in acc.values():
-                    for sums in out.values():
-                        sums[0] *= g
-                        sums[1] *= g
-                d *= g
-            f = d // dr
-            right = [(acc.setdefault(w, {}), 4 * p + r, c * f, e * f)
-                     for (w, (p, r)), (c, e) in right.items() if c or e]
-            for (p, r), a, b in xs:
-                add_products(right, products[4 * p + r], a, b)
-        d *= dy
-        alg, form = self.algebra, {}
-        for w, out in acc.items():
-            coeffs = from_numerators(out, d)
-            if coeffs:
-                form[w] = AlgebraElement._of(alg, coeffs)
-        return DiffForm._of(self, form)
+        for x, y in pairs:
+            check_mode(self, x.calculus)
+            check_mode(self, y.calculus)
+            # y's coefficients over the lcm dy of their denominators, as (w2, [(k, A, B)])
+            dy = lcm(*[g.den for g in y.terms.values()])
+            ys = [(w2, _lifted(g.nonzero(), dy // g.den)) for w2, g in y.terms.items()]
+            for w1, f1 in x.terms.items():
+                terms = []
+                for w2, coords in ys:
+                    slots = table.get((w1, w2)) or table.setdefault((w1, w2), [None] * DIM)
+                    terms += [(slots[k] or product(w1, k, w2), a, b) for k, a, b in coords]
+                right, scale = sum_entries(terms)
+                dr = f1.den * scale * dy
+                if d % dr:
+                    # bring what is summed so far over a denominator that dr divides
+                    g = dr // gcd(d, dr)
+                    for out in acc.values():
+                        out[:] = [v * g for v in out]
+                    d *= g
+                xs = _lifted(f1.nonzero(), d // dr)
+                for w, vec in right.items():
+                    add_products(acc.get(w) or acc.setdefault(w, [0] * (2 * DIM)), xs, support(vec))
+        return self._form(acc, d)
+
+    def _form(self, acc: dict, den: int) -> DiffForm:
+        """The form {word: numerator vector / den}, each coefficient normalised by one gcd."""
+        alg = self.algebra
+        return DiffForm._of(self, {w: AlgebraElement._reduce(alg, den, num)
+                                   for w, num in acc.items() if any(num)})
 
     # -- exterior derivative -----------------------------------------------------------
 
@@ -388,38 +376,34 @@ class Calculus:
         """
         check_mode(self, x.calculus)
         images = self.exterior.d_images
-        xs, d = _form_numerators(x)
+        d = lcm(*[g.den for g in x.terms.values()])
         # normalized: the numerator of 1/mu multiplies the inputs, its denominator joins d
         ia, ib, di = self._inverse_mu if normalized else (1, 0, 1)
         terms = []
-        for w, coords, f in xs:
-            slots = _slots(images, w)
-            g, h = ia * f, ib * f
-            for m, a, b in coords:
-                index = 4 * m[0] + m[1]
-                entry = slots[index]
-                if entry is None:
-                    entry = slots[index] = self._d_image(m, w)
-                terms.append((entry, a * g - b * h, a * h + b * g))
+        for w, g in x.terms.items():
+            slots = images.get(w) or images.setdefault(w, [None] * DIM)
+            u, v = ia * (d // g.den), ib * (d // g.den)
+            terms += [(slots[k] or self._d_image(slots, k, w), a * u - b * v, a * v + b * u)
+                      for k, a, b in g.nonzero()]
         acc, scale = sum_entries(terms)
-        by_word: dict[WedgeWord, dict[Monomial, GaussianRational]] = {}
-        for (w, m), c in from_numerators(acc, d * di * scale).items():
-            by_word.setdefault(w, {})[m] = c
-        alg = self.algebra
-        return DiffForm._of(self, {w: AlgebraElement._of(alg, cs) for w, cs in by_word.items()})
+        return self._form(acc, d * di * scale)
 
     @cached_property
     def _inverse_mu(self) -> tuple[int, int, int]:
         """1/mu = (A + B*i)/D as (A, B, D)."""
-        ((_, a, b),), d = numerators({None: self.algebra.mu.inverse()})
-        return a, b, d
+        return self.algebra.mu.inverse().triple
 
-    def _d_image(self, m: Monomial, w: WedgeWord) -> tuple:
-        """The unnormalised d(m e_w) = theta ^ m e_w - sigma(m e_w) ^ theta, as a flat table entry."""
-        basis = DiffForm(self, {w: AlgebraElement(self.algebra, {m: ONE})})
+    def _d_image(self, slots: list, k: int, w: WedgeWord) -> tuple:
+        """The unnormalised d(m e_w) = theta ^ m e_w - sigma(m e_w) ^ theta, for m of index k.
+
+        Stored as a flat table entry at slots[k].
+        """
+        basis = DiffForm(self, {w: self.algebra.monomial(k >> 2, k & 3)})
         sigma = -basis if len(w) % 2 else basis
         image = self.wedge(self.theta(), basis) - self.wedge(sigma, self.theta())
-        return flat_entry({(v, mv): c for v, g in image.terms.items() for mv, c in g.coeffs.items()})
+        coeffs = {(v, mv): c for v, g in image.terms.items() for mv, c in g.coeffs.items()}
+        slots[k] = entry = flat_entry(coeffs)
+        return entry
 
     def partials(self, f: AlgebraElement, normalized: bool = True) -> dict[str, AlgebraElement]:
         """Unique left coefficients of d f on the basis 1-forms."""

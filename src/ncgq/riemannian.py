@@ -23,7 +23,6 @@ from functools import lru_cache
 from typing import Mapping
 
 from . import linalg
-from .algebra import AlgebraElement
 from .calculus import Calculus, DiffForm, FORMS, ModuleSum
 from .constants import (AD_L_PRINTED, AD_R_PRINTED, CONNECTION_UNPRINTED, RHO,
                         TWO_Q, connection_db_candidate, evaluate_ad_table,
@@ -134,8 +133,9 @@ class SpinConnection:
 
     coefficients: dict
     source: str  # "solver" | "reference-table"
-    # (q mode, i) -> the legs of nabla e_i, filled by covariant_derivative_basis
+    # (q mode, i) -> the legs of nabla e_i and of R(e_i), filled on first use
     _nabla: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _riemann: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def form(self, i: str, calculus: Calculus) -> DiffForm:
         alg = calculus.algebra
@@ -253,30 +253,29 @@ class TensorForm(ModuleSum):
 
     __slots__ = ()
 
-    def left_multiply(self, f: AlgebraElement) -> "TensorForm":
-        return TensorForm(self.calculus, {k: x.left_multiply(f) for k, x in self.terms.items()})
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         return "  +  ".join(f"({self.terms[k]}) (x) e_{k}" for k in sorted(self.terms))
 
 
-def covariant_derivative_basis(calculus: Calculus, connection: SpinConnection, i: str) -> TensorForm:
-    """nabla e_i = - sum ad_L(jk|i) A_j (x) e_k, from the operative table.
-
-    Computed once per q mode and connection; each call wraps the legs in its own calculus.
-    """
+def _per_mode(calculus: Calculus, cache: dict, i: str, compute) -> TensorForm:
+    """compute(), kept in cache as plain data under (q mode, i); each call wraps it in its own calculus."""
     key = (calculus.algebra.mode, i)
-    legs = connection._nabla.get(key)
+    legs = cache.get(key)
     if legs is None:
-        ad_left, _ = printed_ad_tables(calculus.algebra.q)
-        forms: dict[str, DiffForm] = {}
-        for (j, k), c in ad_left[i].items():
-            add = connection.form(j, calculus).scale(-c)
-            forms[k] = forms[k] + add if k in forms else add
-        legs = connection._nabla[key] = {k: x.terms for k, x in forms.items() if x}
+        legs = cache[key] = {k: x.terms for k, x in compute().terms.items()}
     return TensorForm(calculus, {k: DiffForm(calculus, terms) for k, terms in legs.items()})
+
+
+def covariant_derivative_basis(calculus: Calculus, connection: SpinConnection, i: str) -> TensorForm:
+    """nabla e_i = - sum ad_L(jk|i) A_j (x) e_k, from the operative table, once per q mode and connection."""
+    def compute() -> TensorForm:
+        out = TensorForm(calculus, {})
+        for (j, k), c in printed_ad_tables(calculus.algebra.q)[0][i].items():
+            out = out + TensorForm(calculus, {k: connection.form(j, calculus).scale(-c)})
+        return out
+    return _per_mode(calculus, connection._nabla, i, compute)
 
 
 def covariant_derivative(calculus: Calculus, connection: SpinConnection, x: DiffForm) -> TensorForm:
@@ -285,26 +284,25 @@ def covariant_derivative(calculus: Calculus, connection: SpinConnection, x: Diff
     for w, f in x.terms.items():
         if len(w) != 1:
             raise ValueError("covariant derivative is defined on 1-forms")
-        i = w[0]
         df = calculus.exterior_d(calculus.from_function(f), normalized=True)
-        out = out + TensorForm(calculus, {i: df})
-        out = out + covariant_derivative_basis(calculus, connection, i).left_multiply(f)
+        out = out + TensorForm(calculus, {w[0]: df})
+        out = out + covariant_derivative_basis(calculus, connection, w[0]).left_multiply(f)
     return out
 
 
 def riemann_of_tensor(calculus: Calculus, connection: SpinConnection, t: TensorForm) -> TensorForm:
     """(id ^ nabla - d (x) id) applied to an element of Omega^1 (x) Lambda^1."""
-    legs: dict[str, DiffForm] = {}
-
-    def add(k: str, x: DiffForm) -> None:
-        legs[k] = legs[k] + x if k in legs else x
-
+    # id ^ nabla on the invariant right leg: the wedges onto each leg m, summed at once, with
+    # the legs in the order of their first term
+    wedges: dict[str, list] = {}
     for k, x in t.terms.items():
-        # id ^ nabla on the invariant right leg
         for m, leg in covariant_derivative_basis(calculus, connection, k).terms.items():
-            add(m, calculus.wedge(x, leg))
-        # - d (x) id
-        add(k, -calculus.exterior_d(x, normalized=True))
+            wedges.setdefault(m, []).append((x, leg))
+        wedges.setdefault(k, [])
+    legs = {m: calculus.wedge_sum(pairs) for m, pairs in wedges.items()}
+    # - d (x) id
+    for k, x in t.terms.items():
+        legs[k] = legs[k] - calculus.exterior_d(x, normalized=True)
     return TensorForm(calculus, legs)
 
 
@@ -313,8 +311,9 @@ def riemann(calculus: Calculus, connection: SpinConnection, x: DiffForm) -> Tens
 
 
 def riemann_basis(calculus: Calculus, connection: SpinConnection, i: str) -> TensorForm:
-    return riemann_of_tensor(calculus, connection,
-                             covariant_derivative_basis(calculus, connection, i))
+    """R(e_i), once per q mode and connection."""
+    return _per_mode(calculus, connection._riemann, i, lambda: riemann_of_tensor(
+        calculus, connection, covariant_derivative_basis(calculus, connection, i)))
 
 
 # -- regularity ------------------------------------------------------------------------

@@ -7,21 +7,17 @@ exactly at any non-pole point.  No floating point enters until the spectral
 layer converts finished matrices.
 
 A GaussianRational is normalised when it is made: each arithmetic operation
-costs one gcd unless its result is a Gaussian integer.  The linear and
-bilinear maps of the algebra and the calculus (the products, the coproduct,
-the antipode, the wedge and d) do not go through these operations term by
-term.  They bring their inputs to Gaussian-integer numerators over one
-common denominator with :func:`numerators`, accumulate plain ints, and
-normalise once per nonzero output coordinate with :func:`from_numerators`.
+costs one gcd unless its result is a Gaussian integer.  Algebra elements hold
+no GaussianRationals but one denominator over Gaussian-integer numerators
+(see :mod:`ncgq.algebra`); .triple and :func:`gaussian` convert at the edges.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Hashable, Iterable, Mapping, Sequence, TypeVar, Union
+from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, Fraction, str]
-K = TypeVar("K", bound=Hashable)
 
 
 class ScalarError(ArithmeticError):
@@ -60,12 +56,15 @@ class GaussianRational:
         if type(re) is int and type(im) is int:
             self._a, self._b, self._d = re, im, 1
             return
-        re, im = _frac(re), _frac(im)
+        (an, ad), (bn, bd) = _frac(re).as_integer_ratio(), _frac(im).as_integer_ratio()
         # the lcm of two lowest-terms denominators leaves gcd(a, b, d) = 1
-        d = lcm(re.denominator, im.denominator)
-        self._a = re.numerator * (d // re.denominator)
-        self._b = im.numerator * (d // im.denominator)
-        self._d = d
+        d = lcm(ad, bd)
+        self._a, self._b, self._d = an * (d // ad), bn * (d // bd), d
+
+    @property
+    def triple(self) -> tuple[int, int, int]:
+        """(a, b, d) with self = (a + b*i)/d in normal form: d > 0 and gcd(a, b, d) = 1."""
+        return self._a, self._b, self._d
 
     @property
     def re(self) -> Fraction:
@@ -110,8 +109,8 @@ class GaussianRational:
         if d == od:
             if d == 1:
                 return _triple(self._a + other._a, self._b + other._b, 1)
-            return _reduced(self._a + other._a, self._b + other._b, d)
-        return _reduced(self._a * od + other._a * d, self._b * od + other._b * d, d * od)
+            return gaussian(self._a + other._a, self._b + other._b, d)
+        return gaussian(self._a * od + other._a * d, self._b * od + other._b * d, d * od)
 
     __radd__ = __add__
 
@@ -127,8 +126,8 @@ class GaussianRational:
         if d == od:
             if d == 1:
                 return _triple(self._a - other._a, self._b - other._b, 1)
-            return _reduced(self._a - other._a, self._b - other._b, d)
-        return _reduced(self._a * od - other._a * d, self._b * od - other._b * d, d * od)
+            return gaussian(self._a - other._a, self._b - other._b, d)
+        return gaussian(self._a * od - other._a * d, self._b * od - other._b * d, d * od)
 
     def __rsub__(self, other) -> "GaussianRational":
         other = _coerce(other)
@@ -145,7 +144,7 @@ class GaussianRational:
         d = self._d * other._d
         if d == 1:
             return _triple(a * c - b * e, a * e + b * c, 1)
-        return _reduced(a * c - b * e, a * e + b * c, d)
+        return gaussian(a * c - b * e, a * e + b * c, d)
 
     __rmul__ = __mul__
 
@@ -154,7 +153,7 @@ class GaussianRational:
         n = a * a + b * b
         if not n:
             raise DegenerateDenominator("inverse of exact zero")
-        return _reduced(a * d, -b * d, n)
+        return gaussian(a * d, -b * d, n)
 
     def __truediv__(self, other) -> "GaussianRational":
         other = _coerce(other)
@@ -198,44 +197,18 @@ _new = object.__new__
 def _triple(a: int, b: int, d: int) -> GaussianRational:
     """A value from a triple already in normal form, without a gcd."""
     z = _new(GaussianRational)
-    z._a = a
-    z._b = b
-    z._d = d
+    z._a, z._b, z._d = a, b, d
     return z
 
 
-def _reduced(a: int, b: int, d: int) -> GaussianRational:
-    """A value from any triple with d != 0, brought to normal form."""
+def gaussian(a: int, b: int, d: int) -> GaussianRational:
+    """The value (a + b*i)/d for any integers with d != 0, brought to normal form."""
     if d < 0:
         a, b, d = -a, -b, -d
     g = gcd(a, b, d)
     if g != 1:
         a, b, d = a // g, b // g, d // g
     return _triple(a, b, d)
-
-
-def numerators(coeffs: Mapping[K, GaussianRational]) -> tuple[list[tuple[K, int, int]], int]:
-    """The terms of {key: c} as [(key, A, B)] over one d, the lcm of the denominators.
-
-    Each coefficient is c = (A + B*i)/d.
-    """
-    d = 1
-    for c in coeffs.values():
-        if c._d != 1:
-            d = lcm(d, c._d)
-    if d == 1:
-        return [(k, c._a, c._b) for k, c in coeffs.items()], 1
-    return [(k, c._a * (d // c._d), c._b * (d // c._d)) for k, c in coeffs.items()], d
-
-
-def from_numerators(acc: Mapping[K, Sequence[int]], d: int) -> dict[K, GaussianRational]:
-    """{key: (A + B*i)/d} in normal form for each key: (A, B) of acc with A or B nonzero; d > 0.
-
-    The inverse of :func:`numerators`, at one gcd per nonzero coordinate.
-    """
-    if d == 1:
-        return {k: _triple(a, b, 1) for k, (a, b) in acc.items() if a or b}
-    return {k: _reduced(a, b, d) for k, (a, b) in acc.items() if a or b}
 
 
 def _coerce(x) -> GaussianRational | None:

@@ -308,6 +308,31 @@ class TestModeChecks:
             with pytest.raises(ValueError, match="mixed q modes"):
                 lhs - rhs
 
+    def test_diff_form_rejects_a_coefficient_of_another_mode(self, pair):
+        cal_i, cal_mi = pair
+        for coeff in (cal_mi.algebra.beta, cal_mi.algebra.zero):
+            with pytest.raises(ValueError, match="mixed q modes"):
+                DiffForm(cal_i, {("a",): coeff})
+        with pytest.raises(ValueError, match="mixed q modes"):
+            DiffForm(cal_i, {("a",): cal_i.algebra.beta, ("b",): cal_mi.algebra.alpha})
+
+    def test_basis_form_rejects_a_coefficient_of_another_mode(self, pair):
+        cal_i, cal_mi = pair
+        with pytest.raises(ValueError, match="mixed q modes"):
+            cal_i.basis_form("a", cal_mi.algebra.beta)
+        assert cal_i.basis_form("a", cal_i.algebra.beta).terms == {("a",): cal_i.algebra.beta}
+
+    def test_from_function_rejects_a_function_of_another_mode(self, pair):
+        cal_i, cal_mi = pair
+        with pytest.raises(ValueError, match="mixed q modes"):
+            cal_i.from_function(cal_mi.algebra.beta)
+
+    def test_left_multiply_rejects_a_function_of_another_mode(self, pair):
+        cal_i, cal_mi = pair
+        for x in (cal_i.basis_form("a"), cal_i.zero()):
+            with pytest.raises(ValueError, match="mixed q modes"):
+                x.left_multiply(cal_mi.algebra.beta)
+
     def test_equality_needs_one_mode(self, pair):
         cal_i, cal_mi = pair
         assert cal_i.basis_form("a").terms.keys() == cal_mi.basis_form("a").terms.keys()

@@ -1,0 +1,80 @@
+"""Galois equivariance: each value at q = -i is the complex conjugate of the same value at q = i.
+
+sigma, complex conjugation on Q(i), swaps the two roots.  Every structure
+constant of the algebra and the calculus is a polynomial in q with rational
+coefficients, so sigma carries each map at q = i onto the same map at q = -i,
+coefficient by coefficient.  These tests check that exactly, on basis
+elements and through the public maps only (never the tables behind them), so
+code that writes i where it means q, or hard-codes a root, fails here.
+"""
+import itertools
+
+import pytest
+
+from ncgq.algebra import QuantumAlgebra, TensorElement, basis_monomials
+from ncgq.calculus import Calculus, DiffForm, FORMS
+
+ORDERED_WORDS = [w for n in range(5) for w in itertools.combinations(FORMS, n)]
+ALG = {mode: QuantumAlgebra(mode) for mode in ("i", "-i")}
+CAL = {mode: Calculus(alg) for mode, alg in ALG.items()}
+
+
+def sigma(x):
+    """The conjugate at q = -i of an algebra element, tensor or form at q = i."""
+    if isinstance(x, DiffForm):
+        return DiffForm(CAL["-i"], {w: sigma(f) for w, f in x.terms.items()})
+    cls = type(x)
+    return cls(ALG["-i"], {k: c.conjugate() for k, c in x.coeffs.items()})
+
+
+def both(make):
+    """make(calculus) at q = i and at q = -i."""
+    return make(CAL["i"]), make(CAL["-i"])
+
+
+def test_sigma_maps_the_roots_onto_each_other():
+    assert ALG["-i"].q == ALG["i"].q.conjugate()
+    x = ALG["i"].alpha + ALG["i"].beta.scale(ALG["i"].q)
+    assert sigma(x) == ALG["-i"].alpha + ALG["-i"].beta.scale(ALG["-i"].q)
+    assert isinstance(sigma(ALG["i"].coproduct(x)), TensorElement)
+
+
+def test_commute_past_on_every_form_and_monomial():
+    cases = 0
+    for form in FORMS:
+        for p, r in basis_monomials():
+            at_i, at_mi = both(lambda cal: cal.commute_past(form, cal.algebra.monomial(p, r)))
+            assert at_mi == sigma(at_i)
+            cases += 1
+    assert cases == 64
+
+
+def test_coproduct_and_antipode_on_every_monomial():
+    for p, r in basis_monomials():
+        x_i, x_mi = ALG["i"].monomial(p, r), ALG["-i"].monomial(p, r)
+        assert ALG["-i"].coproduct(x_mi) == sigma(ALG["i"].coproduct(x_i))
+        assert ALG["-i"].antipode(x_mi) == sigma(ALG["i"].antipode(x_i))
+
+
+def test_wedge_on_every_word_product():
+    # e_w1 m ^ e_w2 = e_w1 ^ (m e_w2), for every pair of ordered words and every monomial
+    cases = 0
+    for w1, w2 in itertools.product(ORDERED_WORDS, repeat=2):
+        for p, r in basis_monomials():
+            at_i, at_mi = both(lambda cal: cal.wedge(DiffForm(cal, {w1: cal.algebra.one}),
+                                                     DiffForm(cal, {w2: cal.algebra.monomial(p, r)})))
+            assert at_mi == sigma(at_i)
+            cases += 1
+    assert cases == 4096
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+def test_exterior_d_on_every_basis_element(normalized):
+    cases = 0
+    for w in ORDERED_WORDS:
+        for p, r in basis_monomials():
+            at_i, at_mi = both(lambda cal: cal.exterior_d(
+                DiffForm(cal, {w: cal.algebra.monomial(p, r)}), normalized))
+            assert at_mi == sigma(at_i)
+            cases += 1
+    assert cases == 256

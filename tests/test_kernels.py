@@ -1,8 +1,9 @@
 """The fraction-free maps against their term-by-term GaussianRational oracles.
 
-Every map of the algebra and the calculus accumulates Gaussian-integer
-numerators over one common denominator and normalises once per output
-coordinate.  These tests hold each map to the oracles of
+Every element is one denominator over Gaussian-integer numerators, and every
+map of the algebra and the calculus accumulates those numerators over one
+common denominator and normalises its result by one gcd per element.  These
+tests check that each result is canonical, and hold each map to the oracles of
 tests/test_table_oracles.py, at both roots, on the inputs where that can go
 wrong: 6- to 7-digit denominators, denominators that share factors (so their
 lcm is not their product), results that cancel to Gaussian integers or to
@@ -10,6 +11,7 @@ exact zero, and an exterior algebra whose pair rule has a non-integral
 coefficient, so that its table entries carry a denominator of their own.
 """
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -68,12 +70,30 @@ def tensor(alg: QuantumAlgebra, rng: random.Random, scalar) -> TensorElement:
 
 
 def assert_pruned(x) -> None:
-    """No stored zero: every coefficient (and every form coefficient) is nonzero."""
-    for c in getattr(x, "coeffs", {}).values():
-        assert c
+    """No stored zero, and canonical (den, num): in a form, each coefficient is nonzero."""
     for f in getattr(x, "terms", {}).values():
         assert f
         assert_pruned(f)
+    if hasattr(x, "num"):
+        assert_canonical(x)
+
+
+def assert_canonical(x) -> None:
+    """den > 0 and gcd(den, *num) == 1, zero is den == 1, and .coeffs is num / den coordinatewise."""
+    if isinstance(x, TensorElement):
+        values = [v for ab in x.num.values() for v in ab]
+        assert all(a or b for a, b in x.num.values())
+        assert x.coeffs == {(basis_monomials()[i], basis_monomials()[j]): GaussianRational(
+            Fraction(a, x.den), Fraction(b, x.den)) for (i, j), (a, b) in x.num.items()}
+    else:
+        values = x.num
+        assert len(values) == 32
+        assert x.coeffs == {m: GaussianRational(Fraction(values[2 * k], x.den),
+                                                Fraction(values[2 * k + 1], x.den))
+                            for k, m in enumerate(basis_monomials()) if values[2 * k] or values[2 * k + 1]}
+    assert x.den > 0 and math.gcd(x.den, *values) == 1
+    if not any(values):
+        assert x.den == 1 and not x
 
 
 def test_monomial_table_is_monomial_product():
@@ -81,7 +101,8 @@ def test_monomial_table_is_monomial_product():
     cases = 0
     for (i, m1), (j, m2) in itertools.product(enumerate(basis_monomials()), repeat=2):
         assert i == 4 * m1[0] + m1[1] and j == 4 * m2[0] + m2[1]
-        assert table[i][j] == monomial_product(m1, m2)
+        m, negated = monomial_product(m1, m2)
+        assert table[i][j] == (2 * (4 * m[0] + m[1]), negated)
         cases += 1
     assert cases == 256
 
@@ -189,3 +210,46 @@ def test_non_integral_pair_rule_stays_exact(cal):
     entries = [entry for slots in swapped.exterior._products.values() for entry in slots if entry]
     entries += [entry for slots in swapped.exterior.d_images.values() for entry in slots if entry]
     assert any(entry[0] != 1 for entry in entries)
+
+
+def test_equal_values_are_equal_and_hash_alike(cal):
+    # the same value reached by different paths has one (den, num), so == and hash agree
+    alg = cal.algebra
+    rng = random.Random(83)
+    for kind in sorted(SCALARS):
+        for _ in range(10):
+            x, y, z = (element(alg, rng, SCALARS[kind], rng.randint(1, 16)) for _ in range(3))
+            for a, b in (((x * y) * z, x * (y * z)), (x + y - y, x), ((x - x) * y, alg.zero),
+                         (x.scale(GaussianRational(Fraction(7, 3))).scale(GaussianRational(Fraction(3, 7))), x)):
+                assert a == b and hash(a) == hash(b) and a.den == b.den and a.num == b.num
+                assert_canonical(a)
+                assert_canonical(b)
+            u, v = form(cal, rng, SCALARS[kind]), form(cal, rng, SCALARS[kind])
+            assert cal.wedge(cal.wedge(u, v), u) == cal.wedge(u, cal.wedge(v, u))
+            assert cal.wedge(u, v) + u - u == cal.wedge(u, v)
+
+
+def test_coeffs_view_matches_the_oracles_coordinatewise(cal):
+    # .coeffs of each result equals the per-coordinate GaussianRationals of its oracle
+    alg = cal.algebra
+    rng = random.Random(89)
+    for _ in range(10):
+        x = element(alg, rng, shared_denominators, rng.randint(1, 16))
+        y = element(alg, rng, large_denominators, rng.randint(1, 16))
+        s = tensor(alg, rng, shared_denominators)
+        for got, want in ((x * y, oracle_mul(x, y)), (alg.coproduct(x), oracle_coproduct(alg, x)),
+                          (s.multiply_out(), oracle_multiply_out(s)), (alg.antipode(y), oracle_antipode(alg, y))):
+            assert got.coeffs == want.coeffs
+            assert_canonical(got)
+        u = form(cal, rng, large_denominators)
+        for w, f in cal.exterior_d(u).terms.items():
+            assert f.coeffs == oracle_d(cal, u, True).terms[w].coeffs
+            assert_canonical(f)
+
+
+def test_mixed_modes_do_not_compare_or_combine():
+    x, y = QuantumAlgebra("i").alpha, QuantumAlgebra("-i").alpha
+    assert (x.den, x.num) == (y.den, y.num) and x != y and x.coeffs == y.coeffs
+    for op in (lambda: x + y, lambda: x * y, lambda: TensorElement.pure(x, x) + TensorElement.pure(y, y)):
+        with pytest.raises(ValueError, match="mixed q modes"):
+            op()

@@ -13,7 +13,7 @@ from ncgq.riemannian import (DB_DENOMINATOR_CONSTANT, ConnectionAssembler, Metri
                              covariant_derivative, covariant_derivative_basis,
                              printed_ad_tables, reference_connection,
                              regularity_check, riemann, riemann_basis,
-                             solve_connection)
+                             riemann_of_tensor, solve_connection)
 from ncgq.scalars import GaussianRational, ONE, ZERO
 
 random.seed(20260810)
@@ -226,6 +226,35 @@ class TestCovariantDerivativeAndCurvature:
                 got = covariant_derivative_basis(c, conn, i)
                 assert got == want
                 assert got.calculus is c and all(leg.calculus is c for leg in got.terms.values())
+
+    def test_riemann_basis_is_computed_once_per_mode(self, cal, monkeypatch):
+        # R(e_i) comes from riemann_of_tensor once per mode and connection; riemann(f e_i)
+        # still goes through covariant_derivative and riemann_of_tensor on every call
+        import ncgq.riemannian as riemannian
+        conn = reference_connection(cal)
+        want = {i: riemann_of_tensor(cal, conn, covariant_derivative_basis(cal, conn, i)) for i in FORMS}
+        calls = []
+        original = riemannian.riemann_of_tensor
+        monkeypatch.setattr(riemannian, "riemann_of_tensor",
+                            lambda *args: calls.append(args[2]) or original(*args))
+        fresh = Calculus(QuantumAlgebra(cal.algebra.mode))
+        for c in (cal, fresh, cal):
+            for i in FORMS:
+                got = riemann_basis(c, conn, i)
+                assert got == want[i]
+                assert got.calculus is c and all(leg.calculus is c for leg in got.terms.values())
+        assert len(calls) == len(FORMS)
+        f = cal.algebra.alpha + cal.algebra.beta
+        for _ in range(2):
+            assert riemann(cal, conn, DiffForm(cal, {("a",): f})) == riemann_basis(cal, conn, "a").left_multiply(f)
+        assert len(calls) == len(FORMS) + 2
+
+    def test_tensor_form_rejects_a_leg_of_another_mode(self):
+        cal_i, cal_mi = Calculus(QuantumAlgebra("i")), Calculus(QuantumAlgebra("-i"))
+        with pytest.raises(ValueError, match="mixed q modes"):
+            TensorForm(cal_i, {"a": cal_mi.basis_form("a")})
+        with pytest.raises(ValueError, match="mixed q modes"):
+            TensorForm(cal_i, {"a": cal_i.basis_form("b"), "b": cal_mi.zero()})
 
     def test_tensor_sum_rejects_mixed_modes_on_disjoint_legs(self):
         cal_i, cal_mi = Calculus(QuantumAlgebra("i")), Calculus(QuantumAlgebra("-i"))

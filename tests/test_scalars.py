@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncgq.algebra import AlgebraElement, QuantumAlgebra, TensorElement, basis_monomials
 from ncgq.constants import CONNECTION_PRINTED, LAMBDA_C, MU, RHO, TWO_Q2
 from ncgq.scalars import (
     DegenerateDenominator,
@@ -13,14 +14,14 @@ from ncgq.scalars import (
     PolyQ,
     RationalFunctionQ,
     format_gaussian,
-    from_numerators,
-    numerators,
     parse_gaussian,
     q_root,
     rf,
 )
 
 I = q_root("i")
+ALG = QuantumAlgebra("i")
+MONOMIALS = basis_monomials()
 
 
 def gr(re, im=0):
@@ -110,6 +111,12 @@ def _triple(z):
     return z._a, z._b, z._d
 
 
+def _assert_canonical(den, num):
+    assert den > 0 and gcd(den, *num) == 1
+    if not any(num):
+        assert den == 1
+
+
 def _assert_normal(z):
     a, b, d = _triple(z)
     assert d > 0 and gcd(a, b, d) == 1
@@ -183,7 +190,12 @@ class TestTripleAgainstFractionPairs:
 
 
 class TestNumeratorHelpers:
-    """numerators and from_numerators, the two ends of every fraction-free map."""
+    """The two ends of every algebra map: {key: GaussianRational} to (den, num) and back.
+
+    An element's constructor brings its coefficients over one denominator, its
+    .coeffs view reads them back, and _reduce brings any (den, num) to the
+    canonical form gcd(den, *num) == 1.
+    """
 
     # a coefficient as (re numerator, re denominator, im numerator, im denominator): small
     # integers, zero, or 6- to 7-digit denominators, drawn as integers
@@ -191,38 +203,51 @@ class TestNumeratorHelpers:
                               st.integers(-9, 9), st.integers(1, 10**7)), max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, drawn):
-        coeffs = {k: GaussianRational(Fraction(a, b), Fraction(c, e))
+        coeffs = {MONOMIALS[k]: GaussianRational(Fraction(a, b), Fraction(c, e))
                   for k, (a, b, c, e) in enumerate(drawn)}
-        terms, d = numerators(coeffs)
-        assert d > 0 and d == lcm(*(c._d for c in coeffs.values()))
-        assert [k for k, _, _ in terms] == list(coeffs)
-        for k, a, b in terms:
-            assert (Fraction(a, d), Fraction(b, d)) == (coeffs[k].re, coeffs[k].im)
-        back = from_numerators({k: (a, b) for k, a, b in terms}, d)
-        assert back == {k: c for k, c in coeffs.items() if c}
-        for c in back.values():
+        x = AlgebraElement(ALG, coeffs)
+        assert x.den == lcm(*(_triple(c)[2] for c in coeffs.values()))
+        _assert_canonical(x.den, x.num)
+        for (p, r), c in coeffs.items():
+            k = 4 * p + r
+            assert (Fraction(x.num[2 * k], x.den), Fraction(x.num[2 * k + 1], x.den)) == (c.re, c.im)
+        assert x.coeffs == {m: c for m, c in coeffs.items() if c}
+        for c in x.coeffs.values():
             _assert_normal(c)
+        # the same coefficients on the pairs (m, m^-1) of a tensor
+        pairs = {(m, ((-m[0]) % 4, (-m[1]) % 4)): c for m, c in coeffs.items()}
+        t = TensorElement(ALG, pairs)
+        assert t.den == x.den and t.coeffs == {k: c for k, c in pairs.items() if c}
+        _assert_canonical(t.den, [v for row in t.num.values() for v in row])
 
-    @given(st.dictionaries(st.integers(0, 30), st.tuples(st.integers(-10**8, 10**8),
+    @given(st.dictionaries(st.integers(0, 15), st.tuples(st.integers(-10**8, 10**8),
                                                          st.integers(-10**8, 10**8)), max_size=8),
            st.integers(1, 10**7), st.integers(1, 10**4))
     @settings(max_examples=200, deadline=None)
     def test_one_normal_form_per_coordinate(self, acc, d, g):
-        # numerators scaled by any common factor g give the same coefficients, zeros dropped
-        out = from_numerators(acc, d)
-        assert out == from_numerators({k: (a * g, b * g) for k, (a, b) in acc.items()}, d * g)
-        assert sorted(out) == sorted(k for k, (a, b) in acc.items() if a or b)
-        for k, z in out.items():
+        # numerators scaled by any common factor g give the same element, zeros dropped
+        num = [0] * 32
+        for k, (a, b) in acc.items():
+            num[2 * k], num[2 * k + 1] = a, b
+        out = AlgebraElement._reduce(ALG, d, num)
+        assert out == AlgebraElement._reduce(ALG, d * g, [v * g for v in num])
+        _assert_canonical(out.den, out.num)
+        coeffs = out.coeffs
+        assert sorted(coeffs) == sorted(MONOMIALS[k] for k, (a, b) in acc.items() if a or b)
+        for (p, r), z in coeffs.items():
             _assert_normal(z)
-            assert (z.re, z.im) == (Fraction(acc[k][0], d), Fraction(acc[k][1], d))
+            a, b = acc[4 * p + r]
+            assert (z.re, z.im) == (Fraction(a, d), Fraction(b, d))
 
     def test_examples(self):
-        coeffs = {"x": GaussianRational("1/6", "1/4"), "y": GaussianRational(2, -1), "z": gr(0)}
-        assert numerators(coeffs) == ([("x", 2, 3), ("y", 24, -12), ("z", 0, 0)], 12)
-        assert numerators({}) == ([], 1)
-        assert from_numerators({"x": (2, 3), "y": (24, -12), "z": (0, 0)}, 12) == {
-            "x": GaussianRational("1/6", "1/4"), "y": GaussianRational(2, -1)}
-        assert _triple(from_numerators({"x": (-6, 4)}, 10)["x"]) == (-3, 2, 5)
+        coeffs = {(0, 1): GaussianRational("1/6", "1/4"), (0, 2): GaussianRational(2, -1), (0, 3): gr(0)}
+        x = AlgebraElement(ALG, coeffs)
+        assert (x.den, x.num) == (12, [0, 0, 2, 3, 24, -12] + [0] * 26)
+        assert (ALG.zero.den, ALG.zero.num) == (1, [0] * 32) == ((x - x).den, (x - x).num)
+        assert x.coeffs == {(0, 1): GaussianRational("1/6", "1/4"), (0, 2): GaussianRational(2, -1)}
+        y = AlgebraElement._reduce(ALG, 10, [-6, 4] + [0] * 30)
+        assert (y.den, y.num[:2]) == (5, [-3, 2])
+        assert _triple(y.coeffs[(0, 0)]) == (-3, 2, 5)
 
 
 class TestRationalFunctionQ:
