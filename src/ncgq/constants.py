@@ -1,4 +1,4 @@
-"""Closed-form reference constants and tables, stored as exact rational functions in q.
+"""Closed-form reference constants and tables: rational functions in q, as printed.
 
 Everything here transcribes the published reference tables that the engine
 reproduces and audits: the braided-Lie structure constants, the metric
@@ -12,10 +12,14 @@ j-component of the connection form attached to basis 1-form i, i.e. A_i^j.
 """
 from __future__ import annotations
 
-from .scalars import GaussianRational, RationalFunctionQ, rf
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
-Q = RationalFunctionQ.q()
-ONE_RF = RationalFunctionQ.constant(1)
+from .scalars import ZERO, GaussianRational, RationalFunctionQ, rf
+
+Q = rf([0, 1])
+ONE_RF = rf([1])
 
 # deformation scalar 1 - q^-2 = (q^2 - 1)/q^2
 MU = rf([-1, 0, 1], [0, 0, 1])
@@ -42,11 +46,11 @@ QINV = rf([1], [0, 1])
 
 Q2_OVER_2Q = Q2 / TWO_Q
 Q_OVER_2Q = Q / TWO_Q
-QP1INV_OVER_2Q = (ONE_RF + QINV) / TWO_Q  # reduces to 1/q
+QP1INV_OVER_2Q = (ONE_RF + QINV) / TWO_Q  # equals 1/q
 
 
 # -- spin connection table -------------------------------------------------------
-# A_i^j keyed ("i","j"); entries are reduced rational functions in q.
+# A_i^j keyed ("i","j"); entries are rational functions in q, as printed, unreduced.
 # The ("d","b") entry's printed denominator is typographically corrupted; it is
 # carried separately with the readable digits and excluded from comparisons.
 
@@ -92,7 +96,7 @@ def _table(rows) -> AdTable:
     for i, entries in rows.items():
         acc: dict[tuple[str, str], RationalFunctionQ] = {}
         for j, k, c in entries:
-            acc[(j, k)] = acc.get((j, k), RationalFunctionQ.constant(0)) + c
+            acc[(j, k)] = acc.get((j, k), rf([0])) + c
         out[i] = {key: val for key, val in acc.items() if val}
     return out
 
@@ -174,10 +178,12 @@ ASLASH_MATRIX_PRINTED: dict[tuple[int, int], list[tuple[str, str, RationalFuncti
 }
 
 
-def evaluate_connection_printed(q0: GaussianRational) -> dict[tuple[str, str], GaussianRational]:
-    """All parseable reference connection entries at q = q0 (proof zeros included)."""
+@lru_cache(maxsize=None)
+def evaluate_connection_printed(q0: GaussianRational) -> Mapping[tuple[str, str], GaussianRational]:
+    """All parseable reference connection entries at q = q0 (proof zeros included), once per q0.
+
+    The mapping is shared and read-only: a caller that adds entries copies it first.
+    """
     out = {key: c.evaluate_at(q0) for key, c in CONNECTION_PRINTED.items()}
-    zero = GaussianRational(0, 0)
-    for key in CONNECTION_PROOF_ZEROS:
-        out[key] = zero
-    return out
+    out.update(dict.fromkeys(CONNECTION_PROOF_ZEROS, ZERO))
+    return MappingProxyType(out)

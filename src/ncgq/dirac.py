@@ -22,7 +22,7 @@ import numpy as np
 from .algebra import TranslationMatrix
 from .calculus import MATRIX_UNITS, Calculus, FORMS
 from .constants import (ASLASH_GENERATOR_VALUES, ASLASH_MATRIX_PRINTED,
-                        F_DIAG, Q_OVER_2Q, Q2_OVER_2Q)
+                        F_DIAG, Q_OVER_2Q, Q2_OVER_2Q, evaluate_connection_printed)
 from .fixtures import printed_spectrum, printed_translation_matrices, reconstructed_offdiagonal_scalars
 from .riemannian import SpinConnection
 from .scalars import GaussianRational, ZERO, q_root
@@ -113,14 +113,12 @@ def diagonal_scalars(mode: str) -> dict[str, GaussianRational]:
     s11 = -f A_d^a + A_a^a + q^2 A_b^b,  s22 = -(q^2/[2]_q) A_a^d
           + (q/[2]_q) A_d^d + q^2 A_c^c; both confirmed by the printed spectra.
     """
-    from .constants import CONNECTION_PRINTED
-
     q = q_root(mode)
     q2 = q * q
     f = F_DIAG.evaluate_at(q)
     w1 = Q2_OVER_2Q.evaluate_at(q)
     w2 = Q_OVER_2Q.evaluate_at(q)
-    A = {k: v.evaluate_at(q) for k, v in CONNECTION_PRINTED.items()}
+    A = evaluate_connection_printed(q)
     s11 = -(f * A[("d", "a")]) + A[("a", "a")] + q2 * A[("b", "b")]
     s22 = -(w1 * A[("a", "d")]) + w2 * A[("d", "d")] + q2 * A[("c", "c")]
     return {"s11": s11, "s22": s22}

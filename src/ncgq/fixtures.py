@@ -14,7 +14,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .algebra import TranslationMatrix
-from .scalars import GaussianRational, PolyQ
+from .scalars import ONE, ZERO, GaussianRational
 
 
 def fixture_dir() -> Path:
@@ -28,12 +28,12 @@ class FixtureError(ValueError):
     """A fixture file that is missing, not JSON, or not of its expected shape."""
 
 
-# fixture entries are tiny polynomials in q
+# the four entries a fixture matrix may hold, as functions of q
 ENTRY_SYMBOLS = {
-    "0": PolyQ([0]),
-    "1": PolyQ([1]),
-    "q^2": PolyQ([0, 0, 1]),
-    "-q^2": PolyQ([0, 0, -1]),
+    "0": lambda q: ZERO,
+    "1": lambda q: ONE,
+    "q^2": lambda q: q * q,
+    "-q^2": lambda q: -(q * q),
 }
 MATRIX_NAMES = ("alpha", "beta", "beta_star", "delta")
 SPECTRAL_MODES = ("1", "i", "-i")
@@ -120,7 +120,7 @@ def printed_translation_matrix(name: str, q: GaussianRational) -> TranslationMat
     """One of the reference right-translation matrices, evaluated at q."""
     data = _load("translation_matrices.json")
     rows = data["matrices"][name]
-    values = {sym: poly.evaluate(q) for sym, poly in ENTRY_SYMBOLS.items()}
+    values = {sym: f(q) for sym, f in ENTRY_SYMBOLS.items()}
     entries = tuple(tuple(values[sym] for sym in row) for row in rows)
     return TranslationMatrix(entries=entries)
 

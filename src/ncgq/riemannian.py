@@ -224,9 +224,7 @@ def reference_connection(calculus: Calculus) -> SpinConnection:
     constant term.
     """
     q = calculus.algebra.q
-    values = evaluate_connection_printed(q)
-    for key in CONNECTION_UNPRINTED:
-        values[key] = ZERO
+    values = {**evaluate_connection_printed(q), **dict.fromkeys(CONNECTION_UNPRINTED, ZERO)}
     values[("d", "b")] = connection_db_candidate(DB_DENOMINATOR_CONSTANT).evaluate_at(q)
     return SpinConnection(coefficients=values, source="reference-table")
 

@@ -1,10 +1,10 @@
-"""Exact scalar arithmetic: Gaussian rationals and rational functions in q.
+"""Exact scalar arithmetic: Gaussian rationals, and closed forms in q that are only evaluated.
 
-All symbolic computation in this package runs over one of two exact fields:
-Q(i) for the root-of-unity modes (q = i or q = -i), and Q(q) for the
-closed-form constants that are stored as rational functions and evaluated
-exactly at any non-pole point.  No floating point enters until the spectral
-layer converts finished matrices.
+All symbolic computation in this package runs over Q(i), the field of the
+root-of-unity modes (q = i or q = -i).  The published closed forms in q keep
+their printed coefficients (:class:`RationalFunctionQ`) and are only ever
+evaluated, exactly, at a point of Q(i) such as q = 1, i or -i.  No floating
+point enters until the spectral layer converts finished matrices.
 
 A GaussianRational is normalised when it is made: each arithmetic operation
 costs one gcd unless its result is a Gaussian integer.  Algebra elements hold
@@ -14,8 +14,9 @@ no GaussianRationals but one denominator over Gaussian-integer numerators
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction, str]
 
@@ -294,257 +295,89 @@ def parse_gaussian(s: str) -> GaussianRational:
     return GaussianRational(re, im)
 
 
-# -- polynomials in q ----------------------------------------------------------
+# -- closed forms in q ------------------------------------------------------------
 
 
-class PolyQ:
-    """Dense polynomial in q over Q, coefficients lowest-degree first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        cs = [_frac(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def constant(cls, x: RationalLike) -> "PolyQ":
-        return cls([_frac(x)])
-
-    @classmethod
-    def q(cls) -> "PolyQ":
-        return cls([0, 1])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyQ):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"PolyQ({list(self.coeffs)!r})"
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for n, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if n == 0:
-                parts.append(_frac_str(c))
-            else:
-                mono = "q" if n == 1 else f"q^{n}"
-                if c == 1:
-                    parts.append(mono)
-                elif c == -1:
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{_frac_str(c)}*{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
-
-    def __add__(self, other: "PolyQ") -> "PolyQ":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return PolyQ(out)
-
-    def __neg__(self) -> "PolyQ":
-        return PolyQ([-c for c in self.coeffs])
-
-    def __sub__(self, other: "PolyQ") -> "PolyQ":
-        return self + (-other)
-
-    def __mul__(self, other) -> "PolyQ":
-        if isinstance(other, (int, Fraction)):
-            return PolyQ([c * other for c in self.coeffs])
-        if not isinstance(other, PolyQ):
-            return NotImplemented
-        if not self or not other:
-            return PolyQ()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for n, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for m, b in enumerate(other.coeffs):
-                out[n + m] += a * b
-        return PolyQ(out)
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other: "PolyQ") -> tuple["PolyQ", "PolyQ"]:
-        if not other:
-            raise DegenerateDenominator("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.coeffs
-        while len(rem) >= len(d):
-            lead = rem[-1] / d[-1]
-            shift = len(rem) - len(d)
-            quo[shift] = lead
-            for k, c in enumerate(d):
-                rem[shift + k] -= lead * c
-            while rem and not rem[-1]:
-                rem.pop()
-            if not rem:
-                break
-        return PolyQ(quo), PolyQ(rem)
-
-    def monic(self) -> "PolyQ":
-        if not self:
-            return self
-        lead = self.coeffs[-1]
-        return PolyQ([c / lead for c in self.coeffs])
-
-    def evaluate(self, x: GaussianRational | RationalLike) -> GaussianRational:
-        if not isinstance(x, GaussianRational):
-            x = GaussianRational(_frac(x), 0)
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + GaussianRational(c, 0)
-        return acc
+def _trim(coeffs: Iterable[RationalLike]) -> tuple:
+    cs = list(coeffs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
 
 
-def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
-    while b:
-        a, b = b, divmod(a, b)[1]
-    return a.monic() if a else a
+def _poly_mul(a: tuple, b: tuple) -> tuple:
+    out = [0] * (len(a) + len(b) - 1)
+    for n, x in enumerate(a):
+        if x:
+            for m, y in enumerate(b):
+                out[n + m] += x * y
+    return _trim(out)
+
+
+def _poly_add(a: tuple, b: tuple) -> tuple:
+    return _trim(x + y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def _horner(coeffs: tuple, x: GaussianRational) -> GaussianRational:
+    acc = ZERO
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 class RationalFunctionQ:
-    """A reduced fraction of polynomials in q; denominator monic and nonzero."""
+    """num(q)/den(q), a closed form kept as printed: coefficients lowest degree first, never reduced.
+
+    The forms are only ever evaluated, so no polynomial gcd is taken: + - * /
+    multiply out numerators and denominators, and == compares rational
+    functions by cross-multiplication.  Equal forms can hold different
+    coefficient tuples, so they are not hashable.
+    """
 
     __slots__ = ("num", "den")
+    __hash__ = None
 
-    def __init__(self, num: PolyQ | Iterable[RationalLike], den: PolyQ | Iterable[RationalLike] = (1,)):
-        if not isinstance(num, PolyQ):
-            num = PolyQ(num)
-        if not isinstance(den, PolyQ):
-            den = PolyQ(den)
-        if not den:
+    def __init__(self, num: Iterable[RationalLike], den: Iterable[RationalLike] = (1,)):
+        self.num = _trim(num)
+        self.den = _trim(den)
+        if not self.den:
             raise DegenerateDenominator("rational function with zero denominator")
-        g = poly_gcd(num, den)
-        if g and g.degree > 0:
-            num = divmod(num, g)[0]
-            den = divmod(den, g)[0]
-        lead = den.coeffs[-1]
-        num = num * (1 / lead)
-        den = den * (1 / lead)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def constant(cls, x: RationalLike) -> "RationalFunctionQ":
-        return cls(PolyQ.constant(x))
-
-    @classmethod
-    def q(cls) -> "RationalFunctionQ":
-        return cls(PolyQ.q())
 
     def __repr__(self) -> str:
-        return f"RationalFunctionQ({list(self.num.coeffs)!r}, {list(self.den.coeffs)!r})"
-
-    def __str__(self) -> str:
-        if self.den == PolyQ([1]):
-            return str(self.num)
-        return f"({self.num})/({self.den})"
+        return f"RationalFunctionQ({list(self.num)!r}, {list(self.den)!r})"
 
     def __bool__(self) -> bool:
         return bool(self.num)
 
     def __eq__(self, other) -> bool:
-        other = _coerce_rf(other)
-        if other is None:
+        if not isinstance(other, RationalFunctionQ):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return _poly_mul(self.num, other.den) == _poly_mul(other.num, self.den)
 
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __add__(self, other) -> "RationalFunctionQ":
-        other = _coerce_rf(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunctionQ(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
+    def __add__(self, other: "RationalFunctionQ") -> "RationalFunctionQ":
+        return RationalFunctionQ(_poly_add(_poly_mul(self.num, other.den), _poly_mul(other.num, self.den)),
+                                 _poly_mul(self.den, other.den))
 
     def __neg__(self) -> "RationalFunctionQ":
-        return RationalFunctionQ(-self.num, self.den)
+        return RationalFunctionQ([-c for c in self.num], self.den)
 
-    def __sub__(self, other) -> "RationalFunctionQ":
-        other = _coerce_rf(other)
-        if other is None:
-            return NotImplemented
+    def __sub__(self, other: "RationalFunctionQ") -> "RationalFunctionQ":
         return self + (-other)
 
-    def __rsub__(self, other) -> "RationalFunctionQ":
-        other = _coerce_rf(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+    def __mul__(self, other: "RationalFunctionQ") -> "RationalFunctionQ":
+        return RationalFunctionQ(_poly_mul(self.num, other.num), _poly_mul(self.den, other.den))
 
-    def __mul__(self, other) -> "RationalFunctionQ":
-        other = _coerce_rf(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunctionQ(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "RationalFunctionQ":
-        if not self.num:
-            raise DegenerateDenominator("inverse of the zero rational function")
-        return RationalFunctionQ(self.den, self.num)
-
-    def __truediv__(self, other) -> "RationalFunctionQ":
-        other = _coerce_rf(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other) -> "RationalFunctionQ":
-        other = _coerce_rf(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
+    def __truediv__(self, other: "RationalFunctionQ") -> "RationalFunctionQ":
+        return RationalFunctionQ(_poly_mul(self.num, other.den), _poly_mul(self.den, other.num))
 
     def evaluate_at(self, q0: GaussianRational | RationalLike) -> GaussianRational:
-        """Exact substitution q := q0; raises PoleError at a zero of the denominator."""
+        """Exact substitution q := q0 by Horner's rule; raises PoleError at a zero of the denominator."""
         if not isinstance(q0, GaussianRational):
-            q0 = GaussianRational(_frac(q0), 0)
-        den = self.den.evaluate(q0)
+            q0 = GaussianRational(q0)
+        den = _horner(self.den, q0)
         if not den:
             raise PoleError(f"pole at q = {q0}")
-        return self.num.evaluate(q0) / den
+        return _horner(self.num, q0) / den
 
 
-def _coerce_rf(x) -> RationalFunctionQ | None:
-    if isinstance(x, RationalFunctionQ):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return RationalFunctionQ.constant(x)
-    if isinstance(x, PolyQ):
-        return RationalFunctionQ(x)
-    return None
-
-
-def rf(num: Sequence[RationalLike], den: Sequence[RationalLike] = (1,)) -> RationalFunctionQ:
-    """Shorthand constructor from coefficient lists (lowest degree first)."""
-    return RationalFunctionQ(PolyQ(num), PolyQ(den))
+rf = RationalFunctionQ  # rf(num, den): shorthand for the closed forms in constants.py

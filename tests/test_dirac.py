@@ -254,8 +254,7 @@ class TestSpectra:
         # the audit's "values give distance ~3": the proof formulas for s12 and
         # s21, fed the reference table, give spectra far from both lists
         q = q_root(mode)
-        values = evaluate_connection_printed(q)
-        values.update(dict.fromkeys(CONNECTION_UNPRINTED, ZERO))
+        values = {**evaluate_connection_printed(q), **dict.fromkeys(CONNECTION_UNPRINTED, ZERO)}
         values[("d", "b")] = connection_db_candidate(DB_DENOMINATOR_CONSTANT).evaluate_at(q)
         s = a_slash_printed(SpinConnection(values, "reference-table"), q)
         printed = {"s12": s[(0, 1)].to_complex(), "s21": s[(1, 0)].to_complex()}

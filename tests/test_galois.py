@@ -2,8 +2,9 @@
 
 sigma, complex conjugation on Q(i), swaps the two roots.  Every structure
 constant of the algebra and the calculus is a polynomial in q with rational
-coefficients, so sigma carries each map at q = i onto the same map at q = -i,
-coefficient by coefficient.  These tests check that exactly, on basis
+coefficients, and every closed form of constants.py a quotient of two, so
+sigma carries each map at q = i onto the same map at q = -i, coefficient by
+coefficient.  These tests check that exactly, on basis
 elements and through the public maps only (never the tables behind them), so
 code that writes i where it means q, or hard-codes a root, fails here.
 """
@@ -12,7 +13,11 @@ import itertools
 import pytest
 
 from ncgq.algebra import QuantumAlgebra, TensorElement, basis_monomials
-from ncgq.calculus import Calculus, DiffForm, FORMS
+from ncgq.calculus import Calculus, DiffForm, FORMS, ModuleSum
+from ncgq.riemannian import (ConnectionAssembler, covariant_derivative_basis, reference_connection,
+                             riemann_basis)
+from ncgq.scalars import q_root
+from test_closed_forms import closed_forms
 
 ORDERED_WORDS = [w for n in range(5) for w in itertools.combinations(FORMS, n)]
 ALG = {mode: QuantumAlgebra(mode) for mode in ("i", "-i")}
@@ -20,9 +25,9 @@ CAL = {mode: Calculus(alg) for mode, alg in ALG.items()}
 
 
 def sigma(x):
-    """The conjugate at q = -i of an algebra element, tensor or form at q = i."""
-    if isinstance(x, DiffForm):
-        return DiffForm(CAL["-i"], {w: sigma(f) for w, f in x.terms.items()})
+    """The conjugate at q = -i of an algebra element, tensor, form or tensor form at q = i."""
+    if isinstance(x, ModuleSum):
+        return type(x)(CAL["-i"], {w: sigma(f) for w, f in x.terms.items()})
     cls = type(x)
     return cls(ALG["-i"], {k: c.conjugate() for k, c in x.coeffs.items()})
 
@@ -78,3 +83,25 @@ def test_exterior_d_on_every_basis_element(normalized):
             assert at_mi == sigma(at_i)
             cases += 1
     assert cases == 256
+
+
+def test_closed_forms_at_every_root():
+    for label, f in closed_forms():
+        assert f.evaluate_at(q_root("-i")) == f.evaluate_at(q_root("i")).conjugate(), label
+
+
+def test_connection_system():
+    at_i, at_mi = both(lambda cal: ConnectionAssembler(cal).assemble())
+    assert at_i.n_equations == 48
+    assert at_mi.row_labels == at_i.row_labels
+    assert at_mi.matrix == [[c.conjugate() for c in row] for row in at_i.matrix]
+    assert at_mi.rhs == [c.conjugate() for c in at_i.rhs]
+
+
+def test_nabla_and_curvature_of_the_reference_connection():
+    conn_i, conn_mi = both(reference_connection)
+    assert conn_mi.coefficients == {k: c.conjugate() for k, c in conn_i.coefficients.items()}
+    for i in FORMS:
+        for fn in (covariant_derivative_basis, riemann_basis):
+            at_i, at_mi = fn(CAL["i"], conn_i, i), fn(CAL["-i"], conn_mi, i)
+            assert at_i and at_mi == sigma(at_i)
