@@ -451,15 +451,33 @@ def audit_dirac(cal: Calculus, conn: SpinConnection) -> list[AuditRow]:
     return rows
 
 
+def _calculus(mode: str) -> Calculus:
+    return Calculus(QuantumAlgebra(mode if mode in ("i", "-i") else "i"))
+
+
+def exact_sections(mode: str) -> list[AuditRow]:
+    """The algebra, calculus and riemannian rows, exact over Q(i); no numerics."""
+    cal = _calculus(mode)
+    return (audit_algebra(cal.algebra) + audit_calculus(cal)
+            + audit_riemannian(cal, reference_connection(cal)))
+
+
+def dirac_section(mode: str) -> list[AuditRow]:
+    """The Dirac rows, from a calculus and reference connection of their own.
+
+    They share nothing with `exact_sections`, and numpy is imported here
+    only, so the two can run side by side.
+    """
+    cal = _calculus(mode)
+    return audit_dirac(cal, reference_connection(cal))
+
+
 def build_audit_report(mode: str = "i") -> dict:
-    alg = QuantumAlgebra(mode if mode in ("i", "-i") else "i")
-    cal = Calculus(alg)
-    rows: list[AuditRow] = []
-    rows += audit_algebra(alg)
-    rows += audit_calculus(cal)
-    conn = reference_connection(cal)
-    rows += audit_riemannian(cal, conn)
-    rows += audit_dirac(cal, conn)
+    return audit_report(mode, exact_sections(mode) + dirac_section(mode))
+
+
+def audit_report(mode: str, rows: list[AuditRow]) -> dict:
+    """The audit document: the rows of every section, in order, and their verdict counts."""
     summary = {
         "match": sum(1 for r in rows if r.verdict == "match"),
         "mismatch": sum(1 for r in rows if r.verdict == "mismatch"),

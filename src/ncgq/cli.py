@@ -12,13 +12,23 @@ Errors are reported in one line on stderr.  JSON output is
 deterministic (sorted keys, fixed float formatting; `dirac` lists its
 eigenvalues in a canonical order, not LAPACK's); text output is
 human-oriented and unstable.  Files are written atomically.
+
+`audit --q generic` audits q = i; `audit --q 1` is a usage error.
+
+`verify` and `audit` at a root compute their spectral half in a forked child
+while this process computes the exact half, when the platform has fork and
+numpy is not loaded yet (see `alongside`); the bytes and exit codes are those
+of a sequential run, and the library functions `verification.run_checks` and
+`audit.build_audit_report` always run sequentially.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
+import signal
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -54,7 +64,7 @@ def validate(cfg: RunConfig) -> None:
         raise ConfigError(f"invalid format {cfg.format!r}")
     if not (math.isfinite(cfg.tol) and cfg.tol >= 0):
         raise ConfigError(f"invalid tolerance {cfg.tol!r}; it must be finite and >= 0")
-    if cfg.command in ("connection", "curvature") and cfg.qmode == "1":
+    if cfg.command in ("connection", "curvature", "audit") and cfg.qmode == "1":
         raise ConfigError("q=1 is an extrapolated spectral mode only; "
                           "forms-level commands need generic, i or -i")
     if cfg.command == "dirac" and cfg.qmode == "generic":
@@ -93,17 +103,73 @@ def emit(cfg: RunConfig, document: dict, text_lines: list[str]) -> None:
         sys.stdout.write(payload)
 
 
+@contextlib.contextmanager
+def alongside(compute):
+    """Yield a function that returns compute(), which a forked child computes meanwhile.
+
+    The child forks only when the platform has fork and numpy is not loaded
+    yet: then its numpy import overlaps the caller's work, and the parent holds
+    no BLAS threads that a fork would copy.  Otherwise compute() runs inline
+    when its value is asked for.  The child pickles the value into a pipe and
+    always leaves through os._exit, so it writes no output and runs no exit
+    handler.  If it does not exit 0, the value is computed inline, so every
+    exception and message is that of the inline run.  A child whose value was
+    not asked for when the block ends (the caller raised) is killed, and every
+    child is reaped.
+    """
+    if not hasattr(os, "fork") or "numpy" in sys.modules:
+        yield compute
+        return
+    import pickle  # here, not at the top: the commands that never fork do not load it
+
+    rfd, wfd = os.pipe()
+    # an interrupt before the child resets its handler would raise into the caller's code
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: compute inline
+        pid = None
+    if pid == 0:
+        status = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_DFL)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            os.close(rfd)
+            with open(wfd, "wb") as pipe:
+                pickle.dump(compute(), pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(wfd)
+    reader = open(rfd, "rb")
+
+    def join():
+        data = reader.read()
+        _, status = os.waitpid(pid, 0)
+        return pickle.loads(data) if status == 0 else compute()
+
+    try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        yield join if pid else compute
+    finally:
+        reader.close()
+        with contextlib.suppress(ChildProcessError):  # raised once join has reaped it
+            if pid and os.waitpid(pid, os.WNOHANG)[0] == 0:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 # -- commands -----------------------------------------------------------------------
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    from .verification import run_checks
+    from .verification import exact_checks, spectral_checks
 
-    modes = ROOT_MODES if cfg.qmode == "generic" else (cfg.qmode,)
-    forms_level_only = cfg.qmode == "generic"
-    results = []
-    for mode in modes:
-        results += run_checks(mode, forms_level_only=forms_level_only)
+    if cfg.qmode == "generic":
+        results = [r for mode in ROOT_MODES for r in exact_checks(mode, forms_level_only=True)]
+    else:
+        with alongside(lambda: spectral_checks(cfg.qmode)) as spectral:
+            results = exact_checks(cfg.qmode) + spectral()
     n_fail = sum(1 for r in results if not r["passed"])
     doc = {
         "command": "verify",
@@ -236,10 +302,11 @@ def cmd_dirac(cfg: RunConfig) -> int:
 
 
 def cmd_audit(cfg: RunConfig) -> int:
-    from .audit import build_audit_report
+    from .audit import audit_report, dirac_section, exact_sections
 
     mode = cfg.qmode if cfg.qmode in ROOT_MODES else "i"
-    doc = build_audit_report(mode)
+    with alongside(lambda: dirac_section(mode)) as dirac_rows:
+        doc = audit_report(mode, exact_sections(mode) + dirac_rows())
     lines = [f"consistency audit (q = {mode})", "-" * 60]
     for row in doc["rows"]:
         lines.append(f"[{row['verdict']:>11s}] {row['section']}: {row['quantity']}")

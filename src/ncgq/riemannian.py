@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 from . import linalg
@@ -216,17 +217,23 @@ def solve_connection(calculus: Calculus) -> SpinConnection:
     return SpinConnection(coefficients=values, source="solver")
 
 
-def reference_connection(calculus: Calculus) -> SpinConnection:
-    """The reference closed-form connection table evaluated at this q.
+@lru_cache(maxsize=None)
+def reference_connection_values(q: GaussianRational) -> Mapping[tuple[str, str], GaussianRational]:
+    """All 16 entries of the reference connection table at q, once per q.
 
     Unprinted entries are taken as zero (the reference Dirac construction
     implicitly does the same); the corrupted (d,b) denominator uses the adopted
-    constant term.
+    constant term.  The mapping is shared and read-only.
     """
-    q = calculus.algebra.q
     values = {**evaluate_connection_printed(q), **dict.fromkeys(CONNECTION_UNPRINTED, ZERO)}
     values[("d", "b")] = connection_db_candidate(DB_DENOMINATOR_CONSTANT).evaluate_at(q)
-    return SpinConnection(coefficients=values, source="reference-table")
+    return MappingProxyType(values)
+
+
+def reference_connection(calculus: Calculus) -> SpinConnection:
+    """The reference closed-form connection table evaluated at this q."""
+    return SpinConnection(coefficients=reference_connection_values(calculus.algebra.q),
+                          source="reference-table")
 
 
 def connection_residuals(system: ConnectionSystem, connection: SpinConnection) -> dict:

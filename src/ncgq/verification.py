@@ -42,13 +42,30 @@ def antipode_axioms_hold(alg: QuantumAlgebra) -> bool:
 
 
 def run_checks(mode: str, forms_level_only: bool = False) -> list[dict]:
+    """The verify suite at one root: the exact checks, then the spectral ones.
+
+    Each check is a dict {mode, name, passed, detail}; `forms_level_only`
+    keeps the forms-level checks alone.
+    """
+    out = exact_checks(mode, forms_level_only)
+    if not forms_level_only:
+        out += spectral_checks(mode)
+    return out
+
+
+def _recorder(mode: str, out: list[dict]):
+    def record(name: str, passed: bool, detail: str = ""):
+        out.append({"mode": mode, "name": name, "passed": bool(passed), "detail": detail})
+    return record
+
+
+def exact_checks(mode: str, forms_level_only: bool = False) -> list[dict]:
+    """The forms-level and Hopf-level checks, exact over Q(i); no numerics."""
     alg = QuantumAlgebra(mode)
     cal = Calculus(alg)
     rng = random.Random(20260810)
-    out = []
-
-    def record(name: str, passed: bool, detail: str = ""):
-        out.append({"mode": mode, "name": name, "passed": bool(passed), "detail": detail})
+    out: list[dict] = []
+    record = _recorder(mode, out)
 
     # forms-level checks
     e = cal.basis_form
@@ -123,22 +140,30 @@ def run_checks(mode: str, forms_level_only: bool = False) -> list[dict]:
         rhs_t = riemann_basis(cal, conn, i).left_multiply(f)
         tens_ok = tens_ok and lhs == rhs_t
     record("curvature tensoriality on 50 random function multiples", tens_ok)
+    return out
 
-    # spectral checks
+
+def spectral_checks(mode: str) -> list[dict]:
+    """The checks on the Dirac spectrum at one root.
+
+    They share nothing with `exact_checks`, and numpy is imported here only,
+    so the two halves can run side by side.
+    """
     from .dirac import spectrum_pipeline
 
-    if mode in ("i", "-i"):
-        dm, spec, report = spectrum_pipeline(mode)
-        record("eigensolver residual contract (1e-9 ||M||)",
-               spec.max_residual() <= 1e-9 * spec.matrix_norm,
-               f"max residual {spec.max_residual():.3g}")
-        trace = sum(spec.eigenvalues)
-        expected = complex(dm.matrix.trace())
-        record("eigenvalue sum equals trace (1e-8 ||M||)",
-               abs(trace - expected) <= 1e-8 * spec.matrix_norm)
-        _, bare_spec, _ = spectrum_pipeline(mode, include_connection=False)
-        full_sorted = sorted(spec.eigenvalues, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
-        bare_sorted = sorted(bare_spec.eigenvalues, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
-        differs = any(abs(a - b) > 1e-6 for a, b in zip(full_sorted, bare_sorted))
-        record("connection term changes the spectrum", differs)
+    out: list[dict] = []
+    record = _recorder(mode, out)
+    dm, spec, report = spectrum_pipeline(mode)
+    record("eigensolver residual contract (1e-9 ||M||)",
+           spec.max_residual() <= 1e-9 * spec.matrix_norm,
+           f"max residual {spec.max_residual():.3g}")
+    trace = sum(spec.eigenvalues)
+    expected = complex(dm.matrix.trace())
+    record("eigenvalue sum equals trace (1e-8 ||M||)",
+           abs(trace - expected) <= 1e-8 * spec.matrix_norm)
+    _, bare_spec, _ = spectrum_pipeline(mode, include_connection=False)
+    full_sorted = sorted(spec.eigenvalues, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
+    bare_sorted = sorted(bare_spec.eigenvalues, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
+    differs = any(abs(a - b) > 1e-6 for a, b in zip(full_sorted, bare_sorted))
+    record("connection term changes the spectrum", differs)
     return out

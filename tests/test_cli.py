@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -8,10 +10,12 @@ import numpy as np
 import pytest
 
 from ncgq import fixtures
-from ncgq.cli import main
+from ncgq.cli import alongside, main
 from ncgq.dirac import build_dirac
 
 COMMITTED_FIXTURES = Path(fixtures.__file__).resolve().parent / "fixtures"
+SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 
 def run_cli(args):
@@ -34,6 +38,13 @@ class TestConfigValidation:
     def test_q1_rejected_for_connection(self):
         code, _, err = run_cli(["connection", "--q", "1"])
         assert code == 2
+
+    def test_q1_rejected_for_audit(self):
+        # the audit has forms-level sections; q=1 used to run the q=i audit silently
+        code, out, err = run_cli(["audit", "--q", "1"])
+        assert code == 2
+        assert not out
+        assert err.count("\n") == 1 and "q=1 is an extrapolated spectral mode only" in err
 
     def test_generic_rejected_for_dirac(self):
         code, _, err = run_cli(["dirac", "--q", "generic"])
@@ -234,6 +245,141 @@ class TestFixtureErrors:
         monkeypatch.setenv("NCGQ_FIXTURES", str(intact))
         code, _, err = run_cli(["dirac", "--q", "1"])
         assert code == 0, err
+
+
+# a cold `ncgq` process entered as the console script enters it; after main
+# returns it adds one last stderr line saying whether numpy was loaded and
+# whether a child process is left
+COLD_ENTRY = """
+import json, os, sys
+from ncgq.cli import main
+code = main()
+try:
+    os.waitpid(-1, os.WNOHANG)
+    child_left = True
+except ChildProcessError:
+    child_left = False
+sys.stderr.write(json.dumps({"numpy": "numpy" in sys.modules, "child_left": child_left}) + "\\n")
+sys.exit(code)
+"""
+
+
+def run_cold(args, **env):
+    """(exit code, stdout bytes, stderr lines of the program, the entry's report)."""
+    done = subprocess.run([sys.executable, "-c", COLD_ENTRY, *args], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC), **env}, timeout=120)
+    *lines, report = done.stderr.decode().splitlines()
+    return done.returncode, done.stdout, lines, json.loads(report)
+
+
+class TestForkedSpectralHalf:
+    """Cold `verify` and `audit` compute their spectral half in a forked child.
+
+    The parent never loads numpy, leaves no child behind and emits the bytes
+    of the golden records.  A top-level numpy import in `verification` or
+    `audit` would turn the overlap off silently; these tests would catch it.
+    """
+
+    @pytest.mark.parametrize("command", ["verify --q i", "verify --q -i",
+                                         "audit --q i", "audit --q -i"])
+    def test_cold_run_matches_golden_without_numpy_in_the_parent(self, command):
+        record = json.loads(GOLDEN.read_text(encoding="utf-8"))["commands"][command]
+        code, out, lines, report = run_cold(command.split())
+        assert (code, lines) == (record["exit_code"], [])
+        assert hashlib.sha256(out).hexdigest() == record["sha256"]
+        assert report == {"numpy": False, "child_left": False}
+
+    @pytest.mark.parametrize("command", ["verify", "audit"])
+    def test_failing_child_gives_the_inline_error(self, command, tmp_path):
+        # the child fails on the NaN; the parent's inline rerun reports it
+        broken = tmp_path / "fixtures"
+        shutil.copytree(COMMITTED_FIXTURES, broken)
+        _set_number(broken / "spectra.json", float("nan"))
+        code, out, lines, report = run_cold([command, "--q", "i"], NCGQ_FIXTURES=str(broken))
+        assert code == 3
+        assert out == b""
+        assert len(lines) == 1 and lines[0].startswith("fixture error: ")
+        assert "spectra.json" in lines[0] and "finite numbers" in lines[0]
+        assert not report["child_left"]
+
+
+# exercises alongside() in a cold process, where it forks; prints one JSON line
+HELPER_PROGRAM = """
+import json, os, signal, sys, time
+from ncgq.cli import alongside
+
+parent = os.getpid()
+inline = []
+
+
+def value():
+    if os.getpid() == parent:
+        inline.append(1)
+    return os.getpid()
+
+
+def failing():
+    value()
+    raise LookupError("the spectral half failed")
+
+
+def killed():
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return value()
+
+
+def slow():
+    time.sleep(600)
+
+
+case = sys.argv[1]
+out = {}
+try:
+    if case == "interrupted":
+        with alongside(slow):
+            raise KeyboardInterrupt
+    else:
+        with alongside({"value": value, "failing": failing, "killed": killed}[case]) as join:
+            out["in_child"] = join() != parent
+except (LookupError, KeyboardInterrupt) as exc:
+    out["raised"] = type(exc).__name__
+out["inline_runs"] = len(inline)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    out["child_left"] = True
+except ChildProcessError:
+    out["child_left"] = False
+print(json.dumps(out))
+"""
+
+
+class TestAlongside:
+    def _run(self, case):
+        done = subprocess.run([sys.executable, "-c", HELPER_PROGRAM, case], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+        assert done.returncode == 0 and not done.stderr, done.stderr
+        return json.loads(done.stdout)
+
+    def test_returns_the_value_the_child_computed(self):
+        assert self._run("value") == {"in_child": True, "inline_runs": 0, "child_left": False}
+
+    def test_a_raising_child_is_rerun_inline_and_raises_the_same(self):
+        assert self._run("failing") == {"raised": "LookupError", "inline_runs": 1,
+                                        "child_left": False}
+
+    def test_a_killed_child_falls_back_to_inline(self):
+        assert self._run("killed") == {"in_child": False, "inline_runs": 1, "child_left": False}
+
+    def test_the_child_is_killed_and_reaped_when_the_caller_raises(self):
+        # the child would sleep 600 s; the timeout above fails the test if it is waited for
+        assert self._run("interrupted") == {"raised": "KeyboardInterrupt", "inline_runs": 0,
+                                            "child_left": False}
+
+    def test_runs_inline_once_numpy_is_loaded(self):
+        assert "numpy" in sys.modules
+        with alongside(os.getpid) as join:
+            assert join() == os.getpid()
 
 
 class TestOutputErrors:

@@ -10,14 +10,12 @@ import pytest
 from ncgq import dirac, linalg
 from ncgq.algebra import QuantumAlgebra, basis_monomials
 from ncgq.calculus import Calculus
-from ncgq.constants import (CONNECTION_UNPRINTED, connection_db_candidate,
-                            evaluate_connection_printed)
 from ncgq.dirac import (DiracMatrix, EigensolverError, MatchReport, Spectrum,
                         a_slash_first_principles, a_slash_printed, build_dirac,
                         compare_spectrum, diagonal_scalars, eigenvalues,
                         gamma_matrix, spectrum_pipeline)
 from ncgq.fixtures import printed_spectrum, printed_translation_matrices
-from ncgq.riemannian import DB_DENOMINATOR_CONSTANT, SpinConnection, reference_connection
+from ncgq.riemannian import SpinConnection, reference_connection, reference_connection_values
 from ncgq.scalars import ZERO, GaussianRational, q_root
 
 
@@ -254,9 +252,7 @@ class TestSpectra:
         # the audit's "values give distance ~3": the proof formulas for s12 and
         # s21, fed the reference table, give spectra far from both lists
         q = q_root(mode)
-        values = {**evaluate_connection_printed(q), **dict.fromkeys(CONNECTION_UNPRINTED, ZERO)}
-        values[("d", "b")] = connection_db_candidate(DB_DENOMINATOR_CONSTANT).evaluate_at(q)
-        s = a_slash_printed(SpinConnection(values, "reference-table"), q)
+        s = a_slash_printed(SpinConnection(reference_connection_values(q), "reference-table"), q)
         printed = {"s12": s[(0, 1)].to_complex(), "s21": s[(1, 0)].to_complex()}
         monkeypatch.setattr(dirac, "reconstructed_offdiagonal_scalars", lambda m: printed)
         _, _, report = spectrum_pipeline(mode)

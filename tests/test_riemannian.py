@@ -8,7 +8,7 @@ from ncgq.calculus import Calculus, DiffForm, FORMS
 from ncgq.constants import (CONNECTION_DB_DENOMINATOR_TAIL, CONNECTION_PRINTED,
                             evaluate_connection_printed)
 from ncgq.riemannian import (DB_DENOMINATOR_CONSTANT, ConnectionAssembler, Metric,
-                             SpinConnection, TensorForm, connection_residuals,
+                             SpinConnection, TensorForm, UNKNOWNS, connection_residuals,
                              covariant_derivative, covariant_derivative_basis,
                              printed_ad_tables, reference_connection,
                              regularity_check, riemann, riemann_basis,
@@ -121,6 +121,16 @@ class TestReferenceConnection:
             folded[(k + 2) % 4] += c
         assert folded == [DB_DENOMINATOR_CONSTANT, *CONNECTION_DB_DENOMINATOR_TAIL]
         assert DB_DENOMINATOR_CONSTANT == 9
+
+    @pytest.mark.parametrize("mode", ["i", "-i"])
+    def test_one_read_only_table_per_q(self, mode):
+        # every reference connection at a q shares one table of all 16 entries
+        a, b = (reference_connection(Calculus(QuantumAlgebra(mode))) for _ in range(2))
+        assert a.coefficients is b.coefficients
+        assert sorted(a.coefficients) == sorted(UNKNOWNS)
+        assert a.entry("c", "a") == a.entry("c", "b") == ZERO
+        with pytest.raises(TypeError):
+            a.coefficients[("d", "b")] = ZERO
 
     def test_closed_forms_at_one(self):
         one = GaussianRational(1)
