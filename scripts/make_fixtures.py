@@ -106,39 +106,12 @@ spectra = {
     },
 }
 
-connection = {
-    "source": "paper",
-    "version": 1,
-    "convention": "A_i^j keyed 'i j': component j of the connection form attached to e_i",
-    "entries": {
-        "a a": {"num": [4, 6, 5, 3], "den": [5, 0, -4, 2]},
-        "d d": {"num": [4, 6, 5, 3], "den": [5, 0, -4, 2]},
-        "d a": {"num": [-1, 5, 7, 1], "den": [2, 5, 0, -4]},
-        "a d": {"num": [-1, 5, 7, 1], "den": [2, 5, 0, -4]},
-        "d c": {"num": [-295, 655, 430, -48], "den": [319, -112, -333, 99]},
-        "a b": {"num": [-146, -270, -25, 90], "den": [14, -84, 9, 106]},
-        "a c": {"num": [-330, 285, 465, -292], "den": [99, 319, -112, -333]},
-        "c c": {"num": [1, 2, 2], "den": [-2, 0, 2, 1]},
-        "b b": {"num": [-2, -3, 3, 2], "den": [2, 5, 0, -4]},
-    },
-    "proof_zeros": ["b a", "b c", "b d", "c d"],
-    "unprinted": ["c a", "c b"],
-    "corrupted": {
-        "d b": {
-            "num": [-275, -120, 140, -15],
-            "den_readable_tail": [106, 14, -84],
-            "note": "denominator constant term unreadable in the source",
-        }
-    },
-}
-
 
 def main() -> None:
     OUT.mkdir(parents=True, exist_ok=True)
     for name, payload in [
         ("translation_matrices.json", translation),
         ("spectra.json", spectra),
-        ("connection_table.json", connection),
     ]:
         path = OUT / name
         path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")

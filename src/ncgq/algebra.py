@@ -29,7 +29,6 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
-from . import linalg
 from .scalars import ZERO, ONE, GaussianRational, format_gaussian, gaussian, parse_gaussian, q_root
 
 Monomial = tuple[int, int]  # (p, r): exponents of a and b
@@ -343,10 +342,6 @@ class TranslationMatrix:
         return [list(r) for r in self.entries]
 
 
-class SingularAntipode(ValueError):
-    pass
-
-
 class QuantumAlgebra:
     """Context object fixing the q mode and owning the generator normal forms."""
 
@@ -366,8 +361,6 @@ class QuantumAlgebra:
         self.beta_star_reference = AlgebraElement(
             self, {(1, 3): self.q2, (0, 3): -self.q2}
         )
-        self._antipode_matrix: list[list[GaussianRational]] | None = None
-        self._antipode_inverse: list[list[GaussianRational]] | None = None
 
     # -- element constructors ------------------------------------------------
 
@@ -419,9 +412,9 @@ class QuantumAlgebra:
 
     def coproduct(self, x: AlgebraElement) -> TensorElement:
         """Delta x, read from the per-mode table of the 16 monomial images."""
-        acc, den = _apply_images(coproduct_table(self.mode), x)
-        return TensorElement._reduce(self, den, {(i, j): [a, b] for i, row in acc.items()
-                                                 for j, a, b in support(row)})
+        acc = _apply_images(coproduct_table(self.mode), x)
+        return TensorElement._reduce(self, x.den, {(i, j): [a, b] for i, row in acc.items()
+                                                   for j, a, b in support(row)})
 
     def counit(self, x: AlgebraElement) -> GaussianRational:
         return x.counit()
@@ -436,24 +429,12 @@ class QuantumAlgebra:
 
     def antipode(self, x: AlgebraElement) -> AlgebraElement:
         """Anti-multiplicative extension of the generator values, read from the per-mode table."""
-        acc, den = _apply_images(antipode_table(self.mode), x)
-        return AlgebraElement._reduce(self, den, acc.get(0) or [0] * (2 * DIM))
-
-    def _antipode_matrices(self) -> tuple[list[list[GaussianRational]], list[list[GaussianRational]]]:
-        if self._antipode_matrix is None:
-            cols = [self.antipode(self.monomial(p, r)).coords() for (p, r) in basis_monomials()]
-            mat = [[cols[j][i] for j in range(DIM)] for i in range(DIM)]
-            try:
-                inv = linalg.invert(mat, ONE, ZERO)
-            except ValueError as exc:
-                raise SingularAntipode("computed antipode matrix is singular") from exc
-            self._antipode_matrix = mat
-            self._antipode_inverse = inv
-        return self._antipode_matrix, self._antipode_inverse
+        acc = _apply_images(antipode_table(self.mode), x)
+        return AlgebraElement._reduce(self, x.den, acc.get(0) or [0] * (2 * DIM))
 
     def inverse_antipode(self, x: AlgebraElement) -> AlgebraElement:
-        _, inv = self._antipode_matrices()
-        return self.from_coords(linalg.mat_apply(inv, x.coords(), ZERO))
+        """S^-1 x = S x: S(a) = a^3 and S(b) = b, so S^2 fixes both generators and S is involutive."""
+        return self.antipode(x)
 
     def antipode_axiom_defect(self, x: AlgebraElement) -> tuple[AlgebraElement, AlgebraElement]:
         """Both convolution identities minus eps(x)*1; exact zeros when the axiom holds."""
@@ -524,51 +505,39 @@ def add_products(out: list, xs: Iterable, ys: list) -> None:
 # -- tables of basis images ------------------------------------------------------------
 
 
-def flat_entry(coeffs: Mapping) -> tuple:
-    """{(key, monomial): coefficient} as one flat table entry (E, key, s, A, B, key, s, A, B, ...).
+def flat_entry(coeffs: Mapping, name: str) -> tuple:
+    """{(key, monomial): coefficient} as one flat table entry (key, s, A, B, key, s, A, B, ...).
 
-    E is the lcm of the denominators, and each nonzero coefficient is (A + B*i)/E,
-    at the slot s = 2k of its monomial index k in the numerator vector of its key.
+    Each nonzero coefficient is the Gaussian integer A + B*i, at the slot s = 2k of its monomial
+    index k in the numerator vector of its key; the zero entry is ().  At q = +-i every rule
+    coefficient (q, q^-1, q^2 = -1, mu = 2) is one, so a fraction raises ValueError naming the entry.
     """
-    e = lcm(*[c.triple[2] for c in coeffs.values()])
-    entry = [e]
+    entry = []
     for (key, m), c in coeffs.items():
         a, b, d = c.triple
+        if d != 1:
+            raise ValueError(f"table entry {name} has the non-integral coefficient {format_gaussian(c)} "
+                             f"at {key!r}, {monomial_name(m)}")
         if a or b:
-            entry += (key, 2 * monomial_index(m), a * (e // d), b * (e // d))
+            entry += (key, 2 * monomial_index(m), a, b)
     return tuple(entry)
 
 
-def sum_entries(terms: Iterable[tuple]) -> tuple[dict, int]:
-    """The sum of (c + e*i) * entry over the (entry, c, e) in terms, with its denominator.
-
-    Returned as {key: numerator vector} over the lcm of the entries' denominators E,
-    and that lcm (1 unless an entry has a non-integral coefficient).
-    """
+def sum_entries(terms: Iterable[tuple]) -> dict:
+    """The sum of (c + e*i) * entry over the (entry, c, e) in terms, as {key: numerator vector}."""
     acc: dict = {}
-    scale = 1
     for entry, c, e in terms:
         it = iter(entry)
-        d = next(it)
-        if d != scale:
-            if scale % d:
-                # bring what is summed so far over a denominator that d divides
-                f = d // gcd(scale, d)
-                for out in acc.values():
-                    out[:] = [v * f for v in out]
-                scale *= f
-            c, e = c * (scale // d), e * (scale // d)
         for key, k, s, t in zip(it, it, it, it):
             out = acc.get(key) or acc.setdefault(key, [0] * (2 * DIM))
             out[k] += c * s - e * t
             out[k + 1] += c * t + e * s
-    return acc, scale
+    return acc
 
 
-def _apply_images(images: tuple, x: AlgebraElement) -> tuple[dict, int]:
-    """The linear map whose image of monomial index k is images[k], on x: sum_entries' result."""
-    acc, scale = sum_entries([(images[k], a, b) for k, a, b in x.nonzero()])
-    return acc, x.den * scale
+def _apply_images(images: tuple, x: AlgebraElement) -> dict:
+    """The linear map whose image of monomial index k is images[k], on x's numerators (over x.den)."""
+    return sum_entries([(images[k], a, b) for k, a, b in x.nonzero()])
 
 
 @lru_cache(maxsize=None)
@@ -590,7 +559,8 @@ def coproduct_table(mode: str) -> tuple[tuple, ...]:
             term = term * da
         for _ in range(r):
             term = term * db
-        images.append(flat_entry({(monomial_index(m1), m2): c for (m1, m2), c in term.coeffs.items()}))
+        images.append(flat_entry({(monomial_index(m1), m2): c for (m1, m2), c in term.coeffs.items()},
+                                 f"Delta({monomial_name((p, r))})"))
     return tuple(images)
 
 
@@ -610,5 +580,5 @@ def antipode_table(mode: str) -> tuple[tuple, ...]:
             term = term * s_b
         for _ in range(p):
             term = term * s_a
-        images.append(flat_entry({(0, m): c for m, c in term.coeffs.items()}))
+        images.append(flat_entry({(0, m): c for m, c in term.coeffs.items()}, f"S({monomial_name((p, r))})"))
     return tuple(images)

@@ -28,12 +28,12 @@ one denominator, so each coefficient of a result costs one gcd.
 """
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .algebra import (DIM, AlgebraElement, Monomial, QuantumAlgebra, add_products, basis_monomials,
-                      check_mode, flat_entry, monomial_product, sum_entries, support)
+                      check_mode, flat_entry, monomial_name, monomial_product, sum_entries, support)
 from .scalars import ZERO, ONE, GaussianRational, q_root
 
 FORMS = ("a", "b", "c", "d")
@@ -176,7 +176,7 @@ class ExteriorAlgebra:
                 for wred, s in self.reduce_word(w + w2).items():
                     key, v = (wred, m1), c * s
                     acc[key] = acc[key] + v if key in acc else v
-            entry = slots[k] = flat_entry(acc)
+            entry = slots[k] = flat_entry(acc, f"{w1} {monomial_name((k >> 2, k & 3))} ^ {w2}")
         return entry
 
     def graded_dimensions(self) -> list[int]:
@@ -331,7 +331,7 @@ class Calculus:
     def wedge_sum(self, pairs: Iterable[tuple[DiffForm, DiffForm]]) -> DiffForm:
         """The sum of x ^ y over the pairs (x, y) of forms, over one denominator."""
         table, product = self.exterior._products, self.exterior.word_product
-        # f1 e_w1 ^ y = f1 (e_w1 ^ y) for each word w1 of x, with e_w1 ^ y over dy * scale,
+        # f1 e_w1 ^ y = f1 (e_w1 ^ y) for each word w1 of x, with e_w1 ^ y over dy,
         # summed into {output word: numerator vector} over d
         acc: dict = {}
         d = 1
@@ -345,9 +345,11 @@ class Calculus:
                 terms = []
                 for w2, coords in ys:
                     slots = table.get((w1, w2)) or table.setdefault((w1, w2), [None] * DIM)
-                    terms += [(slots[k] or product(w1, k, w2), a, b) for k, a, b in coords]
-                right, scale = sum_entries(terms)
-                dr = f1.den * scale * dy
+                    # a zero entry is (), so an unfilled slot is told apart by None
+                    terms += [(product(w1, k, w2) if (e := slots[k]) is None else e, a, b)
+                              for k, a, b in coords]
+                right = sum_entries(terms)
+                dr = f1.den * dy
                 if d % dr:
                     # bring what is summed so far over a denominator that dr divides
                     g = dr // gcd(d, dr)
@@ -377,21 +379,15 @@ class Calculus:
         check_mode(self, x.calculus)
         images = self.exterior.d_images
         d = lcm(*[g.den for g in x.terms.values()])
-        # normalized: the numerator of 1/mu multiplies the inputs, its denominator joins d
-        ia, ib, di = self._inverse_mu if normalized else (1, 0, 1)
         terms = []
         for w, g in x.terms.items():
             slots = images.get(w) or images.setdefault(w, [None] * DIM)
-            u, v = ia * (d // g.den), ib * (d // g.den)
-            terms += [(slots[k] or self._d_image(slots, k, w), a * u - b * v, a * v + b * u)
+            f = d // g.den
+            # a zero entry is (), so an unfilled slot is told apart by None
+            terms += [(self._d_image(slots, k, w) if (e := slots[k]) is None else e, a * f, b * f)
                       for k, a, b in g.nonzero()]
-        acc, scale = sum_entries(terms)
-        return self._form(acc, d * di * scale)
-
-    @cached_property
-    def _inverse_mu(self) -> tuple[int, int, int]:
-        """1/mu = (A + B*i)/D as (A, B, D)."""
-        return self.algebra.mu.inverse().triple
+        # normalized: divided by mu = 1 - q^-2, which is 2 at q = +-i
+        return self._form(sum_entries(terms), 2 * d if normalized else d)
 
     def _d_image(self, slots: list, k: int, w: WedgeWord) -> tuple:
         """The unnormalised d(m e_w) = theta ^ m e_w - sigma(m e_w) ^ theta, for m of index k.
@@ -402,7 +398,7 @@ class Calculus:
         sigma = -basis if len(w) % 2 else basis
         image = self.wedge(self.theta(), basis) - self.wedge(sigma, self.theta())
         coeffs = {(v, mv): c for v, g in image.terms.items() for mv, c in g.coeffs.items()}
-        slots[k] = entry = flat_entry(coeffs)
+        slots[k] = entry = flat_entry(coeffs, f"d({monomial_name((k >> 2, k & 3))} {w})")
         return entry
 
     def partials(self, f: AlgebraElement, normalized: bool = True) -> dict[str, AlgebraElement]:

@@ -94,7 +94,9 @@ class GaussianRational:
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self) -> int:
-        # equal to hash((re, im)), computed without Fractions for Gaussian integers
+        # a real value hashes as the int or Fraction it equals, any other as hash((re, im))
+        if self._b == 0:
+            return hash(self._a) if self._d == 1 else hash(self.re)
         if self._d == 1:
             return hash((self._a, self._b))
         return hash((self.re, self.im))

@@ -209,6 +209,13 @@ class TestHopfStructure:
             assert alg.inverse_antipode(alg.antipode(x)) == x
             assert alg.antipode(alg.inverse_antipode(x)) == x
 
+    def test_antipode_is_an_involution_on_the_basis(self, alg):
+        # S(S(m)) = m on all 16 monomials, so by linearity S^-1 = S, which inverse_antipode returns
+        for (p, r) in basis_monomials():
+            m = alg.monomial(p, r)
+            assert alg.antipode(alg.antipode(m)) == m
+            assert alg.inverse_antipode(m) == alg.antipode(m)
+
 
 class TestTranslationMatrices:
     def test_column_of_unit_monomial(self, alg):

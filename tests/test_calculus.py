@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ncgq.algebra import QuantumAlgebra, antipode_table, basis_monomials, coproduct_table
-from ncgq.calculus import Calculus, DiffForm, FORMS, bimodule_table, default_exterior
+from ncgq.calculus import Calculus, DiffForm, ExteriorAlgebra, FORMS, bimodule_table, default_exterior
 from ncgq.constants import AD_R_PRINTED, evaluate_ad_table
 from ncgq.scalars import GaussianRational, ONE, ZERO
 from ncgq.verification import run_checks
@@ -276,6 +277,34 @@ class TestCommutePast:
         products, images = table_sizes(default_exterior(cal.algebra.mode))
         assert 0 < products <= 16 ** 3
         assert 0 < images <= 256
+
+    def test_zero_entries_are_filled_once(self, cal, monkeypatch):
+        # a zero entry is (), which is falsy; each is still filled once, not on every read
+        fills = collections.Counter()
+        d_image, word_product = Calculus._d_image, ExteriorAlgebra.word_product
+
+        def count_d_image(self, slots, k, w):
+            fills["d", w, k] += 1
+            return d_image(self, slots, k, w)
+
+        def count_word_product(self, w1, k, w2):
+            fills[w1, k, w2] += 1
+            return word_product(self, w1, k, w2)
+
+        monkeypatch.setattr(Calculus, "_d_image", count_d_image)
+        monkeypatch.setattr(ExteriorAlgebra, "word_product", count_word_product)
+        fresh = Calculus(QuantumAlgebra(cal.algebra.mode))
+        fresh.exterior = ExteriorAlgebra(cal.algebra.q)
+        top, e = ("a", "b", "c", "d"), fresh.basis_form
+        for k, (p, r) in enumerate(basis_monomials()):
+            m = fresh.algebra.monomial(p, r)
+            for _ in range(3):
+                # d(m e_a^e_b^e_c^e_d) = 0 in degree 5, and e_a m ^ e_a = 0 as e_a m is a multiple of m e_a
+                assert not fresh.exterior_d(DiffForm(fresh, {top: m}))
+                assert not fresh.exterior_d(DiffForm(fresh, {top: m}), normalized=False)
+                assert not fresh.wedge(e("a"), e("a", m))
+            assert fills["d", top, k] == 1 and fresh.exterior.d_images[top][k] == ()
+            assert fills[("a",), k, ("a",)] == 1 and fresh.exterior._products[("a",), ("a",)][k] == ()
 
 
 class TestModeChecks:

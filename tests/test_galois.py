@@ -6,17 +6,23 @@ coefficients, and every closed form of constants.py a quotient of two, so
 sigma carries each map at q = i onto the same map at q = -i, coefficient by
 coefficient.  These tests check that exactly, on basis
 elements and through the public maps only (never the tables behind them), so
-code that writes i where it means q, or hard-codes a root, fails here.
+code that writes i where it means q, or hard-codes a root, fails here.  The
+last two tests hold the verify and connection documents of the CLI to the same
+rule.
 """
+import io
 import itertools
+import json
+from contextlib import redirect_stdout
 
 import pytest
 
 from ncgq.algebra import QuantumAlgebra, TensorElement, basis_monomials
 from ncgq.calculus import Calculus, DiffForm, FORMS, ModuleSum
+from ncgq.cli import main
 from ncgq.riemannian import (ConnectionAssembler, covariant_derivative_basis, reference_connection,
                              riemann_basis)
-from ncgq.scalars import q_root
+from ncgq.scalars import format_gaussian, parse_gaussian, q_root
 from test_closed_forms import closed_forms
 
 ORDERED_WORDS = [w for n in range(5) for w in itertools.combinations(FORMS, n)]
@@ -105,3 +111,27 @@ def test_nabla_and_curvature_of_the_reference_connection():
         for fn in (covariant_derivative_basis, riemann_basis):
             at_i, at_mi = fn(CAL["i"], conn_i, i), fn(CAL["-i"], conn_mi, i)
             assert at_i and at_mi == sigma(at_i)
+
+
+def cli_json(*args):
+    """The JSON document of one CLI command, run in this process; the command must exit 0."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(list(args)) == 0
+    return json.loads(out.getvalue())
+
+
+# The audit and curvature documents print Gaussian values inside free text; the
+# tests above cover the objects behind them.
+def test_verify_differs_between_the_roots_only_in_its_mode_labels():
+    at_i, at_mi = cli_json("verify", "--q", "i"), cli_json("verify", "--q", "-i")
+    assert at_mi["q"] == "-i" and {c["mode"] for c in at_mi["checks"]} == {"-i"}
+    assert {**at_mi, "q": "i", "checks": [{**c, "mode": "i"} for c in at_mi["checks"]]} == at_i
+
+
+def test_connection_at_minus_i_is_sigma_of_every_coefficient_at_i():
+    at_i, at_mi = cli_json("connection", "--q", "i"), cli_json("connection", "--q", "-i")
+    coefficients = at_i["results"]["i"]["connection"]
+    conjugated = {k: format_gaussian(parse_gaussian(v).conjugate()) for k, v in coefficients.items()}
+    assert conjugated != coefficients
+    assert at_mi == {**at_i, "q": "-i", "results": {"-i": {**at_i["results"]["i"], "connection": conjugated}}}

@@ -7,8 +7,8 @@ tests check that each result is canonical, and hold each map to the oracles of
 tests/test_table_oracles.py, at both roots, on the inputs where that can go
 wrong: 6- to 7-digit denominators, denominators that share factors (so their
 lcm is not their product), results that cancel to Gaussian integers or to
-exact zero, and an exterior algebra whose pair rule has a non-integral
-coefficient, so that its table entries carry a denominator of their own.
+exact zero.  Table entries are Gaussian integers: an exterior algebra whose
+pair rule has a non-integral coefficient is rejected where it reaches one.
 """
 import itertools
 import math
@@ -184,6 +184,9 @@ def test_results_that_cancel_to_gaussian_integers(cal):
                    for f in got.terms.values() for c in f.coeffs.values())
 
 
+AB_WORDS = [(), ("a",), ("b",), ("a", "b")]
+
+
 class ThirdPairRule(ExteriorAlgebra):
     """A swapped exterior algebra: e_c ^ e_b = (2/3 + i/5) e_b ^ e_c, a non-integral coefficient."""
 
@@ -193,23 +196,25 @@ class ThirdPairRule(ExteriorAlgebra):
         return rules
 
 
-def test_non_integral_pair_rule_stays_exact(cal):
+def test_non_integral_pair_rule_is_rejected(cal):
+    # table entries are Gaussian integers; a rule that reaches a fraction raises, naming the entry
     swapped = Calculus(QuantumAlgebra(cal.algebra.mode))
     swapped.exterior = ThirdPairRule(cal.algebra.q)
-    rng = random.Random(79)
     e = swapped.basis_form
-    assert swapped.wedge(e("c"), e("b")) == swapped.wedge(e("b"), e("c")).scale(
-        GaussianRational(Fraction(2, 3), Fraction(1, 5)))
+    for _ in range(2):  # the failed entry is not stored, so it raises again
+        with pytest.raises(ValueError, match=r"table entry \('c',\) 1 \^ \('b',\) has the non-integral "
+                                             r"coefficient 2/3\+1/5\*i at \('b', 'c'\), 1"):
+            swapped.wedge(e("c"), e("b"))
+        assert swapped.exterior._products[("c",), ("b",)][0] is None
+    # e_d ^ e_d = mu e_c ^ e_b, so d(e_d) reaches the rule through theta ^ e_d
+    with pytest.raises(ValueError, match="non-integral coefficient"):
+        swapped.exterior_d(e("d"))
+    # words in e_a and e_b never reach the rule, and their products are the reference ones
+    rng = random.Random(79)
     for _ in range(20):
-        x, y = form(swapped, rng, large_denominators), form(swapped, rng, shared_denominators)
-        assert swapped.wedge(x, y) == oracle_wedge(swapped, x, y)
-        assert swapped.wedge(y, x) == oracle_wedge(swapped, y, x)
-        for normalized in (True, False):
-            assert swapped.exterior_d(x, normalized) == oracle_d(swapped, x, normalized)
-    # the entries that the non-integral rule reaches carry a denominator of their own
-    entries = [entry for slots in swapped.exterior._products.values() for entry in slots if entry]
-    entries += [entry for slots in swapped.exterior.d_images.values() for entry in slots if entry]
-    assert any(entry[0] != 1 for entry in entries)
+        x = form(swapped, rng, large_denominators, rng.sample(AB_WORDS, 2))
+        y = form(swapped, rng, shared_denominators, rng.sample(AB_WORDS, 2))
+        assert swapped.wedge(x, y) == cal.wedge(x, y)
 
 
 def test_equal_values_are_equal_and_hash_alike(cal):

@@ -170,8 +170,18 @@ class TestTripleAgainstFractionPairs:
         for w in paths:
             _assert_normal(w)
             assert w == z and hash(w) == hash(z)
-            # the hash is that of the (re, im) pair of Fractions
-            assert hash(w) == hash((w.re, w.im))
+            # a real value hashes as its Fraction (so as an equal int), any other as (re, im)
+            assert hash(w) == (hash(w.re) if w.im == 0 else hash((w.re, w.im)))
+
+    def test_real_values_hash_as_the_int_or_fraction_they_equal(self):
+        # == with an int or a Fraction implies equal hashes, so sets and dict keys agree with ==
+        assert len({GaussianRational(3), 3}) == 1 and {3: "x"}.get(GaussianRational(3)) == "x"
+        for n in range(-20, 21):
+            for k in range(1, 13):
+                for other in (n, Fraction(n, k)):
+                    z = GaussianRational(other)
+                    assert z == other and hash(z) == hash(other)
+                    assert len({z, other}) == 1 and {other: "x"}.get(z) == "x"
 
     def test_zero_is_one_triple(self):
         z = gr(0)
