@@ -14,7 +14,7 @@ from .algebra import QuantumAlgebra
 from .calculus import Calculus, DiffForm, FORMS
 from .constants import (CONNECTION_PRINTED, LAMBDA_C, NU, XI,
                         evaluate_connection_printed)
-from .fixtures import printed_spectrum, printed_translation_matrices
+from .fixtures import printed_translation_matrices
 from .riemannian import (ConnectionAssembler, SpinConnection, TensorForm,
                          connection_residuals, covariant_derivative_basis,
                          printed_ad_tables, reference_connection, regularity_check,
@@ -392,9 +392,8 @@ def audit_riemannian(cal: Calculus, conn: SpinConnection) -> list[AuditRow]:
 
 
 def audit_dirac(cal: Calculus, conn: SpinConnection) -> list[AuditRow]:
-    from .dirac import (a_slash_first_principles, a_slash_printed,
-                        build_dirac, compare_spectrum, diagonal_scalars,
-                        eigenvalues)
+    from .dirac import (a_slash_first_principles, a_slash_printed, diagonal_scalars,
+                        spectrum_pipeline)
 
     rows: list[AuditRow] = []
     q = cal.algebra.q
@@ -419,9 +418,7 @@ def audit_dirac(cal: Calculus, conn: SpinConnection) -> list[AuditRow]:
     ))
 
     for mode in ("1", "i", "-i"):
-        dm = build_dirac(mode)
-        spec = eigenvalues(dm.matrix, mode=mode)
-        rep = compare_spectrum(spec, printed_spectrum(mode))
+        _, _, rep = spectrum_pipeline(mode)
         rows.append(_row(
             "dirac", f"spectrum reproduction at q={mode}",
             "reference eigenvalue list",
@@ -465,8 +462,8 @@ def exact_sections(mode: str) -> list[AuditRow]:
 def dirac_section(mode: str) -> list[AuditRow]:
     """The Dirac rows, from a calculus and reference connection of their own.
 
-    They share nothing with `exact_sections`, and numpy is imported here
-    only, so the two can run side by side.
+    They share nothing with `exact_sections`, so the two can run side by side.
+    The spectra come from the sector solver, which imports no numpy.
     """
     cal = _calculus(mode)
     return audit_dirac(cal, reference_connection(cal))

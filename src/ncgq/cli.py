@@ -10,7 +10,7 @@ its expected shape (a NaN or infinite number included), 4 output error: the
 --out file cannot be written (a directory, or a path under a regular file).
 Errors are reported in one line on stderr.  JSON output is
 deterministic (sorted keys, fixed float formatting; `dirac` lists its
-eigenvalues in a canonical order, not LAPACK's); text output is
+eigenvalues in a canonical order, not the solver's); text output is
 human-oriented and unstable.  Files are written atomically.
 
 `audit --q generic` audits q = i; `audit --q 1` is a usage error.
@@ -19,7 +19,9 @@ human-oriented and unstable.  Files are written atomically.
 while this process computes the exact half, when the platform has fork and
 numpy is not loaded yet (see `alongside`); the bytes and exit codes are those
 of a sequential run, and the library functions `verification.run_checks` and
-`audit.build_audit_report` always run sequentially.
+`audit.build_audit_report` always run sequentially.  Only `verify` loads
+numpy, in that child: `dirac` and the audit's Dirac section use the
+pure-Python sector solver.
 """
 from __future__ import annotations
 
@@ -108,9 +110,9 @@ def alongside(compute):
     """Yield a function that returns compute(), which a forked child computes meanwhile.
 
     The child forks only when the platform has fork and numpy is not loaded
-    yet: then its numpy import overlaps the caller's work, and the parent holds
-    no BLAS threads that a fork would copy.  Otherwise compute() runs inline
-    when its value is asked for.  The child pickles the value into a pipe and
+    yet, so the parent holds no BLAS threads that a fork would copy; the
+    child's work, numpy's import included for `verify`, then overlaps the
+    caller's.  Otherwise compute() runs inline when its value is asked for.  The child pickles the value into a pipe and
     always leaves through os._exit, so it writes no output and runs no exit
     handler.  If it does not exit 0, the value is computed inline, so every
     exception and message is that of the inline run.  A child whose value was
@@ -271,8 +273,8 @@ def cmd_dirac(cfg: RunConfig) -> int:
     except EigensolverError as exc:
         sys.stderr.write(f"eigensolver failure: {exc}\n")
         return 1
-    # LAPACK's eigenvalue order differs between BLAS builds, so emit a canonical
-    # one: by real, then imaginary part at 9 decimals, then by the full values
+    # the solver's order follows its choice of basis, so emit a canonical one:
+    # by real, then imaginary part at 9 decimals, then by the full values
     lam = spec.eigenvalues
     order = sorted(range(len(lam)), key=lambda k: (round(lam[k].real, 9), round(lam[k].imag, 9),
                                                    lam[k].real, lam[k].imag))

@@ -11,26 +11,33 @@ identities hold to printing precision at q = 1 and q = i).  The off-diagonal
 scalars depend on reference entries that are corrupted; the q = 1 spectrum
 determines them exactly (see the decode in the audit), and they ship as
 reconstructed fixture values with provenance flags.
+
+`spectrum_pipeline` solves D one small block at a time in pure Python
+(`sectors.sector_eigenvalues`); `eigenvalues` is the dense LAPACK solver, and
+numpy is imported there only.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .algebra import TranslationMatrix
-from .calculus import MATRIX_UNITS, Calculus, FORMS
 from .constants import (ASLASH_GENERATOR_VALUES, ASLASH_MATRIX_PRINTED,
                         F_DIAG, Q_OVER_2Q, Q2_OVER_2Q, evaluate_connection_printed)
 from .fixtures import printed_spectrum, printed_translation_matrices, reconstructed_offdiagonal_scalars
-from .riemannian import SpinConnection
 from .scalars import GaussianRational, ZERO, q_root
+
+if TYPE_CHECKING:  # only the audit's connection-term rows need the calculus
+    from .calculus import Calculus
+    from .riemannian import SpinConnection
 
 
 def gamma_matrix(form: str) -> list[list[int]]:
     """Elementary 2x2 matrix attached to a basis 1-form (identity map in the
     endomorphism labeling)."""
+    from .calculus import MATRIX_UNITS
+
     i, j = MATRIX_UNITS[form]
     out = [[0, 0], [0, 0]]
     out[i][j] = 1
@@ -38,6 +45,8 @@ def gamma_matrix(form: str) -> list[list[int]]:
 
 
 def gamma_of_invariant_form(weights: dict[str, GaussianRational]) -> list[list[GaussianRational]]:
+    from .calculus import MATRIX_UNITS
+
     out = [[ZERO, ZERO], [ZERO, ZERO]]
     for f, c in weights.items():
         i, j = MATRIX_UNITS[f]
@@ -62,6 +71,8 @@ def a_slash_first_principles(calculus: Calculus, connection: SpinConnection) -> 
     A_slash^alpha_beta = sum_gamma [A(pi S^-1 t^gamma_beta)]^alpha_gamma with the
     operational generator matrix; compared against the proof formulas in the audit.
     """
+    from .calculus import FORMS
+
     alg = calculus.algebra
     t = alg.generator_matrix()
     out = {}
@@ -86,6 +97,8 @@ def a_slash_first_principles(calculus: Calculus, connection: SpinConnection) -> 
 
 def a_slash_generator_values_printed(connection: SpinConnection, q: GaussianRational) -> dict[str, dict[str, GaussianRational]]:
     """Reference values of A(pi S^-1 gen) as 1-forms (components on e_j)."""
+    from .calculus import FORMS
+
     out = {}
     for gen, terms in ASLASH_GENERATOR_VALUES.items():
         comp = {f: ZERO for f in FORMS}
@@ -99,10 +112,10 @@ def a_slash_generator_values_printed(connection: SpinConnection, q: GaussianRati
 
 @dataclass
 class DiracMatrix:
-    """32x32 complex matrix with assembly metadata."""
+    """32x32 complex matrix, as a list of rows, with assembly metadata."""
 
     mode: str
-    matrix: np.ndarray
+    matrix: list[list[complex]]
     scalars: dict
     extrapolated: bool = False
 
@@ -124,8 +137,8 @@ def diagonal_scalars(mode: str) -> dict[str, GaussianRational]:
     return {"s11": s11, "s22": s22}
 
 
-def to_complex_matrix(tm: TranslationMatrix) -> np.ndarray:
-    return np.array([[tm[(i, j)].to_complex() for j in range(16)] for i in range(16)])
+def to_complex_matrix(tm: TranslationMatrix) -> list[list[complex]]:
+    return [[x.to_complex() for x in row] for row in tm.entries]
 
 
 def build_dirac(mode: str, include_connection: bool = True) -> DiracMatrix:
@@ -138,12 +151,7 @@ def build_dirac(mode: str, include_connection: bool = True) -> DiracMatrix:
     if mode not in ("1", "i", "-i"):
         raise ValueError(f"no spectral mode {mode!r}")
     q = q_root(mode)
-    R = printed_translation_matrices(q)
-    Ra = to_complex_matrix(R["alpha"])
-    Rb = to_complex_matrix(R["beta"])
-    Rbs = to_complex_matrix(R["beta_star"])
-    Rd = to_complex_matrix(R["delta"])
-    I = np.eye(16)
+    R = {name: to_complex_matrix(tm) for name, tm in printed_translation_matrices(q).items()}
 
     diag = diagonal_scalars(mode)
     off = reconstructed_offdiagonal_scalars(mode)
@@ -155,10 +163,16 @@ def build_dirac(mode: str, include_connection: bool = True) -> DiracMatrix:
     }
     if not include_connection:
         s = {k: 0.0 for k in s}
-    m = np.block([
-        [Ra - I + s[(0, 0)] * I, Rbs + s[(0, 1)] * I],
-        [Rb + s[(1, 0)] * I, Rd - I + s[(1, 1)] * I],
-    ])
+    # each entry is R + s, or (R - 1) + s on the diagonal blocks' diagonals, in
+    # that order: verify prints LAPACK's residual digits for these exact floats
+    m = []
+    for a, (left, right) in enumerate(((R["alpha"], R["beta_star"]), (R["beta"], R["delta"]))):
+        for i in range(16):
+            row = left[i] + right[i]
+            for b in range(2):
+                k = 16 * b + i
+                row[k] = (row[k] - 1 if a == b else row[k]) + s[(a, b)]
+            m.append(row)
     return DiracMatrix(mode=mode, matrix=m, scalars=s, extrapolated=(mode == "1"))
 
 
@@ -176,9 +190,23 @@ class Spectrum:
     def max_residual(self) -> float:
         return max(self.residuals)
 
+    def check_contract(self) -> "Spectrum":
+        """Raise EigensolverError unless every residual is at most 1e-9 ||M||_2."""
+        if self.max_residual() > 1e-9 * self.matrix_norm:
+            raise EigensolverError(f"residual contract violated: max {self.max_residual():.3g} "
+                                   f"vs {1e-9 * self.matrix_norm:.3g}")
+        return self
 
-def eigenvalues(matrix: np.ndarray, mode: str = "?") -> Spectrum:
-    """Dense complex eigensolve with a per-eigenpair backward-error certificate."""
+
+def eigenvalues(matrix, mode: str = "?") -> Spectrum:
+    """Dense LAPACK eigensolve with a per-eigenpair backward-error certificate.
+
+    The test oracle for `sectors.sector_eigenvalues`, and the solver of
+    `verify`, whose output prints its residual digits.
+    """
+    import numpy as np
+
+    matrix = np.asarray(matrix)
     if not np.all(np.isfinite(matrix)):
         raise EigensolverError("matrix has non-finite entries")
     lam, vecs = np.linalg.eig(matrix)
@@ -188,12 +216,11 @@ def eigenvalues(matrix: np.ndarray, mode: str = "?") -> Spectrum:
         v = vecs[:, k]
         r = np.linalg.norm(matrix @ v - lam[k] * v) / np.linalg.norm(v)
         residuals.append(float(r))
-    spec = Spectrum(mode=mode, eigenvalues=[complex(x) for x in lam],
-                    residuals=residuals, matrix_norm=norm)
-    if spec.max_residual() > 1e-9 * norm:
-        raise EigensolverError(
-            f"residual contract violated: max {spec.max_residual():.3g} vs {1e-9 * norm:.3g}")
-    return spec
+    return Spectrum(mode=mode, eigenvalues=[complex(x) for x in lam],
+                    residuals=residuals, matrix_norm=norm).check_contract()
+
+
+# -- matching against the printed lists ------------------------------------------------
 
 
 @dataclass
@@ -209,21 +236,19 @@ def compare_spectrum(computed: Spectrum, reference: list[complex]) -> MatchRepor
     if len(computed.eigenvalues) != len(reference):
         raise ValueError(
             f"length mismatch: {len(computed.eigenvalues)} vs {len(reference)}")
-    a = np.array(computed.eigenvalues)
-    b = np.array(reference)
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = _linear_sum_assignment(cost)
-    d = cost[rows, cols]
+    cost = [[abs(a - b) for b in reference] for a in computed.eigenvalues]
+    _, cols = _linear_sum_assignment(cost)
+    d = [row[j] for row, j in zip(cost, cols)]
     return MatchReport(
         mode=computed.mode,
-        max_distance=float(d.max()),
-        mean_distance=float(d.mean()),
-        distances=[float(x) for x in d[np.argsort(rows)]],
+        max_distance=max(d),
+        mean_distance=math.fsum(d) / len(d),
+        distances=d,
     )
 
 
-def _linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-cost perfect matching of a square cost matrix, as (rows, cols).
+def _linear_sum_assignment(cost) -> tuple[list[int], list[int]]:
+    """Minimum-cost perfect matching of a square cost matrix (rows), as (rows, cols).
 
     A square-only port of the shortest-augmenting-path solver with dual updates
     behind scipy.optimize.linear_sum_assignment (Crouse, "On implementing 2D
@@ -234,12 +259,15 @@ def _linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     start reversed and a scanned one is replaced by the last, and on an equal
     path cost an unassigned column wins.
     """
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-        raise ValueError(f"cost matrix is not square: shape {cost.shape}")
-    if not np.all(np.isfinite(cost)):
+    try:
+        c = [[float(x) for x in row] for row in cost]
+    except TypeError:  # a row that is a number: a vector, not a matrix
+        raise ValueError(f"cost matrix is not square: shape ({len(cost)},)") from None
+    n = len(c)
+    if any(len(row) != n for row in c):
+        raise ValueError(f"cost matrix is not square: shape {(n, *sorted({len(row) for row in c}))}")
+    if not all(math.isfinite(x) for row in c for x in row):
         raise ValueError("cost matrix has non-finite entries")
-    n = cost.shape[0]
-    c = cost.tolist()
     u = [0.0] * n
     v = [0.0] * n
     path = [-1] * n
@@ -286,12 +314,14 @@ def _linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             col4row[i], j = j, col4row[i]
             if i == cur:
                 break
-    return np.arange(n), np.array(col4row)
+    return list(range(n)), col4row
 
 
 def spectrum_pipeline(mode: str, include_connection: bool = True) -> tuple[DiracMatrix, Spectrum, MatchReport | None]:
     dm = build_dirac(mode, include_connection=include_connection)
-    spec = eigenvalues(dm.matrix, mode=mode)
+    from .sectors import sector_eigenvalues
+
+    spec = sector_eigenvalues(dm.matrix, mode)
     report = None
     if include_connection:
         report = compare_spectrum(spec, printed_spectrum(mode))

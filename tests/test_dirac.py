@@ -1,4 +1,6 @@
+import cmath
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ncgq import dirac, linalg
+from ncgq import dirac, linalg, sectors
 from ncgq.algebra import QuantumAlgebra, basis_monomials
 from ncgq.calculus import Calculus
 from ncgq.dirac import (DiracMatrix, EigensolverError, MatchReport, Spectrum,
@@ -116,6 +118,54 @@ class TestCompareSpectrum:
             compare_spectrum(spec, printed_spectrum("i"))
 
 
+# a cold ncgq process that runs one command and reports, as one JSON line, its
+# exit code and whether numpy and scipy were loaded in it and in each forked
+# child that computed the spectral half of verify or audit
+COLD_PROGRAM = """
+import json, os, sys
+import ncgq.audit, ncgq.cli, ncgq.verification
+
+parent = os.getpid()
+seen = sys.argv[1]
+
+
+def spy(module, name):
+    inner = getattr(module, name)
+
+    def wrapper(mode):
+        out = inner(mode)
+        if os.getpid() != parent:
+            with open(seen, "a") as fh:
+                fh.write(json.dumps({m: m in sys.modules for m in ("numpy", "scipy")}) + "\\n")
+        return out
+
+    setattr(module, name, wrapper)
+
+
+spy(ncgq.audit, "dirac_section")
+spy(ncgq.verification, "spectral_checks")
+code = ncgq.cli.main(sys.argv[2:])
+with open(seen) as fh:
+    children = [json.loads(line) for line in fh]
+print(json.dumps({"code": code, "children": children,
+                  "parent": {m: m in sys.modules for m in ("numpy", "scipy")}}))
+"""
+
+
+def _cold_run(tmp_path, command, q):
+    src = Path(dirac.__file__).resolve().parents[1]
+    seen = tmp_path / f"{command}{q}.children"
+    seen.write_text("")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_PROGRAM, str(seen), command, "--q", q,
+         "--out", str(tmp_path / f"{command}{q}.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
 def _paired_rows_cost(rng, n):
     # rows in pairs 1e-15 apart, like the computed q=i spectrum against a list
     z = rng.normal(size=(n + 1) // 2) + 1j * rng.normal(size=(n + 1) // 2)
@@ -135,14 +185,26 @@ class TestAssignmentSolver:
     def _assert_same(self, cost, scipy_lsa):
         rows, cols = dirac._linear_sum_assignment(cost)
         want_rows, want_cols = scipy_lsa(cost)
-        assert rows.tolist() == list(range(cost.shape[0])) == want_rows.tolist()
-        assert cols.tolist() == want_cols.tolist()
+        assert list(rows) == list(range(cost.shape[0])) == want_rows.tolist()
+        assert list(cols) == want_cols.tolist()
 
     @pytest.mark.parametrize("mode", ["1", "i", "-i"])
     def test_matches_scipy_on_the_spectral_cost_matrices(self, mode, scipy_lsa):
         a = np.array(eigenvalues(build_dirac(mode).matrix).eigenvalues)
         b = np.array(printed_spectrum(mode))
         self._assert_same(np.abs(a[:, None] - b[None, :]), scipy_lsa)
+
+    @pytest.mark.parametrize("mode", ["1", "i", "-i"])
+    def test_matches_scipy_on_the_sector_cost_matrices(self, mode, scipy_lsa):
+        # the cost matrices the commands match; at +-i their rows come in exact pairs
+        a = np.array(spectrum_pipeline(mode)[1].eigenvalues)
+        b = np.array(printed_spectrum(mode))
+        self._assert_same(np.abs(a[:, None] - b[None, :]), scipy_lsa)
+
+    def test_takes_a_list_of_rows(self):
+        assert dirac._linear_sum_assignment([[3.0, 1.0], [1.0, 3.0]]) == ([0, 1], [1, 0])
+        with pytest.raises(ValueError, match="not square"):
+            dirac._linear_sum_assignment([[1.0, 2.0], [3.0]])
 
     @pytest.mark.parametrize("make_cost", [
         lambda rng, n: rng.random((n, n)),
@@ -167,19 +229,20 @@ class TestAssignmentSolver:
             dirac._linear_sum_assignment(np.ones(shape))
 
     def test_runtime_never_imports_scipy(self, tmp_path):
-        src = Path(dirac.__file__).resolve().parents[1]
-        program = (
-            "import sys\n"
-            "import ncgq.cli, ncgq.verification, ncgq.audit, ncgq.dirac\n"
-            f"code = ncgq.cli.main(['dirac', '--q', '1', '--out', {str(tmp_path / 'd.json')!r}])\n"
-            "print(code, 'scipy' in sys.modules)\n"
-        )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", program], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0", "False"]
+        # and numpy only in verify's spectral half, which runs in a forked child
+        want = {
+            ("dirac", "1"): (0, False, None), ("dirac", "i"): (1, False, None),
+            ("dirac", "-i"): (1, False, None), ("audit", "i"): (0, False, False),
+            ("audit", "-i"): (0, False, False), ("verify", "i"): (0, False, True),
+        }
+        for (command, q), (code, parent_numpy, child_numpy) in want.items():
+            report = _cold_run(tmp_path, command, q)
+            assert report["code"] == code, report
+            assert report["parent"] == {"numpy": parent_numpy, "scipy": False}, report
+            if child_numpy is None:
+                assert report["children"] == [], report
+            else:
+                assert report["children"] == [{"numpy": child_numpy, "scipy": False}], report
 
 
 class TestAssembly:
@@ -191,22 +254,113 @@ class TestAssembly:
 
         R = printed_translation_matrices(q)
         rb = np.array([[R["beta"][(i, j)].to_complex() for j in range(16)] for i in range(16)])
-        block21 = dm.matrix[16:, :16]
+        block21 = np.array(dm.matrix)[16:, :16]
         s21 = dm.scalars[(1, 0)]
         assert np.allclose(block21 - s21 * np.eye(16), rb)
 
     def test_conjugation_symmetry_of_construction(self):
-        di = build_dirac("i").matrix
-        dmi = build_dirac("-i").matrix
+        di = np.array(build_dirac("i").matrix)
+        dmi = np.array(build_dirac("-i").matrix)
         assert np.array_equal(di.conjugate(), dmi)
 
     def test_trace_matches_printed_sum_q1(self):
         dm = build_dirac("1")
-        assert abs(complex(dm.matrix.trace()) - sum(printed_spectrum("1"))) < 1e-3
+        assert abs(complex(np.array(dm.matrix).trace()) - sum(printed_spectrum("1"))) < 1e-3
 
     def test_trace_matches_printed_sum_qi(self):
         dm = build_dirac("i")
-        assert abs(complex(dm.matrix.trace()) - sum(printed_spectrum("i"))) < 1e-3
+        assert abs(complex(np.array(dm.matrix).trace()) - sum(printed_spectrum("i"))) < 1e-3
+
+
+def _left_multiplication_by_a():
+    """I_2 (x) L_a as a 32x32 array: L_a sends a^p b^r to a^(p+1) b^r, with no sign at any q."""
+    la = np.zeros((16, 16))
+    for p, r in basis_monomials():
+        la[4 * ((p + 1) % 4) + r, 4 * p + r] = 1
+    return np.kron(np.eye(2), la)
+
+
+class TestSectorSolver:
+    """The pure-Python sector solver against the dense LAPACK solver and closed forms."""
+
+    @pytest.mark.parametrize("mode, n_blocks, size", [("1", 16, 2), ("i", 8, 4), ("-i", 8, 4)])
+    def test_basis_is_exact_orthogonal_and_block_shaped(self, mode, n_blocks, size):
+        order, blocks = sectors.sector_basis(mode)
+        assert (order, len(blocks), {len(b) for b in blocks}) == (32 // size, n_blocks, {size})
+        dense = []
+        for block in blocks:
+            # within a block the supports are disjoint and cover C^32
+            assert sorted(n for indices, _ in block for n in indices) == list(range(32))
+            for indices, values in block:
+                assert set(values) <= {1, -1, 1j, -1j}
+                w = [0j] * 32
+                for n, z in zip(indices, values):
+                    w[n] = z
+                dense.append(w)
+        gram = [[sum(x.conjugate() * y for x, y in zip(u, v)) for v in dense] for u in dense]
+        assert gram == [[order if j == k else 0 for k in range(32)] for j in range(32)]
+
+    @pytest.mark.parametrize("mode", ["1", "i", "-i"])
+    def test_matches_the_dense_solver(self, mode):
+        matrix = build_dirac(mode).matrix
+        sector, dense = sectors.sector_eigenvalues(matrix, mode), eigenvalues(matrix, mode)
+        assert abs(sector.matrix_norm - dense.matrix_norm) <= 1e-12 * dense.matrix_norm
+        assert compare_spectrum(sector, dense.eigenvalues).max_distance <= 1e-9 * dense.matrix_norm
+        assert sector.max_residual() <= 1e-9 * sector.matrix_norm
+
+    @pytest.mark.parametrize("mode", ["i", "-i"])
+    def test_bare_operator_matches_the_dense_solver(self, mode):
+        matrix = build_dirac(mode, include_connection=False).matrix
+        sector, dense = sectors.sector_eigenvalues(matrix, mode), eigenvalues(matrix, mode)
+        assert abs(sector.matrix_norm - dense.matrix_norm) <= 1e-12 * dense.matrix_norm
+        assert compare_spectrum(sector, dense.eigenvalues).max_distance <= 1e-9 * dense.matrix_norm
+
+    def test_bare_operator_at_one_matches_its_exact_block_roots(self):
+        # at q = 1 without the connection term the character (a, b) block is
+        # [[a - 1, (a - 1) b^3], [b, a - 1]], with roots (a - 1) +- sqrt(a - 1);
+        # at a = 1 it is a Jordan block, where LAPACK's 32x32 solve is good to
+        # about 2e-8 only
+        spec = sectors.sector_eigenvalues(build_dirac("1", include_connection=False).matrix, "1")
+        exact = [a - 1 + sign * cmath.sqrt(a - 1)
+                 for a in (1, 1j, -1, -1j) for _ in range(4) for sign in (1, -1)]
+        got = Spectrum(mode="1", eigenvalues=exact, residuals=[0.0] * 32, matrix_norm=1.0)
+        assert compare_spectrum(got, spec.eigenvalues).max_distance <= 1e-9 * spec.matrix_norm
+        assert spec.max_residual() <= 1e-9 * spec.matrix_norm
+
+    @pytest.mark.parametrize("mode", ["1", "i"])
+    def test_broken_commutation_raises(self, mode):
+        matrix = build_dirac(mode).matrix
+        la = _left_multiplication_by_a()
+        assert np.abs(np.array(matrix) @ la - la @ np.array(matrix)).max() < 1e-12
+        matrix[0][1] += 0.5
+        assert np.abs(np.array(matrix) @ la - la @ np.array(matrix)).max() == 0.5
+        with pytest.raises(EigensolverError, match="not invariant"):
+            sectors.sector_eigenvalues(matrix, mode)
+
+    def test_nonfinite_rejected(self):
+        matrix = build_dirac("i").matrix
+        matrix[3][3] = complex("nan")
+        with pytest.raises(EigensolverError, match="non-finite"):
+            sectors.sector_eigenvalues(matrix, "i")
+
+    def test_the_pipeline_uses_the_sector_solver(self, monkeypatch):
+        def no_dense_solve(*args, **kwargs):
+            raise AssertionError("the dense solver was called")
+
+        monkeypatch.setattr(dirac, "eigenvalues", no_dense_solve)
+        monkeypatch.setattr(np.linalg, "eig", no_dense_solve)
+        for mode in ("1", "i", "-i"):
+            assert spectrum_pipeline(mode)[1].max_residual() > 0
+
+    def test_import_loads_neither_numpy_nor_the_calculus(self):
+        src = Path(dirac.__file__).resolve().parents[1]
+        program = ("import sys, ncgq.dirac\n"
+                   "print([m for m in ('numpy', 'ncgq.calculus', 'ncgq.riemannian', 'ncgq.linalg')"
+                   " if m in sys.modules])\n")
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", program], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
 class TestSpectra:
