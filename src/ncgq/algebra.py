@@ -23,12 +23,12 @@ gcd per element; GaussianRationals appear only in the .coeffs view.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .fixtures import TranslationMatrix
 from .scalars import ZERO, ONE, GaussianRational, format_gaussian, gaussian, parse_gaussian, q_root
 
 Monomial = tuple[int, int]  # (p, r): exponents of a and b
@@ -327,19 +327,6 @@ def _add(num: dict, key, u: int, v: int) -> None:
     t = num.setdefault(key, [0, 0])
     t[0] += u
     t[1] += v
-
-
-@dataclass(frozen=True)
-class TranslationMatrix:
-    """16x16 matrix of right multiplication: column j holds monomial_j * g."""
-
-    entries: tuple  # tuple of 16 row-tuples of GaussianRational
-
-    def __getitem__(self, ij: tuple[int, int]) -> GaussianRational:
-        return self.entries[ij[0]][ij[1]]
-
-    def rows(self) -> list[list[GaussianRational]]:
-        return [list(r) for r in self.entries]
 
 
 class QuantumAlgebra:

@@ -7,8 +7,6 @@ from corrupted reference data) each get their own row.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 from . import linalg
 from .algebra import QuantumAlgebra
 from .calculus import Calculus, DiffForm, FORMS
@@ -23,13 +21,18 @@ from .scalars import ONE, ZERO, format_gaussian
 from .verification import antipode_axioms_hold, reference_d_values
 
 
-@dataclass
 class AuditRow:
-    section: str
-    quantity: str
-    printed: str
-    computed: str
-    verdict: str  # match | mismatch | unparseable
+    __slots__ = ("section", "quantity", "printed", "computed", "verdict")
+
+    def __init__(self, section: str, quantity: str, printed: str, computed: str, verdict: str):
+        self.section = section
+        self.quantity = quantity
+        self.printed = printed
+        self.computed = computed
+        self.verdict = verdict  # match | mismatch | unparseable
+
+    def as_dict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def _row(section, quantity, printed, computed, verdict) -> AuditRow:
@@ -482,6 +485,6 @@ def audit_report(mode: str, rows: list[AuditRow]) -> dict:
     }
     return {
         "q_mode": mode,
-        "rows": [asdict(r) for r in rows],
+        "rows": [r.as_dict() for r in rows],
         "summary": summary,
     }

@@ -22,6 +22,12 @@ of a sequential run, and the library functions `verification.run_checks` and
 `audit.build_audit_report` always run sequentially.  Only `verify` loads
 numpy, in that child: `dirac` and the audit's Dirac section use the
 pure-Python sector solver.
+
+Each command imports the modules it runs inside its own function, since a
+cold run pays for every module it imports: no command loads `dataclasses`,
+`dirac` loads no algebra, calculus or riemannian module, and only the
+forking commands load `pickle` and `signal` (tests/test_cli.py,
+TestColdImports).
 """
 from __future__ import annotations
 
@@ -30,10 +36,7 @@ import contextlib
 import json
 import math
 import os
-import signal
 import sys
-import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from .scalars import format_gaussian
@@ -42,13 +45,16 @@ VALID_Q = ("generic", "1", "i", "-i")
 ROOT_MODES = ("i", "-i")
 
 
-@dataclass
 class RunConfig:
-    command: str
-    qmode: str
-    out: str | None = None
-    format: str = "json"
-    tol: float = 1e-3
+    __slots__ = ("command", "qmode", "out", "format", "tol")
+
+    def __init__(self, command: str, qmode: str, out: str | None = None,
+                 format: str = "json", tol: float = 1e-3):
+        self.command = command
+        self.qmode = qmode
+        self.out = out
+        self.format = format
+        self.tol = tol
 
 
 class ConfigError(ValueError):
@@ -76,6 +82,8 @@ def validate(cfg: RunConfig) -> None:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    import tempfile
+
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(target.parent), prefix=".ncgq-")
@@ -122,7 +130,8 @@ def alongside(compute):
     if not hasattr(os, "fork") or "numpy" in sys.modules:
         yield compute
         return
-    import pickle  # here, not at the top: the commands that never fork do not load it
+    import pickle  # here, not at the top: the commands that never fork load neither
+    import signal
 
     rfd, wfd = os.pipe()
     # an interrupt before the child resets its handler would raise into the caller's code

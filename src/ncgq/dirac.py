@@ -19,13 +19,12 @@ numpy is imported there only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .algebra import TranslationMatrix
 from .constants import (ASLASH_GENERATOR_VALUES, ASLASH_MATRIX_PRINTED,
                         F_DIAG, Q_OVER_2Q, Q2_OVER_2Q, evaluate_connection_printed)
-from .fixtures import printed_spectrum, printed_translation_matrices, reconstructed_offdiagonal_scalars
+from .fixtures import (TranslationMatrix, printed_spectrum, printed_translation_matrices,
+                       reconstructed_offdiagonal_scalars)
 from .scalars import GaussianRational, ZERO, q_root
 
 if TYPE_CHECKING:  # only the audit's connection-term rows need the calculus
@@ -110,14 +109,17 @@ def a_slash_generator_values_printed(connection: SpinConnection, q: GaussianRati
     return out
 
 
-@dataclass
 class DiracMatrix:
     """32x32 complex matrix, as a list of rows, with assembly metadata."""
 
-    mode: str
-    matrix: list[list[complex]]
-    scalars: dict
-    extrapolated: bool = False
+    __slots__ = ("mode", "matrix", "scalars", "extrapolated")
+
+    def __init__(self, mode: str, matrix: list[list[complex]], scalars: dict,
+                 extrapolated: bool = False):
+        self.mode = mode
+        self.matrix = matrix
+        self.scalars = scalars
+        self.extrapolated = extrapolated
 
 
 def diagonal_scalars(mode: str) -> dict[str, GaussianRational]:
@@ -180,12 +182,14 @@ class EigensolverError(RuntimeError):
     pass
 
 
-@dataclass
 class Spectrum:
-    mode: str
-    eigenvalues: list
-    residuals: list
-    matrix_norm: float
+    __slots__ = ("mode", "eigenvalues", "residuals", "matrix_norm")
+
+    def __init__(self, mode: str, eigenvalues: list, residuals: list, matrix_norm: float):
+        self.mode = mode
+        self.eigenvalues = eigenvalues
+        self.residuals = residuals
+        self.matrix_norm = matrix_norm
 
     def max_residual(self) -> float:
         return max(self.residuals)
@@ -223,12 +227,14 @@ def eigenvalues(matrix, mode: str = "?") -> Spectrum:
 # -- matching against the printed lists ------------------------------------------------
 
 
-@dataclass
 class MatchReport:
-    mode: str
-    max_distance: float
-    mean_distance: float
-    distances: list
+    __slots__ = ("mode", "max_distance", "mean_distance", "distances")
+
+    def __init__(self, mode: str, max_distance: float, mean_distance: float, distances: list):
+        self.mode = mode
+        self.max_distance = max_distance
+        self.mean_distance = mean_distance
+        self.distances = distances
 
 
 def compare_spectrum(computed: Spectrum, reference: list[complex]) -> MatchReport:

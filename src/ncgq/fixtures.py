@@ -13,7 +13,6 @@ import os
 from functools import lru_cache
 from pathlib import Path
 
-from .algebra import TranslationMatrix
 from .scalars import ONE, ZERO, GaussianRational
 
 
@@ -26,6 +25,29 @@ def fixture_dir() -> Path:
 
 class FixtureError(ValueError):
     """A fixture file that is missing, not JSON, or not of its expected shape."""
+
+
+class TranslationMatrix:
+    """16x16 matrix of right multiplication: column j holds monomial_j * g; compared by value."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple):
+        self.entries = entries  # tuple of 16 row-tuples of GaussianRational
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __getitem__(self, ij: tuple[int, int]) -> GaussianRational:
+        return self.entries[ij[0]][ij[1]]
+
+    def rows(self) -> list[list[GaussianRational]]:
+        return [list(r) for r in self.entries]
 
 
 # the four entries a fixture matrix may hold, as functions of q

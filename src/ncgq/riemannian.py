@@ -18,7 +18,6 @@ by the spectral layer), carrying provenance and honest residuals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
@@ -76,14 +75,16 @@ class Metric:
         return out
 
 
-@dataclass
 class ConnectionSystem:
     """Assembled linear system: rows over the 16 unknowns, labelled (kind, i, (x, y))."""
 
-    matrix: list
-    rhs: list
-    row_labels: list
-    unknowns: tuple = UNKNOWNS
+    __slots__ = ("matrix", "rhs", "row_labels", "unknowns")
+
+    def __init__(self, matrix: list, rhs: list, row_labels: list, unknowns: tuple = UNKNOWNS):
+        self.matrix = matrix
+        self.rhs = rhs
+        self.row_labels = row_labels
+        self.unknowns = unknowns
 
     @property
     def n_equations(self) -> int:
@@ -128,15 +129,26 @@ class ConnectionSystem:
         return out
 
 
-@dataclass
 class SpinConnection:
-    """Coefficients A_i^j plus their provenance; the coefficients are fixed once built."""
+    """Coefficients A_i^j plus their provenance; the coefficients are fixed once built.
 
-    coefficients: dict
-    source: str  # "solver" | "reference-table"
-    # (q mode, i) -> the legs of nabla e_i and of R(e_i), filled on first use
-    _nabla: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _riemann: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    Two connections are equal when their coefficients and sources are; the
+    caches play no part.
+    """
+
+    __slots__ = ("coefficients", "source", "_nabla", "_riemann")
+
+    def __init__(self, coefficients: dict, source: str):
+        self.coefficients = coefficients
+        self.source = source  # "solver" | "reference-table"
+        # (q mode, i) -> the legs of nabla e_i and of R(e_i), filled on first use
+        self._nabla = {}
+        self._riemann = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coefficients, self.source) == (other.coefficients, other.source)
 
     def form(self, i: str, calculus: Calculus) -> DiffForm:
         alg = calculus.algebra

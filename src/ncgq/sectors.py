@@ -14,9 +14,8 @@ import cmath
 import math
 import sys
 from functools import lru_cache
-from operator import itemgetter, mul
+from operator import mul
 
-from .algebra import monomial_index, monomial_product
 from .dirac import EigensolverError, Spectrum
 
 _UNITS = (1, 1j, -1, -1j)
@@ -33,10 +32,11 @@ def sector_basis(mode: str) -> tuple[int, tuple]:
     algebra is commutative, with representative 1.  For each character chi
     of H the block holds, for each spinor row and representative r,
 
-        w = sum_h conj(chi(h)) (h r),
+        w = sum_h conj(chi(h)) (h r).
 
-    with monomial_product's sign, which is + at every q here, since no
-    representative has a factor a (at q = 1 the algebra has no signs).
+    For h = a^p b^k and r = b^e, h r = a^p b^(k + e), at monomial index
+    4p + (k + e) mod 4, with sign + at every q: r has no factor a to commute
+    past (tests/test_dirac.py checks this against algebra.monomial_product).
     Left multiplication by g in H sends w to chi(g) w, and D commutes with it,
     so D keeps each block's span.  A vector is (indices, values) of its |H|
     nonzero entries, each 1, -1, i or -i, so the basis is exact; the vectors
@@ -55,10 +55,8 @@ def sector_basis(mode: str) -> tuple[int, tuple]:
                 for rep in range(step):
                     indices, values = [], []
                     for p, r in group:
-                        m, negated = monomial_product((p, r), (0, rep))
-                        value = _UNITS[-(s * p + t * r) % 4]
-                        indices.append(16 * row + monomial_index(m))
-                        values.append(-value if negated else value)
+                        indices.append(16 * row + 4 * p + (r + rep) % 4)
+                        values.append(_UNITS[-(s * p + t * r) % 4])
                     block.append((tuple(indices), tuple(values)))
             blocks.append(tuple(block))
     return len(group), tuple(blocks)
@@ -67,50 +65,65 @@ def sector_basis(mode: str) -> tuple[int, tuple]:
 def sector_eigenvalues(matrix: list[list[complex]], mode: str) -> Spectrum:
     """All 32 eigenpairs of D through `sector_basis`, with no dense eigensolve.
 
-    With W the unitary matrix of the basis vectors over sqrt|H|, T = W^H D W
-    holds each block B_b = W_b^H D W_b on its diagonal.  The rest of block b's
-    columns of T is W^H (D W_b - W_b B_b), so its norm is that of
-    D W_b - W_b B_b; it is certified to 1e-9 ||D||_2, and a matrix that does
-    not commute with the left multiplications raises EigensolverError.
-    ||D||_2 is the largest block 2-norm, since W is unitary.  A 2x2 block is
-    solved by the quadratic formula, a 4x4 block from its characteristic
-    polynomial; each eigenvector is a null vector of B - lambda, lifted to
-    C^32, where its residual against the full D is measured.
+    D w for each basis vector w sums the nonzero entries of the columns of D
+    that w touches (at most 5 per column), and block b is
+    B_b = W_b^H (D W_b) / |H|.
+    With W the unitary matrix of all the basis vectors over sqrt|H|, the
+    columns of W^H D W outside block b's diagonal square have the norm of
+    D W_b - W_b B_b over sqrt|H|; that leak is certified to 1e-9 ||D||_2, and
+    a matrix that does not commute with the left multiplications raises
+    EigensolverError.  ||D||_2 is the largest block 2-norm, since W is
+    unitary.  A 2x2 block is solved by the quadratic formula, a 4x4 block from
+    its characteristic polynomial; each eigenvector v is a null vector of
+    B - lambda, and its residual ||(D W_b) v - lambda W_b v|| / ||W_b v|| is
+    ||D x - lambda x|| / ||x|| for the lifted x = W_b v in C^32.
     """
     if len(matrix) != 32 or any(len(row) != 32 for row in matrix):
         raise ValueError("the sector solver takes the 32x32 Dirac matrix")
     if not all(cmath.isfinite(z) for row in matrix for z in row):
         raise EigensolverError("matrix has non-finite entries")
+    columns = [[] for _ in range(32)]
+    for i, row in enumerate(matrix):
+        for j, z in enumerate(row):
+            if z:
+                columns[j].append((i, z))
     order, bases = sector_basis(mode)
-    vectors = [(itemgetter(*indices), values) for basis in bases for indices, values in basis]
-    images = [[sum(map(mul, take(row), values)) for row in matrix] for take, values in vectors]
-    t = [[sum(map(mul, take(image), conjugates)) / order for image in images]
-         for take, conjugates in ((take, [z.conjugate() for z in values]) for take, values in vectors)]
-    solved, start = [], 0
+    solved = []
     for basis in bases:
-        span = range(start, start + len(basis))
-        start = span.stop
-        block = [[t[i][k] for k in span] for i in span]
-        leak = math.sqrt(sum(abs(t[i][k]) ** 2 for i in range(32) if i not in span for k in span))
-        solved.append((basis, block, leak))
-    norm = max(_spectral_norm(block) for _, block, _ in solved)
-    for k, (_, _, leak) in enumerate(solved):
+        images = []  # D w for each w in the block, dense
+        for indices, values in basis:
+            image = [0j] * 32
+            for n, value in zip(indices, values):
+                for i, z in columns[n]:
+                    image[i] += z * value
+            images.append(image)
+        block = [[sum(image[n] * value.conjugate() for n, value in zip(indices, values)) / order
+                  for image in images] for indices, values in basis]
+        # (D W_b - W_b B_b)[n, k] for n in the support of w_i is D w_k [n] - w_i[n] B[i][k]
+        leak = math.sqrt(sum(abs(image[n] - value * row[k]) ** 2
+                             for k, image in enumerate(images)
+                             for (indices, values), row in zip(basis, block)
+                             for n, value in zip(indices, values)) / order)
+        solved.append((basis, list(zip(*images)), block, leak))  # D W_b as rows
+    norm = max(_spectral_norm(block) for _, _, block, _ in solved)
+    for k, (_, _, _, leak) in enumerate(solved):
         if leak > 1e-9 * norm:
             raise EigensolverError(
                 f"sector {k} is not invariant: |D W - W B| = {leak:.3g} vs {1e-9 * norm:.3g}; "
                 "the matrix does not commute with the left multiplications")
     lams, residuals = [], []
-    for basis, block, _ in solved:
+    for basis, dw, block, _ in solved:
         roots = _quadratic_roots(block) if len(block) == 2 else _polynomial_roots(
             _characteristic_polynomial(block))
         for lam in roots:
             v = _null_vector([[x - lam if i == j else x for j, x in enumerate(row)]
                               for i, row in enumerate(block)])
-            x = [0j] * 32
+            r = [sum(map(mul, v, row)) for row in dw]  # (D W_b) v
+            x = [0j] * 32  # W_b v
             for c, (indices, values) in zip(v, basis):
                 for n, value in zip(indices, values):
                     x[n] = c * value
-            r = [sum(map(mul, row, x)) - lam * xn for row, xn in zip(matrix, x)]
+                    r[n] -= lam * x[n]
             lams.append(lam)
             residuals.append(_norm(r) / _norm(x))
     return Spectrum(mode=mode, eigenvalues=lams, residuals=residuals,

@@ -306,6 +306,47 @@ class TestForkedSpectralHalf:
         assert not report["child_left"]
 
 
+# a cold `ncgq` process that writes, as its last stderr line, the modules it
+# loaded beyond those the bare interpreter had loaded at startup (whatever its
+# `site` imports), so the comparison holds on any interpreter
+IMPORTS_ENTRY = """
+import sys
+bare = set(sys.modules)
+from ncgq.cli import main
+code = main()
+sys.stderr.write(" ".join(sorted(set(sys.modules) - bare)) + "\\n")
+sys.exit(code)
+"""
+NEVER_LOADED = {"dataclasses", "inspect"}
+NOT_FOR_DIRAC = {"ncgq.algebra", "ncgq.calculus", "ncgq.riemannian", "ncgq.linalg", "numpy"}
+DIRAC_PACKAGE = {"ncgq", "ncgq.cli", "ncgq.scalars", "ncgq.fixtures", "ncgq.constants",
+                 "ncgq.dirac", "ncgq.sectors"}
+
+
+class TestColdImports:
+    """Each cold command loads only what it runs.
+
+    In this process, that is: forked children (the spectral halves of
+    `verify` and `audit`) load their own modules, numpy in `verify`'s.
+    """
+
+    @pytest.mark.parametrize("command, exit_code", [
+        ("dirac --q 1", 0), ("dirac --q i", 1), ("dirac --q -i", 1),
+        ("connection --q i", 0), ("curvature --q i", 0), ("audit --q i", 0), ("verify --q i", 0),
+    ])
+    def test_loads_no_dataclasses_and_dirac_no_algebra(self, command, exit_code):
+        done = subprocess.run([sys.executable, "-c", IMPORTS_ENTRY, *command.split()],
+                              capture_output=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+                              timeout=120)
+        *lines, loaded = done.stderr.decode().splitlines()
+        loaded = set(loaded.split())
+        assert done.returncode == exit_code, lines
+        assert "ncgq.cli" in loaded and not loaded & NEVER_LOADED
+        if command.startswith("dirac"):
+            assert not loaded & NOT_FOR_DIRAC
+            assert {m for m in loaded if m.startswith("ncgq")} == DIRAC_PACKAGE
+
+
 # exercises alongside() in a cold process, where it forks; prints one JSON line
 HELPER_PROGRAM = """
 import json, os, signal, sys, time

@@ -2,6 +2,7 @@ import cmath
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from ncgq import dirac, linalg, sectors
-from ncgq.algebra import QuantumAlgebra, basis_monomials
+from ncgq.algebra import QuantumAlgebra, basis_monomials, monomial_index, monomial_product
 from ncgq.calculus import Calculus
 from ncgq.dirac import (DiracMatrix, EigensolverError, MatchReport, Spectrum,
                         a_slash_first_principles, a_slash_printed, build_dirac,
@@ -280,8 +281,68 @@ def _left_multiplication_by_a():
     return np.kron(np.eye(2), la)
 
 
+def _unitary_sector_basis(mode):
+    """(U, spans): the sector basis over sqrt|H| as the columns of a 32x32 array, block by block."""
+    order, blocks = sectors.sector_basis(mode)
+    u = np.zeros((32, 32), complex)
+    spans, col = [], 0
+    for block in blocks:
+        spans.append(list(range(col, col + len(block))))
+        for indices, values in block:
+            u[list(indices), col] = values
+            col += 1
+    return u / np.sqrt(order), spans
+
+
 class TestSectorSolver:
     """The pure-Python sector solver against the dense LAPACK solver and closed forms."""
+
+    @pytest.mark.parametrize("mode", ["1", "i", "-i"])
+    def test_basis_agrees_with_the_algebra_product(self, mode):
+        # sector_basis writes h r = a^p b^k b^e as a^p b^(k + e) with sign +;
+        # rebuild every vector through monomial_product instead
+        units = (1, 1j, -1, -1j)
+        step = 1 if mode == "1" else 2
+        group = [(p, k) for p in range(4) for k in range(0, 4, step)]
+        expected = []
+        for s in range(4):
+            for t in range(4 // step):
+                block = []
+                for row in range(2):
+                    for e in range(step):
+                        indices, values = [], []
+                        for p, k in group:
+                            m, negated = monomial_product((p, k), (0, e))
+                            value = units[-(s * p + t * k) % 4]
+                            indices.append(16 * row + monomial_index(m))
+                            values.append(-value if negated else value)
+                        block.append((tuple(indices), tuple(values)))
+                expected.append(tuple(block))
+        assert sectors.sector_basis(mode) == (len(group), tuple(expected))
+
+    @pytest.mark.parametrize("mode", ["1", "i"])
+    def test_leak_is_the_off_block_norm_of_the_rotated_matrix(self, mode):
+        # the solver measures |D W_b - W_b B_b| / sqrt|H| from D's columns; its
+        # dense definition is the norm of block b's columns of U^H D U off the block
+        matrix = build_dirac(mode).matrix
+        matrix[0][1] += 1e-6
+        with pytest.raises(EigensolverError, match="not invariant") as err:
+            sectors.sector_eigenvalues(matrix, mode)
+        k, leak, bound = re.search(r"sector (\d+) is not invariant: \|D W - W B\| = (\S+) vs (\S+);",
+                                   str(err.value)).groups()
+        u, spans = _unitary_sector_basis(mode)
+        t = u.conj().T @ np.array(matrix) @ u
+        off = [np.linalg.norm(np.delete(t[:, span], span, axis=0)) for span in spans]
+        norm = np.linalg.norm(np.array(matrix), 2)
+        first = next(b for b, x in enumerate(off) if x > 1e-9 * norm)
+        assert (int(k), leak, bound) == (first, f"{off[first]:.3g}", f"{1e-9 * norm:.3g}")
+
+    @pytest.mark.parametrize("mode", ["1", "i", "-i"])
+    @pytest.mark.parametrize("include_connection", [True, False])
+    def test_residuals_stay_at_rounding_level(self, mode, include_connection):
+        matrix = build_dirac(mode, include_connection=include_connection).matrix
+        spec = sectors.sector_eigenvalues(matrix, mode)
+        assert len(spec.residuals) == 32 and spec.max_residual() <= 1e-13
 
     @pytest.mark.parametrize("mode, n_blocks, size", [("1", 16, 2), ("i", 8, 4), ("-i", 8, 4)])
     def test_basis_is_exact_orthogonal_and_block_shaped(self, mode, n_blocks, size):

@@ -5,6 +5,7 @@ import shutil
 from pathlib import Path
 
 from ncgq import fixtures
+from ncgq.scalars import q_root
 
 ROOT = Path(__file__).resolve().parents[1]
 COMMITTED = Path(fixtures.__file__).resolve().parent / "fixtures"
@@ -39,3 +40,10 @@ def test_loader_follows_a_changed_fixture_directory(tmp_path, monkeypatch):
     assert fixtures.printed_spectrum("1") == [123 + 0j, *before[1:]]
     monkeypatch.undo()
     assert fixtures.printed_spectrum("1") == before
+
+
+def test_translation_matrices_compare_and_hash_by_value():
+    q = q_root("i")
+    a, b = fixtures.printed_translation_matrix("alpha", q), fixtures.printed_translation_matrix("alpha", q)
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != fixtures.printed_translation_matrix("beta", q)

@@ -122,6 +122,15 @@ class TestReferenceConnection:
         assert folded == [DB_DENOMINATOR_CONSTANT, *CONNECTION_DB_DENOMINATOR_TAIL]
         assert DB_DENOMINATOR_CONSTANT == 9
 
+    def test_equality_ignores_the_caches(self):
+        cal = Calculus(QuantumAlgebra("i"))
+        a, b = reference_connection(cal), reference_connection(cal)
+        covariant_derivative_basis(cal, a, "a")
+        riemann_basis(cal, a, "a")
+        assert a._nabla and a._riemann and not b._nabla
+        assert a == b
+        assert a != SpinConnection(dict(a.coefficients), "solver")
+
     @pytest.mark.parametrize("mode", ["i", "-i"])
     def test_one_read_only_table_per_q(self, mode):
         # every reference connection at a q shares one table of all 16 entries
