@@ -293,7 +293,7 @@ def cmd_dirac(cfg: RunConfig) -> int:
         "normalization": "unnormalized",
         "extrapolated": dm.extrapolated,
         "eigenvalues": [[z.real, z.imag] for z in eigs],
-        "max_residual": spec.max_residual(),
+        "max_residual": spec.max_residual(),  # the largest certified radius, a residual bound
         "reference": "paper-prop4",
         "max_match_distance": report.max_distance if report else None,
         "mean_match_distance": report.mean_distance if report else None,

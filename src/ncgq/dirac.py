@@ -13,8 +13,9 @@ determines them exactly (see the decode in the audit), and they ship as
 reconstructed fixture values with provenance flags.
 
 `spectrum_pipeline` solves D one small block at a time in pure Python
-(`sectors.sector_eigenvalues`); `eigenvalues` is the dense LAPACK solver, and
-numpy is imported there only.
+(`sectors.sector_eigenvalues`), certifying each eigenvalue by a disk in exact
+arithmetic; `eigenvalues` is the dense LAPACK solver, and numpy is imported
+there only.
 """
 from __future__ import annotations
 
@@ -183,6 +184,14 @@ class EigensolverError(RuntimeError):
 
 
 class Spectrum:
+    """Eigenvalues, a residual bound for each, and the norm that judges the bounds.
+
+    The dense solver measures ||M v - lambda v|| / ||v|| and ||M||_2.  The
+    sector solver gives the radii of certified disks, each holding one true
+    eigenvalue lambda, so a radius bounds ||M x - z x|| / ||x|| for lambda's
+    eigenvector x; its `matrix_norm` is a lower bound of ||M||_2.
+    """
+
     __slots__ = ("mode", "eigenvalues", "residuals", "matrix_norm")
 
     def __init__(self, mode: str, eigenvalues: list, residuals: list, matrix_norm: float):
@@ -195,7 +204,7 @@ class Spectrum:
         return max(self.residuals)
 
     def check_contract(self) -> "Spectrum":
-        """Raise EigensolverError unless every residual is at most 1e-9 ||M||_2."""
+        """Raise EigensolverError unless every residual is at most 1e-9 `matrix_norm` (<= ||M||_2)."""
         if self.max_residual() > 1e-9 * self.matrix_norm:
             raise EigensolverError(f"residual contract violated: max {self.max_residual():.3g} "
                                    f"vs {1e-9 * self.matrix_norm:.3g}")

@@ -134,16 +134,5 @@ def mat_mul(a: Sequence[Sequence[T]], b: Sequence[Sequence[T]], zero: T) -> Matr
     return out
 
 
-def mat_apply(m: Sequence[Sequence[T]], v: Sequence[T], zero: T) -> list[T]:
-    out = []
-    for row in m:
-        acc = zero
-        for x, y in zip(row, v):
-            if x and y:
-                acc = acc + x * y
-        out.append(acc)
-    return out
-
-
 def mat_eq(a: Sequence[Sequence[T]], b: Sequence[Sequence[T]]) -> bool:
     return all(len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)) and len(a) == len(b)

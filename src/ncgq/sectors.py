@@ -1,12 +1,13 @@
-"""The sector eigensolver: all 32 eigenpairs of the Dirac matrix from small blocks.
+"""The sector eigensolver: all 32 eigenvalues of the Dirac matrix, each certified exactly.
 
 D is built from right translations and scalars, so it commutes with every
 left multiplication.  The characters of a commutative group H of monomials
 give an exact orthogonal basis of C^32 in which D is block-diagonal: 8 blocks
-of 4x4 at q = +-i and 16 of 2x2 at q = 1.  Each block is solved in pure
-Python, and each eigenpair is certified in C^32 against the full D, so this
-module needs no numpy; `dirac.eigenvalues`, the dense LAPACK solver, is its
-test oracle.
+of 4x4 at q = +-i and 16 of 2x2 at q = 1.  The blocks, their invariance and
+their characteristic polynomials are exact integer computations; the roots
+are found in floats and certified by Smith's disks, again in integers.  So
+this module needs no numpy; `dirac.eigenvalues`, the dense LAPACK solver, is
+its test oracle.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ import cmath
 import math
 import sys
 from functools import lru_cache
-from operator import mul
 
 from .dirac import EigensolverError, Spectrum
 
@@ -63,127 +63,156 @@ def sector_basis(mode: str) -> tuple[int, tuple]:
 
 
 def sector_eigenvalues(matrix: list[list[complex]], mode: str) -> Spectrum:
-    """All 32 eigenpairs of D through `sector_basis`, with no dense eigensolve.
+    """All 32 eigenvalues of D through `sector_basis`, each in a certified disk.
 
-    D w for each basis vector w sums the nonzero entries of the columns of D
-    that w touches (at most 5 per column), and block b is
-    B_b = W_b^H (D W_b) / |H|.
-    With W the unitary matrix of all the basis vectors over sqrt|H|, the
-    columns of W^H D W outside block b's diagonal square have the norm of
-    D W_b - W_b B_b over sqrt|H|; that leak is certified to 1e-9 ||D||_2, and
-    a matrix that does not commute with the left multiplications raises
-    EigensolverError.  ||D||_2 is the largest block 2-norm, since W is
-    unitary.  A 2x2 block is solved by the quadratic formula, a 4x4 block from
-    its characteristic polynomial; each eigenvector v is a null vector of
-    B - lambda, and its residual ||(D W_b) v - lambda W_b v|| / ||W_b v|| is
-    ||D x - lambda x|| / ||x|| for the lifted x = W_b v in C^32.
+    Each float entry of D is a dyadic rational, so D' = 2**s D is a
+    Gaussian-integer matrix for one s, and B_b = W_b^H D W_b / |H| is formed
+    in integers.  D W_b = W_b B_b is checked with no tolerance: a matrix that
+    does not keep each block's span raises EigensolverError.  Equal block
+    polynomials (they pair up at q = +-i) are solved once.
+
+    `residuals` holds the disk radii: a radius r bounds |lambda - z| for the
+    one eigenvalue lambda in the disk around z, and so ||D x - z x|| / ||x||
+    for its eigenvector x.  `matrix_norm` is D's largest column norm rounded
+    down, a lower bound of ||D||_2.
     """
     if len(matrix) != 32 or any(len(row) != 32 for row in matrix):
         raise ValueError("the sector solver takes the 32x32 Dirac matrix")
     if not all(cmath.isfinite(z) for row in matrix for z in row):
         raise EigensolverError("matrix has non-finite entries")
-    columns = [[] for _ in range(32)]
-    for i, row in enumerate(matrix):
-        for j, z in enumerate(row):
-            if z:
-                columns[j].append((i, z))
-    order, bases = sector_basis(mode)
-    solved = []
-    for basis in bases:
-        images = []  # D w for each w in the block, dense
+    s = max((_exponent(z) for row in matrix for z in row if z), default=0)
+    columns = [[(i, _scaled(z.real, s), _scaled(z.imag, s)) for i, z in enumerate(col) if z]
+               for col in zip(*matrix)]  # the nonzero entries of D'
+    turned = [[col, [(n, -b, a) for n, a, b in col], [(n, -a, -b) for n, a, b in col],
+               [(n, b, -a) for n, a, b in col]] for col in columns]  # times 1, i, -1, -i
+    solved, lams, radii = {}, [], []
+    for k, basis in enumerate(sector_basis(mode)[1]):
+        images = []  # D' w for each w in the block, as real and imaginary parts
         for indices, values in basis:
-            image = [0j] * 32
-            for n, value in zip(indices, values):
-                for i, z in columns[n]:
-                    image[i] += z * value
-            images.append(image)
-        block = [[sum(image[n] * value.conjugate() for n, value in zip(indices, values)) / order
-                  for image in images] for indices, values in basis]
-        # (D W_b - W_b B_b)[n, k] for n in the support of w_i is D w_k [n] - w_i[n] B[i][k]
-        leak = math.sqrt(sum(abs(image[n] - value * row[k]) ** 2
-                             for k, image in enumerate(images)
-                             for (indices, values), row in zip(basis, block)
-                             for n, value in zip(indices, values)) / order)
-        solved.append((basis, list(zip(*images)), block, leak))  # D W_b as rows
-    norm = max(_spectral_norm(block) for _, _, block, _ in solved)
-    for k, (_, _, _, leak) in enumerate(solved):
-        if leak > 1e-9 * norm:
-            raise EigensolverError(
-                f"sector {k} is not invariant: |D W - W B| = {leak:.3g} vs {1e-9 * norm:.3g}; "
-                "the matrix does not commute with the left multiplications")
-    lams, residuals = [], []
-    for basis, dw, block, _ in solved:
-        roots = _quadratic_roots(block) if len(block) == 2 else _polynomial_roots(
-            _characteristic_polynomial(block))
-        for lam in roots:
-            v = _null_vector([[x - lam if i == j else x for j, x in enumerate(row)]
-                              for i, row in enumerate(block)])
-            r = [sum(map(mul, v, row)) for row in dw]  # (D W_b) v
-            x = [0j] * 32  # W_b v
-            for c, (indices, values) in zip(v, basis):
-                for n, value in zip(indices, values):
-                    x[n] = c * value
-                    r[n] -= lam * x[n]
-            lams.append(lam)
-            residuals.append(_norm(r) / _norm(x))
-    return Spectrum(mode=mode, eigenvalues=lams, residuals=residuals,
+            re, im = [0] * 32, [0] * 32
+            for m, v in zip(indices, values):
+                for n, a, b in turned[m][_UNITS.index(v)]:
+                    re[n] += a
+                    im[n] += b
+            images.append((re, im))
+        block = []  # 2**s B[i][k] = conj(w_i[n]) D' w_k [n] wherever w_i, alone in the block, is nonzero
+        for indices, values in basis:
+            units = [(int(v.real), int(v.imag)) for v in values]
+            row = [{(ur * re[n] + ui * im[n], ur * im[n] - ui * re[n])
+                    for n, (ur, ui) in zip(indices, units)} for re, im in images]
+            if any(len(terms) != 1 for terms in row):
+                raise EigensolverError(f"sector {k} is not invariant: D W - W B is not exactly 0; "
+                                       "the matrix does not commute with the left multiplications")
+            block.append([terms.pop() for terms in row])
+        poly = _characteristic_polynomial(block)
+        if poly not in solved:
+            solved[poly] = _certified_roots(poly, s)
+        lams += solved[poly][0]
+        radii += solved[poly][1]
+    norm = _root(max(sum(a * a + b * b for _, a, b in col) for col in columns), 1, -s, up=False)
+    return Spectrum(mode=mode, eigenvalues=lams, residuals=radii,
                     matrix_norm=norm).check_contract()
 
 
-def _norm(v) -> float:
-    return math.hypot(*map(abs, v))
+def _exponent(z: complex) -> int:
+    """The least e with z * 2**e a Gaussian integer."""
+    return max(z.real.as_integer_ratio()[1], z.imag.as_integer_ratio()[1]).bit_length() - 1
 
 
-def _spectral_norm(b: list[list[complex]]) -> float:
-    """The largest singular value of a small square matrix.
+def _scaled(x: float, e: int) -> int:
+    """x * 2**e, for e at least x's exponent."""
+    num, den = x.as_integer_ratio()
+    return num << (e - den.bit_length() + 1)
 
-    Cyclic Jacobi on the Hermitian G = B^H B: each rotation first turns the
-    phase of G[p][q] out of row and column q, then zeroes it by a real
-    rotation (Golub and Van Loan, Matrix Computations, 8.5).
+
+def _root(num: int, den: int, exp: int, up: bool) -> float:
+    """sqrt(num / den) * 2**exp rounded up (or down) to a float, for ints num >= 0, den > 0.
+
+    The root is taken at a scale 2**k where it has 51 to 53 bits, so the float holds it exactly.
     """
-    n = len(b)
-    g = [[sum(b[k][i].conjugate() * b[k][j] for k in range(n)) for j in range(n)]
-         for i in range(n)]
-    scale = sum(g[i][i].real for i in range(n))
-    for _ in range(50):
-        if sum(abs(g[p][q]) ** 2 for p in range(n) for q in range(n) if p != q) <= (_EPS * scale) ** 2:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if g[p][q] == 0:
-                    continue
-                phase = g[p][q] / abs(g[p][q])
-                for k in range(n):
-                    g[k][q] *= phase.conjugate()
-                    g[q][k] *= phase
-                tau = (g[q][q].real - g[p][p].real) / (2 * g[p][q].real)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1 / math.hypot(1.0, t)
-                s = t * c
-                for k in range(n):
-                    g[k][p], g[k][q] = c * g[k][p] - s * g[k][q], s * g[k][p] + c * g[k][q]
-                for k in range(n):
-                    g[p][k], g[q][k] = c * g[p][k] - s * g[q][k], s * g[p][k] + c * g[q][k]
-    return math.sqrt(max(g[i][i].real for i in range(n)))
+    if not num:
+        return 0.0
+    k = (104 - num.bit_length() + den.bit_length()) // 2
+    a, b = (num << 2 * k, den) if k >= 0 else (num, den << -2 * k)
+    x = -(-a // b) if up else a // b
+    root = math.isqrt(x)
+    if up and root * root < x:
+        root += 1
+    return math.ldexp(root, exp - k)
 
 
-def _quadratic_roots(b: list[list[complex]]) -> list[complex]:
-    (a, x), (y, d) = b
-    mid = (a + d) / 2
-    disc = cmath.sqrt(((a - d) / 2) ** 2 + x * y)  # = mid^2 - det, without the cancellation
-    return [mid + disc, mid - disc]
+def _characteristic_polynomial(m: list[list[tuple[int, int]]]) -> tuple:
+    """det(y - M) for a Gaussian-integer matrix M, as the (re, im) pairs of 1, c_1, ..., c_n.
 
-
-def _characteristic_polynomial(b: list[list[complex]]) -> list[complex]:
-    """det(z - B) as [1, c1, ..., cn], highest power first (Faddeev-LeVerrier)."""
-    n = len(b)
-    coeffs = [1]
-    m = [[0j] * n for _ in range(n)]
+    Faddeev-LeVerrier: A_1 = M, c_k = -tr(A_k) / k and A_(k+1) = M (A_k + c_k I).
+    Each c_k is a Gaussian integer, so the division by k is exact.
+    """
+    n = len(m)
+    coeffs, a = [(1, 0)], m
     for k in range(1, n + 1):
-        m = [[sum(b[i][l] * m[l][j] for l in range(n)) + (coeffs[-1] if i == j else 0)
-              for j in range(n)] for i in range(n)]
-        coeffs.append(-sum(b[i][l] * m[l][i] for i in range(n) for l in range(n)) / k)
-    return coeffs
+        cr = -sum(a[i][i][0] for i in range(n)) // k
+        ci = -sum(a[i][i][1] for i in range(n)) // k
+        coeffs.append((cr, ci))
+        if k < n:
+            cols = list(zip(*[[(x + cr, y + ci) if i == j else (x, y) for j, (x, y) in enumerate(row)]
+                              for i, row in enumerate(a)]))
+            a = []
+            for row in m:
+                a.append([])
+                for col in cols:
+                    re = im = 0
+                    for (xr, xi), (yr, yi) in zip(row, col):
+                        re += xr * yr - xi * yi
+                        im += xr * yi + xi * yr
+                    a[-1].append((re, im))
+    return tuple(coeffs)
+
+
+def _certified_roots(poly: tuple, shift: int) -> tuple[list[complex], list[float]]:
+    """The roots z_i of p(z) = det(z - B) for B = M / 2**shift, given poly = det(y - M), and their radii.
+
+    A quadratic's roots come from its exact discriminant; if that is 0, the
+    root is double and its radius bounds its float's rounding.  Otherwise z_i
+    has Smith's radius n |p(z_i)| / prod_(j != i) |z_i - z_j|, rounded up: the
+    disks hold every root, k disks that meet only each other hold k roots
+    (B. T. Smith, J. ACM 17 (1970) 661-674), and two that meet raise
+    EigensolverError.  In integers, p(z_i) is 2**(n f) p(y_i / 2**f) for the
+    Gaussian integers y_i = 2**f z_i, with coefficients C_k 2**(k (f - shift)).
+    """
+    n = len(poly) - 1
+    if n == 2:
+        _, (br, bi), (cr, ci) = poly
+        dr, di = br * br - bi * bi - 4 * cr, 2 * br * bi - 4 * ci  # C_1^2 - 4 C_2
+        half = 1 << (shift + 1)
+        mid = complex(-br / half, -bi / half)
+        if not (dr or di):  # mid rounds each part of the root -C_1 / half to nearest
+            exact = (_scaled(mid.real, shift + 1), _scaled(mid.imag, shift + 1)) == (-br, -bi)
+            radius = 0.0 if exact else max(math.ulp(mid.real), math.ulp(mid.imag))
+            return [mid, mid], [radius, radius]
+        disc = cmath.sqrt(complex(dr / half ** 2, di / half ** 2))
+        roots = [mid + disc, mid - disc]
+    else:
+        roots = _polynomial_roots([complex(re / (1 << k * shift), im / (1 << k * shift))
+                                   for k, (re, im) in enumerate(poly)])
+    f = max(shift, *map(_exponent, roots))
+    ys = [(_scaled(z.real, f), _scaled(z.imag, f)) for z in roots]
+    q = [(re << k * (f - shift), im << k * (f - shift)) for k, (re, im) in enumerate(poly)]
+    gaps = [[(yr - xr) ** 2 + (yi - xi) ** 2 for xr, xi in ys] for yr, yi in ys]  # 4**f |z_i - z_j|^2
+    radii = []
+    for i, (yr, yi) in enumerate(ys):
+        pr = pi = 0
+        for xr, xi in q:
+            pr, pi = pr * yr - pi * yi + xr, pr * yi + pi * yr + xi
+        prod = math.prod(gap for j, gap in enumerate(gaps[i]) if j != i)
+        if not prod:
+            raise EigensolverError(f"two roots of a degree-{n} block coincide, so no disk is certified")
+        radii.append(_root(n * n * (pr * pr + pi * pi), prod, -f, up=True))
+        a, da = radii[i].as_integer_ratio()
+        for j in range(i):  # the disks meet when |z_i - z_j| <= r_i + r_j
+            b, db = radii[j].as_integer_ratio()
+            if gaps[i][j] * (da * db) ** 2 <= (a * db + b * da) ** 2 << 2 * f:
+                raise EigensolverError(f"two root disks of a degree-{n} block meet, so neither is certified")
+    return roots, radii
 
 
 def _horner(coeffs, z):
@@ -225,33 +254,3 @@ def _polynomial_roots(coeffs: list[complex]) -> list[complex]:
             slopes = [_horner(deriv, x) for x in z]
             return [x - _horner(coeffs, x) / slope if slope else x for x, slope in zip(z, slopes)]
     raise EigensolverError(f"root finder did not converge on a degree-{n} block")
-
-
-def _null_vector(m: list[list[complex]]) -> list[complex]:
-    """A nonzero x with m x ~ 0, by elimination with complete pivoting."""
-    n = len(m)
-    cols = list(range(n))
-    rank = 0
-    while rank < n - 1:
-        i, j = max(((i, j) for i in range(rank, n) for j in range(rank, n)),
-                   key=lambda ij: abs(m[ij[0]][ij[1]]))
-        if m[i][j] == 0:
-            break
-        m[rank], m[i] = m[i], m[rank]
-        for row in m:
-            row[rank], row[j] = row[j], row[rank]
-        cols[rank], cols[j] = cols[j], cols[rank]
-        pivot = m[rank]
-        for row in m[rank + 1:]:
-            f = row[rank] / pivot[rank]
-            for c in range(rank, n):
-                row[c] -= f * pivot[c]
-        rank += 1
-    y = [0j] * n
-    y[rank] = 1
-    for t in range(rank - 1, -1, -1):
-        y[t] = -sum(m[t][c] * y[c] for c in range(t + 1, n)) / m[t][t]
-    x = [0j] * n
-    for t, c in enumerate(cols):
-        x[c] = y[t]
-    return x

@@ -1,10 +1,12 @@
 import cmath
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +296,41 @@ def _unitary_sector_basis(mode):
     return u / np.sqrt(order), spans
 
 
+def _assert_norm_is_the_largest_column_norm_rounded_down(sector, dense, matrix):
+    """nu <= ||D||_2 (LAPACK's), and nu is the largest column norm, exactly rounded down."""
+    assert sector.matrix_norm <= dense.matrix_norm
+    exact = max(sum(Fraction(x) ** 2 for z in col for x in (z.real, z.imag)) for col in zip(*matrix))
+    nu = Fraction(sector.matrix_norm)
+    assert nu ** 2 <= exact < Fraction(math.nextafter(sector.matrix_norm, math.inf)) ** 2
+
+
+class _GaussFraction:
+    """re + im i with Fraction parts, for the independent disk check."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, other):
+        return _GaussFraction(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return _GaussFraction(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        return _GaussFraction(self.re * other.re - self.im * other.im,
+                              self.re * other.im + self.im * other.re)
+
+    def conjugate(self):
+        return _GaussFraction(self.re, -self.im)
+
+    def abs2(self):
+        return self.re ** 2 + self.im ** 2
+
+
+def _sign(perm):
+    return (-1) ** sum(1 for i, j in itertools.combinations(range(len(perm)), 2) if perm[i] > perm[j])
+
+
 class TestSectorSolver:
     """The pure-Python sector solver against the dense LAPACK solver and closed forms."""
 
@@ -321,21 +358,31 @@ class TestSectorSolver:
         assert sectors.sector_basis(mode) == (len(group), tuple(expected))
 
     @pytest.mark.parametrize("mode", ["1", "i"])
-    def test_leak_is_the_off_block_norm_of_the_rotated_matrix(self, mode):
-        # the solver measures |D W_b - W_b B_b| / sqrt|H| from D's columns; its
-        # dense definition is the norm of block b's columns of U^H D U off the block
+    def test_invariance_error_names_the_first_sector_with_an_off_block_entry(self, mode):
+        # the solver checks D W_b = W_b B_b exactly from D's columns; densely,
+        # block b's columns of U^H D U are nonzero off the block.  The 1e-6
+        # perturbation dwarfs the dense product's rounding, which the 1e-9
+        # threshold of this test only separates from it
         matrix = build_dirac(mode).matrix
         matrix[0][1] += 1e-6
         with pytest.raises(EigensolverError, match="not invariant") as err:
             sectors.sector_eigenvalues(matrix, mode)
-        k, leak, bound = re.search(r"sector (\d+) is not invariant: \|D W - W B\| = (\S+) vs (\S+);",
-                                   str(err.value)).groups()
+        k = int(re.search(r"sector (\d+) is not invariant: D W - W B is not exactly 0;",
+                          str(err.value)).group(1))
         u, spans = _unitary_sector_basis(mode)
         t = u.conj().T @ np.array(matrix) @ u
         off = [np.linalg.norm(np.delete(t[:, span], span, axis=0)) for span in spans]
         norm = np.linalg.norm(np.array(matrix), 2)
-        first = next(b for b, x in enumerate(off) if x > 1e-9 * norm)
-        assert (int(k), leak, bound) == (first, f"{off[first]:.3g}", f"{1e-9 * norm:.3g}")
+        assert k == next(b for b, x in enumerate(off) if x > 1e-9 * norm)
+
+    @pytest.mark.parametrize("mode", ["1", "i"])
+    def test_a_one_ulp_break_of_the_commutation_raises(self, mode):
+        # no tolerance: the smallest change to one entry is an invariance failure
+        matrix = build_dirac(mode).matrix
+        assert matrix[0][12] == 1
+        matrix[0][12] = complex(math.nextafter(1.0, 2.0), 0.0)
+        with pytest.raises(EigensolverError, match="not invariant"):
+            sectors.sector_eigenvalues(matrix, mode)
 
     @pytest.mark.parametrize("mode", ["1", "i", "-i"])
     @pytest.mark.parametrize("include_connection", [True, False])
@@ -365,7 +412,7 @@ class TestSectorSolver:
     def test_matches_the_dense_solver(self, mode):
         matrix = build_dirac(mode).matrix
         sector, dense = sectors.sector_eigenvalues(matrix, mode), eigenvalues(matrix, mode)
-        assert abs(sector.matrix_norm - dense.matrix_norm) <= 1e-12 * dense.matrix_norm
+        _assert_norm_is_the_largest_column_norm_rounded_down(sector, dense, matrix)
         assert compare_spectrum(sector, dense.eigenvalues).max_distance <= 1e-9 * dense.matrix_norm
         assert sector.max_residual() <= 1e-9 * sector.matrix_norm
 
@@ -373,7 +420,7 @@ class TestSectorSolver:
     def test_bare_operator_matches_the_dense_solver(self, mode):
         matrix = build_dirac(mode, include_connection=False).matrix
         sector, dense = sectors.sector_eigenvalues(matrix, mode), eigenvalues(matrix, mode)
-        assert abs(sector.matrix_norm - dense.matrix_norm) <= 1e-12 * dense.matrix_norm
+        _assert_norm_is_the_largest_column_norm_rounded_down(sector, dense, matrix)
         assert compare_spectrum(sector, dense.eigenvalues).max_distance <= 1e-9 * dense.matrix_norm
 
     def test_bare_operator_at_one_matches_its_exact_block_roots(self):
@@ -387,6 +434,64 @@ class TestSectorSolver:
         got = Spectrum(mode="1", eigenvalues=exact, residuals=[0.0] * 32, matrix_norm=1.0)
         assert compare_spectrum(got, spec.eigenvalues).max_distance <= 1e-9 * spec.matrix_norm
         assert spec.max_residual() <= 1e-9 * spec.matrix_norm
+
+    def test_bare_operator_at_one_has_four_exact_jordan_blocks(self):
+        # the a = 1 blocks [[0, 0], [b, 0]] have an exactly zero discriminant:
+        # a double root 0, certified with radius 0, and no other root is 0
+        spec = sectors.sector_eigenvalues(build_dirac("1", include_connection=False).matrix, "1")
+        zeros = [r for z, r in zip(spec.eigenvalues, spec.residuals) if z == 0]
+        assert zeros == [0.0] * 8
+        assert all(type(z) is complex for z in spec.eigenvalues)
+
+    @pytest.mark.parametrize("roots, shift", [
+        ([1, 1, 2, 3], 0),  # a double root in a quartic
+        # roots 1, 1 + 2^-60, 2 and 3, as det(y - M) for y = 2^60 z
+        ([1 << 60, (1 << 60) + 1, 2 << 60, 3 << 60], 60),
+        ([1 << 60, (1 << 60) + 1], 60),  # the same pair through the quadratic formula
+    ])
+    def test_roots_whose_disks_meet_raise(self, roots, shift):
+        # two roots closer than the floats can separate: their disks must meet
+        poly = [1]
+        for r in roots:  # times (y - r)
+            poly = [a - r * b for a, b in zip(poly + [0], [0] + poly)]
+        with pytest.raises(EigensolverError, match="certified"):
+            sectors._certified_roots(tuple((c, 0) for c in poly), shift)
+
+    def test_fraction_recomputation_gives_disjoint_disks_within_the_radii(self):
+        # independently of the solver's integers: B = W^H D W / |H| densely and
+        # p(z) = det(z - B) by the Leibniz formula, both in Fractions
+        matrix = build_dirac("i").matrix
+        spec = sectors.sector_eigenvalues(matrix, "i")
+        order, blocks = sectors.sector_basis("i")
+        zero = _GaussFraction(0)
+        d = [[_GaussFraction(z.real, z.imag) for z in row] for row in matrix]
+        start = 0
+        for block in blocks:
+            n = len(block)
+            ws = [[zero] * 32 for _ in block]
+            for w, (indices, values) in zip(ws, block):
+                for k, v in zip(indices, values):
+                    w[k] = _GaussFraction(v.real, v.imag)
+            dw = [[sum((row[c] * w[c] for c in range(32) if w[c].abs2()), zero) for row in d] for w in ws]
+            b = [[sum((x.conjugate() * y for x, y in zip(wi, dwk)), zero) * _GaussFraction(Fraction(1, order))
+                  for dwk in dw] for wi in ws]
+            zs = [_GaussFraction(z.real, z.imag) for z in spec.eigenvalues[start:start + n]]
+            radii = spec.residuals[start:start + n]
+            exact = []
+            for i, z in enumerate(zs):
+                shifted = [[(z if r == c else zero) - b[r][c] for c in range(n)] for r in range(n)]
+                p = sum((_GaussFraction(_sign(perm)) * math.prod((shifted[r][perm[r]] for r in range(n)),
+                                                                 start=_GaussFraction(1))
+                         for perm in itertools.permutations(range(n))), zero)
+                gaps = [(z - x).abs2() for j, x in enumerate(zs) if j != i]
+                exact.append(n * n * p.abs2() / math.prod(gaps))  # Smith's radius, squared
+                assert exact[-1] <= Fraction(radii[i]) ** 2
+            for i, j in itertools.combinations(range(n), 2):
+                # |z_i - z_j| > r_i + r_j, squared twice
+                excess = (zs[i] - zs[j]).abs2() - exact[i] - exact[j]
+                assert excess > 0 and excess ** 2 > 4 * exact[i] * exact[j]
+            start += n
+        assert start == 32
 
     @pytest.mark.parametrize("mode", ["1", "i"])
     def test_broken_commutation_raises(self, mode):
