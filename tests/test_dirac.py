@@ -358,9 +358,10 @@ class TestSectorSolver:
         assert sectors.sector_basis(mode) == (len(group), tuple(expected))
 
     @pytest.mark.parametrize("mode", ["1", "i"])
-    def test_invariance_error_names_the_first_sector_with_an_off_block_entry(self, mode):
-        # the solver checks D W_b = W_b B_b exactly from D's columns; densely,
-        # block b's columns of U^H D U are nonzero off the block.  The 1e-6
+    def test_leak_is_the_off_block_norm_of_the_rotated_matrix(self, mode):
+        # the solver checks D W_b = W_b B_b exactly from D's columns; its dense
+        # form is that block b's columns of U^H D U are zero off the block, so
+        # the sector it names is the first with an off-block leak.  The 1e-6
         # perturbation dwarfs the dense product's rounding, which the 1e-9
         # threshold of this test only separates from it
         matrix = build_dirac(mode).matrix
