@@ -180,19 +180,26 @@ class ExteriorAlgebra:
         return entry
 
     def graded_dimensions(self) -> list[int]:
-        """Dimension of each graded piece, computed by exact reduction, not assumed."""
-        from itertools import product
+        """Dimension of each graded piece, computed by exact reduction, not assumed.
+
+        Degree d is spanned by the reductions of the normal monomials n of
+        degree d - 1 followed by one letter x.  Every word of degree d is some
+        w·x, and reduce(w·x) = reduce(reduce(w)·x): the rewriting terminates
+        and is confluent (`verify` checks it on every triple of letters), so a
+        word has one normal form whatever order its rewrites take; and reduce(w)
+        is a sum of such n.  So four words per normal monomial stand in for all
+        4^d words of degree d.
+        """
         from . import linalg
 
-        # a scratch copy, so the memo of every word up to degree 5 is not kept
-        scratch = type(self)(self.q)
         dims = []
-        for degree in range(9):  # safety bound; the calculus terminates well before it
-            reduced = [scratch.reduce_word(w) for w in product(FORMS, repeat=degree)]
+        reduced = [self.reduce_word(())]
+        for _ in range(9):  # safety bound; the calculus terminates well before it
             if not any(reduced):
                 break
-            cols = sorted({m for red in reduced for m in red})
-            dims.append(linalg.rank([[red.get(m, ZERO) for m in cols] for red in reduced]))
+            normal = sorted({m for red in reduced for m in red})
+            dims.append(linalg.rank([[red.get(m, ZERO) for m in normal] for red in reduced]))
+            reduced = [self.reduce_word(n + (x,)) for n in normal for x in FORMS]
         return dims
 
 

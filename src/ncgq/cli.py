@@ -1,37 +1,35 @@
 """Command-line interface: verification suites, geometry artifacts, spectra, audit.
 
-Grammar:
-    ncgq <verify|connection|curvature|dirac|audit> --q <generic|1|i|-i>
-         [--format json|text] [--out PATH] [--tol FLOAT]
+Grammar (q is i without --q; `-h`/`--help` prints it as one line on stdout):
+    ncgq {verify,connection,curvature,dirac,audit} [--q generic|1|i|-i]
+         [--format json|text] [--out PATH] [--tol X]
+A flag is `--flag value` or `--flag=value`, in full (no abbreviations), and the
+last of a repeated flag wins; a value may start with `-` (`--q -i`), not `--`.
 
-Exit codes: 0 success, 1 mathematical failure, 2 usage error, 3 fixture
-(reference-data) error: a fixture file that is missing, not JSON, or not of
-its expected shape (a NaN or infinite number included), 4 output error: the
---out file cannot be written (a directory, or a path under a regular file).
-Errors are reported in one line on stderr.  JSON output is
-deterministic (sorted keys, fixed float formatting; `dirac` lists its
-eigenvalues in a canonical order, not the solver's); text output is
-human-oriented and unstable.  Files are written atomically.
-
-`audit --q generic` audits q = i; `audit --q 1` is a usage error.
+Exit codes: 0 success, 1 mathematical failure, 2 usage or configuration error
+(an unknown command or flag, a missing or disallowed value), 3 fixture error:
+a fixture file that is missing, not JSON, or not of its expected shape (a NaN
+or infinite number included), 4 output error: the --out file cannot be
+written.  Each error is one line on stderr, naming the token or file at fault.
+JSON output is deterministic (sorted keys, fixed float formatting; `dirac`
+lists its eigenvalues in a canonical order, not the solver's); text output is
+human-oriented and unstable.  Files are written atomically.  `audit --q
+generic` audits q = i; `audit --q 1` is a configuration error.
 
 `verify` and `audit` at a root compute their spectral half in a forked child
 while this process computes the exact half, when the platform has fork and
 numpy is not loaded yet (see `alongside`); the bytes and exit codes are those
-of a sequential run, and the library functions `verification.run_checks` and
-`audit.build_audit_report` always run sequentially.  Only `verify` loads
-numpy, in that child: `dirac` and the audit's Dirac section use the
-pure-Python sector solver.
+of a sequential run.  Only `verify` loads numpy, in that child.
 
-Each command imports the modules it runs inside its own function, since a
-cold run pays for every module it imports: no command loads `dataclasses`,
-`dirac` loads no algebra, calculus or riemannian module, and only the
-forking commands load `pickle` and `signal` (tests/test_cli.py,
-TestColdImports).
+Each command imports only what it runs, since a cold run pays for every module
+it imports: `dirac` the scalars, constants, fixtures, dirac and sectors modules,
+the others algebra, calculus and riemannian instead of the last two, `verify`
+and `audit` verification too, all but `curvature` and `verify --q generic` the
+exact linalg, and only the forking commands `pickle` and `signal`.  None loads
+argparse, fractions, decimal or dataclasses (tests/test_cli.py, TestColdImports).
 """
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import math
@@ -58,7 +56,7 @@ class RunConfig:
 
 
 class ConfigError(ValueError):
-    pass
+    kind = "configuration"
 
 
 class OutputError(OSError):
@@ -338,50 +336,52 @@ COMMANDS = {
 }
 
 
+USAGE = ("usage: ncgq {verify,connection,curvature,dirac,audit} [--q generic|1|i|-i] "
+         "[--format json|text] [--out PATH] [--tol X]")
+OPTIONS = {"--q": "qmode", "--format": "format", "--out": "out", "--tol": "tol"}
+
+
+class UsageError(ConfigError):
+    kind = "usage"
+
+
+def parse_args(argv: list[str]) -> RunConfig:
+    """The run that argv asks for (see the module's grammar); a UsageError names the bad token."""
+    if not argv or argv[0] not in COMMANDS:
+        raise UsageError((f"unknown command {argv[0]!r}" if argv else "no command given")
+                         + f"; choose from {', '.join(COMMANDS)}")
+    values = {"command": argv[0], "qmode": "i"}
+    rest = iter(argv[1:])
+    for token in rest:
+        flag, eq, value = token.partition("=")
+        if flag not in OPTIONS:
+            raise UsageError(f"unknown argument {token!r}; the options are {', '.join(OPTIONS)}")
+        if not eq:
+            value = next(rest, None)
+            if value is None or value.startswith("--"):
+                raise UsageError(f"option {flag} needs a value" + (f", not {value!r}" if value else ""))
+        if flag == "--tol":
+            try:
+                value = float(value)
+            except ValueError:
+                raise UsageError(f"option --tol needs a number, not {value!r}") from None
+        values[OPTIONS[flag]] = value
+    return RunConfig(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="ncgq",
-        description="Exact reconstruction and audit of a reduced quantum geometry at q^4 = 1.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--q", dest="qmode", default="i")
-        p.add_argument("--format", dest="format", default="json", choices=["json", "text"])
-        p.add_argument("--out", dest="out", default=None)
-        p.add_argument("--tol", dest="tol", type=float, default=1e-3)
-    if argv is None:
-        argv = sys.argv[1:]
-    # argparse treats the leading dash of the "-i" mode as an option prefix;
-    # fold it into --q=... form before parsing
-    folded = []
-    skip = False
-    for k, a in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if a == "--q" and k + 1 < len(argv):
-            folded.append(f"--q={argv[k + 1]}")
-            skip = True
-        else:
-            folded.append(a)
-    try:
-        args = parser.parse_args(folded)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    cfg = RunConfig(command=args.command, qmode=args.qmode, out=args.out,
-                    format=args.format, tol=args.tol)
-    try:
-        validate(cfg)
-    except ConfigError as exc:
-        sys.stderr.write(f"configuration error: {exc}\n")
-        return 2
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(USAGE + "\n")
+        return 0
     from .fixtures import FixtureError
 
     try:
+        cfg = parse_args(argv)
+        validate(cfg)
         return COMMANDS[cfg.command](cfg)
     except ConfigError as exc:
-        sys.stderr.write(f"configuration error: {exc}\n")
+        sys.stderr.write(f"{exc.kind} error: {exc}\n")
         return 2
     except FixtureError as exc:
         sys.stderr.write(f"fixture error: {exc}\n")

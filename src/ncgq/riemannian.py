@@ -22,7 +22,6 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from . import linalg
 from .calculus import Calculus, DiffForm, FORMS, ModuleSum
 from .constants import (AD_L_PRINTED, AD_R_PRINTED, CONNECTION_UNPRINTED, RHO,
                         TWO_Q, connection_db_candidate, evaluate_ad_table,
@@ -91,6 +90,8 @@ class ConnectionSystem:
         return len(self.matrix)
 
     def rank_report(self) -> dict:
+        from . import linalg  # here, not at the top: `curvature` needs no exact linear algebra
+
         # one reduction of [A | b]: its pivots left of b are exactly those of A
         n = len(self.unknowns)
         _, pivots = linalg.row_reduce([row + [b] for row, b in zip(self.matrix, self.rhs)])
@@ -105,6 +106,8 @@ class ConnectionSystem:
         }
 
     def solve(self) -> dict[tuple[str, str], GaussianRational]:
+        from . import linalg
+
         x = linalg.solve_unique(self.matrix, self.rhs, ZERO)
         return dict(zip(self.unknowns, x))
 

@@ -10,15 +10,24 @@ A GaussianRational is normalised when it is made: each arithmetic operation
 costs one gcd unless its result is a Gaussian integer.  Algebra elements hold
 no GaussianRationals but one denominator over Gaussian-integer numerators
 (see :mod:`ncgq.algebra`); .triple and :func:`gaussian` convert at the edges.
+
+The module does not import :mod:`fractions` (which loads :mod:`decimal` and
+:mod:`numbers`) at the top: only parsing, the .re/.im views and the hash of a
+non-integral real value make a Fraction, and a Fraction argument is
+recognised through ``sys.modules``, since one exists only once its module is
+loaded.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
-RationalLike = Union[int, Fraction, str]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+RationalLike = Union[int, "Fraction", str]
 
 
 class ScalarError(ArithmeticError):
@@ -33,11 +42,22 @@ class PoleError(ScalarError):
     """A rational function was evaluated at a zero of its denominator."""
 
 
-def _frac(x: RationalLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
+def _fraction(x) -> bool:
+    """Whether x is a Fraction, without importing fractions."""
+    module = sys.modules.get("fractions")
+    return module is not None and isinstance(x, module.Fraction)
+
+
+def _ratio(x: RationalLike) -> tuple[int, int]:
+    """(numerator, denominator > 0) of x in lowest terms."""
+    if isinstance(x, int):
+        return int(x), 1
+    if _fraction(x):
+        return x.numerator, x.denominator
+    if isinstance(x, str):
+        from fractions import Fraction
+
+        return Fraction(x).as_integer_ratio()
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -57,7 +77,7 @@ class GaussianRational:
         if type(re) is int and type(im) is int:
             self._a, self._b, self._d = re, im, 1
             return
-        (an, ad), (bn, bd) = _frac(re).as_integer_ratio(), _frac(im).as_integer_ratio()
+        (an, ad), (bn, bd) = _ratio(re), _ratio(im)
         # the lcm of two lowest-terms denominators leaves gcd(a, b, d) = 1
         d = lcm(ad, bd)
         self._a, self._b, self._d = an * (d // ad), bn * (d // bd), d
@@ -69,10 +89,14 @@ class GaussianRational:
 
     @property
     def re(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._a, self._d)
 
     @property
     def im(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self._b, self._d)
 
     # -- basic protocol ----------------------------------------------------
@@ -219,7 +243,7 @@ def _coerce(x) -> GaussianRational | None:
         return x
     if isinstance(x, int):
         return _triple(int(x), 0, 1)
-    if isinstance(x, Fraction):
+    if _fraction(x):
         return _triple(x.numerator, 0, x.denominator)
     return None
 
@@ -243,29 +267,25 @@ def q_root(mode: str) -> GaussianRational:
 # -- serialization ------------------------------------------------------------
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def _part(n: int, d: int) -> str:
+    """n/d in lowest terms, as 'n' when that is an integer."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def format_gaussian(z: GaussianRational) -> str:
-    """Render as 'a/b+c/d*i', omitting zero parts ('0' for zero)."""
-    if not z:
-        return "0"
-    parts = []
-    if z.re:
-        parts.append(_frac_str(z.re))
-    if z.im:
-        im = _frac_str(z.im)
-        piece = f"{im}*i"
-        if parts and not piece.startswith("-"):
-            parts.append("+" + piece)
-        else:
-            parts.append(piece)
-    return "".join(parts)
+    """Render as 'a/b+c/d*i', omitting zero parts ('0' for zero); each part in lowest terms."""
+    a, b, d = z._a, z._b, z._d
+    re = _part(a, d) if a else ""
+    if not b:
+        return re or "0"
+    return re + ("+" if re and b > 0 else "") + _part(b, d) + "*i"
 
 
 def parse_gaussian(s: str) -> GaussianRational:
     """Inverse of :func:`format_gaussian`."""
+    from fractions import Fraction
+
     s = s.replace(" ", "")
     if not s:
         raise ValueError("empty scalar string")

@@ -76,6 +76,21 @@ class TestWedgeNormalForm:
     def test_graded_dimensions(self, cal):
         assert cal.exterior.graded_dimensions() == [1, 4, 6, 4, 1]
 
+    def test_graded_dimensions_match_the_reduction_of_every_word(self, cal):
+        # the oracle: the rank of the reductions of all 4^d words of each degree,
+        # on a fresh exterior algebra, so no memo is shared with the method's
+        from ncgq import linalg
+
+        exterior, dims = ExteriorAlgebra(cal.algebra.q), []
+        for degree in range(6):
+            reduced = [exterior.reduce_word(w) for w in itertools.product(FORMS, repeat=degree)]
+            if not any(reduced):
+                break
+            cols = sorted({m for red in reduced for m in red})
+            dims.append(linalg.rank([[red.get(m, ZERO) for m in cols] for red in reduced]))
+        assert degree == 5
+        assert dims == ExteriorAlgebra(cal.algebra.q).graded_dimensions() == [1, 4, 6, 4, 1]
+
     def test_associativity_on_all_word_triples(self, cal):
         # the wedge is linear over the scalars in each factor, so the 16^3
         # triples of ordered words prove associativity on forms with scalar

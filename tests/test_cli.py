@@ -58,6 +58,41 @@ class TestConfigValidation:
         assert err.count("\n") == 1 and "invalid tolerance" in err
 
 
+class TestParser:
+    """The hand parser: one stderr line naming the bad token and exit 2, or the usage line."""
+
+    @pytest.mark.parametrize("args, needle", [
+        ([], "no command given"),
+        (["frobnicate"], "'frobnicate'"),
+        (["dirac", "--frob", "1"], "'--frob'"),
+        (["dirac", "--form", "json"], "'--form'"),  # abbreviations are not accepted
+        (["dirac", "--q"], "--q"),
+        (["dirac", "--out", "--q", "i"], "'--q'"),
+        (["dirac", "--tol", "abc"], "'abc'"),
+    ], ids=["no-arguments", "unknown-command", "unknown-flag", "abbreviation",
+            "flag-without-value", "flag-as-value", "tolerance-not-a-number"])
+    def test_usage_error_is_one_line_naming_the_token(self, args, needle):
+        code, out, err = run_cli(args)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert needle in err
+
+    def test_equals_and_space_forms_give_identical_bytes(self):
+        spaced, joined = run_cli(["curvature", "--q", "-i"]), run_cli(["curvature", "--q=-i"])
+        assert spaced == joined and spaced[0] == 0 and json.loads(spaced[1])["q"] == "-i"
+
+    def test_a_repeated_flag_keeps_its_last_value(self):
+        assert run_cli(["dirac", "--q", "1", "--q", "generic"])[0] == 2
+        assert run_cli(["dirac", "--q", "generic", "--q=1"]) == run_cli(["dirac", "--q", "1"])
+
+    @pytest.mark.parametrize("args", [["-h"], ["--help"], ["dirac", "--help"]])
+    def test_help_prints_the_usage_line(self, args):
+        code, out, err = run_cli(args)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: ncgq {verify,connection,curvature,dirac,audit}")
+        assert out.count("\n") == 1
+
+
 class TestCommands:
     def test_connection_emits_16_exact_coefficients(self, tmp_path):
         out = tmp_path / "conn.json"
@@ -317,7 +352,8 @@ code = main()
 sys.stderr.write(" ".join(sorted(set(sys.modules) - bare)) + "\\n")
 sys.exit(code)
 """
-NEVER_LOADED = {"dataclasses", "inspect"}
+NEVER_LOADED = {"dataclasses", "inspect", "argparse", "gettext", "locale",
+                "fractions", "decimal", "numbers"}
 NOT_FOR_DIRAC = {"ncgq.algebra", "ncgq.calculus", "ncgq.riemannian", "ncgq.linalg", "numpy"}
 DIRAC_PACKAGE = {"ncgq", "ncgq.cli", "ncgq.scalars", "ncgq.fixtures", "ncgq.constants",
                  "ncgq.dirac", "ncgq.sectors"}
@@ -325,6 +361,10 @@ DIRAC_PACKAGE = {"ncgq", "ncgq.cli", "ncgq.scalars", "ncgq.fixtures", "ncgq.cons
 
 class TestColdImports:
     """Each cold command loads only what it runs.
+
+    None loads argparse (with gettext and locale) or fractions (with decimal
+    and numbers): the CLI reads its fixed grammar by hand, and a scalar makes
+    a Fraction only when asked for one.  `curvature` needs no exact linalg.
 
     In this process, that is: forked children (the spectral halves of
     `verify` and `audit`) load their own modules, numpy in `verify`'s.
@@ -345,6 +385,8 @@ class TestColdImports:
         if command.startswith("dirac"):
             assert not loaded & NOT_FOR_DIRAC
             assert {m for m in loaded if m.startswith("ncgq")} == DIRAC_PACKAGE
+        if command.startswith("curvature"):
+            assert "ncgq.linalg" not in loaded and "ncgq.riemannian" in loaded
 
 
 # exercises alongside() in a cold process, where it forks; prints one JSON line

@@ -198,6 +198,50 @@ class TestTripleAgainstFractionPairs:
         assert repr(GaussianRational("1/2", 3)) == "GaussianRational(Fraction(1, 2), Fraction(3, 1))"
 
 
+def fraction_rendering(z: GaussianRational) -> str:
+    """format_gaussian as it was written over the Fraction parts, the oracle below."""
+    def part(x: Fraction) -> str:
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+    if not z:
+        return "0"
+    parts = [part(z.re)] if z.re else []
+    if z.im:
+        piece = part(z.im) + "*i"
+        parts.append("+" + piece if parts and not piece.startswith("-") else piece)
+    return "".join(parts)
+
+
+class TestIntegerFormatting:
+    """format_gaussian reduces each part of the triple by a gcd, and no Fraction is made."""
+
+    def test_equals_the_fraction_rendering_on_a_grid(self):
+        cases = 0
+        for d in range(1, 13):
+            for a in range(-12, 13):
+                for b in range(-12, 13):
+                    z = GaussianRational(Fraction(a, d), Fraction(b, d))
+                    text = format_gaussian(z)
+                    assert text == fraction_rendering(z), (a, b, d)
+                    assert parse_gaussian(text) == z
+                    cases += 1
+        assert cases == 7500
+
+    def test_views_and_hash_are_still_fractions(self):
+        z = GaussianRational(Fraction(1, 3), Fraction(-2, 6))
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+        assert (z.re, z.im) == (Fraction(1, 3), Fraction(-1, 3))
+        assert hash(GaussianRational(Fraction(1, 3))) == hash(Fraction(1, 3))
+
+    def test_a_fraction_is_recognised_as_an_operand(self):
+        z = GaussianRational(1, 1)
+        assert z * Fraction(1, 2) == GaussianRational(Fraction(1, 2), Fraction(1, 2))
+        assert Fraction(1, 2) + z == GaussianRational(Fraction(3, 2), 1)
+        assert GaussianRational(Fraction(1, 2)) == Fraction(1, 2)
+        with pytest.raises(TypeError):
+            GaussianRational(0.5)
+
+
 class TestNumeratorHelpers:
     """The two ends of every algebra map: {key: GaussianRational} to (den, num) and back.
 
