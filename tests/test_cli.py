@@ -362,12 +362,11 @@ DIRAC_PACKAGE = {"ncgq", "ncgq.cli", "ncgq.scalars", "ncgq.fixtures", "ncgq.cons
 class TestColdImports:
     """Each cold command loads only what it runs.
 
+    In this process, that is: forked children (the spectral halves of
+    `verify` and `audit`) load their own modules, numpy in `verify`'s.
     None loads argparse (with gettext and locale) or fractions (with decimal
     and numbers): the CLI reads its fixed grammar by hand, and a scalar makes
     a Fraction only when asked for one.  `curvature` needs no exact linalg.
-
-    In this process, that is: forked children (the spectral halves of
-    `verify` and `audit`) load their own modules, numpy in `verify`'s.
     """
 
     @pytest.mark.parametrize("command, exit_code", [
