@@ -23,10 +23,10 @@ gcd per element; GaussianRationals appear only in the .coeffs view.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .fixtures import TranslationMatrix
 from .scalars import ZERO, ONE, GaussianRational, format_gaussian, gaussian, parse_gaussian, q_root

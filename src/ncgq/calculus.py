@@ -28,9 +28,9 @@ one denominator, so each coefficient of a result costs one gcd.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Mapping
 
 from .algebra import (DIM, AlgebraElement, Monomial, QuantumAlgebra, add_products, basis_monomials,
                       check_mode, flat_entry, monomial_name, monomial_product, sum_entries, support)

@@ -35,7 +35,6 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
 
 from .scalars import format_gaussian
 
@@ -81,6 +80,7 @@ def validate(cfg: RunConfig) -> None:
 
 def _atomic_write(path: str, text: str) -> None:
     import tempfile
+    from pathlib import Path
 
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)

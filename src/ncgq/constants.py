@@ -12,9 +12,9 @@ j-component of the connection form attached to basis 1-form i, i.e. A_i^j.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
 
 from .scalars import ZERO, GaussianRational, RationalFunctionQ, rf
 

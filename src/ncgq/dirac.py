@@ -20,7 +20,6 @@ there only.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .constants import (ASLASH_GENERATOR_VALUES, ASLASH_MATRIX_PRINTED,
                         F_DIAG, Q_OVER_2Q, Q2_OVER_2Q, evaluate_connection_printed)
@@ -28,6 +27,7 @@ from .fixtures import (TranslationMatrix, printed_spectrum, printed_translation_
                        reconstructed_offdiagonal_scalars)
 from .scalars import GaussianRational, ZERO, q_root
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing; type checkers take it as True
 if TYPE_CHECKING:  # only the audit's connection-term rows need the calculus
     from .calculus import Calculus
     from .riemannian import SpinConnection

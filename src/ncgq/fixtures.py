@@ -11,16 +11,18 @@ import json
 import math
 import os
 from functools import lru_cache
-from pathlib import Path
 
 from .scalars import ONE, ZERO, GaussianRational
 
 
-def fixture_dir() -> Path:
-    env = os.environ.get("NCGQ_FIXTURES")
-    if env:
-        return Path(env)
-    return Path(__file__).resolve().parent / "fixtures"
+def fixture_dir() -> str:
+    return _resolved_dir(os.environ.get("NCGQ_FIXTURES") or None)
+
+
+@lru_cache(maxsize=None)
+def _resolved_dir(env: str | None) -> str:
+    """The fixture directory for one value of NCGQ_FIXTURES (None: the package's own), resolved once."""
+    return os.path.realpath(env or os.path.join(os.path.dirname(os.path.realpath(__file__)), "fixtures"))
 
 
 class FixtureError(ValueError):
@@ -62,18 +64,18 @@ SPECTRAL_MODES = ("1", "i", "-i")
 
 
 def _load(name: str) -> dict:
-    return _read((fixture_dir() / name).resolve())
+    return _read(os.path.join(fixture_dir(), name))
 
 
 @lru_cache(maxsize=None)
-def _read(path: Path) -> dict:
-    # keyed by resolved path, so a changed NCGQ_FIXTURES is honoured mid-process
+def _read(path: str) -> dict:
+    # keyed by path in the resolved directory, so a changed NCGQ_FIXTURES is honoured mid-process
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
         raise FixtureError(f"{path}: {exc}") from None
-    problem = _SHAPES[path.name](data) if isinstance(data, dict) else "not a JSON object"
+    problem = _SHAPES[os.path.basename(path)](data) if isinstance(data, dict) else "not a JSON object"
     if problem:
         raise FixtureError(f"{path}: {problem}")
     return data

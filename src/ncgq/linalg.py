@@ -5,9 +5,13 @@ tricks, so repeated runs report identical solutions.
 """
 from __future__ import annotations
 
-from typing import Sequence, TypeVar
+from collections.abc import Sequence
 
-T = TypeVar("T")
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing; type checkers take it as True
+if TYPE_CHECKING:
+    from typing import TypeVar
+
+    T = TypeVar("T")
 
 Matrix = list  # list[list[T]]
 

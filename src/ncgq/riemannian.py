@@ -15,13 +15,22 @@ internally corrupted beyond reconstruction of "the" system.  The solver
 therefore reports the exact rank defect, and downstream geometry consumes the
 reference closed forms (whose uncorrupted entries are independently confirmed
 by the spectral layer), carrying provenance and honest residuals.
+
+The curvature R is Q(i)-linear, so R(x) is read from the images R(m e_i) of
+the 64 basis elements, over one denominator.  Each image is filled on first
+read from (id ^ nabla - d (x) id) nabla on the one element m e_i, never as
+m R(e_i), so the basis checks of R(f e_i) = f R(e_i) still compare two
+computations and, with linearity, prove tensoriality.  Every reference
+connection of one q shares one image table.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
+from math import lcm
 from types import MappingProxyType
-from typing import Mapping
 
+from .algebra import DIM, AlgebraElement, check_mode, sum_entries
 from .calculus import Calculus, DiffForm, FORMS, ModuleSum
 from .constants import (AD_L_PRINTED, AD_R_PRINTED, CONNECTION_UNPRINTED, RHO,
                         TWO_Q, connection_db_candidate, evaluate_ad_table,
@@ -144,7 +153,7 @@ class SpinConnection:
     def __init__(self, coefficients: dict, source: str):
         self.coefficients = coefficients
         self.source = source  # "solver" | "reference-table"
-        # (q mode, i) -> the legs of nabla e_i and of R(e_i), filled on first use
+        # (q mode, i) -> the legs of nabla e_i, and the 16 images R(m e_i) (see riemann), filled on first use
         self._nabla = {}
         self._riemann = {}
 
@@ -245,10 +254,16 @@ def reference_connection_values(q: GaussianRational) -> Mapping[tuple[str, str],
     return MappingProxyType(values)
 
 
+# q mode -> the curvature images of the reference connection at that q, shared by every instance
+_REFERENCE_IMAGES: dict = {}
+
+
 def reference_connection(calculus: Calculus) -> SpinConnection:
     """The reference closed-form connection table evaluated at this q."""
-    return SpinConnection(coefficients=reference_connection_values(calculus.algebra.q),
+    conn = SpinConnection(coefficients=reference_connection_values(calculus.algebra.q),
                           source="reference-table")
+    conn._riemann = _REFERENCE_IMAGES.setdefault(calculus.algebra.mode, {})
+    return conn
 
 
 def connection_residuals(system: ConnectionSystem, connection: SpinConnection) -> dict:
@@ -279,23 +294,17 @@ class TensorForm(ModuleSum):
         return "  +  ".join(f"({self.terms[k]}) (x) e_{k}" for k in sorted(self.terms))
 
 
-def _per_mode(calculus: Calculus, cache: dict, i: str, compute) -> TensorForm:
-    """compute(), kept in cache as plain data under (q mode, i); each call wraps it in its own calculus."""
-    key = (calculus.algebra.mode, i)
-    legs = cache.get(key)
-    if legs is None:
-        legs = cache[key] = {k: x.terms for k, x in compute().terms.items()}
-    return TensorForm(calculus, {k: DiffForm(calculus, terms) for k, terms in legs.items()})
-
-
 def covariant_derivative_basis(calculus: Calculus, connection: SpinConnection, i: str) -> TensorForm:
     """nabla e_i = - sum ad_L(jk|i) A_j (x) e_k, from the operative table, once per q mode and connection."""
-    def compute() -> TensorForm:
+    key = (calculus.algebra.mode, i)
+    legs = connection._nabla.get(key)
+    if legs is None:
         out = TensorForm(calculus, {})
         for (j, k), c in printed_ad_tables(calculus.algebra.q)[0][i].items():
             out = out + TensorForm(calculus, {k: connection.form(j, calculus).scale(-c)})
-        return out
-    return _per_mode(calculus, connection._nabla, i, compute)
+        # kept as plain data; each call wraps it in its own calculus
+        legs = connection._nabla[key] = {k: x.terms for k, x in out.terms.items()}
+    return TensorForm(calculus, {k: DiffForm(calculus, terms) for k, terms in legs.items()})
 
 
 def covariant_derivative(calculus: Calculus, connection: SpinConnection, x: DiffForm) -> TensorForm:
@@ -327,13 +336,42 @@ def riemann_of_tensor(calculus: Calculus, connection: SpinConnection, t: TensorF
 
 
 def riemann(calculus: Calculus, connection: SpinConnection, x: DiffForm) -> TensorForm:
-    return riemann_of_tensor(calculus, connection, covariant_derivative(calculus, connection, x))
+    """R(x) for a degree-1 form x: its coefficients times the images R(m e_i), over one denominator."""
+    images, mode, parts = connection._riemann, calculus.algebra.mode, []
+    for w, f in x.terms.items():
+        if len(w) != 1:
+            raise ValueError("covariant derivative is defined on 1-forms")
+        check_mode(calculus, f)
+        slots = images.get((mode, w[0])) or images.setdefault((mode, w[0]), [None] * DIM)
+        for k, a, b in f.nonzero():
+            den, entry = slots[k] or _fill_image(calculus, connection, slots, w[0], k)
+            parts.append((f.den * den, entry, a, b))
+    d = lcm(*[p[0] for p in parts])
+    legs: dict = {}
+    for (leg, w), num in sum_entries([(e, a * (d // dp), b * (d // dp)) for dp, e, a, b in parts]).items():
+        if any(num):  # each coefficient normalised by one gcd
+            legs.setdefault(leg, {})[w] = AlgebraElement._reduce(calculus.algebra, d, num)
+    return TensorForm._of(calculus, {leg: DiffForm._of(calculus, words) for leg, words in legs.items()})
 
 
 def riemann_basis(calculus: Calculus, connection: SpinConnection, i: str) -> TensorForm:
-    """R(e_i), once per q mode and connection."""
-    return _per_mode(calculus, connection._riemann, i, lambda: riemann_of_tensor(
-        calculus, connection, covariant_derivative_basis(calculus, connection, i)))
+    """R(e_i): the image of m = 1, once per q mode and image table."""
+    return riemann(calculus, connection, calculus.basis_form(i))
+
+
+def _fill_image(calculus: Calculus, connection: SpinConnection, slots: list, i: str, k: int) -> tuple:
+    """R(m e_i), m of index k, by the formula on that one element; at slots[k] as (den, entry by (leg, word))."""
+    basis = DiffForm(calculus, {(i,): calculus.algebra.monomial(k >> 2, k & 3)})
+    legs = riemann_of_tensor(calculus, connection, covariant_derivative(calculus, connection, basis)).terms
+    den = lcm(*[g.den for x in legs.values() for g in x.terms.values()])
+    entry = []
+    for leg, x in legs.items():
+        for w, g in x.terms.items():
+            key, f = (leg, w), den // g.den
+            for j, a, b in g.nonzero():
+                entry += (key, 2 * j, a * f, b * f)
+    slots[k] = image = (den, tuple(entry))
+    return image
 
 
 # -- regularity ------------------------------------------------------------------------

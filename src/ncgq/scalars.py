@@ -20,14 +20,15 @@ loaded.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable
 from itertools import zip_longest
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterable, Union
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing; type checkers take it as True
 if TYPE_CHECKING:
     from fractions import Fraction
 
-RationalLike = Union[int, "Fraction", str]
+    RationalLike = int | Fraction | str
 
 
 class ScalarError(ArithmeticError):

@@ -367,6 +367,8 @@ class TestColdImports:
     None loads argparse (with gettext and locale) or fractions (with decimal
     and numbers): the CLI reads its fixed grammar by hand, and a scalar makes
     a Fraction only when asked for one.  `curvature` needs no exact linalg.
+    Run without `site`, the commands that need no numpy load neither pathlib
+    nor typing: paths are strings, and annotations are never evaluated.
     """
 
     @pytest.mark.parametrize("command, exit_code", [
@@ -386,6 +388,17 @@ class TestColdImports:
             assert {m for m in loaded if m.startswith("ncgq")} == DIRAC_PACKAGE
         if command.startswith("curvature"):
             assert "ncgq.linalg" not in loaded and "ncgq.riemannian" in loaded
+
+    @pytest.mark.parametrize("command", ["dirac --q 1", "connection --q i", "curvature --q i", "audit --q i"])
+    def test_loads_no_pathlib_or_typing_without_site(self, command):
+        # -S: no `site`, so no .pth file of an installed package loads either module first
+        done = subprocess.run([sys.executable, "-S", "-c", IMPORTS_ENTRY, *command.split()],
+                              capture_output=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+                              timeout=120)
+        *lines, loaded = done.stderr.decode().splitlines()
+        loaded = set(loaded.split())
+        assert done.returncode == 0, lines
+        assert "ncgq.cli" in loaded and not loaded & {"pathlib", "typing"}
 
 
 # exercises alongside() in a cold process, where it forks; prints one JSON line

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -26,6 +27,24 @@ def cal(request):
 @pytest.fixture(scope="module")
 def conn(cal):
     return reference_connection(cal)
+
+
+def direct_riemann(cal, conn, x):
+    """R(x) by its defining formula, with no image table."""
+    return riemann_of_tensor(cal, conn, covariant_derivative(cal, conn, x))
+
+
+def dense_one_form(cal, rng):
+    """A 1-form on all four words and 16 monomials; every fourth coefficient has a 6-7 digit denominator."""
+    terms = {}
+    for n, (i, m) in enumerate((i, m) for i in FORMS for m in basis_monomials()):
+        if n % 4 == 0:
+            c = GaussianRational(Fraction(rng.randint(-10**6, 10**6), rng.randint(10**5, 10**6)),
+                                 Fraction(rng.randint(-10**6, 10**6), rng.randint(10**5, 10**6)))
+        else:
+            c = GaussianRational(rng.choice([-9, -5, -1, 1, 2, 7]), rng.randint(-9, 9))
+        terms.setdefault((i,), {})[m] = c
+    return DiffForm(cal, {w: cal.algebra.element(c) for w, c in terms.items()})
 
 
 def random_element(alg, rng, n_terms=2):
@@ -244,9 +263,11 @@ class TestCovariantDerivativeAndCurvature:
                 assert got.calculus is c and all(leg.calculus is c for leg in got.terms.values())
 
     def test_riemann_basis_is_computed_once_per_mode(self, cal, monkeypatch):
-        # R(e_i) comes from riemann_of_tensor once per mode and connection; riemann(f e_i)
-        # still goes through covariant_derivative and riemann_of_tensor on every call
+        # R(e_i) is the image of m = 1, which riemann_of_tensor fills once per mode and image
+        # table; riemann(f e_i) fills the images of f's monomials (here a and b) on its first call
+        # only.  The shared table of the reference connections starts empty here.
         import ncgq.riemannian as riemannian
+        monkeypatch.setattr(riemannian, "_REFERENCE_IMAGES", {})
         conn = reference_connection(cal)
         want = {i: riemann_of_tensor(cal, conn, covariant_derivative_basis(cal, conn, i)) for i in FORMS}
         calls = []
@@ -280,6 +301,66 @@ class TestCovariantDerivativeAndCurvature:
             with pytest.raises(ValueError, match="mixed q modes"):
                 lhs + rhs
 
+
+class TestCurvatureImages:
+    """riemann reads the images R(m e_i), each filled from the defining formula on m e_i."""
+
+    def test_every_image_is_the_formula_on_its_basis_element(self, cal, conn):
+        alg = cal.algebra
+        for i in FORMS:
+            for (p, r) in basis_monomials():
+                x = DiffForm(cal, {(i,): alg.monomial(p, r)})
+                assert riemann(cal, conn, x) == direct_riemann(cal, conn, x)
+        assert all(all(conn._riemann[(alg.mode, i)]) for i in FORMS)
+
+    def test_dense_forms_match_the_formula(self, cal, conn):
+        rng = random.Random(20)
+        for _ in range(20):
+            x = dense_one_form(cal, rng)
+            assert riemann(cal, conn, x) == direct_riemann(cal, conn, x)
+
+    def test_a_second_reference_connection_fills_no_image(self, cal, monkeypatch):
+        import ncgq.riemannian as riemannian
+        x = dense_one_form(cal, random.Random(5))
+        want = riemann(cal, reference_connection(cal), x)
+        calls = []
+        original = riemannian.riemann_of_tensor
+        monkeypatch.setattr(riemannian, "riemann_of_tensor",
+                            lambda *args: calls.append(args[2]) or original(*args))
+        fresh = Calculus(QuantumAlgebra(cal.algebra.mode))
+        other = reference_connection(fresh)
+        assert riemann(fresh, other, DiffForm(fresh, x.terms)) == want
+        assert all(riemann_basis(fresh, other, i) for i in FORMS)
+        assert calls == []
+
+    def test_a_changed_connection_has_images_of_its_own(self, cal, conn):
+        x = dense_one_form(cal, random.Random(6))
+        reference = riemann(cal, conn, x)
+        values = dict(conn.coefficients)
+        values[("a", "b")] = values[("a", "b")] + ONE
+        changed = SpinConnection(values, "reference-table")
+        got = riemann(cal, changed, x)
+        assert got != reference and got == direct_riemann(cal, changed, x)
+        assert changed._riemann is not conn._riemann
+
+    def test_each_fill_derives_one_basis_element(self, cal, monkeypatch):
+        import ncgq.riemannian as riemannian
+        monkeypatch.setattr(riemannian, "_REFERENCE_IMAGES", {})
+        conn = reference_connection(cal)
+        derived, fills = [], []
+        nabla, curvature = riemannian.covariant_derivative, riemannian.riemann_of_tensor
+        monkeypatch.setattr(riemannian, "covariant_derivative",
+                            lambda *args: derived.append(args[2]) or nabla(*args))
+        monkeypatch.setattr(riemannian, "riemann_of_tensor",
+                            lambda *args: fills.append(args[2]) or curvature(*args))
+        x = dense_one_form(cal, random.Random(7))
+        for _ in range(2):
+            riemann(cal, conn, x)
+        alg = cal.algebra
+        assert len(fills) == len(derived) == 64
+        assert {(w, f) for form in derived for w, f in form.terms.items()} == {
+            ((i,), alg.monomial(p, r)) for i in FORMS for (p, r) in basis_monomials()}
+        assert all(len(form.terms) == 1 for form in derived)
 
 class TestRegularity:
     def test_zero_function_passes(self, cal, conn):
