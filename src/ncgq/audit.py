@@ -451,40 +451,18 @@ def audit_dirac(cal: Calculus, conn: SpinConnection) -> list[AuditRow]:
     return rows
 
 
-def _calculus(mode: str) -> Calculus:
-    return Calculus(QuantumAlgebra(mode if mode in ("i", "-i") else "i"))
+def audit_report(mode: str = "i") -> dict:
+    """The audit at q = mode (generic audits q = i): every row, in section order, and the verdict counts.
 
-
-def exact_sections(mode: str) -> list[AuditRow]:
-    """The algebra, calculus and riemannian rows, exact over Q(i); no numerics."""
-    cal = _calculus(mode)
-    return (audit_algebra(cal.algebra) + audit_calculus(cal)
-            + audit_riemannian(cal, reference_connection(cal)))
-
-
-def dirac_section(mode: str) -> list[AuditRow]:
-    """The Dirac rows, from a calculus and reference connection of their own.
-
-    They share nothing with `exact_sections`, so the two can run side by side.
-    The spectra come from the sector solver, which imports no numpy.
-    """
-    cal = _calculus(mode)
-    return audit_dirac(cal, reference_connection(cal))
-
-
-def build_audit_report(mode: str = "i") -> dict:
-    return audit_report(mode, exact_sections(mode) + dirac_section(mode))
-
-
-def audit_report(mode: str, rows: list[AuditRow]) -> dict:
-    """The audit document: the rows of every section, in order, and their verdict counts."""
-    summary = {
-        "match": sum(1 for r in rows if r.verdict == "match"),
-        "mismatch": sum(1 for r in rows if r.verdict == "mismatch"),
-        "unparseable": sum(1 for r in rows if r.verdict == "unparseable"),
-    }
+    The four sections share one calculus and one reference connection."""
+    mode = "i" if mode == "generic" else mode
+    cal = Calculus(QuantumAlgebra(mode))
+    conn = reference_connection(cal)
+    rows = (audit_algebra(cal.algebra) + audit_calculus(cal)
+            + audit_riemannian(cal, conn) + audit_dirac(cal, conn))
     return {
         "q_mode": mode,
         "rows": [r.as_dict() for r in rows],
-        "summary": summary,
+        "summary": {verdict: sum(1 for r in rows if r.verdict == verdict)
+                    for verdict in ("match", "mismatch", "unparseable")},
     }

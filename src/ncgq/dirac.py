@@ -332,12 +332,9 @@ def _linear_sum_assignment(cost) -> tuple[list[int], list[int]]:
     return list(range(n)), col4row
 
 
-def spectrum_pipeline(mode: str, include_connection: bool = True) -> tuple[DiracMatrix, Spectrum, MatchReport | None]:
-    dm = build_dirac(mode, include_connection=include_connection)
+def spectrum_pipeline(mode: str) -> tuple[DiracMatrix, Spectrum, MatchReport]:
+    dm = build_dirac(mode)
     from .sectors import sector_eigenvalues
 
     spec = sector_eigenvalues(dm.matrix, mode)
-    report = None
-    if include_connection:
-        report = compare_spectrum(spec, printed_spectrum(mode))
-    return dm, spec, report
+    return dm, spec, compare_spectrum(spec, printed_spectrum(mode))

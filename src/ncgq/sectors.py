@@ -68,8 +68,9 @@ def sector_eigenvalues(matrix: list[list[complex]], mode: str) -> Spectrum:
     Each float entry of D is a dyadic rational, so D' = 2**s D is a
     Gaussian-integer matrix for one s, and B_b = W_b^H D W_b / |H| is formed
     in integers.  D W_b = W_b B_b is checked with no tolerance: a matrix that
-    does not keep each block's span raises EigensolverError.  Equal block
-    polynomials (they pair up at q = +-i) are solved once.
+    does not keep each block's span raises EigensolverError, and so does a
+    root or norm too large for a float.  Equal block polynomials (they pair up
+    at q = +-i) are solved once.
 
     `residuals` holds the disk radii: a radius r bounds |lambda - z| for the
     one eigenvalue lambda in the disk around z, and so ||D x - z x|| / ||x||
@@ -106,12 +107,21 @@ def sector_eigenvalues(matrix: list[list[complex]], mode: str) -> Spectrum:
             block.append([terms.pop() for terms in row])
         poly = _characteristic_polynomial(block)
         if poly not in solved:
-            solved[poly] = _certified_roots(poly, s)
+            solved[poly] = _in_float_range(_certified_roots, poly, s)
         lams += solved[poly][0]
         radii += solved[poly][1]
-    norm = _root(max(sum(a * a + b * b for _, a, b in col) for col in columns), 1, -s, up=False)
+    norm = _in_float_range(_root, max(sum(a * a + b * b for _, a, b in col) for col in columns),
+                           1, -s, up=False)
     return Spectrum(mode=mode, eigenvalues=lams, residuals=radii,
                     matrix_norm=norm).check_contract()
+
+
+def _in_float_range(convert, *args, **kwargs):
+    """convert(*args, **kwargs), whose exact integers become floats; one that no float holds is an EigensolverError."""
+    try:
+        return convert(*args, **kwargs)
+    except OverflowError as exc:
+        raise EigensolverError(f"a value of the matrix's sectors leaves the float range ({exc})") from None
 
 
 def _exponent(z: complex) -> int:

@@ -25,11 +25,12 @@ from ncgq import linalg
 from ncgq.algebra import QuantumAlgebra, basis_monomials
 from ncgq.calculus import Calculus, DiffForm, FORMS
 from ncgq.constants import evaluate_connection_printed
-from ncgq.dirac import Spectrum, compare_spectrum, spectrum_pipeline
+from ncgq.dirac import Spectrum, build_dirac, compare_spectrum, spectrum_pipeline
 from ncgq.fixtures import printed_spectrum, printed_translation_matrices
 from ncgq.riemannian import (ConnectionAssembler, Metric, reference_connection,
                              regularity_check, riemann, riemann_basis)
 from ncgq.scalars import GaussianRational, ONE, ZERO
+from ncgq.sectors import sector_eigenvalues
 
 
 def timed(budget_s):
@@ -306,10 +307,10 @@ def test_criterion_9_riemann_tensoriality():
 
 
 def test_criterion_10_audit_completeness():
-    from ncgq.audit import build_audit_report
+    from ncgq.audit import audit_report
 
     with timed(10.0):
-        doc = build_audit_report("i")
+        doc = audit_report("i")
         quantities = " | ".join(row["quantity"] for row in doc["rows"])
         required = [
             "translation matrix alpha", "translation matrix beta",
@@ -340,7 +341,7 @@ def test_criterion_10_audit_completeness():
 def test_criterion_11_connection_term_necessity():
     with timed(5.0):
         _, full, _ = spectrum_pipeline("i")
-        _, bare, _ = spectrum_pipeline("i", include_connection=False)
+        bare = sector_eigenvalues(build_dirac("i", include_connection=False).matrix, "i")
         a = sorted(full.eigenvalues, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
         b = sorted(bare.eigenvalues, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
         differs = any(abs(x - y) > 1e-6 for x, y in zip(a, b))

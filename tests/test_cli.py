@@ -311,34 +311,89 @@ def run_cold(args, **env):
 
 
 class TestForkedSpectralHalf:
-    """Cold `verify` and `audit` compute their spectral half in a forked child.
+    """Cold `verify` computes its spectral half in a forked child.
 
     The parent never loads numpy, leaves no child behind and emits the bytes
-    of the golden records.  A top-level numpy import in `verification` or
-    `audit` would turn the overlap off silently; these tests would catch it.
+    of the golden records.  A top-level numpy import in `verification` would
+    turn the overlap off silently; these tests would catch it.
     """
 
-    @pytest.mark.parametrize("command", ["verify --q i", "verify --q -i",
-                                         "audit --q i", "audit --q -i"])
+    @pytest.mark.parametrize("command", ["verify --q i", "verify --q -i"])
     def test_cold_run_matches_golden_without_numpy_in_the_parent(self, command):
-        record = json.loads(GOLDEN.read_text(encoding="utf-8"))["commands"][command]
-        code, out, lines, report = run_cold(command.split())
-        assert (code, lines) == (record["exit_code"], [])
-        assert hashlib.sha256(out).hexdigest() == record["sha256"]
-        assert report == {"numpy": False, "child_left": False}
+        _assert_golden_without_numpy(command)
 
-    @pytest.mark.parametrize("command", ["verify", "audit"])
+    @pytest.mark.parametrize("command", ["verify"])
     def test_failing_child_gives_the_inline_error(self, command, tmp_path):
         # the child fails on the NaN; the parent's inline rerun reports it
+        _assert_nan_spectrum_is_one_line_exit_3(command, tmp_path)
+
+
+class TestColdAudit:
+    """Cold `audit` runs in one process, with no numpy, and emits the golden bytes."""
+
+    @pytest.mark.parametrize("command", ["audit --q i", "audit --q -i"])
+    def test_cold_run_matches_golden_without_numpy(self, command):
+        _assert_golden_without_numpy(command)
+
+    def test_nan_in_a_spectrum_is_one_line_exit_3(self, tmp_path):
+        _assert_nan_spectrum_is_one_line_exit_3("audit", tmp_path)
+
+
+class TestSolverFailures:
+    """A spectrum the solver cannot certify is exit 1 with one line on stderr, for every command."""
+
+    def _broken(self, tmp_path, name, damage):
         broken = tmp_path / "fixtures"
         shutil.copytree(COMMITTED_FIXTURES, broken)
-        _set_number(broken / "spectra.json", float("nan"))
-        code, out, lines, report = run_cold([command, "--q", "i"], NCGQ_FIXTURES=str(broken))
-        assert code == 3
-        assert out == b""
-        assert len(lines) == 1 and lines[0].startswith("fixture error: ")
-        assert "spectra.json" in lines[0] and "finite numbers" in lines[0]
+        doc = json.loads((broken / name).read_text())
+        damage(doc)
+        (broken / name).write_text(json.dumps(doc))
+        return str(broken)
+
+    def _assert_one_line_exit_1(self, args, fixtures, needle):
+        code, out, lines, report = run_cold(args, NCGQ_FIXTURES=fixtures)
+        assert (code, out) == (1, b""), lines
+        assert len(lines) == 1 and lines[0].startswith("eigensolver failure: "), lines
+        assert needle in lines[0] and "Traceback" not in lines[0]
         assert not report["child_left"]
+
+    @pytest.mark.parametrize("q", ["i", "-i"])
+    def test_audit_of_a_matrix_off_its_sectors_is_one_line_exit_1(self, q, tmp_path):
+        # a valid symbol in the wrong place: D no longer commutes with the left multiplications
+        def damage(doc):
+            doc["matrices"]["alpha"][5][9] = "q^2"
+
+        fixtures = self._broken(tmp_path, "translation_matrices.json", damage)
+        self._assert_one_line_exit_1(["audit", "--q", q], fixtures, "not invariant")
+
+    @pytest.mark.parametrize("value", [1e308, 1e200], ids=["1e308", "1e200"])
+    def test_a_scalar_whose_roots_overflow_a_float_is_one_line_exit_1(self, value, tmp_path):
+        def damage(doc):
+            doc["modes"]["-i"]["s12"][0] = value
+
+        fixtures = self._broken(tmp_path, "dirac_scalars.json", damage)
+        for args in (["dirac", "--q", "-i"], ["audit", "--q", "i"], ["audit", "--q", "-i"]):
+            self._assert_one_line_exit_1(args, fixtures, "float range")
+
+
+def _assert_golden_without_numpy(command):
+    record = json.loads(GOLDEN.read_text(encoding="utf-8"))["commands"][command]
+    code, out, lines, report = run_cold(command.split())
+    assert (code, lines) == (record["exit_code"], [])
+    assert hashlib.sha256(out).hexdigest() == record["sha256"]
+    assert report == {"numpy": False, "child_left": False}
+
+
+def _assert_nan_spectrum_is_one_line_exit_3(command, tmp_path):
+    broken = tmp_path / "fixtures"
+    shutil.copytree(COMMITTED_FIXTURES, broken)
+    _set_number(broken / "spectra.json", float("nan"))
+    code, out, lines, report = run_cold([command, "--q", "i"], NCGQ_FIXTURES=str(broken))
+    assert code == 3
+    assert out == b""
+    assert len(lines) == 1 and lines[0].startswith("fixture error: ")
+    assert "spectra.json" in lines[0] and "finite numbers" in lines[0]
+    assert not report["child_left"]
 
 
 # a cold `ncgq` process that writes, as its last stderr line, the modules it
@@ -362,8 +417,9 @@ DIRAC_PACKAGE = {"ncgq", "ncgq.cli", "ncgq.scalars", "ncgq.fixtures", "ncgq.cons
 class TestColdImports:
     """Each cold command loads only what it runs.
 
-    In this process, that is: forked children (the spectral halves of
-    `verify` and `audit`) load their own modules, numpy in `verify`'s.
+    In this process, that is: `verify`'s forked spectral half loads its own
+    modules, numpy among them; `audit` forks no child, so it loads neither
+    numpy nor the fork's pickle and signal.
     None loads argparse (with gettext and locale) or fractions (with decimal
     and numbers): the CLI reads its fixed grammar by hand, and a scalar makes
     a Fraction only when asked for one.  `curvature` needs no exact linalg.
@@ -388,6 +444,16 @@ class TestColdImports:
             assert {m for m in loaded if m.startswith("ncgq")} == DIRAC_PACKAGE
         if command.startswith("curvature"):
             assert "ncgq.linalg" not in loaded and "ncgq.riemannian" in loaded
+
+    @pytest.mark.parametrize("command", ["audit --q i", "audit --q -i", "audit --q generic"])
+    def test_audit_loads_no_pickle_signal_or_numpy(self, command):
+        done = subprocess.run([sys.executable, "-c", IMPORTS_ENTRY, *command.split()],
+                              capture_output=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+                              timeout=120)
+        *lines, loaded = done.stderr.decode().splitlines()
+        assert done.returncode == 0, lines
+        assert "ncgq.audit" in loaded.split()
+        assert not set(loaded.split()) & {"pickle", "signal", "numpy"}
 
     @pytest.mark.parametrize("command", ["dirac --q 1", "connection --q i", "curvature --q i", "audit --q i"])
     def test_loads_no_pathlib_or_typing_without_site(self, command):
@@ -502,6 +568,47 @@ class TestOutputErrors:
         self._check(["--out", str(blocker / "x.json")], tmp_path)
         assert blocker.read_text() == "kept\n"
 
+    def test_out_is_a_fifo(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        self._check(["--out", str(fifo)], tmp_path)
+        assert fifo.is_fifo()
+
+
+class TestOutputFiles:
+    """--out writes through a symlink and gives its file the mode a plain `open` would."""
+
+    def _write(self, out):
+        code, _, err = run_cli(["connection", "--q", "i", "--out", str(out)])
+        assert code == 0, err
+        return run_cli(["connection", "--q", "i"])[1]
+
+    def test_a_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_text("old\n")
+        link = tmp_path / "link.json"
+        os.symlink(target.name, link)
+        expected = self._write(link)
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_text() == expected
+        assert not list(tmp_path.glob(".ncgq-*"))
+
+    def test_a_new_file_gets_0o666_less_the_umask(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            self._write(tmp_path / "new.json")
+        finally:
+            os.umask(umask)
+        assert (tmp_path / "new.json").stat().st_mode & 0o7777 == 0o640
+
+    @pytest.mark.parametrize("mode", [0o644, 0o664], ids=["0644", "0664"])
+    def test_a_replaced_file_keeps_its_mode(self, mode, tmp_path):
+        out = tmp_path / "kept.json"
+        out.write_text("old\n")
+        out.chmod(mode)
+        self._write(out)
+        assert out.stat().st_mode & 0o7777 == mode
+
 
 @pytest.mark.parametrize("command, q, builds", [
     ("verify", "i", 0), ("curvature", "i", 0), ("connection", "i", 1),
@@ -521,3 +628,27 @@ def test_each_report_assembles_the_connection_system_once_per_mode(
     code, _, err = run_cli([command, "--q", q, "--out", str(tmp_path / "out.json")])
     assert code == 0, err
     assert len(calls) == builds and len(set(calls)) == builds
+
+
+@pytest.mark.parametrize("q, mode", [("i", "i"), ("-i", "-i"), ("generic", "i")])
+def test_audit_builds_one_calculus_and_one_reference_connection(q, mode, tmp_path, monkeypatch):
+    # the Dirac rows reuse the calculus and connection of the exact sections
+    from ncgq import audit, riemannian
+    from ncgq.calculus import Calculus
+
+    init, reference, built, connections = Calculus.__init__, riemannian.reference_connection, [], []
+
+    def counted_init(self, algebra):
+        built.append(algebra.mode)
+        init(self, algebra)
+
+    def counted_reference(cal):
+        connections.append(cal.algebra.mode)
+        return reference(cal)
+
+    monkeypatch.setattr(Calculus, "__init__", counted_init)
+    for module in (audit, riemannian):
+        monkeypatch.setattr(module, "reference_connection", counted_reference)
+    code, _, err = run_cli(["audit", "--q", q, "--out", str(tmp_path / "out.json")])
+    assert code == 0, err
+    assert built == [mode] and connections == [mode]

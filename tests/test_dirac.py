@@ -123,7 +123,7 @@ class TestCompareSpectrum:
 
 # a cold ncgq process that runs one command and reports, as one JSON line, its
 # exit code and whether numpy and scipy were loaded in it and in each forked
-# child that computed the spectral half of verify or audit
+# child that computed the spectral half of verify or the Dirac rows of audit
 COLD_PROGRAM = """
 import json, os, sys
 import ncgq.audit, ncgq.cli, ncgq.verification
@@ -135,8 +135,8 @@ seen = sys.argv[1]
 def spy(module, name):
     inner = getattr(module, name)
 
-    def wrapper(mode):
-        out = inner(mode)
+    def wrapper(*args):
+        out = inner(*args)
         if os.getpid() != parent:
             with open(seen, "a") as fh:
                 fh.write(json.dumps({m: m in sys.modules for m in ("numpy", "scipy")}) + "\\n")
@@ -145,7 +145,7 @@ def spy(module, name):
     setattr(module, name, wrapper)
 
 
-spy(ncgq.audit, "dirac_section")
+spy(ncgq.audit, "audit_dirac")
 spy(ncgq.verification, "spectral_checks")
 code = ncgq.cli.main(sys.argv[2:])
 with open(seen) as fh:
@@ -232,11 +232,12 @@ class TestAssignmentSolver:
             dirac._linear_sum_assignment(np.ones(shape))
 
     def test_runtime_never_imports_scipy(self, tmp_path):
-        # and numpy only in verify's spectral half, which runs in a forked child
+        # and numpy only in verify's spectral half, which runs in a forked child;
+        # audit forks none
         want = {
             ("dirac", "1"): (0, False, None), ("dirac", "i"): (1, False, None),
-            ("dirac", "-i"): (1, False, None), ("audit", "i"): (0, False, False),
-            ("audit", "-i"): (0, False, False), ("verify", "i"): (0, False, True),
+            ("dirac", "-i"): (1, False, None), ("audit", "i"): (0, False, None),
+            ("audit", "-i"): (0, False, None), ("verify", "i"): (0, False, True),
         }
         for (command, q), (code, parent_numpy, child_numpy) in want.items():
             report = _cold_run(tmp_path, command, q)
@@ -581,7 +582,7 @@ class TestSpectra:
 
     def test_connection_term_changes_spectrum(self):
         _, full, _ = spectrum_pipeline("i")
-        _, bare, _ = spectrum_pipeline("i", include_connection=False)
+        bare = sectors.sector_eigenvalues(build_dirac("i", include_connection=False).matrix, "i")
         a = sorted(full.eigenvalues, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
         b = sorted(bare.eigenvalues, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
         assert any(abs(x - y) > 1e-6 for x, y in zip(a, b))
