@@ -424,12 +424,11 @@ class QuantumAlgebra:
         return self.antipode(x)
 
     def antipode_axiom_defect(self, x: AlgebraElement) -> tuple[AlgebraElement, AlgebraElement]:
-        """Both convolution identities minus eps(x)*1; exact zeros when the axiom holds."""
-        target = self.scalar(x.counit())
-        dx = self.coproduct(x)
-        left = dx.apply(self.antipode, None).multiply_out() - target
-        right = dx.apply(None, self.antipode).multiply_out() - target
-        return left, right
+        """Both convolution identities minus eps(x)*1, read from the per-mode table of the 16
+        monomial images; exact zeros when the axiom holds."""
+        acc = _apply_images(antipode_defect_table(self.mode), x)
+        return (AlgebraElement._reduce(self, x.den, acc.get(0) or [0] * (2 * DIM)),
+                AlgebraElement._reduce(self, x.den, acc.get(1) or [0] * (2 * DIM)))
 
     # -- translation operators -----------------------------------------------
 
@@ -568,4 +567,25 @@ def antipode_table(mode: str) -> tuple[tuple, ...]:
         for _ in range(p):
             term = term * s_a
         images.append(flat_entry({(0, m): c for m, c in term.coeffs.items()}, f"S({monomial_name((p, r))})"))
+    return tuple(images)
+
+
+@lru_cache(maxsize=None)
+def antipode_defect_table(mode: str) -> tuple[tuple, ...]:
+    """The antipode axiom defects of a^p b^r at index 4p + r, as flat entries: under key 0
+    m(S (x) id) Delta(a^p b^r) - eps(a^p b^r) 1, under key 1 m(id (x) S) Delta(a^p b^r) - eps(a^p b^r) 1.
+
+    Each entry is filled once from that formula: coproduct, apply, multiply_out, minus the
+    counit.  Both axioms hold exactly when every entry is (), a proof, since both sides are linear.
+    Built once per q mode on first use; shared, so never mutate it.
+    """
+    alg = QuantumAlgebra(mode)
+    images = []
+    for p, r in basis_monomials():
+        m = alg.monomial(p, r)
+        dm, unit = alg.coproduct(m), alg.scalar(m.counit())
+        sides = (dm.apply(alg.antipode, None), dm.apply(None, alg.antipode))
+        images.append(flat_entry({(key, mk): c for key, side in enumerate(sides)
+                                  for mk, c in (side.multiply_out() - unit).coeffs.items()},
+                                 f"antipode defect of {monomial_name((p, r))}"))
     return tuple(images)

@@ -7,9 +7,10 @@ A flag is `--flag value` or `--flag=value`, in full (no abbreviations), and the
 last of a repeated flag wins; a value may start with `-` (`--q -i`), not `--`.
 
 Exit codes: 0 success, 1 mathematical failure (an eigensolver failure too, in
-any command), 2 usage or configuration error (an unknown command or flag, a
-missing or disallowed value), 3 fixture error: a fixture file that is missing,
-not JSON, or not of its expected shape (a NaN or infinite number included), 4
+any command but `audit`, which reports it in the failing spectrum's row), 2
+usage or configuration error (an unknown command or flag, a missing or
+disallowed value), 3 fixture error: a fixture file that is missing, not JSON,
+or not of its expected shape (a NaN or infinite number included), 4
 output error: the --out file cannot be written, or exists and is not a regular
 file.  Each error is one line on stderr, naming the token or file at fault.
 JSON output is deterministic (sorted keys, fixed float formatting; `dirac`
@@ -43,6 +44,7 @@ from .scalars import format_gaussian
 
 VALID_Q = ("generic", "1", "i", "-i")
 ROOT_MODES = ("i", "-i")
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class RunConfig:
@@ -140,12 +142,15 @@ def alongside(compute):
 
     The child forks only when the platform has fork and numpy is not loaded
     yet, so the parent holds no BLAS threads that a fork would copy; otherwise
-    compute() runs inline when its value is asked for.  The child pickles the
-    value into a pipe and always leaves through os._exit, so it writes no
-    output and runs no exit handler.  If it does not exit 0, the value is
-    computed inline, so every exception and message is that of the inline run.
-    A child whose value was not asked for when the block ends (the caller
-    raised) is killed, and every child is reaped.
+    compute() runs inline when its value is asked for.  The child asks for one
+    BLAS thread unless the caller's environment sets a count: the parent keeps
+    the other core busy, and starting a thread pool only slows the child's
+    numpy import.  The child pickles the value into a pipe and always leaves
+    through os._exit, so it writes no output and runs no exit handler.  If it
+    does not exit 0, the value is computed inline, so every exception and
+    message is that of the inline run.  A child whose value was not asked for
+    when the block ends (the caller raised) is killed, and every child is
+    reaped.
     """
     if not hasattr(os, "fork") or "numpy" in sys.modules:
         yield compute
@@ -166,6 +171,8 @@ def alongside(compute):
             signal.signal(signal.SIGINT, signal.SIG_DFL)
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             os.close(rfd)
+            for var in BLAS_THREAD_VARIABLES:
+                os.environ.setdefault(var, "1")
             with open(wfd, "wb") as pipe:
                 pickle.dump(compute(), pipe, pickle.HIGHEST_PROTOCOL)
             status = 0

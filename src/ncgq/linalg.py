@@ -124,16 +124,15 @@ def invert(m: Sequence[Sequence[T]], one: T, zero: T) -> Matrix:
 
 
 def mat_mul(a: Sequence[Sequence[T]], b: Sequence[Sequence[T]], zero: T) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
+    """a b, summing over the nonzeros of a's rows and b's rows only; an entry with no term is zero."""
+    cols, b_rows = len(b[0]), [[(c, y) for c, y in enumerate(row) if y] for row in b]
     out = []
-    for r in range(rows):
-        row = []
-        for c in range(cols):
-            acc = zero
-            for k in range(inner):
-                if a[r][k] and b[k][c]:
-                    acc = acc + a[r][k] * b[k][c]
-            row.append(acc)
+    for a_row in a:
+        row = [zero] * cols
+        for k, x in enumerate(a_row):
+            if x:
+                for c, y in b_rows[k]:
+                    row[c] = row[c] + x * y
         out.append(row)
     return out
 

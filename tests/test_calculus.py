@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from ncgq.algebra import QuantumAlgebra, antipode_table, basis_monomials, coproduct_table
+from ncgq.algebra import (QuantumAlgebra, antipode_defect_table, antipode_table, basis_monomials,
+                          coproduct_table)
 from ncgq.calculus import Calculus, DiffForm, ExteriorAlgebra, FORMS, bimodule_table, default_exterior
 from ncgq.constants import AD_R_PRINTED, evaluate_ad_table
 from ncgq.scalars import GaussianRational, ONE, ZERO
@@ -259,7 +260,8 @@ class TestCommutePast:
 
         first = Calculus(QuantumAlgebra(cal.algebra.mode))
         work(first)
-        caches = (bimodule_table, coproduct_table, antipode_table, default_exterior)
+        caches = (bimodule_table, coproduct_table, antipode_table, antipode_defect_table,
+                  default_exterior)
         built = [f.cache_info().misses for f in caches]
         filled = table_sizes(first.exterior)
         fresh = Calculus(QuantumAlgebra(cal.algebra.mode))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ncgq import fixtures, sectors
-from ncgq.cli import alongside, main
+from ncgq.cli import BLAS_THREAD_VARIABLES, alongside, main
 from ncgq.dirac import build_dirac
 
 COMMITTED_FIXTURES = Path(fixtures.__file__).resolve().parent / "fixtures"
@@ -339,16 +339,29 @@ class TestColdAudit:
         _assert_nan_spectrum_is_one_line_exit_3("audit", tmp_path)
 
 
-class TestSolverFailures:
-    """A spectrum the solver cannot certify is exit 1 with one line on stderr, for every command."""
+def _broken_fixtures(tmp_path, name, damage):
+    """A copy of the committed fixtures in tmp_path with damage applied to the JSON of one file."""
+    broken = tmp_path / "fixtures"
+    shutil.copytree(COMMITTED_FIXTURES, broken)
+    doc = json.loads((broken / name).read_text())
+    damage(doc)
+    (broken / name).write_text(json.dumps(doc))
+    return str(broken)
 
-    def _broken(self, tmp_path, name, damage):
-        broken = tmp_path / "fixtures"
-        shutil.copytree(COMMITTED_FIXTURES, broken)
-        doc = json.loads((broken / name).read_text())
-        damage(doc)
-        (broken / name).write_text(json.dumps(doc))
-        return str(broken)
+
+def _off_its_sectors(doc):
+    # a valid symbol in the wrong place: D no longer commutes with the left multiplications
+    doc["matrices"]["alpha"][5][9] = "q^2"
+
+
+def _overflowing_scalar(value):
+    def damage(doc):
+        doc["modes"]["-i"]["s12"][0] = value
+    return damage
+
+
+class TestSolverFailures:
+    """A spectrum the solver cannot certify is exit 1 with one line on stderr, for `dirac` and `verify`."""
 
     def _assert_one_line_exit_1(self, args, fixtures, needle):
         code, out, lines, report = run_cold(args, NCGQ_FIXTURES=fixtures)
@@ -357,23 +370,76 @@ class TestSolverFailures:
         assert needle in lines[0] and "Traceback" not in lines[0]
         assert not report["child_left"]
 
-    @pytest.mark.parametrize("q", ["i", "-i"])
-    def test_audit_of_a_matrix_off_its_sectors_is_one_line_exit_1(self, q, tmp_path):
-        # a valid symbol in the wrong place: D no longer commutes with the left multiplications
-        def damage(doc):
-            doc["matrices"]["alpha"][5][9] = "q^2"
+    def _assert_one_line_exit_1_inline(self, args, fixtures, needle, monkeypatch):
+        # in this process numpy is loaded, so verify runs its spectral half inline
+        monkeypatch.setenv("NCGQ_FIXTURES", fixtures)
+        code, out, err = run_cli(args)
+        assert (code, out) == (1, "")
+        assert err.startswith("eigensolver failure: ") and err.count("\n") == 1, err
+        assert needle in err and "Traceback" not in err
 
-        fixtures = self._broken(tmp_path, "translation_matrices.json", damage)
-        self._assert_one_line_exit_1(["audit", "--q", q], fixtures, "not invariant")
+    @pytest.mark.parametrize("q", ["i", "-i"])
+    def test_a_matrix_off_its_sectors_is_one_line_exit_1(self, q, tmp_path):
+        fixtures = _broken_fixtures(tmp_path, "translation_matrices.json", _off_its_sectors)
+        for command in ("dirac", "verify"):  # verify forks its spectral half here
+            self._assert_one_line_exit_1([command, "--q", q], fixtures, "not invariant")
 
     @pytest.mark.parametrize("value", [1e308, 1e200], ids=["1e308", "1e200"])
     def test_a_scalar_whose_roots_overflow_a_float_is_one_line_exit_1(self, value, tmp_path):
-        def damage(doc):
-            doc["modes"]["-i"]["s12"][0] = value
-
-        fixtures = self._broken(tmp_path, "dirac_scalars.json", damage)
-        for args in (["dirac", "--q", "-i"], ["audit", "--q", "i"], ["audit", "--q", "-i"]):
+        fixtures = _broken_fixtures(tmp_path, "dirac_scalars.json", _overflowing_scalar(value))
+        for args in (["dirac", "--q", "-i"], ["verify", "--q", "-i"]):
             self._assert_one_line_exit_1(args, fixtures, "float range")
+
+    @pytest.mark.parametrize("q", ["i", "-i"])
+    def test_verify_inline_of_a_matrix_off_its_sectors_is_one_line_exit_1(self, q, tmp_path,
+                                                                          monkeypatch):
+        fixtures = _broken_fixtures(tmp_path, "translation_matrices.json", _off_its_sectors)
+        self._assert_one_line_exit_1_inline(["verify", "--q", q], fixtures, "not invariant",
+                                            monkeypatch)
+
+    def test_verify_inline_of_a_scalar_whose_roots_overflow_is_one_line_exit_1(self, tmp_path,
+                                                                               monkeypatch):
+        fixtures = _broken_fixtures(tmp_path, "dirac_scalars.json", _overflowing_scalar(1e308))
+        self._assert_one_line_exit_1_inline(["verify", "--q", "-i"], fixtures, "float range",
+                                            monkeypatch)
+
+
+class TestAuditOfAnUncertifiedSpectrum:
+    """`audit` reports a spectrum the solver cannot certify in its own row and exits 0."""
+
+    def _audit(self, q, fixtures):
+        code, out, lines, report = run_cold(["audit", "--q", q], NCGQ_FIXTURES=fixtures)
+        assert (code, lines) == (0, []), lines
+        assert not report["child_left"]
+        return json.loads(out)
+
+    @pytest.mark.parametrize("q", ["i", "-i"])
+    def test_a_scalar_whose_roots_overflow_fails_only_its_row(self, q, tmp_path):
+        intact = self._audit(q, str(COMMITTED_FIXTURES))
+        fixtures = _broken_fixtures(tmp_path, "dirac_scalars.json", _overflowing_scalar(1e308))
+        doc = self._audit(q, fixtures)
+        assert doc["q_mode"] == intact["q_mode"] == q
+        quantity = "spectrum reproduction at q=-i"
+        assert [r for r in doc["rows"] if r["quantity"] != quantity] == \
+            [r for r in intact["rows"] if r["quantity"] != quantity]
+        failed, = (r for r in doc["rows"] if r["quantity"] == quantity)
+        assert failed["verdict"] == "mismatch"
+        assert failed["computed"].startswith("eigensolver failure: a value of the matrix's sectors "
+                                             "leaves the float range")
+
+    def test_a_matrix_off_its_sectors_fails_every_spectrum_row(self, tmp_path):
+        # the misplaced symbol breaks D at q = 1, i and -i (and the printed-matrix rows)
+        intact = self._audit("i", str(COMMITTED_FIXTURES))
+        fixtures = _broken_fixtures(tmp_path, "translation_matrices.json", _off_its_sectors)
+        doc = self._audit("i", fixtures)
+        assert [r["quantity"] for r in doc["rows"]] == [r["quantity"] for r in intact["rows"]]
+        spectra = [r for r in doc["rows"] if r["quantity"].startswith("spectrum reproduction")]
+        assert len(spectra) == 3
+        for row in spectra:
+            assert row["verdict"] == "mismatch"
+            assert row["computed"].startswith("eigensolver failure: sector ")
+            assert "not invariant" in row["computed"]
+        assert sum(doc["summary"].values()) == len(doc["rows"])
 
 
 def _assert_golden_without_numpy(command):
@@ -470,7 +536,7 @@ class TestColdImports:
 # exercises alongside() in a cold process, where it forks; prints one JSON line
 HELPER_PROGRAM = """
 import json, os, signal, sys, time
-from ncgq.cli import alongside
+from ncgq.cli import BLAS_THREAD_VARIABLES, alongside
 
 parent = os.getpid()
 inline = []
@@ -497,12 +563,21 @@ def slow():
     time.sleep(600)
 
 
+def blas_threads():
+    return os.getpid(), [os.environ.get(v) for v in BLAS_THREAD_VARIABLES]
+
+
 case = sys.argv[1]
 out = {}
 try:
     if case == "interrupted":
         with alongside(slow):
             raise KeyboardInterrupt
+    elif case == "blas":
+        with alongside(blas_threads) as join:
+            pid, out["child_blas"] = join()
+        out["in_child"] = pid != parent
+        out["parent_blas"] = blas_threads()[1]
     else:
         with alongside({"value": value, "failing": failing, "killed": killed}[case]) as join:
             out["in_child"] = join() != parent
@@ -519,9 +594,9 @@ print(json.dumps(out))
 
 
 class TestAlongside:
-    def _run(self, case):
+    def _run(self, case, **env):
         done = subprocess.run([sys.executable, "-c", HELPER_PROGRAM, case], capture_output=True,
-                              env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+                              env={**os.environ, "PYTHONPATH": str(SRC), **env}, timeout=60)
         assert done.returncode == 0 and not done.stderr, done.stderr
         return json.loads(done.stdout)
 
@@ -538,6 +613,19 @@ class TestAlongside:
     def test_the_child_is_killed_and_reaped_when_the_caller_raises(self):
         # the child would sleep 600 s; the timeout above fails the test if it is waited for
         assert self._run("interrupted") == {"raised": "KeyboardInterrupt", "inline_runs": 0,
+                                            "child_left": False}
+
+    def test_the_child_asks_for_one_blas_thread(self, monkeypatch):
+        for var in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(var, raising=False)
+        assert self._run("blas") == {"in_child": True, "child_blas": ["1"] * 3,
+                                     "parent_blas": [None] * 3, "inline_runs": 0,
+                                     "child_left": False}
+
+    def test_the_callers_blas_thread_count_wins(self):
+        env = dict.fromkeys(BLAS_THREAD_VARIABLES, "3")
+        assert self._run("blas", **env) == {"in_child": True, "child_blas": ["3"] * 3,
+                                            "parent_blas": ["3"] * 3, "inline_runs": 0,
                                             "child_left": False}
 
     def test_runs_inline_once_numpy_is_loaded(self):

@@ -1,23 +1,26 @@
-"""The tabulated wedge, d, coproduct and antipode against their per-call derivations.
+"""The tabulated wedge, d, coproduct, antipode and antipode axiom defect against their
+per-call derivations.
 
 The oracles below derive each map again on every call, as the library did
 before it tabulated them: the wedge moves each monomial past the letters of
-the left word and reduces the result, d is two wedges with theta, and the
-coproduct and antipode multiply out the generator images letter by letter.
+the left word and reduces the result, d is two wedges with theta, the
+coproduct and antipode multiply out the generator images letter by letter,
+and the defect applies S to one leg of the coproduct and multiplies out.
 Every oracle computes term by term in GaussianRational arithmetic, as the
 library did before its maps accumulated numerators over one denominator:
 the algebra and tensor products, multiply_out and apply below are those
 loops.  The library must agree with them exactly, on every basis element and
 on seeded random sparse forms with rational coefficients.
 """
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from ncgq.algebra import (AlgebraElement, QuantumAlgebra, TensorElement, basis_monomials,
-                          monomial_product)
+from ncgq.algebra import (AlgebraElement, QuantumAlgebra, TensorElement, antipode_defect_table,
+                          antipode_table, basis_monomials, monomial_product)
 from ncgq.calculus import Calculus, DiffForm, FORMS, bimodule_table
 from ncgq.scalars import ONE, GaussianRational
 
@@ -155,6 +158,15 @@ def oracle_antipode(alg: QuantumAlgebra, x: AlgebraElement) -> AlgebraElement:
     return out
 
 
+def oracle_antipode_defect(alg: QuantumAlgebra, x: AlgebraElement) -> tuple:
+    """m(S (x) id) Delta x - eps(x) 1 and m(id (x) S) Delta x - eps(x) 1, step by step."""
+    target = AlgebraElement(alg, {(0, 0): x.counit()})
+    dx = oracle_coproduct(alg, x)
+    s = functools.partial(oracle_antipode, alg)
+    return (oracle_multiply_out(oracle_apply(dx, s, None)) - target,
+            oracle_multiply_out(oracle_apply(dx, None, s)) - target)
+
+
 def _scalar(rng: random.Random) -> GaussianRational:
     if rng.randrange(3) == 0:  # a rational with a large denominator
         return GaussianRational(Fraction(rng.randint(-10**6, 10**6), rng.randint(10**5, 10**6)),
@@ -190,6 +202,64 @@ def test_coproduct_and_antipode_on_random_elements(cal):
         x = _element(alg, rng, rng.randint(1, 16))
         assert alg.coproduct(x) == oracle_coproduct(alg, x)
         assert alg.antipode(x) == oracle_antipode(alg, x)
+
+
+@pytest.fixture
+def fresh_antipode_tables():
+    """Empty the per-mode antipode tables before and after the test, so neither a test's
+    patched S nor its fills reach another test."""
+    caches = (antipode_table, antipode_defect_table)
+    for f in caches:
+        f.cache_clear()
+    yield
+    for f in caches:
+        f.cache_clear()
+
+
+def test_antipode_defect_with_a_wrong_antipode_equals_the_formula(cal, monkeypatch,
+                                                                  fresh_antipode_tables):
+    # with S(a) = a and S(b) = b both axioms fail on every monomial but 1 and
+    # a^2 (a^2 a^2 = 1), so the defect of a dense rational x reads 14 nonzero images
+    def wrong(self, name):
+        return {"alpha": self.alpha, "beta": self.beta}[name]
+
+    monkeypatch.setattr(QuantumAlgebra, "antipode_on_generator", wrong)
+    alg = cal.algebra
+    table = antipode_defect_table(alg.mode)
+    assert [k for k, image in enumerate(table) if not image] == [0, 8]
+    rng = random.Random(47)
+    for _ in range(12):
+        x = _element(alg, rng, 16)
+        left, right = alg.antipode_axiom_defect(x)
+        assert left and right
+        assert (left, right) == oracle_antipode_defect(alg, x)
+
+
+def test_antipode_defect_images_are_filled_once_per_mode(monkeypatch, fresh_antipode_tables):
+    calls = {"coproduct": 0, "left": 0, "right": 0}
+    coproduct, apply = QuantumAlgebra.coproduct, TensorElement.apply
+
+    def counted_coproduct(self, x):
+        calls["coproduct"] += 1
+        return coproduct(self, x)
+
+    def counted_apply(self, f_left, f_right):
+        calls["left" if f_left else "right"] += 1
+        return apply(self, f_left, f_right)
+
+    monkeypatch.setattr(QuantumAlgebra, "coproduct", counted_coproduct)
+    monkeypatch.setattr(TensorElement, "apply", counted_apply)
+    rng = random.Random(53)
+    for n, mode in enumerate(("i", "-i"), start=1):
+        alg = QuantumAlgebra(mode)
+        assert alg.antipode_axiom_defect(_element(alg, rng, 3)) == (alg.zero, alg.zero)
+        # the first call fills each side's 16 images from the formula, one coproduct per monomial
+        assert calls == {"coproduct": 16 * n, "left": 16 * n, "right": 16 * n}
+    for mode in ("i", "-i"):
+        alg = QuantumAlgebra(mode)
+        for _ in range(5):
+            assert alg.antipode_axiom_defect(_element(alg, rng, 16)) == (alg.zero, alg.zero)
+    assert calls == {"coproduct": 32, "left": 32, "right": 32}
 
 
 @pytest.mark.parametrize("normalized", [True, False])
