@@ -17,9 +17,11 @@ The reference matrices stay the operative input of the spectral layer.
 
 An element is one denominator den > 0 over Gaussian-integer numerators num,
 with gcd(den, *num) == 1: 32 ints (Re, Im) by monomial index for an
-AlgebraElement.  Every map is a fixed linear or bilinear map on that basis,
-so it sums plain ints over one denominator and normalises its result by one
-gcd per element; GaussianRationals appear only in the .coeffs view.
+AlgebraElement, and {ordered word: those 32 ints} for a differential form
+(calculus.DiffForm), one denominator for all its words.  Every map is a fixed
+linear or bilinear map on that basis, so it sums plain ints over one
+denominator and normalises its result by one gcd per element or form, never
+per coefficient; GaussianRationals appear only in the .coeffs view.
 """
 from __future__ import annotations
 
@@ -92,10 +94,11 @@ class ScalarSum:
     are canonical, gcd(den, *num) == 1, so zero has den == 1 and equal values
     have equal (den, num).  A sum is a value: den and num never change after
     it is made.  Equality needs one q mode, and + raises ValueError on mixed
-    modes.  The read-only view .coeffs gives {basis key: GaussianRational}.
+    modes.  The read-only view .coeffs gives {basis key: GaussianRational}
+    (a differential form's .terms, {word: AlgebraElement}).
     """
 
-    __slots__ = ("algebra", "den", "num", "_nonzero")  # _nonzero: AlgebraElement.nonzero(), kept
+    __slots__ = ("algebra", "den", "num", "_nonzero")  # _nonzero: the support nonzero() finds, kept
 
     @classmethod
     def _of(cls, algebra: "QuantumAlgebra", den: int, num, nonzero: list | None = None):

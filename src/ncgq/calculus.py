@@ -23,17 +23,24 @@ The wedge product and d are fixed linear maps for a given exterior algebra.
 Each ExteriorAlgebra tabulates the word products e_w1 m ^ e_w2 and the images
 d(m e_w) of its basis elements, one entry at a time on first use; every
 calculus of a q mode shares one default exterior algebra and so its tables.
-Both maps sum those entries into one numerator vector per output word over
-one denominator, so each coefficient of a result costs one gcd.
+A form (DiffForm) is one denominator over one 32-int numerator vector per
+ordered word, as an algebra element is over its 16 monomials.  Both maps
+multiply their operands' numerators as they stand, over the product of their
+denominators, sum the table entries into one vector per output word, and
+reduce the whole result by one gcd: no coefficient is normalised on its own.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
+from itertools import chain, combinations
 from math import gcd, lcm
+from operator import add
+from types import MappingProxyType
 
-from .algebra import (DIM, AlgebraElement, Monomial, QuantumAlgebra, add_products, basis_monomials,
-                      check_mode, flat_entry, monomial_name, monomial_product, sum_entries, support)
+from .algebra import (DIM, AlgebraElement, Monomial, QuantumAlgebra, ScalarSum, add_products,
+                      basis_monomials, check_mode, flat_entry, monomial_name, monomial_product, monomial_table,
+                      sum_entries, support)
 from .scalars import ZERO, ONE, GaussianRational, q_root
 
 FORMS = ("a", "b", "c", "d")
@@ -42,6 +49,8 @@ FORMS = ("a", "b", "c", "d")
 MATRIX_UNITS = {"a": (0, 0), "b": (0, 1), "c": (1, 0), "d": (1, 1)}
 
 WedgeWord = tuple[str, ...]
+# the 16 ordered words: the keys of a form
+_WORDS = frozenset(w for n in range(5) for w in combinations(FORMS, n))
 # a form as its scalar coordinates {(word, monomial): coefficient}
 Terms = dict[tuple[WedgeWord, Monomial], GaussianRational]
 
@@ -83,11 +92,6 @@ def bimodule_table(mode: str) -> dict[tuple[str, Monomial], tuple[tuple[Gaussian
                 partial = {k: v for k, v in nxt.items() if v}
             table[(form, (p, r))] = tuple((c, m, fm) for (fm, m), c in partial.items())
     return table
-
-
-def _lifted(coords: list, f: int) -> list:
-    """The support coords [(k, A, B)] of a numerator vector, times the integer f."""
-    return coords if f == 1 else [(k, a * f, b * f) for k, a, b in coords]
 
 
 class ExteriorAlgebra:
@@ -153,9 +157,11 @@ class ExteriorAlgebra:
         return out
 
     def word_product(self, w1: WedgeWord, k: int, w2: WedgeWord) -> tuple:
-        """e_w1 m ^ e_w2, for m of monomial index k, as a flat table entry keyed by ordered word.
+        """e_w1 m ^ e_w2, for m of monomial index k, as terms (ordered word, monomial index, A, B).
 
-        Filled on first use by moving m past the letters of w1, right to left,
+        Each term is (A + B*i) times that monomial times e_word: a flat table
+        entry (see flat_entry) read off in fours, with each slot halved to its
+        index, as the wedge kernel reads it.  Filled on first use by moving m past the letters of w1, right to left,
         through the bimodule table, then reducing each word followed by w2.
         Shared, so never mutate it.
         """
@@ -176,7 +182,8 @@ class ExteriorAlgebra:
                 for wred, s in self.reduce_word(w + w2).items():
                     key, v = (wred, m1), c * s
                     acc[key] = acc[key] + v if key in acc else v
-            entry = slots[k] = flat_entry(acc, f"{w1} {monomial_name((k >> 2, k & 3))} ^ {w2}")
+            it = iter(flat_entry(acc, f"{w1} {monomial_name((k >> 2, k & 3))} ^ {w2}"))
+            entry = slots[k] = tuple((w, j >> 1, s, t) for w, j, s, t in zip(it, it, it, it))
         return entry
 
     def graded_dimensions(self) -> list[int]:
@@ -209,85 +216,138 @@ def default_exterior(mode: str) -> ExteriorAlgebra:
     return ExteriorAlgebra(q_root(mode))
 
 
-class ModuleSum:
-    """Finite sum of module-valued terms over a fixed basis, in one q mode.
+class DiffForm(ScalarSum):
+    """Sum of (algebra coefficient) x (ordered wedge monomial), coefficients on the left.
 
-    The linear structure shared by differential forms (algebra coefficients on
-    wedge words) and tensor forms (forms on the invariant right leg): zero
-    terms are pruned on construction, equality needs one q mode, and
-    construction and + raise ValueError on mixed modes, even for a zero term
-    or when the two sums share no basis key.
+    A ScalarSum over the (word, monomial) basis: num is {ordered word: 32-int
+    numerator vector, as an AlgebraElement's num}, over the one denominator
+    den of the whole form, canonical as gcd(den, *every numerator) == 1 with
+    no all-zero word.  The words are the 16 ordered ones (tuples over
+    a < b < c < d, each letter at most once); the constructor rejects any
+    other key.  The read-only view .terms gives {word: AlgebraElement}.
     """
 
-    __slots__ = ("calculus", "terms")
+    __slots__ = ("calculus", "_terms")  # _nonzero: [(word, support of its vector)], kept
 
     def __init__(self, calculus: "Calculus", terms: Mapping | None = None):
-        self.calculus = calculus
-        self.terms = {}
-        for k, x in terms.items() if terms else ():
-            check_mode(calculus, x)
-            if x:
-                self.terms[k] = x
+        """The form sum f * e_w over {ordered word w: AlgebraElement f}."""
+        items = []
+        for w, f in terms.items() if terms else ():
+            if w not in _WORDS:
+                raise ValueError(f"not an ordered wedge word over a < b < c < d: {w!r}")
+            check_mode(calculus, f)
+            if f:
+                items.append((w, f))
+        # over the lcm of canonical denominators, the numerators share no factor with it
+        den = lcm(*[f.den for _, f in items])
+        self.calculus, self.algebra, self.den, self._nonzero, self._terms = \
+            calculus, calculus.algebra, den, None, None
+        self.num = {w: f.num if f.den == den else [v * (den // f.den) for v in f.num] for w, f in items}
 
     @classmethod
-    def _of(cls, calculus: "Calculus", terms: dict):
-        """An instance holding terms itself, which must have no zero term and one q mode."""
+    def _of(cls, calculus: "Calculus", den: int, num: dict, nonzero: list | None = None) -> "DiffForm":
+        """An instance holding num itself; (den, num) must be canonical, and nonzero its support or None."""
         out = object.__new__(cls)
-        out.calculus = calculus
-        out.terms = terms
+        out.calculus, out.algebra, out.den, out.num = calculus, calculus.algebra, den, num
+        out._nonzero = nonzero
+        out._terms = None
         return out
 
+    @classmethod
+    def _reduce(cls, calculus: "Calculus", den: int, num: dict) -> "DiffForm":
+        """num / den, for any den > 0, without all-zero words and brought to canonical form by one gcd."""
+        return cls._lowest(calculus, den, {w: vec for w, vec in num.items() if any(vec)})
+
+    @classmethod
+    def _lowest(cls, calculus: "Calculus", den: int, num: dict) -> "DiffForm":
+        """num / den, for any den > 0 and num without all-zero words, in lowest terms by one gcd."""
+        g = den
+        for vec in num.values():
+            if g == 1:
+                break
+            g = gcd(g, *filter(None, vec))
+        if g != 1:
+            den, num = den // g, {w: [v // g for v in vec] for w, vec in num.items()}
+        return cls._of(calculus, den, num)
+
+    def nonzero(self) -> list[tuple[WedgeWord, list]]:
+        """[(word, support of its numerator vector)], found on first use: what the kernels loop over."""
+        if self._nonzero is None:
+            self._nonzero = [(w, support(vec)) for w, vec in self.num.items()]
+        return self._nonzero
+
     @property
-    def algebra(self) -> QuantumAlgebra:
-        return self.calculus.algebra
+    def terms(self) -> Mapping[WedgeWord, AlgebraElement]:
+        """{word: canonical coefficient}, built on first read; read-only."""
+        if self._terms is None:
+            alg, den = self.algebra, self.den
+            self._terms = MappingProxyType({w: AlgebraElement._reduce(alg, den, vec)
+                                            for w, vec in self.num.items()})
+        return self._terms
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.calculus.algebra.mode == other.calculus.algebra.mode and self.terms == other.terms
-
-    def __add__(self, other):
+    def __add__(self, other: "DiffForm") -> "DiffForm":
         check_mode(self, other)
-        out = dict(self.terms)
-        for k, x in other.terms.items():
-            out[k] = out[k] + x if k in out else x
-        return self._of(self.calculus, {k: x for k, x in out.items() if x})
+        den = self.den if self.den == other.den else lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
+        num = dict(self.num) if f == 1 else {w: [v * f for v in vec] for w, vec in self.num.items()}
+        # a support other keeps, in the order of its words, adds only its nonzero slots
+        coords = other._nonzero if g == 1 else None
+        shared = False
+        for n, (w, vec) in enumerate(other.num.items()):
+            mine = num.get(w)
+            if mine is None:
+                num[w] = vec if g == 1 else [v * g for v in vec]
+                continue
+            shared = True
+            if coords is not None:
+                out = mine[:]
+                for k, a, b in coords[n][1]:
+                    out[2 * k] += a
+                    out[2 * k + 1] += b
+            else:
+                out = list(map(add, mine, vec)) if g == 1 else [u + v * g for u, v in zip(mine, vec)]
+            if any(out):
+                num[w] = out
+            else:
+                del num[w]
+        # words in one summand only are canonical over the lcm as they stand
+        return DiffForm._lowest(self.calculus, den, num) if shared else DiffForm._of(self.calculus, den, num)
 
-    def __neg__(self):
-        return self._of(self.calculus, {k: -x for k, x in self.terms.items()})
+    def __neg__(self) -> "DiffForm":
+        return DiffForm._of(self.calculus, self.den, {w: [-v for v in vec] for w, vec in self.num.items()})
 
-    def __sub__(self, other):
-        return self + (-other)
+    def scale(self, s: GaussianRational) -> "DiffForm":
+        a, b, d = s.triple
+        num = {}
+        for w, vec in self.num.items():
+            it = iter(vec)
+            num[w] = [v for c, e in zip(it, it) for v in (a * c - b * e, a * e + b * c)]
+        return DiffForm._reduce(self.calculus, self.den * d, num)
 
-    def scale(self, s: GaussianRational):
-        return self._of(self.calculus, {k: y for k, x in self.terms.items() if (y := x.scale(s))})
-
-    def left_multiply(self, g: AlgebraElement):
-        """g times each term, from the left."""
+    def left_multiply(self, g: AlgebraElement) -> "DiffForm":
+        """g times each coefficient, from the left."""
         check_mode(self, g)
-        return self._of(self.calculus, {k: y for k, x in self.terms.items() if (y := x.left_multiply(g))})
-
-
-class DiffForm(ModuleSum):
-    """Sum of (algebra coefficient) x (ordered wedge monomial), coefficients on the left."""
-
-    __slots__ = ()
+        gs, num = g.nonzero(), {}
+        for w, ys in self.nonzero():
+            add_products(num.setdefault(w, [0] * (2 * DIM)), gs, ys)
+        return DiffForm._reduce(self.calculus, self.den * g.den, num)
 
     def __repr__(self) -> str:
         return f"<DiffForm {self}>"
 
     def __str__(self) -> str:
-        return "  +  ".join(f"[{self.terms[w]}] " + ("^".join(f"e_{x}" for x in w) if w else "1")
-                            for w in sorted(self.terms, key=lambda w: (len(w), w))) or "0"
+        terms = self.terms
+        return "  +  ".join(f"[{terms[w]}] " + ("^".join(f"e_{x}" for x in w) if w else "1")
+                            for w in sorted(terms, key=lambda w: (len(w), w))) or "0"
 
     def degrees(self) -> set[int]:
-        return {len(w) for w in self.terms}
+        return {len(w) for w in self.num}
 
     def coefficient(self, word: WedgeWord) -> AlgebraElement:
-        return self.terms.get(tuple(word), self.calculus.algebra.zero)
+        return self.terms.get(tuple(word), self.algebra.zero)
 
     def to_json(self) -> dict:
         """Wire format: degree-tagged list of {coeff, wedge} terms."""
@@ -311,18 +371,25 @@ class Calculus:
     # -- construction helpers ---------------------------------------------------
 
     def zero(self) -> DiffForm:
-        return DiffForm(self, {})
+        return DiffForm._of(self, 1, {}, [])
+
+    def _single(self, word: WedgeWord, f: AlgebraElement) -> DiffForm:
+        """The form f e_word, for an ordered word."""
+        check_mode(self, f)
+        return DiffForm._of(self, f.den, {word: f.num}, [(word, f.nonzero())]) if f else self.zero()
 
     def from_function(self, f: AlgebraElement) -> DiffForm:
-        return DiffForm(self, {(): f})
+        return self._single((), f)
 
     def basis_form(self, name: str, coeff: AlgebraElement | None = None) -> DiffForm:
         if name not in FORMS:
             raise ValueError(f"unknown basis 1-form {name!r}")
-        return DiffForm(self, {(name,): coeff if coeff is not None else self.algebra.one})
+        return self._single((name,), coeff if coeff is not None else self.algebra.one)
 
     def theta(self) -> DiffForm:
-        return DiffForm(self, {("a",): self.algebra.one, ("d",): self.algebra.one})
+        one = self.algebra.one
+        return DiffForm._of(self, 1, {("a",): one.num, ("d",): one.num},
+                            [(("a",), one.nonzero()), (("d",), one.nonzero())])
 
     # -- bimodule commutation -----------------------------------------------------
 
@@ -336,43 +403,41 @@ class Calculus:
         return self.wedge_sum([(x, y)])
 
     def wedge_sum(self, pairs: Iterable[tuple[DiffForm, DiffForm]]) -> DiffForm:
-        """The sum of x ^ y over the pairs (x, y) of forms, over one denominator."""
-        table, product = self.exterior._products, self.exterior.word_product
-        # f1 e_w1 ^ y = f1 (e_w1 ^ y) for each word w1 of x, with e_w1 ^ y over dy,
-        # summed into {output word: numerator vector} over d
-        acc: dict = {}
-        d = 1
+        """The sum of x ^ y over the pairs (x, y) of forms, over one denominator, reduced by one gcd."""
+        table, product, monomials = self.exterior._products, self.exterior.word_product, monomial_table()
+        pairs = list(pairs)
         for x, y in pairs:
-            check_mode(self, x.calculus)
-            check_mode(self, y.calculus)
-            # y's coefficients over the lcm dy of their denominators, as (w2, [(k, A, B)])
-            dy = lcm(*[g.den for g in y.terms.values()])
-            ys = [(w2, _lifted(g.nonzero(), dy // g.den)) for w2, g in y.terms.items()]
-            for w1, f1 in x.terms.items():
-                terms = []
+            check_mode(self, x)
+            check_mode(self, y)
+        # x ^ y is num(x) ^ num(y) over den(x) den(y); the pairs are summed over the lcm of those
+        den = lcm(*[x.den * y.den for x, y in pairs])
+        acc: dict = {}
+        for x, y in pairs:
+            f = den // (x.den * y.den)
+            ys = y.nonzero() if f == 1 else [(w2, [(k, a * f, b * f) for k, a, b in coords])
+                                             for w2, coords in y.nonzero()]
+            # f1 e_w1 ^ g e_w2 = f1 (e_w1 g ^ e_w2): each term of the table entry of e_w1 m ^ e_w2
+            # times the coefficient of m in g, then f1 times that, into {output word: numerator vector}
+            for w1, xs in x.nonzero():
+                rows = [(monomials[i], a, b) for i, a, b in xs]
                 for w2, coords in ys:
                     slots = table.get((w1, w2)) or table.setdefault((w1, w2), [None] * DIM)
-                    # a zero entry is (), so an unfilled slot is told apart by None
-                    terms += [(product(w1, k, w2) if (e := slots[k]) is None else e, a, b)
-                              for k, a, b in coords]
-                right = sum_entries(terms)
-                dr = f1.den * dy
-                if d % dr:
-                    # bring what is summed so far over a denominator that dr divides
-                    g = dr // gcd(d, dr)
-                    for out in acc.values():
-                        out[:] = [v * g for v in out]
-                    d *= g
-                xs = _lifted(f1.nonzero(), d // dr)
-                for w, vec in right.items():
-                    add_products(acc.get(w) or acc.setdefault(w, [0] * (2 * DIM)), xs, support(vec))
-        return self._form(acc, d)
-
-    def _form(self, acc: dict, den: int) -> DiffForm:
-        """The form {word: numerator vector / den}, each coefficient normalised by one gcd."""
-        alg = self.algebra
-        return DiffForm._of(self, {w: AlgebraElement._reduce(alg, den, num)
-                                   for w, num in acc.items() if any(num)})
+                    for k, c, e in coords:
+                        # a zero entry is (), so an unfilled slot is told apart by None
+                        for w, j, s, t in product(w1, k, w2) if (entry := slots[k]) is None else entry:
+                            u, v = c * s - e * t, c * t + e * s
+                            out = acc.get(w) or acc.setdefault(w, [0] * (2 * DIM))
+                            # f1 times that term: add_products inlined, as a call per term
+                            # costs about 5 % of a library_mixed pass
+                            for row, a, b in rows:
+                                r, negated = row[j]
+                                if negated:
+                                    out[r] -= a * u - b * v
+                                    out[r + 1] -= a * v + b * u
+                                else:
+                                    out[r] += a * u - b * v
+                                    out[r + 1] += a * v + b * u
+        return DiffForm._reduce(self, den, acc)
 
     # -- exterior derivative -----------------------------------------------------------
 
@@ -383,29 +448,30 @@ class Calculus:
         Linear over the scalars, so read off the tabulated images of the basis
         elements m e_w, each derived once by its two wedges with theta.
         """
-        check_mode(self, x.calculus)
+        check_mode(self, x)
         images = self.exterior.d_images
-        d = lcm(*[g.den for g in x.terms.values()])
         terms = []
-        for w, g in x.terms.items():
+        for w, coords in x.nonzero():
             slots = images.get(w) or images.setdefault(w, [None] * DIM)
-            f = d // g.den
             # a zero entry is (), so an unfilled slot is told apart by None
-            terms += [(self._d_image(slots, k, w) if (e := slots[k]) is None else e, a * f, b * f)
-                      for k, a, b in g.nonzero()]
+            terms += [(self._d_image(slots, k, w) if (e := slots[k]) is None else e, a, b)
+                      for k, a, b in coords]
         # normalized: divided by mu = 1 - q^-2, which is 2 at q = +-i
-        return self._form(sum_entries(terms), 2 * d if normalized else d)
+        return DiffForm._reduce(self, 2 * x.den if normalized else x.den, sum_entries(terms))
 
     def _d_image(self, slots: list, k: int, w: WedgeWord) -> tuple:
         """The unnormalised d(m e_w) = theta ^ m e_w - sigma(m e_w) ^ theta, for m of index k.
 
         Stored as a flat table entry at slots[k].
         """
-        basis = DiffForm(self, {w: self.algebra.monomial(k >> 2, k & 3)})
+        name = f"d({monomial_name((k >> 2, k & 3))} {w})"
+        basis = self._single(w, self.algebra.monomial(k >> 2, k & 3))
         sigma = -basis if len(w) % 2 else basis
         image = self.wedge(self.theta(), basis) - self.wedge(sigma, self.theta())
-        coeffs = {(v, mv): c for v, g in image.terms.items() for mv, c in g.coeffs.items()}
-        slots[k] = entry = flat_entry(coeffs, f"d({monomial_name((k >> 2, k & 3))} {w})")
+        if image.den != 1:  # flat_entry names the first non-integral coefficient
+            flat_entry({(v, m): c for v, g in image.terms.items() for m, c in g.coeffs.items()}, name)
+        slots[k] = entry = tuple(chain.from_iterable((v, 2 * j, a, b) for v, coords in image.nonzero()
+                                                     for j, a, b in coords))
         return entry
 
     def partials(self, f: AlgebraElement, normalized: bool = True) -> dict[str, AlgebraElement]:

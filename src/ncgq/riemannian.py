@@ -31,7 +31,7 @@ from math import lcm
 from types import MappingProxyType
 
 from .algebra import DIM, AlgebraElement, check_mode, sum_entries
-from .calculus import Calculus, DiffForm, FORMS, ModuleSum
+from .calculus import Calculus, DiffForm, FORMS
 from .constants import (AD_L_PRINTED, AD_R_PRINTED, CONNECTION_UNPRINTED, RHO,
                         TWO_Q, connection_db_candidate, evaluate_ad_table,
                         evaluate_connection_printed)
@@ -283,15 +283,74 @@ def connection_residuals(system: ConnectionSystem, connection: SpinConnection) -
 # -- covariant derivative and curvature ----------------------------------------------
 
 
-class TensorForm(ModuleSum):
-    """Element of Omega^* (x) Lambda^1: left legs keyed by the invariant right leg."""
+class TensorForm:
+    """Element of Omega^* (x) Lambda^1: a DiffForm left leg keyed by each invariant right leg.
 
-    __slots__ = ()
+    Zero legs are pruned on construction, equality needs one q mode, and
+    construction and + raise ValueError on mixed modes, even for a zero leg
+    or when the two sums share no right leg.
+    """
+
+    __slots__ = ("calculus", "terms")
+
+    def __init__(self, calculus: Calculus, terms: Mapping | None = None):
+        self.calculus = calculus
+        self.terms = {}
+        for k, x in terms.items() if terms else ():
+            check_mode(calculus, x)
+            if x:
+                self.terms[k] = x
+
+    @classmethod
+    def _of(cls, calculus: Calculus, terms: dict) -> "TensorForm":
+        """An instance holding terms itself, which must have no zero leg and one q mode."""
+        out = object.__new__(cls)
+        out.calculus = calculus
+        out.terms = terms
+        return out
+
+    @property
+    def algebra(self):
+        return self.calculus.algebra
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.calculus.algebra.mode == other.calculus.algebra.mode and self.terms == other.terms
+
+    def __add__(self, other: "TensorForm") -> "TensorForm":
+        check_mode(self, other)
+        out = dict(self.terms)
+        for k, x in other.terms.items():
+            out[k] = out[k] + x if k in out else x
+        return TensorForm._of(self.calculus, {k: x for k, x in out.items() if x})
+
+    def __neg__(self) -> "TensorForm":
+        return TensorForm._of(self.calculus, {k: -x for k, x in self.terms.items()})
+
+    def __sub__(self, other: "TensorForm") -> "TensorForm":
+        return self + (-other)
+
+    def scale(self, s: GaussianRational) -> "TensorForm":
+        return TensorForm._of(self.calculus, {k: y for k, x in self.terms.items() if (y := x.scale(s))})
+
+    def left_multiply(self, g: AlgebraElement) -> "TensorForm":
+        """g times each leg, from the left."""
+        check_mode(self, g)
+        return TensorForm._of(self.calculus, {k: y for k, x in self.terms.items() if (y := x.left_multiply(g))})
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         return "  +  ".join(f"({self.terms[k]}) (x) e_{k}" for k in sorted(self.terms))
+
+
+def _check_one_form(x: DiffForm, name: str) -> None:
+    if any(len(w) != 1 for w in x.num):
+        raise ValueError(f"{name} is defined on 1-forms")
 
 
 def covariant_derivative_basis(calculus: Calculus, connection: SpinConnection, i: str) -> TensorForm:
@@ -303,19 +362,18 @@ def covariant_derivative_basis(calculus: Calculus, connection: SpinConnection, i
         for (j, k), c in printed_ad_tables(calculus.algebra.q)[0][i].items():
             out = out + TensorForm(calculus, {k: connection.form(j, calculus).scale(-c)})
         # kept as plain data; each call wraps it in its own calculus
-        legs = connection._nabla[key] = {k: x.terms for k, x in out.terms.items()}
-    return TensorForm(calculus, {k: DiffForm(calculus, terms) for k, terms in legs.items()})
+        legs = connection._nabla[key] = [(k, x.den, x.num) for k, x in out.terms.items()]
+    return TensorForm._of(calculus, {k: DiffForm._of(calculus, den, num) for k, den, num in legs})
 
 
 def covariant_derivative(calculus: Calculus, connection: SpinConnection, x: DiffForm) -> TensorForm:
     """nabla on a degree-1 form with function coefficients, by the derivation rule."""
+    _check_one_form(x, "covariant derivative")
     out = TensorForm(calculus, {})
-    for w, f in x.terms.items():
-        if len(w) != 1:
-            raise ValueError("covariant derivative is defined on 1-forms")
+    for (i,), f in x.terms.items():
         df = calculus.exterior_d(calculus.from_function(f), normalized=True)
-        out = out + TensorForm(calculus, {w[0]: df})
-        out = out + covariant_derivative_basis(calculus, connection, w[0]).left_multiply(f)
+        out = out + TensorForm(calculus, {i: df})
+        out = out + covariant_derivative_basis(calculus, connection, i).left_multiply(f)
     return out
 
 
@@ -336,22 +394,26 @@ def riemann_of_tensor(calculus: Calculus, connection: SpinConnection, t: TensorF
 
 
 def riemann(calculus: Calculus, connection: SpinConnection, x: DiffForm) -> TensorForm:
-    """R(x) for a degree-1 form x: its coefficients times the images R(m e_i), over one denominator."""
+    """R(x) for a degree-1 form x: its numerators times the images R(m e_i), over one denominator.
+
+    Each leg of the result is reduced by one gcd.
+    """
+    _check_one_form(x, "curvature R")
+    check_mode(calculus, x)
     images, mode, parts = connection._riemann, calculus.algebra.mode, []
-    for w, f in x.terms.items():
-        if len(w) != 1:
-            raise ValueError("covariant derivative is defined on 1-forms")
-        check_mode(calculus, f)
-        slots = images.get((mode, w[0])) or images.setdefault((mode, w[0]), [None] * DIM)
-        for k, a, b in f.nonzero():
-            den, entry = slots[k] or _fill_image(calculus, connection, slots, w[0], k)
-            parts.append((f.den * den, entry, a, b))
+    for (i,), coords in x.nonzero():
+        slots = images.get((mode, i)) or images.setdefault((mode, i), [None] * DIM)
+        for k, a, b in coords:
+            den, entry = slots[k] or _fill_image(calculus, connection, slots, i, k)
+            parts.append((den, entry, a, b))
     d = lcm(*[p[0] for p in parts])
     legs: dict = {}
-    for (leg, w), num in sum_entries([(e, a * (d // dp), b * (d // dp)) for dp, e, a, b in parts]).items():
-        if any(num):  # each coefficient normalised by one gcd
-            legs.setdefault(leg, {})[w] = AlgebraElement._reduce(calculus.algebra, d, num)
-    return TensorForm._of(calculus, {leg: DiffForm._of(calculus, words) for leg, words in legs.items()})
+    for (leg, w), num in sum_entries([(e, a, b) if dp == d else (e, a * (d // dp), b * (d // dp))
+                                      for dp, e, a, b in parts]).items():
+        if any(num):
+            legs.setdefault(leg, {})[w] = num
+    d *= x.den
+    return TensorForm._of(calculus, {leg: DiffForm._reduce(calculus, d, words) for leg, words in legs.items()})
 
 
 def riemann_basis(calculus: Calculus, connection: SpinConnection, i: str) -> TensorForm:
@@ -361,15 +423,15 @@ def riemann_basis(calculus: Calculus, connection: SpinConnection, i: str) -> Ten
 
 def _fill_image(calculus: Calculus, connection: SpinConnection, slots: list, i: str, k: int) -> tuple:
     """R(m e_i), m of index k, by the formula on that one element; at slots[k] as (den, entry by (leg, word))."""
-    basis = DiffForm(calculus, {(i,): calculus.algebra.monomial(k >> 2, k & 3)})
+    basis = calculus.basis_form(i, calculus.algebra.monomial(k >> 2, k & 3))
     legs = riemann_of_tensor(calculus, connection, covariant_derivative(calculus, connection, basis)).terms
-    den = lcm(*[g.den for x in legs.values() for g in x.terms.values()])
+    den = lcm(*[x.den for x in legs.values()])
     entry = []
     for leg, x in legs.items():
-        for w, g in x.terms.items():
-            key, f = (leg, w), den // g.den
-            for j, a, b in g.nonzero():
-                entry += (key, 2 * j, a * f, b * f)
+        f = den // x.den
+        for w, coords in x.nonzero():
+            for j, a, b in coords:
+                entry += ((leg, w), 2 * j, a * f, b * f)
     slots[k] = image = (den, tuple(entry))
     return image
 

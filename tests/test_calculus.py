@@ -385,6 +385,31 @@ class TestModeChecks:
         assert cal_i.basis_form("a") != cal_mi.basis_form("a")
 
 
+class TestOrderedWords:
+    """A form is keyed by the 16 ordered words; any other key is rejected where the form is built."""
+
+    def test_every_ordered_word_is_accepted(self, cal):
+        for w in ORDERED_WORDS:
+            assert DiffForm(cal, {w: cal.algebra.beta}).terms == {w: cal.algebra.beta}
+        assert len(ORDERED_WORDS) == 16
+
+    @pytest.mark.parametrize("key", [("b", "a"), ("x",), ("a", "a"), "a", ("a", "c", "b"), ("a", "b", "c", "d", "a")])
+    def test_other_keys_are_rejected_by_name(self, cal, key):
+        with pytest.raises(ValueError, match="not an ordered wedge word") as err:
+            DiffForm(cal, {key: cal.algebra.one})
+        assert repr(key) in str(err.value)
+        # also beside ordered words, and with a zero coefficient
+        with pytest.raises(ValueError, match="not an ordered wedge word"):
+            DiffForm(cal, {("a",): cal.algebra.one, key: cal.algebra.zero})
+
+    def test_the_value_of_an_unordered_word_is_its_wedge(self, cal):
+        # e_b ^ e_a = -e_a ^ e_b: the form it names is built as a wedge, and equals its normal form
+        one = cal.algebra.one
+        ba = cal.wedge(DiffForm(cal, {("b",): one}), DiffForm(cal, {("a",): one}))
+        assert ba == DiffForm(cal, {("a", "b"): -one})
+        assert ba != DiffForm(cal, {("a", "b"): one})
+
+
 class TestExteriorDerivative:
     def test_d_of_unit(self, cal):
         assert not cal.exterior_d(cal.from_function(cal.algebra.one))

@@ -18,10 +18,10 @@ from contextlib import redirect_stdout
 import pytest
 
 from ncgq.algebra import QuantumAlgebra, TensorElement, basis_monomials
-from ncgq.calculus import Calculus, DiffForm, FORMS, ModuleSum
+from ncgq.calculus import Calculus, DiffForm, FORMS
 from ncgq.cli import main
-from ncgq.riemannian import (ConnectionAssembler, covariant_derivative_basis, reference_connection,
-                             riemann_basis)
+from ncgq.riemannian import (ConnectionAssembler, TensorForm, covariant_derivative_basis,
+                             reference_connection, riemann_basis)
 from ncgq.scalars import format_gaussian, parse_gaussian, q_root
 from test_closed_forms import closed_forms
 
@@ -32,7 +32,7 @@ CAL = {mode: Calculus(alg) for mode, alg in ALG.items()}
 
 def sigma(x):
     """The conjugate at q = -i of an algebra element, tensor, form or tensor form at q = i."""
-    if isinstance(x, ModuleSum):
+    if isinstance(x, (DiffForm, TensorForm)):
         return type(x)(CAL["-i"], {w: sigma(f) for w, f in x.terms.items()})
     cls = type(x)
     return cls(ALG["-i"], {k: c.conjugate() for k, c in x.coeffs.items()})

@@ -78,19 +78,34 @@ def assert_pruned(x) -> None:
         assert_canonical(x)
 
 
+def vector_coeffs(vec: list, den: int) -> dict:
+    """{monomial: GaussianRational} of a 32-int numerator vector over den."""
+    return {m: GaussianRational(Fraction(vec[2 * k], den), Fraction(vec[2 * k + 1], den))
+            for k, m in enumerate(basis_monomials()) if vec[2 * k] or vec[2 * k + 1]}
+
+
 def assert_canonical(x) -> None:
-    """den > 0 and gcd(den, *num) == 1, zero is den == 1, and .coeffs is num / den coordinatewise."""
+    """den > 0 and gcd(den, *num) == 1, zero is den == 1, and .coeffs is num / den coordinatewise.
+
+    For a form: one den over every word's vector, no all-zero word, and .terms holds each
+    word's vector over den as a canonical element.
+    """
     if isinstance(x, TensorElement):
         values = [v for ab in x.num.values() for v in ab]
         assert all(a or b for a, b in x.num.values())
         assert x.coeffs == {(basis_monomials()[i], basis_monomials()[j]): GaussianRational(
             Fraction(a, x.den), Fraction(b, x.den)) for (i, j), (a, b) in x.num.items()}
+    elif isinstance(x, DiffForm):
+        values = [v for vec in x.num.values() for v in vec]
+        assert all(len(vec) == 32 and any(vec) for vec in x.num.values())
+        assert list(x.terms) == list(x.num)
+        for w, f in x.terms.items():
+            assert_canonical(f)
+            assert f.coeffs == vector_coeffs(x.num[w], x.den)
     else:
         values = x.num
         assert len(values) == 32
-        assert x.coeffs == {m: GaussianRational(Fraction(values[2 * k], x.den),
-                                                Fraction(values[2 * k + 1], x.den))
-                            for k, m in enumerate(basis_monomials()) if values[2 * k] or values[2 * k + 1]}
+        assert x.coeffs == vector_coeffs(values, x.den)
     assert x.den > 0 and math.gcd(x.den, *values) == 1
     if not any(values):
         assert x.den == 1 and not x
@@ -258,3 +273,90 @@ def test_mixed_modes_do_not_compare_or_combine():
     for op in (lambda: x + y, lambda: x * y, lambda: TensorElement.pure(x, x) + TensorElement.pure(y, y)):
         with pytest.raises(ValueError, match="mixed q modes"):
             op()
+
+
+# -- a form is one denominator over {ordered word: numerator vector} ---------------------
+
+
+def unequal_denominator_form(cal: Calculus, rng: random.Random) -> tuple[DiffForm, dict]:
+    """A form on two to four words whose coefficients have pairwise unequal denominators, and
+    its coefficients {word: AlgebraElement}."""
+    words = rng.sample(ORDERED_WORDS, rng.randint(2, 4))
+    while True:
+        coeffs = {w: element(cal.algebra, rng, shared_denominators, rng.randint(1, 16)) for w in words}
+        if len({f.den for f in coeffs.values()}) == len(coeffs):
+            return DiffForm(cal, coeffs), coeffs
+
+
+def test_a_form_is_canonical_over_one_denominator(cal):
+    alg = cal.algebra
+    rng = random.Random(97)
+    for _ in range(15):
+        (x, xs), (y, ys) = unequal_denominator_form(cal, rng), unequal_denominator_form(cal, rng)
+        assert x.den == math.lcm(*[f.den for f in xs.values()]) and x.terms == xs
+        g, k = element(alg, rng, large_denominators, 16), shared_denominators(rng) or GaussianRational(5)
+        results = {"x": x, "x + y": x + y, "x - y": x - y, "-x": -x, "x - x": x - x, "x k": x.scale(k),
+                   "g x": x.left_multiply(g), "x ^ y": cal.wedge(x, y), "d x": cal.exterior_d(x),
+                   "d' x": cal.exterior_d(x, False)}
+        for got in results.values():
+            assert_canonical(got)
+        # .terms holds each word's canonical coefficient
+        zero = alg.zero
+        for w in set(xs) | set(ys):
+            assert results["x + y"].coefficient(w) == xs.get(w, zero) + ys.get(w, zero)
+            assert results["x k"].coefficient(w) == xs.get(w, zero).scale(k)
+            assert results["g x"].coefficient(w) == g * xs.get(w, zero)
+        # one value reached by different paths is one (den, num)
+        reversed_sum = cal.zero()
+        for w in reversed(list(xs)):
+            reversed_sum = reversed_sum + DiffForm(cal, {w: xs[w]})
+        for a, b in ((results["x + y"] - y, x), (results["x k"].scale(k.inverse()), x), (reversed_sum, x),
+                     (y + x, results["x + y"]), (results["x - x"], cal.zero()),
+                     (cal.wedge(x.scale(k), y), results["x ^ y"].scale(k))):
+            assert a == b and (a.den, a.num) == (b.den, b.num)
+        # and different values differ, also where only one numerator or the denominator does
+        w = next(iter(xs))
+        for other in (y, x.scale(GaussianRational(2)), x + DiffForm(cal, {w: alg.monomial(1, 1)}),
+                      DiffForm(cal, {**xs, w: xs[w].scale(GaussianRational(Fraction(1, 7)))})):
+            assert x != other and other != x
+
+
+def test_mixed_modes_raise_in_the_form_constructor_and_sum_even_on_a_zero_term():
+    cal_i, cal_mi = Calculus(QuantumAlgebra("i")), Calculus(QuantumAlgebra("-i"))
+    for coeff in (cal_mi.algebra.zero, cal_mi.algebra.beta):
+        with pytest.raises(ValueError, match="mixed q modes"):
+            DiffForm(cal_i, {("a",): cal_i.algebra.one, ("b", "c"): coeff})
+    x = DiffForm(cal_i, {("a",): cal_i.algebra.one})
+    for other in (cal_mi.zero(), DiffForm(cal_mi, {("a",): cal_mi.algebra.zero}), cal_mi.basis_form("a")):
+        for lhs, rhs in ((x, other), (other, x), (cal_i.zero(), other)):
+            with pytest.raises(ValueError, match="mixed q modes"):
+                lhs + rhs
+
+
+def test_warm_wedge_d_and_curvature_make_no_algebra_element(cal, monkeypatch):
+    # on filled tables the maps read and write numerator vectors only: no AlgebraElement is
+    # made, neither through __init__ nor by _reduce or _of, on dense rational forms
+    from ncgq.algebra import ScalarSum
+    from ncgq.riemannian import reference_connection, riemann
+
+    alg, conn = cal.algebra, reference_connection(cal)
+    rng = random.Random(103)
+    one_forms = [DiffForm(cal, {(f,): element(alg, rng, large_denominators, 16) for f in FORMS})
+                 for _ in range(2)]
+    two_form = DiffForm(cal, {w: element(alg, rng, shared_denominators, 16) for w in ORDERED_WORDS if len(w) == 2})
+    x, y = one_forms
+
+    def run():
+        return [cal.wedge(x, y), cal.wedge(x, two_form), cal.exterior_d(x), cal.exterior_d(two_form, False),
+                riemann(cal, conn, x)]
+
+    want = run()  # fills the tables these inputs read
+    made = []
+    init = AlgebraElement.__init__
+    reduce_, of = AlgebraElement.__dict__["_reduce"].__func__, ScalarSum.__dict__["_of"].__func__
+    monkeypatch.setattr(AlgebraElement, "__init__", lambda *a, **k: made.append("__init__") or init(*a, **k))
+    monkeypatch.setattr(AlgebraElement, "_reduce", classmethod(lambda *a: made.append("_reduce") or reduce_(*a)))
+    monkeypatch.setattr(AlgebraElement, "_of", classmethod(lambda *a: made.append("_of") or of(*a)))
+    got = run()
+    assert made == []
+    assert got == want and all(got)

@@ -286,6 +286,15 @@ class TestCovariantDerivativeAndCurvature:
             assert riemann(cal, conn, DiffForm(cal, {("a",): f})) == riemann_basis(cal, conn, "a").left_multiply(f)
         assert len(calls) == len(FORMS) + 2
 
+    @pytest.mark.parametrize("words", [[()], [("a", "c")], [("b",), ("a", "d")]],
+                             ids=["0-form", "2-form", "degrees 1 and 2"])
+    def test_nabla_and_curvature_take_only_1_forms(self, cal, conn, words):
+        x = DiffForm(cal, {w: cal.algebra.alpha + cal.algebra.one for w in words})
+        with pytest.raises(ValueError, match="^covariant derivative is defined on 1-forms$"):
+            covariant_derivative(cal, conn, x)
+        with pytest.raises(ValueError, match="^curvature R is defined on 1-forms$"):
+            riemann(cal, conn, x)
+
     def test_tensor_form_rejects_a_leg_of_another_mode(self):
         cal_i, cal_mi = Calculus(QuantumAlgebra("i")), Calculus(QuantumAlgebra("-i"))
         with pytest.raises(ValueError, match="mixed q modes"):

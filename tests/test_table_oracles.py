@@ -180,11 +180,19 @@ def _element(alg: QuantumAlgebra, rng: random.Random, density: int) -> AlgebraEl
 
 
 def _form(cal: Calculus, rng: random.Random) -> DiffForm:
-    """A sparse form over a few words, ordered or not, of one or several degrees."""
+    """A sparse form over a few words, ordered or not, of one or several degrees.
+
+    A form holds ordered words only, so f e_w for a word w outside the normal form, such as
+    e_d ^ e_a, enters written on ordered words through reduce_word.
+    """
     words = rng.sample(ORDERED_WORDS, rng.randint(1, 3))
-    if rng.randrange(4) == 0:  # a word outside the normal form, such as e_d ^ e_a
+    if rng.randrange(4) == 0:  # a word outside the normal form
         words.append(tuple(rng.choice(FORMS) for _ in range(rng.randint(1, 3))))
-    return DiffForm(cal, {w: _element(cal.algebra, rng, rng.randint(1, 16)) for w in words})
+    out = cal.zero()
+    for w in words:
+        f = _element(cal.algebra, rng, rng.randint(1, 16))
+        out = out + DiffForm(cal, {v: f.scale(c) for v, c in cal.exterior.reduce_word(w).items()})
+    return out
 
 
 def test_coproduct_and_antipode_on_all_monomials(cal):
