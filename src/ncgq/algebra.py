@@ -17,18 +17,20 @@ The reference matrices stay the operative input of the spectral layer.
 
 An element is one denominator den > 0 over Gaussian-integer numerators num,
 with gcd(den, *num) == 1: 32 ints (Re, Im) by monomial index for an
-AlgebraElement, and {ordered word: those 32 ints} for a differential form
-(calculus.DiffForm), one denominator for all its words.  Every map is a fixed
+AlgebraElement.  Tensors, forms and tensor forms share one layout, a KeyedSum:
+{key: those 32 ints} over one denominator, keyed by left leg for a
+TensorElement, by ordered word for a form (calculus.DiffForm) and by (right
+leg, word) for a tensor form (riemannian.TensorForm).  Every map is a fixed
 linear or bilinear map on that basis, so it sums plain ints over one
-denominator and normalises its result by one gcd per element or form, never
-per coefficient; GaussianRationals appear only in the .coeffs view.
+denominator and normalises its result by one gcd per value, never per
+coefficient; GaussianRationals appear only in the .coeffs view.
 """
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import lru_cache
-from itertools import chain
 from math import gcd, lcm
+from operator import add
 
 from .fixtures import TranslationMatrix
 from .scalars import ZERO, ONE, GaussianRational, format_gaussian, gaussian, parse_gaussian, q_root
@@ -95,7 +97,7 @@ class ScalarSum:
     have equal (den, num).  A sum is a value: den and num never change after
     it is made.  Equality needs one q mode, and + raises ValueError on mixed
     modes.  The read-only view .coeffs gives {basis key: GaussianRational}
-    (a differential form's .terms, {word: AlgebraElement}).
+    (a form's .terms, {word: AlgebraElement}; a tensor form's, {leg: form}).
     """
 
     __slots__ = ("algebra", "den", "num", "_nonzero")  # _nonzero: the support nonzero() finds, kept
@@ -133,8 +135,8 @@ class AlgebraElement(ScalarSum):
 
     @classmethod
     def _reduce(cls, algebra: "QuantumAlgebra", den: int, num: list) -> "AlgebraElement":
-        """num / den, for any den > 0, brought to canonical form by one gcd."""
-        g = gcd(den, *num) if den != 1 else 1
+        """num / den, for any den > 0, brought to canonical form by one gcd over the nonzero slots."""
+        g = gcd(den, *filter(None, num)) if den != 1 else 1
         if g != 1:
             den, num = den // g, [v // g for v in num]
         return cls._of(algebra, den, num)
@@ -219,10 +221,95 @@ class AlgebraElement(ScalarSum):
         return gaussian(sum(self.num[0::8]), sum(self.num[1::8]), self.den)
 
 
-class TensorElement(ScalarSum):
+class KeyedSum(ScalarSum):
+    """One denominator over {key: 32-int numerator vector, laid out as an AlgebraElement's num}.
+
+    Canonical as gcd(den, *every numerator) == 1 with no all-zero vector, so
+    zero is den == 1 over {}.  The key is the left leg's monomial index for a
+    TensorElement, the ordered word for a differential form, and (right leg,
+    word) for a tensor form.  Every result is built as type(self) in the
+    operand's _context: the algebra, or the calculus of a form.
+    """
+
+    __slots__ = ()
+
+    @property
+    def _context(self):
+        """What _of and _reduce take first: the algebra; a form's calculus."""
+        return self.algebra
+
+    @classmethod
+    def _reduce(cls, context, den: int, num: dict):
+        """num / den, for any den > 0, without all-zero vectors and in lowest terms by one gcd."""
+        return cls._lowest(context, den, {k: vec for k, vec in num.items() if any(vec)})
+
+    @classmethod
+    def _lowest(cls, context, den: int, num: dict):
+        """num / den, for any den > 0 and num without all-zero vectors, in lowest terms by one gcd
+        over the nonzero slots."""
+        g = den
+        for vec in num.values():
+            if g == 1:
+                break
+            g = gcd(g, *filter(None, vec))
+        if g != 1:
+            den, num = den // g, {k: [v // g for v in vec] for k, vec in num.items()}
+        return cls._of(context, den, num)
+
+    def nonzero(self) -> list[tuple]:
+        """[(key, support of its numerator vector)], found on first use: what the kernels loop over."""
+        if self._nonzero is None:
+            self._nonzero = [(k, support(vec)) for k, vec in self.num.items()]
+        return self._nonzero
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    def __add__(self, other):
+        check_mode(self, other)
+        den = self.den if self.den == other.den else lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
+        num = dict(self.num) if f == 1 else {k: [v * f for v in vec] for k, vec in self.num.items()}
+        # a support other keeps, in the order of its keys, adds only its nonzero slots
+        coords = other._nonzero if g == 1 else None
+        shared = False
+        for n, (k, vec) in enumerate(other.num.items()):
+            mine = num.get(k)
+            if mine is None:
+                num[k] = vec if g == 1 else [v * g for v in vec]
+                continue
+            shared = True
+            if coords is not None:
+                out = mine[:]
+                for j, a, b in coords[n][1]:
+                    out[2 * j] += a
+                    out[2 * j + 1] += b
+            else:
+                out = list(map(add, mine, vec)) if g == 1 else [u + v * g for u, v in zip(mine, vec)]
+            if any(out):
+                num[k] = out
+            else:
+                del num[k]
+        # keys in one summand only are canonical over the lcm as they stand
+        return self._lowest(self._context, den, num) if shared else self._of(self._context, den, num)
+
+    def __neg__(self):
+        return self._of(self._context, self.den, {k: [-v for v in vec] for k, vec in self.num.items()})
+
+    def scale(self, s: GaussianRational):
+        a, b, d = s.triple
+        num = {}
+        for k, vec in self.num.items():
+            it = iter(vec)
+            num[k] = [v for c, e in zip(it, it) for v in (a * c - b * e, a * e + b * c)]
+        return self._reduce(self._context, self.den * d, num)
+
+
+class TensorElement(KeyedSum):
     """Element of the 256-dimensional two-fold tensor square of the algebra.
 
-    num is {(i, j): [A, B]}: the nonzero numerator A + B*i of m_i (x) m_j, by monomial index.
+    A KeyedSum by left leg: num[i] is the numerator vector of the right legs
+    of the terms m_i (x) m_j, by monomial index.
     """
 
     __slots__ = ()
@@ -232,104 +319,65 @@ class TensorElement(ScalarSum):
         items = [(4 * p + r, 4 * s + t, c.triple)
                  for ((p, r), (s, t)), c in coeffs.items() if c] if coeffs else ()
         den = lcm(*[t[2] for _, _, t in items])
-        self.algebra, self.den, self.num = algebra, den, {
-            (i, j): [a * (den // d), b * (den // d)] for i, j, (a, b, d) in items}
-
-    @classmethod
-    def _reduce(cls, algebra: "QuantumAlgebra", den: int, num: dict) -> "TensorElement":
-        """num / den, for any den > 0, without zero terms and brought to canonical form by one gcd."""
-        num = {k: ab for k, ab in num.items() if ab[0] or ab[1]}
-        g = gcd(den, *chain.from_iterable(num.values())) if den != 1 else 1
-        if g != 1:
-            den, num = den // g, {k: [a // g, b // g] for k, (a, b) in num.items()}
-        return cls._of(algebra, den, num)
+        num: dict = {}
+        for i, j, (a, b, d) in items:
+            vec = num.get(i) or num.setdefault(i, [0] * (2 * DIM))
+            vec[2 * j], vec[2 * j + 1] = a * (den // d), b * (den // d)
+        self.algebra, self.den, self.num, self._nonzero = algebra, den, num, None
 
     @property
     def coeffs(self) -> dict[tuple[Monomial, Monomial], GaussianRational]:
         """{(m1, m2): coefficient} of the nonzero terms, built on each read."""
         return {(_MONOMIALS[i], _MONOMIALS[j]): gaussian(a, b, self.den)
-                for (i, j), (a, b) in self.num.items()}
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        check_mode(self, other)
-        den = lcm(self.den, other.den)
-        f, g = den // self.den, den // other.den
-        num = {k: [a * f, b * f] for k, (a, b) in self.num.items()}
-        for k, (a, b) in other.num.items():
-            _add(num, k, a * g, b * g)
-        return TensorElement._reduce(self.algebra, den, num)
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement._of(self.algebra, self.den, {k: [-a, -b] for k, (a, b) in self.num.items()})
-
-    def scale(self, s: GaussianRational) -> "TensorElement":
-        a, b, d = s.triple
-        return TensorElement._reduce(self.algebra, self.den * d, {
-            k: [a * c - b * e, a * e + b * c] for k, (c, e) in self.num.items()})
+                for i, ys in self.nonzero() for j, a, b in ys}
 
     @classmethod
     def pure(cls, x: AlgebraElement, y: AlgebraElement) -> "TensorElement":
-        ys = y.nonzero()
-        return cls._reduce(x.algebra, x.den * y.den, {
-            (i, j): [a * c - b * e, a * e + b * c] for i, a, b in x.nonzero() for j, c, e in ys})
+        ys, num = y.nonzero(), {}
+        for i, a, b in x.nonzero():
+            # (a + b*i) m_0 = a + b*i, so this adds the scalar times y
+            add_products(num.setdefault(i, [0] * (2 * DIM)), ((0, a, b),), ys)
+        return cls._reduce(x.algebra, x.den * y.den, num)
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         check_mode(self, other)
-        products = monomial_table()
-        ys = [(i, j, c, e) for (i, j), (c, e) in other.num.items()]
-        num: dict = {}
-        for (i1, j1), (a, b) in self.num.items():
-            row_x, row_y = products[i1], products[j1]
-            for i2, j2, c, e in ys:
-                sx, neg_x = row_x[i2]
-                sy, neg_y = row_y[j2]
-                u, v = a * c - b * e, a * e + b * c
-                if neg_x != neg_y:
-                    u, v = -u, -v
-                _add(num, (sx >> 1, sy >> 1), u, v)
+        products, num = monomial_table(), {}
+        zs = other.nonzero()
+        for i1, ys in self.nonzero():
+            row, negated_ys = products[i1], [(j, -a, -b) for j, a, b in ys]
+            for i2, vs in zs:
+                s, negated = row[i2]
+                add_products(num.get(s >> 1) or num.setdefault(s >> 1, [0] * (2 * DIM)),
+                             negated_ys if negated else ys, vs)
         return TensorElement._reduce(self.algebra, self.den * other.den, num)
 
     def apply(self, f_left: Callable[[AlgebraElement], AlgebraElement] | None,
               f_right: Callable[[AlgebraElement], AlgebraElement] | None) -> "TensorElement":
         """Apply linear maps to the tensor factors (None = identity)."""
         alg = self.algebra
-        # (den, support) of f_left(m_i) and f_right(m_j), for each left index i and right index j
-        images = {}
-        for side, f in ((0, f_left), (1, f_right)):
-            for k in {key[side] for key in self.num}:
-                x = f(alg.monomial(k >> 2, k & 3)) if f else None
-                images[side, k] = (x.den, x.nonzero()) if f else (1, [(k, 1, 0)])
+        # (den, support) of f_left(m_i) and of f_right of the right legs under i, for each left index i;
+        # over den 1, a vector of integers is canonical as it stands
+        images = []
+        for i, ys in self.nonzero():
+            x = f_left(alg.monomial(i >> 2, i & 3)) if f_left else None
+            y = f_right(AlgebraElement._of(alg, 1, self.num[i], ys)) if f_right else None
+            images.append(((x.den, x.nonzero()) if f_left else (1, [(i, 1, 0)]),
+                           (y.den, y.nonzero()) if f_right else (1, ys)))
         # summed over the lcm of the products of their denominators
-        den = lcm(*{images[0, i][0] * images[1, j][0] for i, j in self.num})
+        den = lcm(*{dx * dy for (dx, _), (dy, _) in images})
         num: dict = {}
-        for (i, j), (c, e) in self.num.items():
-            (dx, xs), (dy, ys) = images[0, i], images[1, j]
+        for (dx, xs), (dy, ys) in images:
             f = den // (dx * dy)
             for k, s, t in xs:
-                u, v = f * (c * s - e * t), f * (c * t + e * s)
-                for m, g, h in ys:
-                    _add(num, (k, m), u * g - v * h, u * h + v * g)
+                add_products(num.get(k) or num.setdefault(k, [0] * (2 * DIM)), ((0, f * s, f * t),), ys)
         return TensorElement._reduce(alg, self.den * den, num)
 
     def multiply_out(self) -> AlgebraElement:
         """Collapse x (x) y -> x*y."""
-        products = monomial_table()
         out = [0] * (2 * DIM)
-        for (i, j), (a, b) in self.num.items():
-            s, negated = products[i][j]
-            out[s] += -a if negated else a
-            out[s + 1] += -b if negated else b
+        for i, ys in self.nonzero():
+            add_products(out, ((i, 1, 0),), ys)
         return AlgebraElement._reduce(self.algebra, self.den, out)
-
-
-def _add(num: dict, key, u: int, v: int) -> None:
-    """num[key] += u + v*i, for num {key: [A, B]}."""
-    t = num.setdefault(key, [0, 0])
-    t[0] += u
-    t[1] += v
 
 
 class QuantumAlgebra:
@@ -402,9 +450,7 @@ class QuantumAlgebra:
 
     def coproduct(self, x: AlgebraElement) -> TensorElement:
         """Delta x, read from the per-mode table of the 16 monomial images."""
-        acc = _apply_images(coproduct_table(self.mode), x)
-        return TensorElement._reduce(self, x.den, {(i, j): [a, b] for i, row in acc.items()
-                                                   for j, a, b in support(row)})
+        return TensorElement._reduce(self, x.den, _apply_images(coproduct_table(self.mode), x))
 
     def counit(self, x: AlgebraElement) -> GaussianRational:
         return x.counit()

@@ -23,8 +23,9 @@ The wedge product and d are fixed linear maps for a given exterior algebra.
 Each ExteriorAlgebra tabulates the word products e_w1 m ^ e_w2 and the images
 d(m e_w) of its basis elements, one entry at a time on first use; every
 calculus of a q mode shares one default exterior algebra and so its tables.
-A form (DiffForm) is one denominator over one 32-int numerator vector per
-ordered word, as an algebra element is over its 16 monomials.  Both maps
+A form (DiffForm) is a KeyedSum by ordered word: one denominator over one
+32-int numerator vector per word, as an algebra element is over its 16
+monomials; FormSum binds it, and a tensor form, to its calculus.  Both maps
 multiply their operands' numerators as they stand, over the product of their
 denominators, sum the table entries into one vector per output word, and
 reduce the whole result by one gcd: no coefficient is normalised on its own.
@@ -34,13 +35,12 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
 from itertools import chain, combinations
-from math import gcd, lcm
-from operator import add
+from math import lcm
 from types import MappingProxyType
 
-from .algebra import (DIM, AlgebraElement, Monomial, QuantumAlgebra, ScalarSum, add_products,
+from .algebra import (DIM, AlgebraElement, KeyedSum, Monomial, QuantumAlgebra, add_products,
                       basis_monomials, check_mode, flat_entry, monomial_name, monomial_product, monomial_table,
-                      sum_entries, support)
+                      sum_entries)
 from .scalars import ZERO, ONE, GaussianRational, q_root
 
 FORMS = ("a", "b", "c", "d")
@@ -216,18 +216,45 @@ def default_exterior(mode: str) -> ExteriorAlgebra:
     return ExteriorAlgebra(q_root(mode))
 
 
-class DiffForm(ScalarSum):
+class FormSum(KeyedSum):
+    """A KeyedSum bound to a calculus whose numerator vectors are left coefficients: the common
+    part of a differential form and a tensor form."""
+
+    __slots__ = ("calculus", "_terms")  # _terms: the read-only view .terms, built on first read
+
+    @classmethod
+    def _of(cls, calculus: "Calculus", den: int, num: dict, nonzero: list | None = None):
+        """An instance holding num itself; (den, num) must be canonical, and nonzero its support or None."""
+        out = object.__new__(cls)
+        out.calculus, out.algebra, out.den, out.num = calculus, calculus.algebra, den, num
+        out._nonzero = nonzero
+        out._terms = None
+        return out
+
+    @property
+    def _context(self) -> "Calculus":
+        return self.calculus
+
+    def left_multiply(self, g: AlgebraElement):
+        """g times each coefficient, from the left."""
+        check_mode(self, g)
+        gs, num = g.nonzero(), {}
+        for k, ys in self.nonzero():
+            add_products(num.setdefault(k, [0] * (2 * DIM)), gs, ys)
+        return self._reduce(self.calculus, self.den * g.den, num)
+
+
+class DiffForm(FormSum):
     """Sum of (algebra coefficient) x (ordered wedge monomial), coefficients on the left.
 
-    A ScalarSum over the (word, monomial) basis: num is {ordered word: 32-int
-    numerator vector, as an AlgebraElement's num}, over the one denominator
-    den of the whole form, canonical as gcd(den, *every numerator) == 1 with
-    no all-zero word.  The words are the 16 ordered ones (tuples over
-    a < b < c < d, each letter at most once); the constructor rejects any
-    other key.  The read-only view .terms gives {word: AlgebraElement}.
+    A KeyedSum by word: num is {ordered word: 32-int numerator vector}, over
+    the one denominator den of the whole form.  The words are the 16 ordered
+    ones (tuples over a < b < c < d, each letter at most once); the
+    constructor rejects any other key.  The read-only view .terms gives
+    {word: AlgebraElement}.
     """
 
-    __slots__ = ("calculus", "_terms")  # _nonzero: [(word, support of its vector)], kept
+    __slots__ = ()
 
     def __init__(self, calculus: "Calculus", terms: Mapping | None = None):
         """The form sum f * e_w over {ordered word w: AlgebraElement f}."""
@@ -244,38 +271,6 @@ class DiffForm(ScalarSum):
             calculus, calculus.algebra, den, None, None
         self.num = {w: f.num if f.den == den else [v * (den // f.den) for v in f.num] for w, f in items}
 
-    @classmethod
-    def _of(cls, calculus: "Calculus", den: int, num: dict, nonzero: list | None = None) -> "DiffForm":
-        """An instance holding num itself; (den, num) must be canonical, and nonzero its support or None."""
-        out = object.__new__(cls)
-        out.calculus, out.algebra, out.den, out.num = calculus, calculus.algebra, den, num
-        out._nonzero = nonzero
-        out._terms = None
-        return out
-
-    @classmethod
-    def _reduce(cls, calculus: "Calculus", den: int, num: dict) -> "DiffForm":
-        """num / den, for any den > 0, without all-zero words and brought to canonical form by one gcd."""
-        return cls._lowest(calculus, den, {w: vec for w, vec in num.items() if any(vec)})
-
-    @classmethod
-    def _lowest(cls, calculus: "Calculus", den: int, num: dict) -> "DiffForm":
-        """num / den, for any den > 0 and num without all-zero words, in lowest terms by one gcd."""
-        g = den
-        for vec in num.values():
-            if g == 1:
-                break
-            g = gcd(g, *filter(None, vec))
-        if g != 1:
-            den, num = den // g, {w: [v // g for v in vec] for w, vec in num.items()}
-        return cls._of(calculus, den, num)
-
-    def nonzero(self) -> list[tuple[WedgeWord, list]]:
-        """[(word, support of its numerator vector)], found on first use: what the kernels loop over."""
-        if self._nonzero is None:
-            self._nonzero = [(w, support(vec)) for w, vec in self.num.items()]
-        return self._nonzero
-
     @property
     def terms(self) -> Mapping[WedgeWord, AlgebraElement]:
         """{word: canonical coefficient}, built on first read; read-only."""
@@ -284,56 +279,6 @@ class DiffForm(ScalarSum):
             self._terms = MappingProxyType({w: AlgebraElement._reduce(alg, den, vec)
                                             for w, vec in self.num.items()})
         return self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def __add__(self, other: "DiffForm") -> "DiffForm":
-        check_mode(self, other)
-        den = self.den if self.den == other.den else lcm(self.den, other.den)
-        f, g = den // self.den, den // other.den
-        num = dict(self.num) if f == 1 else {w: [v * f for v in vec] for w, vec in self.num.items()}
-        # a support other keeps, in the order of its words, adds only its nonzero slots
-        coords = other._nonzero if g == 1 else None
-        shared = False
-        for n, (w, vec) in enumerate(other.num.items()):
-            mine = num.get(w)
-            if mine is None:
-                num[w] = vec if g == 1 else [v * g for v in vec]
-                continue
-            shared = True
-            if coords is not None:
-                out = mine[:]
-                for k, a, b in coords[n][1]:
-                    out[2 * k] += a
-                    out[2 * k + 1] += b
-            else:
-                out = list(map(add, mine, vec)) if g == 1 else [u + v * g for u, v in zip(mine, vec)]
-            if any(out):
-                num[w] = out
-            else:
-                del num[w]
-        # words in one summand only are canonical over the lcm as they stand
-        return DiffForm._lowest(self.calculus, den, num) if shared else DiffForm._of(self.calculus, den, num)
-
-    def __neg__(self) -> "DiffForm":
-        return DiffForm._of(self.calculus, self.den, {w: [-v for v in vec] for w, vec in self.num.items()})
-
-    def scale(self, s: GaussianRational) -> "DiffForm":
-        a, b, d = s.triple
-        num = {}
-        for w, vec in self.num.items():
-            it = iter(vec)
-            num[w] = [v for c, e in zip(it, it) for v in (a * c - b * e, a * e + b * c)]
-        return DiffForm._reduce(self.calculus, self.den * d, num)
-
-    def left_multiply(self, g: AlgebraElement) -> "DiffForm":
-        """g times each coefficient, from the left."""
-        check_mode(self, g)
-        gs, num = g.nonzero(), {}
-        for w, ys in self.nonzero():
-            add_products(num.setdefault(w, [0] * (2 * DIM)), gs, ys)
-        return DiffForm._reduce(self.calculus, self.den * g.den, num)
 
     def __repr__(self) -> str:
         return f"<DiffForm {self}>"

@@ -16,22 +16,26 @@ therefore reports the exact rank defect, and downstream geometry consumes the
 reference closed forms (whose uncorrupted entries are independently confirmed
 by the spectral layer), carrying provenance and honest residuals.
 
-The curvature R is Q(i)-linear, so R(x) is read from the images R(m e_i) of
-the 64 basis elements, over one denominator.  Each image is filled on first
-read from (id ^ nabla - d (x) id) nabla on the one element m e_i, never as
-m R(e_i), so the basis checks of R(f e_i) = f R(e_i) still compare two
-computations and, with linearity, prove tensoriality.  Every reference
-connection of one q shares one image table.
+nabla e_i and R(x) are tensor forms (TensorForm): one denominator over a
+32-int numerator vector per (invariant right leg, ordered word), the layout
+of a form with the right leg added to its key.  The curvature R is
+Q(i)-linear, so R(x) is read from the images R(m e_i) of the 64 basis
+elements, over one denominator.  Each image is filled on first read from
+(id ^ nabla - d (x) id) nabla on the one element m e_i, never as m R(e_i), so
+the basis checks of R(f e_i) = f R(e_i) still compare two computations and,
+with linearity, prove tensoriality.  Every reference connection of one q
+shares one image table.
 """
 from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache
+from itertools import chain
 from math import lcm
 from types import MappingProxyType
 
-from .algebra import DIM, AlgebraElement, check_mode, sum_entries
-from .calculus import Calculus, DiffForm, FORMS
+from .algebra import DIM, check_mode, sum_entries
+from .calculus import Calculus, DiffForm, FormSum, FORMS
 from .constants import (AD_L_PRINTED, AD_R_PRINTED, CONNECTION_UNPRINTED, RHO,
                         TWO_Q, connection_db_candidate, evaluate_ad_table,
                         evaluate_connection_printed)
@@ -153,7 +157,7 @@ class SpinConnection:
     def __init__(self, coefficients: dict, source: str):
         self.coefficients = coefficients
         self.source = source  # "solver" | "reference-table"
-        # (q mode, i) -> the legs of nabla e_i, and the 16 images R(m e_i) (see riemann), filled on first use
+        # (q mode, i) -> (den, num) of nabla e_i, and the 16 images R(m e_i) (see riemann), filled on first use
         self._nabla = {}
         self._riemann = {}
 
@@ -283,69 +287,44 @@ def connection_residuals(system: ConnectionSystem, connection: SpinConnection) -
 # -- covariant derivative and curvature ----------------------------------------------
 
 
-class TensorForm:
-    """Element of Omega^* (x) Lambda^1: a DiffForm left leg keyed by each invariant right leg.
+class TensorForm(FormSum):
+    """Element of Omega^* (x) Lambda^1: a KeyedSum by (invariant right leg, ordered word).
 
-    Zero legs are pruned on construction, equality needs one q mode, and
-    construction and + raise ValueError on mixed modes, even for a zero leg
-    or when the two sums share no right leg.
+    The read-only view .terms gives {right leg: DiffForm left leg}, built with
+    this calculus.  Construction and + raise ValueError on mixed modes, even
+    for a zero leg or when the two sums share no right leg.
     """
 
-    __slots__ = ("calculus", "terms")
+    __slots__ = ()
 
     def __init__(self, calculus: Calculus, terms: Mapping | None = None):
-        self.calculus = calculus
-        self.terms = {}
-        for k, x in terms.items() if terms else ():
+        """The sum x (x) e_k over {right leg k: DiffForm x}."""
+        legs = list(terms.items()) if terms else []
+        for _, x in legs:
             check_mode(calculus, x)
-            if x:
-                self.terms[k] = x
-
-    @classmethod
-    def _of(cls, calculus: Calculus, terms: dict) -> "TensorForm":
-        """An instance holding terms itself, which must have no zero leg and one q mode."""
-        out = object.__new__(cls)
-        out.calculus = calculus
-        out.terms = terms
-        return out
+        # over the lcm of canonical denominators, the numerators share no factor with it
+        den = lcm(*[x.den for _, x in legs])
+        self.calculus, self.algebra, self.den, self._nonzero, self._terms = \
+            calculus, calculus.algebra, den, None, None
+        self.num = {(k, w): vec if x.den == den else [v * (den // x.den) for v in vec]
+                    for k, x in legs for w, vec in x.num.items()}
 
     @property
-    def algebra(self):
-        return self.calculus.algebra
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.calculus.algebra.mode == other.calculus.algebra.mode and self.terms == other.terms
-
-    def __add__(self, other: "TensorForm") -> "TensorForm":
-        check_mode(self, other)
-        out = dict(self.terms)
-        for k, x in other.terms.items():
-            out[k] = out[k] + x if k in out else x
-        return TensorForm._of(self.calculus, {k: x for k, x in out.items() if x})
-
-    def __neg__(self) -> "TensorForm":
-        return TensorForm._of(self.calculus, {k: -x for k, x in self.terms.items()})
-
-    def __sub__(self, other: "TensorForm") -> "TensorForm":
-        return self + (-other)
-
-    def scale(self, s: GaussianRational) -> "TensorForm":
-        return TensorForm._of(self.calculus, {k: y for k, x in self.terms.items() if (y := x.scale(s))})
-
-    def left_multiply(self, g: AlgebraElement) -> "TensorForm":
-        """g times each leg, from the left."""
-        check_mode(self, g)
-        return TensorForm._of(self.calculus, {k: y for k, x in self.terms.items() if (y := x.left_multiply(g))})
+    def terms(self) -> Mapping[str, DiffForm]:
+        """{right leg: its canonical left leg}, in the order of their first words; read-only."""
+        if self._terms is None:
+            legs: dict = {}
+            for (k, w), vec in self.num.items():
+                legs.setdefault(k, {})[w] = vec
+            self._terms = MappingProxyType({k: DiffForm._lowest(self.calculus, self.den, words)
+                                            for k, words in legs.items()})
+        return self._terms
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
-        return "  +  ".join(f"({self.terms[k]}) (x) e_{k}" for k in sorted(self.terms))
+        return "  +  ".join(f"({terms[k]}) (x) e_{k}" for k in sorted(terms))
 
 
 def _check_one_form(x: DiffForm, name: str) -> None:
@@ -356,14 +335,14 @@ def _check_one_form(x: DiffForm, name: str) -> None:
 def covariant_derivative_basis(calculus: Calculus, connection: SpinConnection, i: str) -> TensorForm:
     """nabla e_i = - sum ad_L(jk|i) A_j (x) e_k, from the operative table, once per q mode and connection."""
     key = (calculus.algebra.mode, i)
-    legs = connection._nabla.get(key)
-    if legs is None:
+    value = connection._nabla.get(key)
+    if value is None:
         out = TensorForm(calculus, {})
         for (j, k), c in printed_ad_tables(calculus.algebra.q)[0][i].items():
             out = out + TensorForm(calculus, {k: connection.form(j, calculus).scale(-c)})
         # kept as plain data; each call wraps it in its own calculus
-        legs = connection._nabla[key] = [(k, x.den, x.num) for k, x in out.terms.items()]
-    return TensorForm._of(calculus, {k: DiffForm._of(calculus, den, num) for k, den, num in legs})
+        value = connection._nabla[key] = (out.den, out.num)
+    return TensorForm._of(calculus, *value)
 
 
 def covariant_derivative(calculus: Calculus, connection: SpinConnection, x: DiffForm) -> TensorForm:
@@ -394,10 +373,8 @@ def riemann_of_tensor(calculus: Calculus, connection: SpinConnection, t: TensorF
 
 
 def riemann(calculus: Calculus, connection: SpinConnection, x: DiffForm) -> TensorForm:
-    """R(x) for a degree-1 form x: its numerators times the images R(m e_i), over one denominator.
-
-    Each leg of the result is reduced by one gcd.
-    """
+    """R(x) for a degree-1 form x: its numerators times the images R(m e_i), over one denominator,
+    reduced by one gcd."""
     _check_one_form(x, "curvature R")
     check_mode(calculus, x)
     images, mode, parts = connection._riemann, calculus.algebra.mode, []
@@ -407,13 +384,8 @@ def riemann(calculus: Calculus, connection: SpinConnection, x: DiffForm) -> Tens
             den, entry = slots[k] or _fill_image(calculus, connection, slots, i, k)
             parts.append((den, entry, a, b))
     d = lcm(*[p[0] for p in parts])
-    legs: dict = {}
-    for (leg, w), num in sum_entries([(e, a, b) if dp == d else (e, a * (d // dp), b * (d // dp))
-                                      for dp, e, a, b in parts]).items():
-        if any(num):
-            legs.setdefault(leg, {})[w] = num
-    d *= x.den
-    return TensorForm._of(calculus, {leg: DiffForm._reduce(calculus, d, words) for leg, words in legs.items()})
+    return TensorForm._reduce(calculus, d * x.den, sum_entries([
+        (e, a, b) if dp == d else (e, a * (d // dp), b * (d // dp)) for dp, e, a, b in parts]))
 
 
 def riemann_basis(calculus: Calculus, connection: SpinConnection, i: str) -> TensorForm:
@@ -424,15 +396,9 @@ def riemann_basis(calculus: Calculus, connection: SpinConnection, i: str) -> Ten
 def _fill_image(calculus: Calculus, connection: SpinConnection, slots: list, i: str, k: int) -> tuple:
     """R(m e_i), m of index k, by the formula on that one element; at slots[k] as (den, entry by (leg, word))."""
     basis = calculus.basis_form(i, calculus.algebra.monomial(k >> 2, k & 3))
-    legs = riemann_of_tensor(calculus, connection, covariant_derivative(calculus, connection, basis)).terms
-    den = lcm(*[x.den for x in legs.values()])
-    entry = []
-    for leg, x in legs.items():
-        f = den // x.den
-        for w, coords in x.nonzero():
-            for j, a, b in coords:
-                entry += ((leg, w), 2 * j, a * f, b * f)
-    slots[k] = image = (den, tuple(entry))
+    t = riemann_of_tensor(calculus, connection, covariant_derivative(calculus, connection, basis))
+    slots[k] = image = (t.den, tuple(chain.from_iterable((key, 2 * j, a, b) for key, coords in t.nonzero()
+                                                         for j, a, b in coords)))
     return image
 
 

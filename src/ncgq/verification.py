@@ -149,11 +149,12 @@ def spectral_checks(mode: str) -> list[dict]:
     """The checks on the Dirac spectrum at one root.
 
     They share nothing with `exact_checks`, so the two halves can run side by
-    side.  They use the dense solver `dirac.eigenvalues`, and so import numpy,
-    because the residual detail prints its digits.  D also goes through the
-    sector solver, for its exact check that D commutes with the left
-    multiplications, which the spectra rest on: its EigensolverError ends
-    `verify` as it ends `dirac`.
+    side.  D goes through the dense solver `dirac.eigenvalues`, and so imports
+    numpy, because the residual and trace details print its digits.  D also
+    goes through the sector solver, for its exact check that D commutes with
+    the left multiplications, which the spectra rest on: its EigensolverError
+    ends `verify` as it ends `dirac`.  Whether the connection term changes the
+    spectrum compares the sector spectra of D and of the bare D.
     """
     from .dirac import build_dirac, eigenvalues
     from .fixtures import printed_spectrum
@@ -163,7 +164,7 @@ def spectral_checks(mode: str) -> list[dict]:
     record = _recorder(mode, out)
     dm = build_dirac(mode)
     spec = eigenvalues(dm.matrix, mode=mode)
-    sector_eigenvalues(dm.matrix, mode)
+    sectors = sector_eigenvalues(dm.matrix, mode)
     printed_spectrum(mode)  # read, so a broken reference list fails verify as it fails `dirac`
     record("eigensolver residual contract (1e-9 ||M||)",
            spec.max_residual() <= 1e-9 * spec.matrix_norm,
@@ -172,9 +173,9 @@ def spectral_checks(mode: str) -> list[dict]:
     expected = sum(dm.matrix[k][k] for k in range(len(dm.matrix)))
     record("eigenvalue sum equals trace (1e-8 ||M||)",
            abs(trace - expected) <= 1e-8 * spec.matrix_norm)
-    bare_spec = eigenvalues(build_dirac(mode, include_connection=False).matrix, mode=mode)
-    full_sorted = sorted(spec.eigenvalues, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
-    bare_sorted = sorted(bare_spec.eigenvalues, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
+    bare = sector_eigenvalues(build_dirac(mode, include_connection=False).matrix, mode)
+    full_sorted = sorted(sectors.eigenvalues, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
+    bare_sorted = sorted(bare.eigenvalues, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
     differs = any(abs(a - b) > 1e-6 for a, b in zip(full_sorted, bare_sorted))
     record("connection term changes the spectrum", differs)
     return out

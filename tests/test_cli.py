@@ -478,6 +478,18 @@ NEVER_LOADED = {"dataclasses", "inspect", "argparse", "gettext", "locale",
 NOT_FOR_DIRAC = {"ncgq.algebra", "ncgq.calculus", "ncgq.riemannian", "ncgq.linalg", "numpy"}
 DIRAC_PACKAGE = {"ncgq", "ncgq.cli", "ncgq.scalars", "ncgq.fixtures", "ncgq.constants",
                  "ncgq.dirac", "ncgq.sectors"}
+# the most ncgq source lines each cold command may load: every cold run compiles them, and the
+# count, unlike wall time, repeats exactly
+SOURCE_LINE_CEILINGS = {"dirac --q 1": 1808, "dirac --q i": 1808, "dirac --q -i": 1808,
+                        "connection --q i": 2898, "curvature --q i": 2757, "audit --q i": 4157,
+                        "verify --q i": 3079, "verify --q generic": 2938}
+
+
+def source_lines(modules) -> int:
+    """The lines of the ncgq source files among the named modules."""
+    paths = [SRC / "ncgq" / "__init__.py" if m == "ncgq" else SRC.joinpath(*m.split(".")).with_suffix(".py")
+             for m in modules if m.split(".")[0] == "ncgq"]
+    return sum(len(path.read_bytes().splitlines()) for path in paths)
 
 
 class TestColdImports:
@@ -491,11 +503,13 @@ class TestColdImports:
     a Fraction only when asked for one.  `curvature` needs no exact linalg.
     Run without `site`, the commands that need no numpy load neither pathlib
     nor typing: paths are strings, and annotations are never evaluated.
+    Each loads at most its SOURCE_LINE_CEILINGS of ncgq source.
     """
 
     @pytest.mark.parametrize("command, exit_code", [
         ("dirac --q 1", 0), ("dirac --q i", 1), ("dirac --q -i", 1),
         ("connection --q i", 0), ("curvature --q i", 0), ("audit --q i", 0), ("verify --q i", 0),
+        ("verify --q generic", 0),
     ])
     def test_loads_no_dataclasses_and_dirac_no_algebra(self, command, exit_code):
         done = subprocess.run([sys.executable, "-c", IMPORTS_ENTRY, *command.split()],
@@ -505,6 +519,7 @@ class TestColdImports:
         loaded = set(loaded.split())
         assert done.returncode == exit_code, lines
         assert "ncgq.cli" in loaded and not loaded & NEVER_LOADED
+        assert source_lines(loaded) <= SOURCE_LINE_CEILINGS[command]
         if command.startswith("dirac"):
             assert not loaded & NOT_FOR_DIRAC
             assert {m for m in loaded if m.startswith("ncgq")} == DIRAC_PACKAGE

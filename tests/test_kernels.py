@@ -20,6 +20,7 @@ import pytest
 from ncgq.algebra import (AlgebraElement, QuantumAlgebra, TensorElement, basis_monomials,
                           monomial_product, monomial_table)
 from ncgq.calculus import Calculus, DiffForm, ExteriorAlgebra, FORMS
+from ncgq.riemannian import TensorForm
 from ncgq.scalars import GaussianRational
 from test_table_oracles import (oracle_antipode, oracle_apply, oracle_coproduct, oracle_d,
                                 oracle_multiply_out, oracle_mul, oracle_pure, oracle_tensor_mul,
@@ -87,21 +88,29 @@ def vector_coeffs(vec: list, den: int) -> dict:
 def assert_canonical(x) -> None:
     """den > 0 and gcd(den, *num) == 1, zero is den == 1, and .coeffs is num / den coordinatewise.
 
-    For a form: one den over every word's vector, no all-zero word, and .terms holds each
-    word's vector over den as a canonical element.
+    For a tensor, form or tensor form: one den over every key's 32-int vector and no all-zero
+    vector.  A tensor's .coeffs reads each left index's vector over den; a form's .terms holds
+    each word's vector over den as a canonical element, and a tensor form's .terms each right
+    leg's words as a canonical form.
     """
-    if isinstance(x, TensorElement):
-        values = [v for ab in x.num.values() for v in ab]
-        assert all(a or b for a, b in x.num.values())
-        assert x.coeffs == {(basis_monomials()[i], basis_monomials()[j]): GaussianRational(
-            Fraction(a, x.den), Fraction(b, x.den)) for (i, j), (a, b) in x.num.items()}
-    elif isinstance(x, DiffForm):
+    if isinstance(x, (TensorElement, DiffForm, TensorForm)):
         values = [v for vec in x.num.values() for v in vec]
         assert all(len(vec) == 32 and any(vec) for vec in x.num.values())
+    if isinstance(x, TensorElement):
+        monomials = basis_monomials()
+        assert x.coeffs == {(monomials[i], m): c for i, vec in x.num.items()
+                            for m, c in vector_coeffs(vec, x.den).items()}
+    elif isinstance(x, DiffForm):
         assert list(x.terms) == list(x.num)
         for w, f in x.terms.items():
             assert_canonical(f)
             assert f.coeffs == vector_coeffs(x.num[w], x.den)
+    elif isinstance(x, TensorForm):
+        assert list(x.terms) == list(dict.fromkeys(k for k, _ in x.num))
+        for k, leg in x.terms.items():
+            assert_canonical(leg)
+            assert {w: f.coeffs for w, f in leg.terms.items()} == {
+                w: vector_coeffs(vec, x.den) for (k2, w), vec in x.num.items() if k2 == k}
     else:
         values = x.num
         assert len(values) == 32
@@ -331,6 +340,78 @@ def test_mixed_modes_raise_in_the_form_constructor_and_sum_even_on_a_zero_term()
         for lhs, rhs in ((x, other), (other, x), (cal_i.zero(), other)):
             with pytest.raises(ValueError, match="mixed q modes"):
                 lhs + rhs
+
+
+# -- tensors and tensor forms share that layout, keyed by left index and by (right leg, word) --------
+
+
+def unequal_denominators(rng: random.Random, make, n: int) -> list:
+    """n values make(rng) with pairwise unequal denominators."""
+    while True:
+        values = [make(rng) for _ in range(n)]
+        if len({x.den for x in values}) == n:
+            return values
+
+
+def test_tensors_and_tensor_forms_are_canonical_over_one_denominator(cal):
+    alg = cal.algebra
+    rng = random.Random(107)
+    for _ in range(10):
+        # a tensor whose three left legs carry right legs of pairwise unequal denominators
+        lefts = rng.sample(basis_monomials(), 3)
+        rights = unequal_denominators(rng, lambda r: element(alg, r, shared_denominators, r.randint(1, 16)), 3)
+        s = TensorElement(alg)
+        for m, y in zip(lefts, rights):
+            s = s + TensorElement.pure(alg.monomial(*m), y)
+        assert s == TensorElement(alg, {(m, m2): c for m, y in zip(lefts, rights) for m2, c in y.coeffs.items()})
+        assert s.den == math.lcm(*[y.den for y in rights])
+        # a tensor form whose right legs carry left legs of pairwise unequal denominators
+        legs = [dict(zip(rng.sample(FORMS, 3),
+                         unequal_denominators(rng, lambda r: form(cal, r, shared_denominators), 3)))
+                for _ in range(2)]
+        u, v = (TensorForm(cal, x) for x in legs)
+        assert u.den == math.lcm(*[x.den for x in legs[0].values()]) and u.terms == legs[0]
+        k, g = shared_denominators(rng) or GaussianRational(5), element(alg, rng, large_denominators, 16)
+        for x, y in ((s, tensor(alg, rng, shared_denominators)), (u, v)):
+            for got in (x, y, x + y, x - y, -x, x.scale(k)) + ((x.left_multiply(g),) if x is u else ()):
+                assert_canonical(got)
+            for a, b in (((x + y) - y, x), (x.scale(k).scale(k.inverse()), x), (y + x, x + y)):
+                assert a == b and (a.den, a.num) == (b.den, b.num)
+            zero = x - x
+            assert not zero and (zero.den, zero.num) == (1, {})
+        # a tensor form's legs are the sums of the legs of its summands
+        for leg in set(legs[0]) | set(legs[1]):
+            want = legs[0].get(leg, cal.zero()) + legs[1].get(leg, cal.zero())
+            assert (u + v).terms.get(leg, cal.zero()) == want
+
+
+def test_curvature_drops_a_word_that_cancels(cal):
+    # the reference connection is constant, so R(e_a) and R(e_b) have scalar coefficients, and one
+    # combination of e_a and e_b cancels a (leg, word) they share exactly
+    from ncgq.riemannian import reference_connection, riemann, riemann_basis
+
+    conn = reference_connection(cal)
+    ra, rb = riemann_basis(cal, conn, "a"), riemann_basis(cal, conn, "b")
+    key = next(k for k in ra.num if k in rb.num)
+    assert not any(ra.num[key][2:]) and not any(rb.num[key][2:])
+    ca, cb = (GaussianRational(Fraction(r.num[key][0], r.den), Fraction(r.num[key][1], r.den)) for r in (ra, rb))
+    got = riemann(cal, conn, DiffForm(cal, {("a",): cal.algebra.scalar(cb), ("b",): cal.algebra.scalar(-ca)}))
+    assert got == ra.scale(cb) - rb.scale(ca) and got and key not in got.num
+    assert_canonical(got)
+
+
+def test_mixed_modes_raise_for_tensors_and_tensor_forms():
+    alg_i, alg_mi = QuantumAlgebra("i"), QuantumAlgebra("-i")
+    cal_i, cal_mi = Calculus(alg_i), Calculus(alg_mi)
+    s, t = TensorElement.pure(alg_i.alpha, alg_i.beta), TensorElement.pure(alg_mi.alpha, alg_mi.beta)
+    u, v = TensorForm(cal_i, {"a": cal_i.basis_form("b")}), TensorForm(cal_mi, {"a": cal_mi.basis_form("b")})
+    assert (s.den, s.num) == (t.den, t.num) and s != t
+    assert (u.den, u.num) == (v.den, v.num) and u != v
+    for op in (lambda: s + t, lambda: t - s, lambda: s * t, lambda: u + v, lambda: v - u,
+               lambda: u + TensorForm(cal_mi, {}), lambda: u.left_multiply(alg_mi.one),
+               lambda: TensorForm(cal_i, {"a": cal_i.basis_form("b"), "b": cal_mi.zero()})):
+        with pytest.raises(ValueError, match="mixed q modes"):
+            op()
 
 
 def test_warm_wedge_d_and_curvature_make_no_algebra_element(cal, monkeypatch):
