@@ -11,7 +11,7 @@ generators eliminated on input:
 bstar := 0 is the unique normal form (within scalar multiples of the
 reference column a^k b^3 shape) for which the counit and antipode axioms
 close exactly on all 16 basis monomials; the reference right-translation
-matrix instead encodes bstar = q^2 (a - 1) b^3, and audit_relations()
+matrix instead encodes bstar = q^2 (a - 1) b^3, and hopf.relation_residuals()
 reports every defining relation that the operational normal forms break.
 The reference matrices stay the operative input of the spectral layer.
 
@@ -32,7 +32,6 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import add
 
-from .fixtures import TranslationMatrix
 from .scalars import ZERO, ONE, GaussianRational, format_gaussian, gaussian, parse_gaussian, q_root
 
 Monomial = tuple[int, int]  # (p, r): exponents of a and b
@@ -450,6 +449,8 @@ class QuantumAlgebra:
 
     def coproduct(self, x: AlgebraElement) -> TensorElement:
         """Delta x, read from the per-mode table of the 16 monomial images."""
+        from .hopf import coproduct_table
+
         return TensorElement._reduce(self, x.den, _apply_images(coproduct_table(self.mode), x))
 
     def counit(self, x: AlgebraElement) -> GaussianRational:
@@ -465,6 +466,8 @@ class QuantumAlgebra:
 
     def antipode(self, x: AlgebraElement) -> AlgebraElement:
         """Anti-multiplicative extension of the generator values, read from the per-mode table."""
+        from .hopf import antipode_table
+
         acc = _apply_images(antipode_table(self.mode), x)
         return AlgebraElement._reduce(self, x.den, acc.get(0) or [0] * (2 * DIM))
 
@@ -475,42 +478,28 @@ class QuantumAlgebra:
     def antipode_axiom_defect(self, x: AlgebraElement) -> tuple[AlgebraElement, AlgebraElement]:
         """Both convolution identities minus eps(x)*1, read from the per-mode table of the 16
         monomial images; exact zeros when the axiom holds."""
+        from .hopf import antipode_defect_table
+
         acc = _apply_images(antipode_defect_table(self.mode), x)
         return (AlgebraElement._reduce(self, x.den, acc.get(0) or [0] * (2 * DIM)),
                 AlgebraElement._reduce(self, x.den, acc.get(1) or [0] * (2 * DIM)))
 
     # -- translation operators -----------------------------------------------
 
-    def right_multiplication_matrix(self, x: AlgebraElement) -> TranslationMatrix:
+    def right_multiplication_matrix(self, x: AlgebraElement) -> "TranslationMatrix":
+        from .fixtures import TranslationMatrix  # here: only the audit and the tests build one
+
         cols = [(self.monomial(p, r) * x).coords() for (p, r) in basis_monomials()]
         entries = tuple(tuple(cols[j][i] for j in range(DIM)) for i in range(DIM))
         return TranslationMatrix(entries=entries)
 
-    def translation_matrix(self, name: str) -> TranslationMatrix:
+    def translation_matrix(self, name: str) -> "TranslationMatrix":
         return self.right_multiplication_matrix(self.generator(name))
 
     # -- generator matrix -------------------------------------------------------
 
     def generator_matrix(self) -> list[list[AlgebraElement]]:
         return [[self.alpha, self.beta], [self.beta_star, self.delta]]
-
-    # -- relation audit -----------------------------------------------------------
-
-    def relation_residuals(self) -> dict[str, AlgebraElement]:
-        """Residual (lhs - rhs) of each defining relation under the operational normal forms."""
-        bs, dl = self.beta_star, self.delta
-        a, b, mu = self.alpha, self.beta, self.mu
-        q2 = self.q2
-        return {
-            "b a = q^2 a b": b * a - (a * b).scale(q2),
-            "delta a = a delta": dl * a - a * dl,
-            "[b, bstar] = mu a (delta - a)": (b * bs - bs * b) - (a * (dl - a)).scale(mu),
-            "[delta, b] = mu a b": (dl * b - b * dl) - (a * b).scale(mu),
-            "a delta - q^2 bstar b = 1": a * dl - (bs * b).scale(q2) - self.one,
-            "a^4 = 1": self.alpha ** 4 - self.one,
-            "delta^4 = 1": dl ** 4 - self.one,
-            "b^4 = bstar^4": self.beta ** 4 - bs ** 4,
-        }
 
 
 # -- numerator vectors: each map sums plain ints over one denominator --------------------
@@ -573,68 +562,3 @@ def sum_entries(terms: Iterable[tuple]) -> dict:
 def _apply_images(images: tuple, x: AlgebraElement) -> dict:
     """The linear map whose image of monomial index k is images[k], on x's numerators (over x.den)."""
     return sum_entries([(images[k], a, b) for k, a, b in x.nonzero()])
-
-
-@lru_cache(maxsize=None)
-def coproduct_table(mode: str) -> tuple[tuple, ...]:
-    """Delta(a^p b^r) = Delta(a)^p Delta(b)^r at index 4p + r, as flat entries keyed by left index i.
-
-    The slots of key i hold the right legs m_j of the terms m_i (x) m_j.
-
-    Built once per q mode on first use; shared, so never mutate it.
-    """
-    alg = QuantumAlgebra(mode)
-    da = TensorElement.pure(alg.alpha, alg.alpha) + TensorElement.pure(alg.beta, alg.beta_star)
-    db = TensorElement.pure(alg.alpha, alg.beta) + TensorElement.pure(alg.beta, alg.delta)
-    unit = TensorElement.pure(alg.one, alg.one)
-    images = []
-    for p, r in basis_monomials():
-        term = unit
-        for _ in range(p):
-            term = term * da
-        for _ in range(r):
-            term = term * db
-        images.append(flat_entry({(monomial_index(m1), m2): c for (m1, m2), c in term.coeffs.items()},
-                                 f"Delta({monomial_name((p, r))})"))
-    return tuple(images)
-
-
-@lru_cache(maxsize=None)
-def antipode_table(mode: str) -> tuple[tuple, ...]:
-    """S(a^p b^r) = S(b)^r S(a)^p at index 4p + r, as flat entries under the one key 0.
-
-    Built once per q mode on first use; shared, so never mutate it.
-    """
-    alg = QuantumAlgebra(mode)
-    s_a = alg.antipode_on_generator("alpha")
-    s_b = alg.antipode_on_generator("beta")
-    images = []
-    for p, r in basis_monomials():
-        term = alg.one
-        for _ in range(r):  # reversed word
-            term = term * s_b
-        for _ in range(p):
-            term = term * s_a
-        images.append(flat_entry({(0, m): c for m, c in term.coeffs.items()}, f"S({monomial_name((p, r))})"))
-    return tuple(images)
-
-
-@lru_cache(maxsize=None)
-def antipode_defect_table(mode: str) -> tuple[tuple, ...]:
-    """The antipode axiom defects of a^p b^r at index 4p + r, as flat entries: under key 0
-    m(S (x) id) Delta(a^p b^r) - eps(a^p b^r) 1, under key 1 m(id (x) S) Delta(a^p b^r) - eps(a^p b^r) 1.
-
-    Each entry is filled once from that formula: coproduct, apply, multiply_out, minus the
-    counit.  Both axioms hold exactly when every entry is (), a proof, since both sides are linear.
-    Built once per q mode on first use; shared, so never mutate it.
-    """
-    alg = QuantumAlgebra(mode)
-    images = []
-    for p, r in basis_monomials():
-        m = alg.monomial(p, r)
-        dm, unit = alg.coproduct(m), alg.scalar(m.counit())
-        sides = (dm.apply(alg.antipode, None), dm.apply(None, alg.antipode))
-        images.append(flat_entry({(key, mk): c for key, side in enumerate(sides)
-                                  for mk, c in (side.multiply_out() - unit).coeffs.items()},
-                                 f"antipode defect of {monomial_name((p, r))}"))
-    return tuple(images)

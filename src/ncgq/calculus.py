@@ -186,29 +186,6 @@ class ExteriorAlgebra:
             entry = slots[k] = tuple((w, j >> 1, s, t) for w, j, s, t in zip(it, it, it, it))
         return entry
 
-    def graded_dimensions(self) -> list[int]:
-        """Dimension of each graded piece, computed by exact reduction, not assumed.
-
-        Degree d is spanned by the reductions of the normal monomials n of
-        degree d - 1 followed by one letter x.  Every word of degree d is some
-        w·x, and reduce(w·x) = reduce(reduce(w)·x): the rewriting terminates
-        and is confluent (`verify` checks it on every triple of letters), so a
-        word has one normal form whatever order its rewrites take; and reduce(w)
-        is a sum of such n.  So four words per normal monomial stand in for all
-        4^d words of degree d.
-        """
-        from . import linalg
-
-        dims = []
-        reduced = [self.reduce_word(())]
-        for _ in range(9):  # safety bound; the calculus terminates well before it
-            if not any(reduced):
-                break
-            normal = sorted({m for red in reduced for m in red})
-            dims.append(linalg.rank([[red.get(m, ZERO) for m in normal] for red in reduced]))
-            reduced = [self.reduce_word(n + (x,)) for n in normal for x in FORMS]
-        return dims
-
 
 @lru_cache(maxsize=None)
 def default_exterior(mode: str) -> ExteriorAlgebra:
@@ -436,34 +413,6 @@ class Calculus:
             vals = self.pi_tilde(self.algebra.monomial(p, r))
             cols.append([vals[f] for f in FORMS])
         return [[cols[j][k] for j in range(16)] for k in range(4)]
-
-    # -- braided-Lie structure constants, first principles ------------------------------
-
-    def right_coaction_on_form(self, form: str) -> list[tuple[str, AlgebraElement]]:
-        """Delta_R(e_form) as sum e_g (x) (algebra element)."""
-        alg = self.algebra
-        t = alg.generator_matrix()
-        al, be = MATRIX_UNITS[form]
-        out = [(g, t[ga][al] * alg.antipode(t[be][de])) for g, (ga, de) in MATRIX_UNITS.items()]
-        return [(g, c) for g, c in out if c]
-
-    def ad_right(self) -> dict[str, dict[tuple[str, str], GaussianRational]]:
-        """(id (x) pi_tilde) applied to the right coaction, from first principles."""
-        return self._ad(left=False)
-
-    def ad_left(self) -> dict[str, dict[tuple[str, str], GaussianRational]]:
-        """(pi_tilde (x) id) applied to the flipped coaction with inverse antipode."""
-        return self._ad(left=True)
-
-    def _ad(self, left: bool) -> dict[str, dict[tuple[str, str], GaussianRational]]:
-        # each coaction term has its own g and each projection its own k, so no key repeats
-        out: dict[str, dict[tuple[str, str], GaussianRational]] = {}
-        for form in FORMS:
-            row = out[form] = {}
-            for g, coeff in self.right_coaction_on_form(form):
-                proj = self.pi_tilde(self.algebra.inverse_antipode(coeff) if left else coeff)
-                row.update({((k, g) if left else (g, k)): s for k, s in proj.items() if s})
-        return out
 
     # -- kernel computations --------------------------------------------------------------
 

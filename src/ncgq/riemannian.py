@@ -157,7 +157,7 @@ class SpinConnection:
     def __init__(self, coefficients: dict, source: str):
         self.coefficients = coefficients
         self.source = source  # "solver" | "reference-table"
-        # (q mode, i) -> (den, num) of nabla e_i, and the 16 images R(m e_i) (see riemann), filled on first use
+        # (q mode, i) -> (den, num, support) of nabla e_i, and the 16 images R(m e_i) (see riemann), filled on first use
         self._nabla = {}
         self._riemann = {}
 
@@ -340,8 +340,8 @@ def covariant_derivative_basis(calculus: Calculus, connection: SpinConnection, i
         out = TensorForm(calculus, {})
         for (j, k), c in printed_ad_tables(calculus.algebra.q)[0][i].items():
             out = out + TensorForm(calculus, {k: connection.form(j, calculus).scale(-c)})
-        # kept as plain data; each call wraps it in its own calculus
-        value = connection._nabla[key] = (out.den, out.num)
+        # kept as plain data with its support; each call wraps it in its own calculus
+        value = connection._nabla[key] = (out.den, out.num, out.nonzero())
     return TensorForm._of(calculus, *value)
 
 
@@ -357,19 +357,37 @@ def covariant_derivative(calculus: Calculus, connection: SpinConnection, x: Diff
 
 
 def riemann_of_tensor(calculus: Calculus, connection: SpinConnection, t: TensorForm) -> TensorForm:
-    """(id ^ nabla - d (x) id) applied to an element of Omega^1 (x) Lambda^1."""
+    """(id ^ nabla - d (x) id) applied to an element of Omega^1 (x) Lambda^1, reduced by one gcd."""
     # id ^ nabla on the invariant right leg: the wedges onto each leg m, summed at once, with
     # the legs in the order of their first term
     wedges: dict[str, list] = {}
-    for k, x in t.terms.items():
-        for m, leg in covariant_derivative_basis(calculus, connection, k).terms.items():
+    t_legs = _legs(t)
+    for k, x in t_legs.items():
+        for m, leg in _legs(covariant_derivative_basis(calculus, connection, k)).items():
             wedges.setdefault(m, []).append((x, leg))
         wedges.setdefault(k, [])
-    legs = {m: calculus.wedge_sum(pairs) for m, pairs in wedges.items()}
-    # - d (x) id
-    for k, x in t.terms.items():
-        legs[k] = legs[k] - calculus.exterior_d(x, normalized=True)
-    return TensorForm(calculus, legs)
+    sums = {m: calculus.wedge_sum(pairs) for m, pairs in wedges.items()}
+    # - d (x) id, each d after its leg's wedge sum: the order in which their difference lists its words
+    ds = {k: calculus.exterior_d(x, normalized=True) for k, x in t_legs.items()}
+    parts = [(m, x, sign) for m in sums for x, sign in ((sums[m], 1), (ds.get(m), -1)) if x]
+    den, num = lcm(*[x.den for _, x, _ in parts]), {}
+    for m, x, sign in parts:
+        f = sign * (den // x.den)
+        for w, vec in x.num.items():
+            mine = num.get((m, w))
+            num[(m, w)] = [v * f for v in vec] if mine is None else [u + v * f for u, v in zip(mine, vec)]
+    return TensorForm._reduce(calculus, den, num)
+
+
+def _legs(t: TensorForm) -> dict[str, DiffForm]:
+    """{right leg: left leg} of t in the order of their first words, over t.den as the keyed vectors
+    stand: not reduced, so only for wedge_sum and exterior_d, which reduce what they return."""
+    legs: dict = {}
+    for (k, w), coords in t.nonzero():
+        leg = legs.get(k) or legs.setdefault(k, DiffForm._of(t.calculus, t.den, {}, []))
+        leg.num[w] = t.num[(k, w)]
+        leg._nonzero.append((w, coords))
+    return legs
 
 
 def riemann(calculus: Calculus, connection: SpinConnection, x: DiffForm) -> TensorForm:

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from ncgq import fixtures, sectors
-from ncgq.cli import BLAS_THREAD_VARIABLES, alongside, main
+from ncgq.cli import main
+from ncgq.cmd_verify import BLAS_THREAD_VARIABLES, alongside
 from ncgq.dirac import build_dirac
 
 COMMITTED_FIXTURES = Path(fixtures.__file__).resolve().parent / "fixtures"
@@ -224,6 +225,15 @@ def _bad_symbol(path: Path) -> None:
     path.write_text(json.dumps(doc))
 
 
+def _malformed(tmp_path) -> str:
+    """A copy of the committed fixture directory in which no file is JSON."""
+    broken = tmp_path / "fixtures"
+    shutil.copytree(COMMITTED_FIXTURES, broken)
+    for path in broken.glob("*.json"):
+        _truncate(path)
+    return str(broken)
+
+
 def _short_spectrum(path: Path) -> None:
     doc = json.loads(path.read_text())
     doc["lists"]["i"] = doc["lists"]["i"][:31]
@@ -276,6 +286,20 @@ class TestFixtureErrors:
         assert not out
         assert err.startswith("fixture error: ") and err.count("\n") == 1
         assert name in err and "finite numbers" in err
+
+    @pytest.mark.parametrize("command", ["dirac", "audit", "verify"])
+    def test_a_cold_command_that_reads_a_malformed_fixture_exits_3(self, command, tmp_path):
+        # cold, so FixtureError is found only among the modules the command itself loaded
+        code, out, lines, report = run_cold([command, "--q", "i"], NCGQ_FIXTURES=_malformed(tmp_path))
+        assert (code, out) == (3, b"")
+        assert len(lines) == 1 and lines[0].startswith("fixture error: "), lines
+        assert not report["child_left"]
+
+    @pytest.mark.parametrize("command", ["connection", "curvature"])
+    def test_connection_and_curvature_read_no_fixture(self, command, tmp_path):
+        clean = run_cold([command, "--q", "i"])
+        assert clean[0] == 0
+        assert run_cold([command, "--q", "i"], NCGQ_FIXTURES=_malformed(tmp_path)) == clean
 
     def test_committed_fixtures_pass_their_shape_checks(self, tmp_path, monkeypatch):
         intact = tmp_path / "fixtures"
@@ -476,13 +500,15 @@ sys.exit(code)
 NEVER_LOADED = {"dataclasses", "inspect", "argparse", "gettext", "locale",
                 "fractions", "decimal", "numbers"}
 NOT_FOR_DIRAC = {"ncgq.algebra", "ncgq.calculus", "ncgq.riemannian", "ncgq.linalg", "numpy"}
-DIRAC_PACKAGE = {"ncgq", "ncgq.cli", "ncgq.scalars", "ncgq.fixtures", "ncgq.constants",
+DIRAC_PACKAGE = {"ncgq", "ncgq.cli", "ncgq.cmd_dirac", "ncgq.scalars", "ncgq.fixtures", "ncgq.constants",
                  "ncgq.dirac", "ncgq.sectors"}
+# each command's handler module; a command loads its own and no other
+HANDLERS = {f"ncgq.cmd_{name}" for name in ("verify", "connection", "curvature", "dirac", "audit")}
 # the most ncgq source lines each cold command may load: every cold run compiles them, and the
 # count, unlike wall time, repeats exactly
-SOURCE_LINE_CEILINGS = {"dirac --q 1": 1808, "dirac --q i": 1808, "dirac --q -i": 1808,
-                        "connection --q i": 2898, "curvature --q i": 2757, "audit --q i": 4157,
-                        "verify --q i": 3079, "verify --q generic": 2938}
+SOURCE_LINE_CEILINGS = {"dirac --q 1": 1589, "dirac --q i": 1589, "dirac --q -i": 1589,
+                        "connection --q i": 2398, "curvature --q i": 2245, "audit --q i": 3817,
+                        "verify --q i": 2801, "verify --q generic": 2557}
 
 
 def source_lines(modules) -> int:
@@ -503,7 +529,10 @@ class TestColdImports:
     a Fraction only when asked for one.  `curvature` needs no exact linalg.
     Run without `site`, the commands that need no numpy load neither pathlib
     nor typing: paths are strings, and annotations are never evaluated.
-    Each loads at most its SOURCE_LINE_CEILINGS of ncgq source.
+    Each loads at most its SOURCE_LINE_CEILINGS of ncgq source, and of the
+    handler modules only its own.  `connection`, `curvature` and `verify
+    --q generic` read no fixture, so they load no fixtures module; `audit`
+    loads no verification module.
     """
 
     @pytest.mark.parametrize("command, exit_code", [
@@ -520,6 +549,11 @@ class TestColdImports:
         assert done.returncode == exit_code, lines
         assert "ncgq.cli" in loaded and not loaded & NEVER_LOADED
         assert source_lines(loaded) <= SOURCE_LINE_CEILINGS[command]
+        assert loaded & HANDLERS == {"ncgq.cmd_" + command.split()[0]}
+        if command in ("connection --q i", "curvature --q i", "verify --q generic"):
+            assert "ncgq.fixtures" not in loaded
+        if command.startswith("audit"):
+            assert "ncgq.verification" not in loaded
         if command.startswith("dirac"):
             assert not loaded & NOT_FOR_DIRAC
             assert {m for m in loaded if m.startswith("ncgq")} == DIRAC_PACKAGE
@@ -536,7 +570,8 @@ class TestColdImports:
         assert "ncgq.audit" in loaded.split()
         assert not set(loaded.split()) & {"pickle", "signal", "numpy"}
 
-    @pytest.mark.parametrize("command", ["dirac --q 1", "connection --q i", "curvature --q i", "audit --q i"])
+    @pytest.mark.parametrize("command", ["dirac --q 1", "connection --q i", "curvature --q i", "audit --q i",
+                                         "verify --q generic"])
     def test_loads_no_pathlib_or_typing_without_site(self, command):
         # -S: no `site`, so no .pth file of an installed package loads either module first
         done = subprocess.run([sys.executable, "-S", "-c", IMPORTS_ENTRY, *command.split()],
@@ -547,11 +582,19 @@ class TestColdImports:
         assert done.returncode == 0, lines
         assert "ncgq.cli" in loaded and not loaded & {"pathlib", "typing"}
 
+    def test_handler_modules_load_no_pathlib_or_typing_without_site(self):
+        # verify's forked half needs numpy, which -S leaves off the path, so its handler is imported here
+        program = (f"import sys, {', '.join(sorted(HANDLERS))}\n"
+                   "print(sorted(m for m in ('pathlib', 'typing') if m in sys.modules))\n")
+        done = subprocess.run([sys.executable, "-S", "-c", program], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+        assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
 
 # exercises alongside() in a cold process, where it forks; prints one JSON line
 HELPER_PROGRAM = """
 import json, os, signal, sys, time
-from ncgq.cli import BLAS_THREAD_VARIABLES, alongside
+from ncgq.cmd_verify import BLAS_THREAD_VARIABLES, alongside
 
 parent = os.getpid()
 inline = []

@@ -19,9 +19,9 @@ from fractions import Fraction
 
 import pytest
 
-from ncgq.algebra import (AlgebraElement, QuantumAlgebra, TensorElement, antipode_defect_table,
-                          antipode_table, basis_monomials, monomial_product)
+from ncgq.algebra import AlgebraElement, QuantumAlgebra, TensorElement, basis_monomials, monomial_product
 from ncgq.calculus import Calculus, DiffForm, FORMS, bimodule_table
+from ncgq.hopf import antipode_defect_table, antipode_table
 from ncgq.scalars import ONE, GaussianRational
 
 ORDERED_WORDS = [w for n in range(5) for w in itertools.combinations(FORMS, n)]
