@@ -51,8 +51,6 @@ MATRIX_UNITS = {"a": (0, 0), "b": (0, 1), "c": (1, 0), "d": (1, 1)}
 WedgeWord = tuple[str, ...]
 # the 16 ordered words: the keys of a form
 _WORDS = frozenset(w for n in range(5) for w in combinations(FORMS, n))
-# a form as its scalar coordinates {(word, monomial): coefficient}
-Terms = dict[tuple[WedgeWord, Monomial], GaussianRational]
 
 
 @lru_cache(maxsize=None)
@@ -112,6 +110,9 @@ class ExteriorAlgebra:
         self.mu = ONE - (q * q).inverse()
         self.mode = "i" if q == q_root("i") else "-i"
         self._pair_rules = self._build_pair_rules()
+        # the bimodule table as Gaussian integers: (form, index) -> terms (A, B, monomial index, form)
+        self._moves = {(x, 4 * p + r): tuple((*c.triple[:2], 4 * m[0] + m[1], y) for c, m, y in terms)
+                       for (x, (p, r)), terms in bimodule_table(self.mode).items()}
         self._memo: dict[WedgeWord, dict[WedgeWord, GaussianRational]] = {}
         # (w1, w2) -> the 16 slots of e_w1 m ^ e_w2 by monomial index, None until read
         self._products: dict = {}
@@ -159,31 +160,30 @@ class ExteriorAlgebra:
     def word_product(self, w1: WedgeWord, k: int, w2: WedgeWord) -> tuple:
         """e_w1 m ^ e_w2, for m of monomial index k, as terms (ordered word, monomial index, A, B).
 
-        Each term is (A + B*i) times that monomial times e_word: a flat table
-        entry (see flat_entry) read off in fours, with each slot halved to its
-        index, as the wedge kernel reads it.  Filled on first use by moving m past the letters of w1, right to left,
-        through the bimodule table, then reducing each word followed by w2.
-        Shared, so never mutate it.
+        Each term is (A + B*i) times that monomial times e_word.  Filled on first use in Gaussian
+        integers, by moving m past the letters of w1, right to left, through the bimodule table and
+        reducing each word followed by w2.  Shared, so never mutate it.
         """
         slots = self._products.get((w1, w2)) or self._products.setdefault((w1, w2), [None] * DIM)
         entry = slots[k]
         if entry is None:
-            table = bimodule_table(self.mode)
-            moved: Terms = {((), (k >> 2, k & 3)): ONE}
+            moved = {((), k): (1, 0)}
             for letter in reversed(w1):
-                nxt: Terms = {}
-                for (tail, m1), c in moved.items():
-                    for s, m2, fm in table[(letter, m1)]:
-                        key, v = ((fm,) + tail, m2), c * s
-                        nxt[key] = nxt[key] + v if key in nxt else v
+                nxt: dict = {}
+                for (tail, m1), (c, e) in moved.items():
+                    for s, t, m2, fm in self._moves[(letter, m1)]:
+                        u, v = nxt.get(key := ((fm,) + tail, m2), (0, 0))
+                        nxt[key] = u + c * s - e * t, v + c * t + e * s
                 moved = nxt
-            acc: Terms = {}
-            for (w, m1), c in moved.items():
-                for wred, s in self.reduce_word(w + w2).items():
-                    key, v = (wred, m1), c * s
-                    acc[key] = acc[key] + v if key in acc else v
-            it = iter(flat_entry(acc, f"{w1} {monomial_name((k >> 2, k & 3))} ^ {w2}"))
-            entry = slots[k] = tuple((w, j >> 1, s, t) for w, j, s, t in zip(it, it, it, it))
+            acc: dict = {}
+            for (w, m1), (c, e) in moved.items():
+                for wred, g in self.reduce_word(w + w2).items():
+                    s, t, d = g.triple
+                    if d != 1:  # a non-integral rule coefficient: flat_entry raises, naming the entry
+                        flat_entry({(wred, divmod(m1, 4)): g}, f"{w1} {monomial_name(divmod(k, 4))} ^ {w2}")
+                    u, v = acc.get(key := (wred, m1), (0, 0))
+                    acc[key] = u + c * s - e * t, v + c * t + e * s
+            entry = slots[k] = tuple((w, j, a, b) for (w, j), (a, b) in acc.items() if a or b)
         return entry
 
 
@@ -384,14 +384,12 @@ class Calculus:
     def _d_image(self, slots: list, k: int, w: WedgeWord) -> tuple:
         """The unnormalised d(m e_w) = theta ^ m e_w - sigma(m e_w) ^ theta, for m of index k.
 
-        Stored as a flat table entry at slots[k].
+        Stored as a flat table entry at slots[k].  Its coefficients are Gaussian integers, as are
+        those of every word product it sums; a non-integral pair rule raises there.
         """
-        name = f"d({monomial_name((k >> 2, k & 3))} {w})"
         basis = self._single(w, self.algebra.monomial(k >> 2, k & 3))
         sigma = -basis if len(w) % 2 else basis
         image = self.wedge(self.theta(), basis) - self.wedge(sigma, self.theta())
-        if image.den != 1:  # flat_entry names the first non-integral coefficient
-            flat_entry({(v, m): c for v, g in image.terms.items() for m, c in g.coeffs.items()}, name)
         slots[k] = entry = tuple(chain.from_iterable((v, 2 * j, a, b) for v, coords in image.nonzero()
                                                      for j, a, b in coords))
         return entry

@@ -19,10 +19,10 @@ human-oriented and unstable.  Files are written atomically; a symlink is
 written through.  `audit --q generic` audits q = i; `audit --q 1` is a
 configuration error.
 
-Only `verify` forks: at a root it computes its spectral half, which imports
-numpy for the dense solver, in a child while this process computes the exact
-half (see cmd_verify.alongside); the bytes and exit codes are those of a
-sequential run.  `audit` runs in one process, its four sections on one calculus.
+Only `verify` forks, at a root and before it compiles the exact half: the child
+imports numpy, fixtures, dirac and sectors for the spectral half while this
+process compiles and computes the exact one (see cmd_verify.alongside); the
+bytes and exit codes are a sequential run's.  `audit` runs in one process.
 
 Each command imports only what it runs, since a cold run compiles every module
 it imports.  This dispatcher imports the command's handler, cmd_<command>,

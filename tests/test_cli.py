@@ -334,12 +334,38 @@ def run_cold(args, **env):
     return done.returncode, done.stdout, lines, json.loads(report)
 
 
+# a cold `verify` whose forked child, as its spectral half starts, writes the ncgq modules it has
+# loaded to the file named first; after main returns, a last stderr line says whether numpy was loaded
+EARLY_FORK_ENTRY = """
+import json, os, sys
+import ncgq.verification
+
+parent, seen, spectral_checks = os.getpid(), sys.argv.pop(1), ncgq.verification.spectral_checks
+
+
+def spy(mode):
+    if os.getpid() != parent:
+        with open(seen, "w") as fh:
+            json.dump(sorted(m for m in sys.modules if m.startswith("ncgq")), fh)
+    return spectral_checks(mode)
+
+
+ncgq.verification.spectral_checks = spy
+from ncgq.cli import main
+code = main()
+sys.stderr.write(json.dumps({"numpy": "numpy" in sys.modules}) + "\\n")
+sys.exit(code)
+"""
+
+
 class TestForkedSpectralHalf:
     """Cold `verify` computes its spectral half in a forked child.
 
     The parent never loads numpy, leaves no child behind and emits the bytes
     of the golden records.  A top-level numpy import in `verification` would
-    turn the overlap off silently; these tests would catch it.
+    turn the overlap off silently; these tests would catch it.  So would a
+    top-level import of the exact stack in `cmd_verify` or `verification`,
+    which the child would inherit, so that the halves took turns.
     """
 
     @pytest.mark.parametrize("command", ["verify --q i", "verify --q -i"])
@@ -350,6 +376,19 @@ class TestForkedSpectralHalf:
     def test_failing_child_gives_the_inline_error(self, command, tmp_path):
         # the child fails on the NaN; the parent's inline rerun reports it
         _assert_nan_spectrum_is_one_line_exit_3(command, tmp_path)
+
+    @pytest.mark.parametrize("q", ["i", "-i"])
+    def test_the_child_forks_before_the_parent_compiles_the_exact_half(self, q, tmp_path):
+        seen = tmp_path / "child_modules.json"
+        done = subprocess.run([sys.executable, "-c", EARLY_FORK_ENTRY, str(seen), "verify", "--q", q,
+                               "--out", str(tmp_path / "verify.json")],
+                              capture_output=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+        *lines, report = done.stderr.decode().splitlines()
+        assert done.returncode == 0, lines
+        assert json.loads(report) == {"numpy": False}
+        child = set(json.loads(seen.read_text()))
+        assert "ncgq.verification" in child
+        assert not child & {"ncgq.algebra", "ncgq.calculus", "ncgq.riemannian"}, sorted(child)
 
 
 class TestColdAudit:
