@@ -547,9 +547,8 @@ def flat_entry(coeffs: Mapping, name: str) -> tuple:
     return tuple(entry)
 
 
-def sum_entries(terms: Iterable[tuple]) -> dict:
-    """The sum of (c + e*i) * entry over the (entry, c, e) in terms, as {key: numerator vector}."""
-    acc: dict = {}
+def sum_entries(terms: Iterable[tuple], acc: dict) -> dict:
+    """acc plus the sum of (c + e*i) * entry over the (entry, c, e) in terms, as {key: numerator vector}."""
     for entry, c, e in terms:
         it = iter(entry)
         for key, k, s, t in zip(it, it, it, it):
@@ -561,4 +560,4 @@ def sum_entries(terms: Iterable[tuple]) -> dict:
 
 def _apply_images(images: tuple, x: AlgebraElement) -> dict:
     """The linear map whose image of monomial index k is images[k], on x's numerators (over x.den)."""
-    return sum_entries([(images[k], a, b) for k, a, b in x.nonzero()])
+    return sum_entries([(images[k], a, b) for k, a, b in x.nonzero()], {})

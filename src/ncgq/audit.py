@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from . import linalg
 from .algebra import QuantumAlgebra
-from .calculus import Calculus, DiffForm, FORMS
-from .constants import (CONNECTION_PRINTED, LAMBDA_C, NU, XI,
+from .calculus import FORMS, MATRIX_UNITS, Calculus, DiffForm
+from .constants import (ASLASH_MATRIX_PRINTED, CONNECTION_PRINTED, LAMBDA_C, NU, XI,
                         evaluate_connection_printed)
 from .fixtures import printed_translation_matrices
 from .hopf import antipode_axioms_hold, relation_residuals
@@ -18,7 +18,7 @@ from .riemannian import (ConnectionAssembler, SpinConnection, TensorForm,
                          connection_residuals, covariant_derivative_basis,
                          printed_ad_tables, reference_connection, regularity_check,
                          riemann_basis)
-from .scalars import ONE, ZERO, format_gaussian
+from .scalars import ONE, ZERO, GaussianRational, format_gaussian
 from .structure import ad_left, ad_right, graded_dimensions, reference_d_values
 
 
@@ -395,9 +395,55 @@ def audit_riemannian(cal: Calculus, conn: SpinConnection) -> list[AuditRow]:
 # -- dirac section -------------------------------------------------------------------
 
 
+def gamma_of_invariant_form(weights: dict[str, GaussianRational]) -> list[list[GaussianRational]]:
+    out = [[ZERO, ZERO], [ZERO, ZERO]]
+    for f, c in weights.items():
+        i, j = MATRIX_UNITS[f]
+        out[i][j] = out[i][j] + c
+    return out
+
+
+def a_slash_printed(connection: SpinConnection, q: GaussianRational) -> dict[tuple[int, int], GaussianRational]:
+    """The 2x2 connection-term matrix from the reference proof formulas."""
+    out = {}
+    for entry, terms in ASLASH_MATRIX_PRINTED.items():
+        acc = ZERO
+        for i, j, coeff in terms:
+            acc = acc + coeff.evaluate_at(q) * connection.entry(i, j)
+        out[entry] = acc
+    return out
+
+
+def a_slash_first_principles(calculus: Calculus, connection: SpinConnection) -> dict[tuple[int, int], GaussianRational]:
+    """Recompute the connection term from the engine's Hopf and calculus layers.
+
+    A_slash^alpha_beta = sum_gamma [A(pi S^-1 t^gamma_beta)]^alpha_gamma with the
+    operational generator matrix; compared against the proof formulas in audit_dirac.
+    """
+    alg = calculus.algebra
+    t = alg.generator_matrix()
+    out = {}
+    for beta in range(2):
+        col = {}
+        for gamma in range(2):
+            elem = alg.inverse_antipode(t[gamma][beta])
+            proj = calculus.pi_tilde(elem)
+            one_form = {f: c for f, c in proj.items() if c}
+            # apply the connection: e_i -> A_i, then read the gamma-matrix entry
+            acc = {f2: ZERO for f2 in FORMS}
+            for f, c in one_form.items():
+                for f2 in FORMS:
+                    acc[f2] = acc[f2] + c * connection.entry(f, f2)
+            mat = gamma_of_invariant_form(acc)
+            for alpha in range(2):
+                col[(alpha, gamma)] = mat[alpha][gamma]
+        for alpha in range(2):
+            out[(alpha, beta)] = sum((col[(alpha, g)] for g in range(2)), ZERO)
+    return out
+
+
 def audit_dirac(cal: Calculus, conn: SpinConnection) -> list[AuditRow]:
-    from .dirac import (EigensolverError, a_slash_first_principles, a_slash_printed,
-                        diagonal_scalars, spectrum_pipeline)
+    from .dirac import EigensolverError, diagonal_scalars, spectrum_pipeline
 
     rows: list[AuditRow] = []
     q = cal.algebra.q

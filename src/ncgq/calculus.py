@@ -40,7 +40,7 @@ from types import MappingProxyType
 
 from .algebra import (DIM, AlgebraElement, KeyedSum, Monomial, QuantumAlgebra, add_products,
                       basis_monomials, check_mode, flat_entry, monomial_name, monomial_product, monomial_table,
-                      sum_entries)
+                      sum_entries, support)
 from .scalars import ZERO, ONE, GaussianRational, q_root
 
 FORMS = ("a", "b", "c", "d")
@@ -326,14 +326,17 @@ class Calculus:
 
     def wedge_sum(self, pairs: Iterable[tuple[DiffForm, DiffForm]]) -> DiffForm:
         """The sum of x ^ y over the pairs (x, y) of forms, over one denominator, reduced by one gcd."""
-        table, product, monomials = self.exterior._products, self.exterior.word_product, monomial_table()
         pairs = list(pairs)
         for x, y in pairs:
             check_mode(self, x)
             check_mode(self, y)
         # x ^ y is num(x) ^ num(y) over den(x) den(y); the pairs are summed over the lcm of those
         den = lcm(*[x.den * y.den for x, y in pairs])
-        acc: dict = {}
+        return DiffForm._reduce(self, den, self._add_wedges({}, pairs, den))
+
+    def _add_wedges(self, acc: dict, pairs: list, den: int) -> dict:
+        """acc plus the sum of x ^ y over den, a multiple of each den(x) den(y): wedge_sum unreduced."""
+        table, product, monomials = self.exterior._products, self.exterior.word_product, monomial_table()
         for x, y in pairs:
             f = den // (x.den * y.den)
             ys = y.nonzero() if f == 1 else [(w2, [(k, a * f, b * f) for k, a, b in coords])
@@ -359,7 +362,7 @@ class Calculus:
                                 else:
                                     out[r] += a * u - b * v
                                     out[r + 1] += a * v + b * u
-        return DiffForm._reduce(self, den, acc)
+        return acc
 
     # -- exterior derivative -----------------------------------------------------------
 
@@ -371,27 +374,31 @@ class Calculus:
         elements m e_w, each derived once by its two wedges with theta.
         """
         check_mode(self, x)
-        images = self.exterior.d_images
-        terms = []
+        # normalized: divided by mu = 1 - q^-2, which is 2 at q = +-i
+        return DiffForm._reduce(self, 2 * x.den if normalized else x.den, self._add_d({}, x, 1))
+
+    def _add_d(self, acc: dict, x: DiffForm, f: int) -> dict:
+        """acc plus f times the unnormalised d(x) over den(x): exterior_d unreduced."""
+        images, terms = self.exterior.d_images, []
         for w, coords in x.nonzero():
             slots = images.get(w) or images.setdefault(w, [None] * DIM)
             # a zero entry is (), so an unfilled slot is told apart by None
-            terms += [(self._d_image(slots, k, w) if (e := slots[k]) is None else e, a, b)
+            terms += [(self._d_image(slots, k, w) if (e := slots[k]) is None else e, f * a, f * b)
                       for k, a, b in coords]
-        # normalized: divided by mu = 1 - q^-2, which is 2 at q = +-i
-        return DiffForm._reduce(self, 2 * x.den if normalized else x.den, sum_entries(terms))
+        return sum_entries(terms, acc)
 
     def _d_image(self, slots: list, k: int, w: WedgeWord) -> tuple:
         """The unnormalised d(m e_w) = theta ^ m e_w - sigma(m e_w) ^ theta, for m of index k.
 
-        Stored as a flat table entry at slots[k].  Its coefficients are Gaussian integers, as are
-        those of every word product it sums; a non-integral pair rule raises there.
+        Stored at slots[k] as a flat table entry, the words of theta ^ m e_w first.  Its coefficients are
+        Gaussian integers, as are those of every word product it sums; a non-integral pair rule raises there.
         """
-        basis = self._single(w, self.algebra.monomial(k >> 2, k & 3))
-        sigma = -basis if len(w) % 2 else basis
-        image = self.wedge(self.theta(), basis) - self.wedge(sigma, self.theta())
-        slots[k] = entry = tuple(chain.from_iterable((v, 2 * j, a, b) for v, coords in image.nonzero()
-                                                     for j, a, b in coords))
+        basis, sign = self._single(w, self.algebra.monomial(k >> 2, k & 3)), 1 if len(w) % 2 else -1
+        num = self.wedge(self.theta(), basis).num
+        for v, vec in self.wedge(basis, self.theta()).num.items():
+            num[v] = [u + sign * t for u, t in zip(num[v], vec)] if v in num else [sign * t for t in vec]
+        slots[k] = entry = tuple(chain.from_iterable((v, 2 * j, a, b) for v, vec in num.items()
+                                                     for j, a, b in support(vec)))
         return entry
 
     def partials(self, f: AlgebraElement, normalized: bool = True) -> dict[str, AlgebraElement]:
@@ -406,11 +413,8 @@ class Calculus:
 
     def pi_tilde_matrix(self) -> list[list[GaussianRational]]:
         """4x16 matrix of pi_tilde over the monomial basis (rows: forms a..d)."""
-        cols = []
-        for (p, r) in basis_monomials():
-            vals = self.pi_tilde(self.algebra.monomial(p, r))
-            cols.append([vals[f] for f in FORMS])
-        return [[cols[j][k] for j in range(16)] for k in range(4)]
+        cols = [self.pi_tilde(self.algebra.monomial(p, r)) for p, r in basis_monomials()]
+        return [[col[f] for col in cols] for f in FORMS]
 
     # -- kernel computations --------------------------------------------------------------
 

@@ -19,9 +19,10 @@ def alongside(compute):
     Only `verify` uses it, until numpy leaves its spectral half (the golden records
     pin the dense solver's LAPACK residual digits).  This module loads only scalars,
     constants and verification, so the child forks before the exact half compiles.
-    Cold `verify --q i`, 2 vCPUs, no bytecode caches, medians of 21 runs, ms from
-    the program's first line: the fork at 10, the child done at 57, the exact half
-    at 63 (compiled before the fork: 20, 68, 65).  `audit` runs inline.
+    Cold `verify --q i`, 2 vCPUs, no bytecode caches, medians of 61 runs, ms from
+    the program's first line: the fork at 9, the child done at 57, the exact half
+    at 59, so the exact half is still the slower side, by 1.5 ms (before each image
+    table filled in one integer pass: 60 and 63.5).  `audit` runs inline.
 
     The child forks only when the platform has fork and numpy is not loaded yet, so
     the parent holds no BLAS threads that a fork would copy; otherwise compute()

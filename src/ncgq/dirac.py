@@ -21,15 +21,14 @@ from __future__ import annotations
 
 import math
 
-from .constants import (ASLASH_GENERATOR_VALUES, ASLASH_MATRIX_PRINTED,
-                        F_DIAG, Q_OVER_2Q, Q2_OVER_2Q, evaluate_connection_printed)
+from .constants import (ASLASH_GENERATOR_VALUES, F_DIAG, Q_OVER_2Q, Q2_OVER_2Q,
+                        evaluate_connection_printed)
 from .fixtures import (TranslationMatrix, printed_spectrum, printed_translation_matrices,
                        reconstructed_offdiagonal_scalars)
 from .scalars import GaussianRational, ZERO, q_root
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing; type checkers take it as True
-if TYPE_CHECKING:  # only the audit's connection-term rows need the calculus
-    from .calculus import Calculus
+if TYPE_CHECKING:  # only the tests' connection-term values need a connection
     from .riemannian import SpinConnection
 
 
@@ -41,57 +40,6 @@ def gamma_matrix(form: str) -> list[list[int]]:
     i, j = MATRIX_UNITS[form]
     out = [[0, 0], [0, 0]]
     out[i][j] = 1
-    return out
-
-
-def gamma_of_invariant_form(weights: dict[str, GaussianRational]) -> list[list[GaussianRational]]:
-    from .calculus import MATRIX_UNITS
-
-    out = [[ZERO, ZERO], [ZERO, ZERO]]
-    for f, c in weights.items():
-        i, j = MATRIX_UNITS[f]
-        out[i][j] = out[i][j] + c
-    return out
-
-
-def a_slash_printed(connection: SpinConnection, q: GaussianRational) -> dict[tuple[int, int], GaussianRational]:
-    """The 2x2 connection-term matrix from the reference proof formulas."""
-    out = {}
-    for entry, terms in ASLASH_MATRIX_PRINTED.items():
-        acc = ZERO
-        for i, j, coeff in terms:
-            acc = acc + coeff.evaluate_at(q) * connection.entry(i, j)
-        out[entry] = acc
-    return out
-
-
-def a_slash_first_principles(calculus: Calculus, connection: SpinConnection) -> dict[tuple[int, int], GaussianRational]:
-    """Recompute the connection term from the engine's Hopf and calculus layers.
-
-    A_slash^alpha_beta = sum_gamma [A(pi S^-1 t^gamma_beta)]^alpha_gamma with the
-    operational generator matrix; compared against the proof formulas in the audit.
-    """
-    from .calculus import FORMS
-
-    alg = calculus.algebra
-    t = alg.generator_matrix()
-    out = {}
-    for beta in range(2):
-        col = {}
-        for gamma in range(2):
-            elem = alg.inverse_antipode(t[gamma][beta])
-            proj = calculus.pi_tilde(elem)
-            one_form = {f: c for f, c in proj.items() if c}
-            # apply the connection: e_i -> A_i, then read the gamma-matrix entry
-            acc = {f2: ZERO for f2 in FORMS}
-            for f, c in one_form.items():
-                for f2 in FORMS:
-                    acc[f2] = acc[f2] + c * connection.entry(f, f2)
-            mat = gamma_of_invariant_form(acc)
-            for alpha in range(2):
-                col[(alpha, gamma)] = mat[alpha][gamma]
-        for alpha in range(2):
-            out[(alpha, beta)] = sum((col[(alpha, g)] for g in range(2)), ZERO)
     return out
 
 

@@ -23,8 +23,10 @@ Q(i)-linear, so R(x) is read from the images R(m e_i) of the 64 basis
 elements, over one denominator.  Each image is filled on first read from
 (id ^ nabla - d (x) id) nabla on the one element m e_i, never as m R(e_i), so
 the basis checks of R(f e_i) = f R(e_i) still compare two computations and,
-with linearity, prove tensoriality.  Every reference connection of one q
-shares one image table.
+with linearity, prove tensoriality.  The fill sums, leg by leg, the wedges
+onto that leg and minus the d of it into one Gaussian-integer numerator per
+(leg, word) over one denominator, and reduces the sum by one gcd.  Every
+reference connection of one q shares one image table.
 """
 from __future__ import annotations
 
@@ -340,9 +342,9 @@ def covariant_derivative_basis(calculus: Calculus, connection: SpinConnection, i
         out = TensorForm(calculus, {})
         for (j, k), c in printed_ad_tables(calculus.algebra.q)[0][i].items():
             out = out + TensorForm(calculus, {k: connection.form(j, calculus).scale(-c)})
-        # kept as plain data with its support; each call wraps it in its own calculus
-        value = connection._nabla[key] = (out.den, out.num, out.nonzero())
-    return TensorForm._of(calculus, *value)
+        # plain data with its support and its legs (see _legs); each call wraps it in its own calculus
+        value = connection._nabla[key] = (out.den, out.num, out.nonzero(), _legs(out))
+    return TensorForm._of(calculus, *value[:3])
 
 
 def covariant_derivative(calculus: Calculus, connection: SpinConnection, x: DiffForm) -> TensorForm:
@@ -357,31 +359,28 @@ def covariant_derivative(calculus: Calculus, connection: SpinConnection, x: Diff
 
 
 def riemann_of_tensor(calculus: Calculus, connection: SpinConnection, t: TensorForm) -> TensorForm:
-    """(id ^ nabla - d (x) id) applied to an element of Omega^1 (x) Lambda^1, reduced by one gcd."""
-    # id ^ nabla on the invariant right leg: the wedges onto each leg m, summed at once, with
-    # the legs in the order of their first term
+    """(id ^ nabla - d (x) id) on Omega^1 (x) Lambda^1: one integer sum over one denominator, one gcd."""
+    # id ^ nabla on the right leg: the wedges onto each leg m, the legs in the order of their first term
     wedges: dict[str, list] = {}
     t_legs = _legs(t)
     for k, x in t_legs.items():
-        for m, leg in _legs(covariant_derivative_basis(calculus, connection, k)).items():
+        covariant_derivative_basis(calculus, connection, k)  # kept with its legs
+        for m, leg in connection._nabla[(calculus.algebra.mode, k)][3].items():
             wedges.setdefault(m, []).append((x, leg))
         wedges.setdefault(k, [])
-    sums = {m: calculus.wedge_sum(pairs) for m, pairs in wedges.items()}
-    # - d (x) id, each d after its leg's wedge sum: the order in which their difference lists its words
-    ds = {k: calculus.exterior_d(x, normalized=True) for k, x in t_legs.items()}
-    parts = [(m, x, sign) for m in sums for x, sign in ((sums[m], 1), (ds.get(m), -1)) if x]
-    den, num = lcm(*[x.den for _, x, _ in parts]), {}
-    for m, x, sign in parts:
-        f = sign * (den // x.den)
-        for w, vec in x.num.items():
-            mine = num.get((m, w))
-            num[(m, w)] = [v * f for v in vec] if mine is None else [u + v * f for u, v in zip(mine, vec)]
+    # over a multiple of each den(x) den(leg) and of 2 den(x), that of d x; by leg m, the words of its
+    # wedges, then those of - d (x) id: the order in which R lists them
+    den = lcm(2 * t.den, *[x.den * leg.den for pairs in wedges.values() for x, leg in pairs])
+    num, zero, f = {}, calculus.zero(), -(den // (2 * t.den))
+    for m, pairs in wedges.items():
+        acc = calculus._add_d(calculus._add_wedges({}, pairs, den), t_legs.get(m, zero), f)
+        num.update(((m, w), vec) for w, vec in acc.items())
     return TensorForm._reduce(calculus, den, num)
 
 
 def _legs(t: TensorForm) -> dict[str, DiffForm]:
     """{right leg: left leg} of t in the order of their first words, over t.den as the keyed vectors
-    stand: not reduced, so only for wedge_sum and exterior_d, which reduce what they return."""
+    stand: not reduced, so only for the accumulating halves of wedge_sum and exterior_d."""
     legs: dict = {}
     for (k, w), coords in t.nonzero():
         leg = legs.get(k) or legs.setdefault(k, DiffForm._of(t.calculus, t.den, {}, []))
@@ -403,7 +402,7 @@ def riemann(calculus: Calculus, connection: SpinConnection, x: DiffForm) -> Tens
             parts.append((den, entry, a, b))
     d = lcm(*[p[0] for p in parts])
     return TensorForm._reduce(calculus, d * x.den, sum_entries([
-        (e, a, b) if dp == d else (e, a * (d // dp), b * (d // dp)) for dp, e, a, b in parts]))
+        (e, a, b) if dp == d else (e, a * (d // dp), b * (d // dp)) for dp, e, a, b in parts], {}))
 
 
 def riemann_basis(calculus: Calculus, connection: SpinConnection, i: str) -> TensorForm:
@@ -429,11 +428,8 @@ def regularity_check(calculus: Calculus, connection: SpinConnection) -> dict:
     Returns the exact violations; a nonzero entry certifies non-regularity.
     """
     kernel = calculus.pi_tilde_kernel_in_counit_kernel()
-    wedges: dict[tuple[str, str], DiffForm] = {}
-    for i in FORMS:
-        for j in FORMS:
-            wedges[(i, j)] = calculus.wedge(connection.form(i, calculus),
-                                            connection.form(j, calculus))
+    wedges = {(i, j): calculus.wedge(connection.form(i, calculus), connection.form(j, calculus))
+              for i in FORMS for j in FORMS}
     violations = []
     for idx, f in enumerate(kernel):
         first = calculus.partials(f, normalized=True)

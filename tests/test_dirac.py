@@ -15,10 +15,10 @@ import pytest
 from ncgq import dirac, linalg, sectors
 from ncgq.algebra import QuantumAlgebra, basis_monomials, monomial_index, monomial_product
 from ncgq.calculus import Calculus
-from ncgq.dirac import (DiracMatrix, EigensolverError, MatchReport, Spectrum,
-                        a_slash_first_principles, a_slash_printed, build_dirac,
-                        compare_spectrum, diagonal_scalars, eigenvalues,
-                        gamma_matrix, spectrum_pipeline)
+from ncgq.audit import a_slash_first_principles, a_slash_printed
+from ncgq.dirac import (DiracMatrix, EigensolverError, MatchReport, Spectrum, build_dirac,
+                        compare_spectrum, diagonal_scalars, eigenvalues, gamma_matrix,
+                        spectrum_pipeline)
 from ncgq.fixtures import printed_spectrum, printed_translation_matrices
 from ncgq.riemannian import SpinConnection, reference_connection, reference_connection_values
 from ncgq.scalars import ZERO, GaussianRational, q_root
