@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import add
 
-from .scalars import ZERO, ONE, GaussianRational, format_gaussian, gaussian, parse_gaussian, q_root
+from .scalars import ZERO, ONE, GaussianRational, format_gaussian, gaussian, q_root
 
 Monomial = tuple[int, int]  # (p, r): exponents of a and b
 
@@ -85,7 +85,6 @@ def check_mode(x, y) -> None:
 
 _MONOMIALS = tuple(basis_monomials())
 _MONOMIAL_SET = frozenset(_MONOMIALS)
-_MONOMIALS_BY_NAME = {monomial_name(m): m for m in _MONOMIALS}
 
 
 class ScalarSum:
@@ -192,9 +191,6 @@ class AlgebraElement(ScalarSum):
         add_products(out, self.nonzero(), other.nonzero())
         return AlgebraElement._reduce(self.algebra, self.den * other.den, out)
 
-    def left_multiply(self, g: "AlgebraElement") -> "AlgebraElement":
-        return g * self
-
     def __pow__(self, n: int) -> "AlgebraElement":
         if n < 0:
             raise ValueError("negative powers not supported; use explicit inverses")
@@ -208,12 +204,6 @@ class AlgebraElement(ScalarSum):
     def coords(self) -> list[GaussianRational]:
         it = iter(self.num)
         return [gaussian(a, b, self.den) if a or b else ZERO for a, b in zip(it, it)]
-
-    def to_json(self) -> list[dict]:
-        """Wire format: [{"monomial": "a^p b^r", "coeff": scalar-string}, ...]."""
-        coeffs = self.coeffs
-        return [{"monomial": monomial_name(m), "coeff": format_gaussian(coeffs[m])}
-                for m in sorted(coeffs, key=monomial_index)]
 
     def counit(self) -> GaussianRational:
         # the monomials a^p, at indices 4p, hold their real parts at slots 8p
@@ -421,29 +411,12 @@ class QuantumAlgebra:
             raise ValueError(f"expected {DIM} coordinates, got {len(v)}")
         return AlgebraElement(self, {m: v[monomial_index(m)] for m in basis_monomials()})
 
-    def from_json(self, items: Iterable[Mapping[str, str]]) -> AlgebraElement:
-        coeffs: dict[Monomial, GaussianRational] = {}
-        for item in items:
-            name = item["monomial"]
-            key = _MONOMIALS_BY_NAME.get(name) if isinstance(name, str) else None
-            if key is None:
-                raise ValueError(f"not a normal-form monomial name: {item!r}")
-            coeffs[key] = coeffs.get(key, ZERO) + parse_gaussian(item["coeff"])
-        return AlgebraElement(self, coeffs)
-
     def generator(self, name: str) -> AlgebraElement:
         try:
             return {"alpha": self.alpha, "beta": self.beta,
                     "beta_star": self.beta_star, "delta": self.delta}[name]
         except KeyError:
             raise ValueError(f"unknown generator {name!r}") from None
-
-    def normalize(self, word: Iterable[str], scalar: GaussianRational = ONE) -> AlgebraElement:
-        """Normal form of scalar * (product of generator letters)."""
-        out = self.scalar(scalar)
-        for letter in word:
-            out = out * self.generator(letter)
-        return out
 
     # -- Hopf-type structure ----------------------------------------------------
 
@@ -452,9 +425,6 @@ class QuantumAlgebra:
         from .hopf import coproduct_table
 
         return TensorElement._reduce(self, x.den, _apply_images(coproduct_table(self.mode), x))
-
-    def counit(self, x: AlgebraElement) -> GaussianRational:
-        return x.counit()
 
     def antipode_on_generator(self, name: str) -> AlgebraElement:
         return {

@@ -265,22 +265,8 @@ class DiffForm(FormSum):
         return "  +  ".join(f"[{terms[w]}] " + ("^".join(f"e_{x}" for x in w) if w else "1")
                             for w in sorted(terms, key=lambda w: (len(w), w))) or "0"
 
-    def degrees(self) -> set[int]:
-        return {len(w) for w in self.num}
-
     def coefficient(self, word: WedgeWord) -> AlgebraElement:
         return self.terms.get(tuple(word), self.algebra.zero)
-
-    def to_json(self) -> dict:
-        """Wire format: degree-tagged list of {coeff, wedge} terms."""
-        degs = sorted(self.degrees())
-        return {
-            "degree": degs[0] if len(degs) == 1 else degs,
-            "terms": [
-                {"coeff": f.to_json(), "wedge": [f"e_{x}" for x in w]}
-                for w, f in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
-            ],
-        }
 
 
 class Calculus:

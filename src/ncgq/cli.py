@@ -128,6 +128,8 @@ def parse_args(argv: list[str]) -> RunConfig:
                 value = float(value)
             except ValueError:
                 raise UsageError(f"option --tol needs a number, not {value!r}") from None
+        elif flag == "--out" and not value:
+            raise UsageError("option --out needs a value, not ''")
         values[OPTIONS[flag]] = value
     return RunConfig(**values)
 

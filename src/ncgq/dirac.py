@@ -1,4 +1,4 @@
-"""Gamma matrices, the Dirac connection term, block assembly, and spectra.
+"""The Dirac connection term, block assembly, and spectra.
 
 The operator acts on two-component spinors over the 16-dimensional algebra:
 
@@ -21,41 +21,10 @@ from __future__ import annotations
 
 import math
 
-from .constants import (ASLASH_GENERATOR_VALUES, F_DIAG, Q_OVER_2Q, Q2_OVER_2Q,
-                        evaluate_connection_printed)
+from .constants import F_DIAG, Q_OVER_2Q, Q2_OVER_2Q, evaluate_connection_printed
 from .fixtures import (TranslationMatrix, printed_spectrum, printed_translation_matrices,
                        reconstructed_offdiagonal_scalars)
-from .scalars import GaussianRational, ZERO, q_root
-
-TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing; type checkers take it as True
-if TYPE_CHECKING:  # only the tests' connection-term values need a connection
-    from .riemannian import SpinConnection
-
-
-def gamma_matrix(form: str) -> list[list[int]]:
-    """Elementary 2x2 matrix attached to a basis 1-form (identity map in the
-    endomorphism labeling)."""
-    from .calculus import MATRIX_UNITS
-
-    i, j = MATRIX_UNITS[form]
-    out = [[0, 0], [0, 0]]
-    out[i][j] = 1
-    return out
-
-
-def a_slash_generator_values_printed(connection: SpinConnection, q: GaussianRational) -> dict[str, dict[str, GaussianRational]]:
-    """Reference values of A(pi S^-1 gen) as 1-forms (components on e_j)."""
-    from .calculus import FORMS
-
-    out = {}
-    for gen, terms in ASLASH_GENERATOR_VALUES.items():
-        comp = {f: ZERO for f in FORMS}
-        for i, coeff in terms:
-            c = coeff.evaluate_at(q)
-            for f in FORMS:
-                comp[f] = comp[f] + c * connection.entry(i, f)
-        out[gen] = comp
-    return out
+from .scalars import GaussianRational, q_root
 
 
 class DiracMatrix:

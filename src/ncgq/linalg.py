@@ -1,7 +1,7 @@
 """Exact dense linear algebra over any field whose elements support +,-,*,/ and truthiness.
 
 Pivoting is deterministic: leftmost column, first nonzero row, no scaling
-tricks, so repeated runs report identical solutions.
+tricks, so repeated runs report identical ranks and bases.
 """
 from __future__ import annotations
 
@@ -14,21 +14,6 @@ if TYPE_CHECKING:
     T = TypeVar("T")
 
 Matrix = list  # list[list[T]]
-
-
-class LinearSolveError(ValueError):
-    def __init__(self, message: str, rank: int, n_unknowns: int):
-        super().__init__(message)
-        self.rank = rank
-        self.n_unknowns = n_unknowns
-
-
-class InconsistentSystem(LinearSolveError):
-    pass
-
-
-class UnderdeterminedSystem(LinearSolveError):
-    pass
 
 
 def _clone(m: Sequence[Sequence[T]]) -> Matrix:
@@ -66,33 +51,6 @@ def row_reduce(m: Sequence[Sequence[T]]) -> tuple[Matrix, list[int]]:
 
 def rank(m: Sequence[Sequence[T]]) -> int:
     return len(row_reduce(m)[1])
-
-
-def solve_unique(a: Sequence[Sequence[T]], b: Sequence[T], zero: T) -> list[T]:
-    """Solve a x = b requiring a unique solution; exact residuals guaranteed.
-
-    Raises InconsistentSystem / UnderdeterminedSystem carrying the rank defect.
-    """
-    rows = len(a)
-    if rows == 0:
-        raise UnderdeterminedSystem("empty system", 0, 0)
-    n = len(a[0])
-    aug = [list(row) + [b[k]] for k, row in enumerate(a)]
-    red, pivots = row_reduce(aug)
-    if n in pivots:
-        raise InconsistentSystem(
-            f"inconsistent linear system (rank {len(pivots) - 1} of {n} unknowns)",
-            len(pivots) - 1,
-            n,
-        )
-    if len(pivots) < n:
-        raise UnderdeterminedSystem(
-            f"solution not unique (rank {len(pivots)} of {n} unknowns)", len(pivots), n
-        )
-    x = [zero] * n
-    for r, c in enumerate(pivots):
-        x[c] = red[r][n]
-    return x
 
 
 def nullspace(m: Sequence[Sequence[T]], one: T, zero: T) -> list[list[T]]:

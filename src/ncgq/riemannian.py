@@ -11,8 +11,8 @@ assembled system is exactly inconsistent, and the reference connection table
 solves no assembly convention (tables, transposes, sides, signs, scales of d,
 both pair rules, the metric-derived cotorsion); each is checked by exact rank
 in tests/test_connection_conventions.py.  The reference geometry data is
-internally corrupted beyond reconstruction of "the" system.  The solver
-therefore reports the exact rank defect, and downstream geometry consumes the
+internally corrupted beyond reconstruction of "the" system.  rank_report
+states the exact rank defect, and downstream geometry consumes the
 reference closed forms (whose uncorrupted entries are independently confirmed
 by the spectral layer), carrying provenance and honest residuals.
 
@@ -120,12 +120,6 @@ class ConnectionSystem:
             "consistent": r_coeff == r_aug,
         }
 
-    def solve(self) -> dict[tuple[str, str], GaussianRational]:
-        from . import linalg
-
-        x = linalg.solve_unique(self.matrix, self.rhs, ZERO)
-        return dict(zip(self.unknowns, x))
-
     def substitute(self, values: Mapping[tuple[str, str], GaussianRational]) -> "ConnectionSystem":
         """The system left in the unknowns that `values` does not fix."""
         keep = [k for k, u in enumerate(self.unknowns) if u not in values]
@@ -158,7 +152,7 @@ class SpinConnection:
 
     def __init__(self, coefficients: dict, source: str):
         self.coefficients = coefficients
-        self.source = source  # "solver" | "reference-table"
+        self.source = source  # where the coefficients come from: "reference-table"
         # (q mode, i) -> (den, num, support) of nabla e_i, and the 16 images R(m e_i) (see riemann), filled on first use
         self._nabla = {}
         self._riemann = {}
@@ -233,18 +227,6 @@ class ConnectionAssembler:
                 r, c, l = self._family(i, table[i], de, side, kind)
                 matrix += r; rhs += c; labels += l
         return ConnectionSystem(matrix=matrix, rhs=rhs, row_labels=labels)
-
-
-def solve_connection(calculus: Calculus) -> SpinConnection:
-    """Exact solve of the assembled system.
-
-    Raises InconsistentSystem / UnderdeterminedSystem with the rank defect; for
-    this reference data the full system is inconsistent (see module docstring
-    and the audit report).
-    """
-    system = ConnectionAssembler(calculus).assemble()
-    values = system.solve()  # raises with rank defect when not uniquely solvable
-    return SpinConnection(coefficients=values, source="solver")
 
 
 @lru_cache(maxsize=None)

@@ -12,8 +12,8 @@ no GaussianRationals but one denominator over Gaussian-integer numerators
 (see :mod:`ncgq.algebra`); .triple and :func:`gaussian` convert at the edges.
 
 The module does not import :mod:`fractions` (which loads :mod:`decimal` and
-:mod:`numbers`) at the top: only parsing, the .re/.im views and the hash of a
-non-integral real value make a Fraction, and a Fraction argument is
+:mod:`numbers`) at the top: only a string argument, the .re/.im views and the
+hash of a non-integral real value make a Fraction, and a Fraction argument is
 recognised through ``sys.modules``, since one exists only once its module is
 loaded.
 """
@@ -189,12 +189,6 @@ class GaussianRational:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other) -> "GaussianRational":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
     def __pow__(self, n: int) -> "GaussianRational":
         if not isinstance(n, int):
             return NotImplemented
@@ -265,7 +259,7 @@ def q_root(mode: str) -> GaussianRational:
     raise ValueError(f"unknown q mode {mode!r}")
 
 
-# -- serialization ------------------------------------------------------------
+# -- formatting ---------------------------------------------------------------
 
 
 def _part(n: int, d: int) -> str:
@@ -281,41 +275,6 @@ def format_gaussian(z: GaussianRational) -> str:
     if not b:
         return re or "0"
     return re + ("+" if re and b > 0 else "") + _part(b, d) + "*i"
-
-
-def parse_gaussian(s: str) -> GaussianRational:
-    """Inverse of :func:`format_gaussian`."""
-    from fractions import Fraction
-
-    s = s.replace(" ", "")
-    if not s:
-        raise ValueError("empty scalar string")
-    # split into signed terms
-    terms: list[str] = []
-    cur = ""
-    for idx, ch in enumerate(s):
-        if ch in "+-" and idx > 0 and s[idx - 1] not in "+-/*":
-            terms.append(cur)
-            cur = ch
-        else:
-            cur += ch
-    terms.append(cur)
-    re = Fraction(0)
-    im = Fraction(0)
-    try:
-        for t in terms:
-            if t.endswith("*i") or t == "i" or t == "-i" or t == "+i":
-                if t in ("i", "+i"):
-                    im += 1
-                elif t == "-i":
-                    im -= 1
-                else:
-                    im += Fraction(t[:-2])
-            else:
-                re += Fraction(t)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in scalar {s!r}") from None
-    return GaussianRational(re, im)
 
 
 # -- closed forms in q ------------------------------------------------------------
@@ -383,9 +342,6 @@ class RationalFunctionQ:
 
     def __neg__(self) -> "RationalFunctionQ":
         return RationalFunctionQ([-c for c in self.num], self.den)
-
-    def __sub__(self, other: "RationalFunctionQ") -> "RationalFunctionQ":
-        return self + (-other)
 
     def __mul__(self, other: "RationalFunctionQ") -> "RationalFunctionQ":
         return RationalFunctionQ(_poly_mul(self.num, other.num), _poly_mul(self.den, other.den))

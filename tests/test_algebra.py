@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -33,12 +34,12 @@ def random_element(alg, rng, n_terms=3):
 class TestNormalize:
     def test_swap_rule(self, alg):
         # b a = q^2 a b
-        lhs = alg.normalize(["beta", "alpha"])
+        lhs = alg.beta * alg.alpha
         rhs = (alg.alpha * alg.beta).scale(alg.q2)
         assert lhs == rhs
 
     def test_alpha_fourth_power(self, alg):
-        assert alg.normalize(["alpha"] * 4) == alg.one
+        assert alg.alpha * alg.alpha * alg.alpha * alg.alpha == alg.one
 
     def test_beta_fourth_power_from_reference_matrix(self, alg):
         # the reference translation matrix forces b^3 * b = 1 in this basis
@@ -64,7 +65,7 @@ class TestNormalize:
 
     def test_normalize_idempotent(self, alg):
         w = ["beta", "alpha", "beta", "delta", "alpha", "beta_star"]
-        x = alg.normalize(w)
+        x = math.prod(map(alg.generator, w), start=alg.one)
         # renormalizing the already-normal element is the identity
         assert alg.from_coords(x.coords()) == x
 
@@ -155,10 +156,10 @@ class TestHopfStructure:
         assert db == TensorElement.pure(alg.alpha, alg.beta) + TensorElement.pure(alg.beta, alg.delta)
 
     def test_counit_examples(self, alg):
-        assert alg.counit(alg.one) == ONE
-        assert alg.counit(alg.beta ** 3) == ZERO
+        assert alg.one.counit() == ONE
+        assert (alg.beta ** 3).counit() == ZERO
         det = alg.alpha * alg.delta - (alg.beta_star * alg.beta).scale(alg.q2)
-        assert alg.counit(det) == ONE
+        assert det.counit() == ONE
 
     def test_counit_axioms_all_monomials(self, alg):
         for (p, r) in basis_monomials():

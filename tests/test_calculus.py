@@ -460,7 +460,7 @@ class TestExteriorDerivative:
         derivatives = [cal.exterior_d(x) for x in basis]
         cases = 0
         for x, dx in zip(basis, derivatives):
-            sign = ONE if x.degrees() == {0} else -ONE
+            sign = ONE if {len(w) for w in x.num} == {0} else -ONE
             for y, dy in zip(basis, derivatives):
                 lhs = cal.exterior_d(cal.wedge(x, y))
                 assert lhs == cal.wedge(dx, y) + cal.wedge(x, dy).scale(sign)

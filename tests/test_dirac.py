@@ -17,19 +17,11 @@ from ncgq.algebra import QuantumAlgebra, basis_monomials, monomial_index, monomi
 from ncgq.calculus import Calculus
 from ncgq.audit import a_slash_first_principles, a_slash_printed
 from ncgq.dirac import (DiracMatrix, EigensolverError, MatchReport, Spectrum, build_dirac,
-                        compare_spectrum, diagonal_scalars, eigenvalues, gamma_matrix,
+                        compare_spectrum, diagonal_scalars, eigenvalues,
                         spectrum_pipeline)
 from ncgq.fixtures import printed_spectrum, printed_translation_matrices
 from ncgq.riemannian import SpinConnection, reference_connection, reference_connection_values
 from ncgq.scalars import ZERO, GaussianRational, q_root
-
-
-class TestGammaMap:
-    def test_elementary_matrices(self):
-        assert gamma_matrix("a") == [[1, 0], [0, 0]]
-        assert gamma_matrix("b") == [[0, 1], [0, 0]]
-        assert gamma_matrix("c") == [[0, 0], [1, 0]]
-        assert gamma_matrix("d") == [[0, 0], [0, 1]]
 
 
 class TestConnectionTerm:
@@ -42,18 +34,6 @@ class TestConnectionTerm:
         d = diagonal_scalars("i")
         assert d["s11"] == GaussianRational("-14/17", "12/17")
         assert d["s22"] == GaussianRational("4/17", "16/17")
-
-    def test_printed_matrix_uses_beta_value(self):
-        # the reference proof takes the connection applied to the projected
-        # inverse-antipode of the off-diagonal generator to be -q^2 A_c
-        cal = Calculus(QuantumAlgebra("i"))
-        conn = reference_connection(cal)
-        from ncgq.dirac import a_slash_generator_values_printed
-
-        vals = a_slash_generator_values_printed(conn, cal.algebra.q)
-        q2 = cal.algebra.q2
-        for f in ("a", "b", "c", "d"):
-            assert vals["beta"][f] == -q2 * conn.entry("c", f)
 
     def test_first_principles_comparison_is_exact_and_differs(self):
         cal = Calculus(QuantumAlgebra("i"))

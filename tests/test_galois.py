@@ -22,8 +22,9 @@ from ncgq.calculus import Calculus, DiffForm, FORMS
 from ncgq.cli import main
 from ncgq.riemannian import (ConnectionAssembler, TensorForm, covariant_derivative_basis,
                              reference_connection, riemann_basis)
-from ncgq.scalars import format_gaussian, parse_gaussian, q_root
+from ncgq.scalars import format_gaussian, q_root
 from test_closed_forms import closed_forms
+from test_scalars import parse_gaussian
 
 ORDERED_WORDS = [w for n in range(5) for w in itertools.combinations(FORMS, n)]
 ALG = {mode: QuantumAlgebra(mode) for mode in ("i", "-i")}

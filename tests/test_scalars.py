@@ -13,7 +13,6 @@ from ncgq.scalars import (
     GaussianRational,
     PoleError,
     format_gaussian,
-    parse_gaussian,
     q_root,
     rf,
 )
@@ -25,6 +24,39 @@ MONOMIALS = basis_monomials()
 
 def gr(re, im=0):
     return GaussianRational(Fraction(re), Fraction(im))
+
+
+def parse_gaussian(s: str) -> GaussianRational:
+    """Inverse of :func:`format_gaussian`: the oracle of its round trips."""
+    s = s.replace(" ", "")
+    if not s:
+        raise ValueError("empty scalar string")
+    # split into signed terms
+    terms: list[str] = []
+    cur = ""
+    for idx, ch in enumerate(s):
+        if ch in "+-" and idx > 0 and s[idx - 1] not in "+-/*":
+            terms.append(cur)
+            cur = ch
+        else:
+            cur += ch
+    terms.append(cur)
+    re = Fraction(0)
+    im = Fraction(0)
+    try:
+        for t in terms:
+            if t.endswith("*i") or t == "i" or t == "-i" or t == "+i":
+                if t in ("i", "+i"):
+                    im += 1
+                elif t == "-i":
+                    im -= 1
+                else:
+                    im += Fraction(t[:-2])
+            else:
+                re += Fraction(t)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in scalar {s!r}") from None
+    return GaussianRational(re, im)
 
 
 # Every n/d with d <= 12 and |n/d| <= 50, the domain of
