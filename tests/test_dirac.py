@@ -14,8 +14,9 @@ import pytest
 
 from ncgq import dirac, linalg, sectors
 from ncgq.algebra import QuantumAlgebra, basis_monomials, monomial_index, monomial_product
-from ncgq.calculus import Calculus
+from ncgq.calculus import FORMS, Calculus
 from ncgq.audit import a_slash_first_principles, a_slash_printed
+from ncgq.constants import ASLASH_GENERATOR_VALUES
 from ncgq.dirac import (DiracMatrix, EigensolverError, MatchReport, Spectrum, build_dirac,
                         compare_spectrum, diagonal_scalars, eigenvalues,
                         spectrum_pipeline)
@@ -34,6 +35,18 @@ class TestConnectionTerm:
         d = diagonal_scalars("i")
         assert d["s11"] == GaussianRational("-14/17", "12/17")
         assert d["s22"] == GaussianRational("4/17", "16/17")
+
+    def test_printed_matrix_uses_beta_value(self):
+        # the reference proof takes the connection applied to the projected
+        # inverse-antipode of the off-diagonal generator to be -q^2 A_c
+        cal = Calculus(QuantumAlgebra("i"))
+        conn = reference_connection(cal)
+        q, q2 = cal.algebra.q, cal.algebra.q2
+        for f in FORMS:
+            value = ZERO
+            for i, coeff in ASLASH_GENERATOR_VALUES["beta"]:
+                value = value + coeff.evaluate_at(q) * conn.entry(i, f)
+            assert value == -q2 * conn.entry("c", f)
 
     def test_first_principles_comparison_is_exact_and_differs(self):
         cal = Calculus(QuantumAlgebra("i"))
