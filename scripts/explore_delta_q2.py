@@ -24,12 +24,17 @@ from ncgq.scalars import q_root
 alg = QuantumAlgebra("i")
 
 
+def to_complex(z):
+    a, b, d = z.triple
+    return complex(a / d, b / d)
+
+
 def to_np(tm):
-    return np.array([[tm[(i, j)].to_complex() for j in range(16)] for i in range(16)])
+    return np.array([[to_complex(tm[(i, j)]) for j in range(16)] for i in range(16)])
 
 
 def to_np_cols(cols):
-    return np.array([[cols[j][i].to_complex() for j in range(16)] for i in range(16)])
+    return np.array([[to_complex(cols[j][i]) for j in range(16)] for i in range(16)])
 
 
 R = printed_translation_matrices(q_root("i"))

@@ -20,12 +20,19 @@ from ncgq.fixtures import printed_spectrum, printed_translation_matrices
 from ncgq.scalars import q_root
 
 alg = QuantumAlgebra("i")
+
+
+def to_complex(z):
+    a, b, d = z.triple
+    return complex(a / d, b / d)
+
+
 REF = np.array(printed_spectrum("i"))
 I = np.eye(16)
 
 
 def to_np_cols(cols):
-    return np.array([[cols[j][i].to_complex() for j in range(16)] for i in range(16)])
+    return np.array([[to_complex(cols[j][i]) for j in range(16)] for i in range(16)])
 
 
 def right_mult(x):
@@ -37,7 +44,7 @@ def left_mult(x):
 
 
 R = printed_translation_matrices(q_root("i"))
-Rnp = {n: np.array([[R[n][(i, j)].to_complex() for j in range(16)] for i in range(16)]) for n in R}
+Rnp = {n: np.array([[to_complex(R[n][(i, j)]) for j in range(16)] for i in range(16)]) for n in R}
 
 CAND = {
     "R_b": Rnp["beta"],

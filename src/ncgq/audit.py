@@ -10,15 +10,15 @@ from __future__ import annotations
 from . import linalg
 from .algebra import QuantumAlgebra
 from .calculus import FORMS, MATRIX_UNITS, Calculus, DiffForm
-from .constants import (ASLASH_MATRIX_PRINTED, CONNECTION_PRINTED, LAMBDA_C, NU, XI,
-                        evaluate_connection_printed)
+from .constants import (ASLASH_MATRIX_PRINTED, CONNECTION_PRINTED, F_DIAG, LAMBDA_C, NU,
+                        Q2_OVER_2Q, Q_OVER_2Q, XI, evaluate_connection_printed)
 from .fixtures import printed_translation_matrices
 from .hopf import antipode_axioms_hold, relation_residuals
 from .riemannian import (ConnectionAssembler, SpinConnection, TensorForm,
                          connection_residuals, covariant_derivative_basis,
                          printed_ad_tables, reference_connection, regularity_check,
                          riemann_basis)
-from .scalars import ONE, ZERO, GaussianRational, format_gaussian
+from .scalars import ONE, ZERO, GaussianRational, format_gaussian, q_root
 from .structure import ad_left, ad_right, graded_dimensions, reference_d_values
 
 
@@ -442,8 +442,18 @@ def a_slash_first_principles(calculus: Calculus, connection: SpinConnection) -> 
     return out
 
 
+def diagonal_scalars(mode: str) -> dict[str, GaussianRational]:
+    """The diagonal connection scalars from the reference closed forms, which the printed spectra
+    confirm: s11 = -f A_d^a + A_a^a + q^2 A_b^b, s22 = -(q^2/[2]_q) A_a^d + (q/[2]_q) A_d^d + q^2 A_c^c."""
+    q = q_root(mode)
+    f, w1, w2 = (c.evaluate_at(q) for c in (F_DIAG, Q2_OVER_2Q, Q_OVER_2Q))
+    A = evaluate_connection_printed(q)
+    return {"s11": -(f * A[("d", "a")]) + A[("a", "a")] + q * q * A[("b", "b")],
+            "s22": -(w1 * A[("a", "d")]) + w2 * A[("d", "d")] + q * q * A[("c", "c")]}
+
+
 def audit_dirac(cal: Calculus, conn: SpinConnection) -> list[AuditRow]:
-    from .dirac import EigensolverError, diagonal_scalars, spectrum_pipeline
+    from .dirac import EigensolverError, spectrum_pipeline
 
     rows: list[AuditRow] = []
     q = cal.algebra.q

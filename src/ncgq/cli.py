@@ -26,9 +26,9 @@ bytes and exit codes are a sequential run's.  `audit` runs in one process.
 
 Each command imports only what it runs, since a cold run compiles every module
 it imports.  This dispatcher imports the command's handler, cmd_<command>,
-which imports the rest: `dirac` scalars, constants, fixtures, dirac and
-sectors; the others algebra, calculus and riemannian instead of the last
-three, plus the exact linalg in `connection`, verification and structure in
+which imports the rest: `dirac` fixtures, dirac and sectors, and no exact
+arithmetic; the others scalars, constants, algebra, calculus and riemannian
+instead, plus the exact linalg in `connection`, verification and structure in
 `verify` (at a root also hopf, linalg, `pickle` and `signal`), and all but
 verification in `audit`.  `connection`, `curvature` and `verify --q generic`
 read no fixture and load no fixtures; only --out loads outfile.  None loads
@@ -166,5 +166,5 @@ def _raised(exc: Exception, module: str, name: str) -> bool:
     return loaded is not None and isinstance(exc, getattr(loaded, name))
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+if __name__ == "__main__":  # `python -m ncgq.cli`: the package module's main catches the handlers' OutputError
+    sys.exit(__import__(f"{__package__}.cli", fromlist=["main"]).main())

@@ -5,7 +5,6 @@ import contextlib
 import os
 import sys
 
-from . import constants  # noqa: F401  both halves read it: compiled once, before the fork
 from .cli import ROOT_MODES, emit
 from .verification import exact_checks, spectral_checks
 
@@ -17,12 +16,12 @@ def alongside(compute):
     """Yield a function that returns compute(), which a forked child computes meanwhile.
 
     Only `verify` uses it, until numpy leaves its spectral half (the golden records
-    pin the dense solver's LAPACK residual digits).  This module loads only scalars,
-    constants and verification, so the child forks before the exact half compiles.
-    Cold `verify --q i`, 2 vCPUs, no bytecode caches, medians of 61 runs, ms from
-    the program's first line: the fork at 9, the child done at 57, the exact half
-    at 59, so the exact half is still the slower side, by 1.5 ms (before each image
-    table filled in one integer pass: 60 and 63.5).  `audit` runs inline.
+    pin the dense solver's LAPACK residual digits).  This module and verification
+    import no exact arithmetic at their top, and the spectral half reads none, so
+    the child forks before any compiles and never compiles scalars or constants.
+    Cold `verify --q i`, 2 vCPUs, no bytecode caches, medians of 61 runs, ms from the
+    first line: fork at 13, child done at 114, exact half at 137 (with scalars and
+    constants compiled before the fork: 22, 126 and 135).  `audit` runs inline.
 
     The child forks only when the platform has fork and numpy is not loaded yet, so
     the parent holds no BLAS threads that a fork would copy; otherwise compute()

@@ -10,7 +10,8 @@ reference connection entries and are confirmed by the printed spectra (trace
 identities hold to printing precision at q = 1 and q = i).  The off-diagonal
 scalars depend on reference entries that are corrupted; the q = 1 spectrum
 determines them exactly (see the decode in the audit), and they ship as
-reconstructed fixture values with provenance flags.
+reconstructed fixture values with provenance flags.  D is assembled in floats
+from the fixture symbols and DIAGONAL_SCALARS, so `dirac` loads no exact arithmetic.
 
 `spectrum_pipeline` solves D one small block at a time in pure Python
 (`sectors.sector_eigenvalues`), certifying each eigenvalue by a disk in exact
@@ -21,10 +22,7 @@ from __future__ import annotations
 
 import math
 
-from .constants import F_DIAG, Q_OVER_2Q, Q2_OVER_2Q, evaluate_connection_printed
-from .fixtures import (TranslationMatrix, printed_spectrum, printed_translation_matrices,
-                       reconstructed_offdiagonal_scalars)
-from .scalars import GaussianRational, q_root
+from .fixtures import complex_translation_matrices, printed_spectrum, reconstructed_offdiagonal_scalars
 
 
 class DiracMatrix:
@@ -40,25 +38,15 @@ class DiracMatrix:
         self.extrapolated = extrapolated
 
 
-def diagonal_scalars(mode: str) -> dict[str, GaussianRational]:
-    """The two diagonal connection scalars from the reference closed forms.
-
-    s11 = -f A_d^a + A_a^a + q^2 A_b^b,  s22 = -(q^2/[2]_q) A_a^d
-          + (q/[2]_q) A_d^d + q^2 A_c^c; both confirmed by the printed spectra.
-    """
-    q = q_root(mode)
-    q2 = q * q
-    f = F_DIAG.evaluate_at(q)
-    w1 = Q2_OVER_2Q.evaluate_at(q)
-    w2 = Q_OVER_2Q.evaluate_at(q)
-    A = evaluate_connection_printed(q)
-    s11 = -(f * A[("d", "a")]) + A[("a", "a")] + q2 * A[("b", "b")]
-    s22 = -(w1 * A[("a", "d")]) + w2 * A[("d", "d")] + q2 * A[("c", "c")]
-    return {"s11": s11, "s22": s22}
-
-
-def to_complex_matrix(tm: TranslationMatrix) -> list[list[complex]]:
-    return [[x.to_complex() for x in row] for row in tm.entries]
+# per spectral mode: q^2, and the diagonal scalars (s11, s22), the doubles nearest the exact values of
+# the closed forms in audit.diagonal_scalars; test_dirac.py's test_assembly_matches_the_exact_oracle
+# holds the two to each other, bit for bit
+Q_SQUARED = {"1": 1, "i": -1, "-i": -1}
+DIAGONAL_SCALARS = {
+    "1": (complex(4, 0), complex(6, 0)),
+    "i": (complex(-14 / 17, 12 / 17), complex(4 / 17, 16 / 17)),
+    "-i": (complex(-14 / 17, -12 / 17), complex(4 / 17, -16 / 17)),
+}
 
 
 def build_dirac(mode: str, include_connection: bool = True) -> DiracMatrix:
@@ -68,19 +56,12 @@ def build_dirac(mode: str, include_connection: bool = True) -> DiracMatrix:
     the (1,2) block carries the bstar translation matrix, the (2,1) block the
     beta translation matrix; unnormalized partials R - id on the diagonal.
     """
-    if mode not in ("1", "i", "-i"):
+    if mode not in Q_SQUARED:
         raise ValueError(f"no spectral mode {mode!r}")
-    q = q_root(mode)
-    R = {name: to_complex_matrix(tm) for name, tm in printed_translation_matrices(q).items()}
-
-    diag = diagonal_scalars(mode)
+    R = complex_translation_matrices(Q_SQUARED[mode])
+    s11, s22 = DIAGONAL_SCALARS[mode]
     off = reconstructed_offdiagonal_scalars(mode)
-    s = {
-        (0, 0): diag["s11"].to_complex(),
-        (1, 1): diag["s22"].to_complex(),
-        (0, 1): off["s12"],
-        (1, 0): off["s21"],
-    }
+    s = {(0, 0): s11, (1, 1): s22, (0, 1): off["s12"], (1, 0): off["s21"]}
     if not include_connection:
         s = {k: 0.0 for k in s}
     # each entry is R + s, or (R - 1) + s on the diagonal blocks' diagonals, in

@@ -3,7 +3,8 @@
 The fixture directory can be overridden with the NCGQ_FIXTURES environment
 variable so audits can be pointed at alternative transcriptions.  Each file is
 checked against its expected shape when it is read; a missing, unreadable or
-malformed file raises FixtureError.
+malformed file raises FixtureError.  The translation matrices' symbols are
+read exactly by the audit and the tests, and as complex numbers by `dirac`.
 """
 from __future__ import annotations
 
@@ -12,7 +13,9 @@ import math
 import os
 from functools import lru_cache
 
-from .scalars import ONE, ZERO, GaussianRational
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing; type checkers take it as True
+if TYPE_CHECKING:
+    from .scalars import GaussianRational
 
 
 def fixture_dir() -> str:
@@ -52,12 +55,13 @@ class TranslationMatrix:
         return [list(r) for r in self.entries]
 
 
-# the four entries a fixture matrix may hold, as functions of q
+# the four entries a fixture matrix may hold, as functions of q2 = q^2: exact at a GaussianRational
+# q2, and integers at the integer q2 of a spectral mode, so `dirac` needs no exact arithmetic
 ENTRY_SYMBOLS = {
-    "0": lambda q: ZERO,
-    "1": lambda q: ONE,
-    "q^2": lambda q: q * q,
-    "-q^2": lambda q: -(q * q),
+    "0": lambda q2: 0 * q2,
+    "1": lambda q2: 0 * q2 + 1,
+    "q^2": lambda q2: q2,
+    "-q^2": lambda q2: -q2,
 }
 MATRIX_NAMES = ("alpha", "beta", "beta_star", "delta")
 SPECTRAL_MODES = ("1", "i", "-i")
@@ -141,10 +145,11 @@ _SHAPES = {
 
 
 def printed_translation_matrix(name: str, q: GaussianRational) -> TranslationMatrix:
-    """One of the reference right-translation matrices, evaluated at q."""
+    """One of the reference right-translation matrices, evaluated exactly at q."""
     data = _load("translation_matrices.json")
     rows = data["matrices"][name]
-    values = {sym: f(q) for sym, f in ENTRY_SYMBOLS.items()}
+    q2 = q * q
+    values = {sym: f(q2) for sym, f in ENTRY_SYMBOLS.items()}
     entries = tuple(tuple(values[sym] for sym in row) for row in rows)
     return TranslationMatrix(entries=entries)
 
@@ -152,6 +157,13 @@ def printed_translation_matrix(name: str, q: GaussianRational) -> TranslationMat
 def printed_translation_matrices(q: GaussianRational) -> dict[str, TranslationMatrix]:
     data = _load("translation_matrices.json")
     return {name: printed_translation_matrix(name, q) for name in data["matrices"]}
+
+
+def complex_translation_matrices(q2: int) -> dict[str, list[list[complex]]]:
+    """The reference right-translation matrices as rows of complex numbers, at the integer q2 = q^2."""
+    data = _load("translation_matrices.json")
+    values = {sym: complex(f(q2)) for sym, f in ENTRY_SYMBOLS.items()}
+    return {name: [[values[sym] for sym in row] for row in rows] for name, rows in data["matrices"].items()}
 
 
 def printed_spectrum(mode: str) -> list[complex]:

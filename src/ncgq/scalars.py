@@ -208,10 +208,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return _triple(self._a, -self._b, self._d)
 
-    def to_complex(self) -> complex:
-        # int / int rounds correctly, exactly as float(Fraction) does
-        return complex(self._a / self._d, self._b / self._d)
-
 
 _new = object.__new__
 

@@ -7,12 +7,11 @@ exactly when the suite is green.
 from __future__ import annotations
 
 import itertools
-import random
-
-from .scalars import GaussianRational, ONE
 
 
 def _random_element(alg, rng, n_terms=2):
+    from .scalars import GaussianRational
+
     coeffs = {}
     for _ in range(n_terms):
         coeffs[(rng.randrange(4), rng.randrange(4))] = GaussianRational(
@@ -40,9 +39,12 @@ def _recorder(mode: str, out: list[dict]):
 
 def exact_checks(mode: str, forms_level_only: bool = False) -> list[dict]:
     """The forms-level and Hopf-level checks, exact over Q(i); no numerics."""
+    import random
+
     from .algebra import QuantumAlgebra, basis_monomials  # here: `verify` forks before it compiles them
     from .calculus import Calculus, DiffForm, FORMS
     from .riemannian import Metric, reference_connection, regularity_check, riemann, riemann_basis
+    from .scalars import GaussianRational, ONE
     from .structure import reference_d_values
     alg = QuantumAlgebra(mode)
     cal = Calculus(alg)

@@ -337,8 +337,9 @@ def run_cold(args, **env):
     return done.returncode, done.stdout, lines, json.loads(report)
 
 
-# a cold `verify` whose forked child, as its spectral half starts, writes the ncgq modules it has
-# loaded to the file named first; after main returns, a last stderr line says whether numpy was loaded
+# a cold `verify` whose forked child writes to the file named first the ncgq modules it has loaded
+# as its spectral half starts and once that half is done; after main returns, a last stderr line
+# says whether numpy was loaded
 EARLY_FORK_ENTRY = """
 import json, os, sys
 import ncgq.verification
@@ -347,10 +348,13 @@ parent, seen, spectral_checks = os.getpid(), sys.argv.pop(1), ncgq.verification.
 
 
 def spy(mode):
-    if os.getpid() != parent:
-        with open(seen, "w") as fh:
-            json.dump(sorted(m for m in sys.modules if m.startswith("ncgq")), fh)
-    return spectral_checks(mode)
+    if os.getpid() == parent:
+        return spectral_checks(mode)
+    started = sorted(m for m in sys.modules if m.startswith("ncgq"))
+    value = spectral_checks(mode)
+    with open(seen, "w") as fh:
+        json.dump({"started": started, "done": sorted(m for m in sys.modules if m.startswith("ncgq"))}, fh)
+    return value
 
 
 ncgq.verification.spectral_checks = spy
@@ -389,9 +393,13 @@ class TestForkedSpectralHalf:
         *lines, report = done.stderr.decode().splitlines()
         assert done.returncode == 0, lines
         assert json.loads(report) == {"numpy": False}
-        child = set(json.loads(seen.read_text()))
-        assert "ncgq.verification" in child
-        assert not child & {"ncgq.algebra", "ncgq.calculus", "ncgq.riemannian"}, sorted(child)
+        child = json.loads(seen.read_text())
+        started, finished = set(child["started"]), set(child["done"])
+        assert "ncgq.verification" in started
+        assert not started & {"ncgq.algebra", "ncgq.calculus", "ncgq.riemannian"}, sorted(started)
+        # the spectral half reads no exact arithmetic, so the child never compiles it
+        assert {"ncgq.dirac", "ncgq.fixtures", "ncgq.sectors"} <= finished, sorted(finished)
+        assert not finished & {"ncgq.scalars", "ncgq.constants"}, sorted(finished)
 
 
 class TestColdAudit:
@@ -541,16 +549,16 @@ sys.exit(code)
 """
 NEVER_LOADED = {"dataclasses", "inspect", "argparse", "gettext", "locale",
                 "fractions", "decimal", "numbers"}
-NOT_FOR_DIRAC = {"ncgq.algebra", "ncgq.calculus", "ncgq.riemannian", "ncgq.linalg", "numpy"}
-DIRAC_PACKAGE = {"ncgq", "ncgq.cli", "ncgq.cmd_dirac", "ncgq.scalars", "ncgq.fixtures", "ncgq.constants",
-                 "ncgq.dirac", "ncgq.sectors"}
+NOT_FOR_DIRAC = {"ncgq.algebra", "ncgq.calculus", "ncgq.riemannian", "ncgq.linalg", "ncgq.scalars",
+                 "ncgq.constants", "numpy"}
+DIRAC_PACKAGE = {"ncgq", "ncgq.cli", "ncgq.cmd_dirac", "ncgq.fixtures", "ncgq.dirac", "ncgq.sectors"}
 # each command's handler module; a command loads its own and no other
 HANDLERS = {f"ncgq.cmd_{name}" for name in ("verify", "connection", "curvature", "dirac", "audit")}
 # the most ncgq source lines each cold command may load: every cold run compiles them, and the
 # count, unlike wall time, repeats exactly
-SOURCE_LINE_CEILINGS = {"dirac --q 1": 1464, "dirac --q i": 1464, "dirac --q -i": 1464,
-                        "connection --q i": 2249, "curvature --q i": 2138, "audit --q i": 3631,
-                        "verify --q i": 2655, "verify --q generic": 2453}
+SOURCE_LINE_CEILINGS = {"dirac --q 1": 906, "dirac --q i": 906, "dirac --q -i": 906,
+                        "connection --q i": 2245, "curvature --q i": 2134, "audit --q i": 3630,
+                        "verify --q i": 2652, "verify --q generic": 2450}
 
 
 def source_lines(modules) -> int:
@@ -769,6 +777,15 @@ class TestOutputErrors:
         os.mkfifo(fifo)
         self._check(["--out", str(fifo)], tmp_path)
         assert fifo.is_fifo()
+
+    def test_run_as_a_module_too(self, tmp_path):
+        # `python -m ncgq.cli` makes the file __main__, a second module with its own OutputError
+        done = subprocess.run([sys.executable, "-m", "ncgq.cli", "dirac", "--q", "1", "--out", str(tmp_path)],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+                              timeout=120)
+        assert (done.returncode, done.stdout) == (4, "")
+        assert done.stderr.startswith("output error: ") and done.stderr.count("\n") == 1, done.stderr
+        assert not list(tmp_path.glob(".ncgq-*"))
 
 
 class TestOutputFiles:

@@ -15,14 +15,50 @@ import pytest
 from ncgq import dirac, linalg, sectors
 from ncgq.algebra import QuantumAlgebra, basis_monomials, monomial_index, monomial_product
 from ncgq.calculus import FORMS, Calculus
-from ncgq.audit import a_slash_first_principles, a_slash_printed
+from ncgq.audit import a_slash_first_principles, a_slash_printed, diagonal_scalars
 from ncgq.constants import ASLASH_GENERATOR_VALUES
 from ncgq.dirac import (DiracMatrix, EigensolverError, MatchReport, Spectrum, build_dirac,
-                        compare_spectrum, diagonal_scalars, eigenvalues,
-                        spectrum_pipeline)
-from ncgq.fixtures import printed_spectrum, printed_translation_matrices
+                        compare_spectrum, eigenvalues, spectrum_pipeline)
+from ncgq.fixtures import printed_spectrum, printed_translation_matrices, reconstructed_offdiagonal_scalars
 from ncgq.riemannian import SpinConnection, reference_connection, reference_connection_values
 from ncgq.scalars import ZERO, GaussianRational, q_root
+
+
+def to_complex(z: GaussianRational) -> complex:
+    """The nearest doubles of z's parts: int / int rounds correctly, as float(Fraction) does."""
+    a, b, d = z.triple
+    return complex(a / d, b / d)
+
+
+def exact_dirac(mode: str, include_connection: bool = True) -> tuple[list[list[complex]], dict]:
+    """D and its scalars from the exact translation matrices and closed forms, converted last.
+
+    The oracle of build_dirac, which assembles D from the fixture symbols at
+    the integer q^2 and from dirac.DIAGONAL_SCALARS: the same entries and
+    scalars, in the same order of operations.
+    """
+    exact = printed_translation_matrices(q_root(mode))
+    R = {name: [[to_complex(x) for x in row] for row in tm.entries] for name, tm in exact.items()}
+    diag, off = diagonal_scalars(mode), reconstructed_offdiagonal_scalars(mode)
+    s = {(0, 0): to_complex(diag["s11"]), (1, 1): to_complex(diag["s22"]),
+         (0, 1): off["s12"], (1, 0): off["s21"]}
+    if not include_connection:
+        s = {k: 0.0 for k in s}
+    m = []
+    for a, (left, right) in enumerate(((R["alpha"], R["beta_star"]), (R["beta"], R["delta"]))):
+        for i in range(16):
+            row = left[i] + right[i]
+            for b in range(2):
+                k = 16 * b + i
+                row[k] = (row[k] - 1 if a == b else row[k]) + s[(a, b)]
+            m.append(row)
+    return m, s
+
+
+def bits(z) -> tuple[str, str]:
+    """z's two parts as hexadecimal doubles, so that -0.0 and 0.0 differ."""
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
 
 
 class TestConnectionTerm:
@@ -250,10 +286,21 @@ class TestAssembly:
         from ncgq.fixtures import printed_translation_matrices
 
         R = printed_translation_matrices(q)
-        rb = np.array([[R["beta"][(i, j)].to_complex() for j in range(16)] for i in range(16)])
+        rb = np.array([[to_complex(R["beta"][(i, j)]) for j in range(16)] for i in range(16)])
         block21 = np.array(dm.matrix)[16:, :16]
         s21 = dm.scalars[(1, 0)]
         assert np.allclose(block21 - s21 * np.eye(16), rb)
+
+    @pytest.mark.parametrize("include_connection", [True, False], ids=["full", "bare"])
+    @pytest.mark.parametrize("mode", ["1", "i", "-i"])
+    def test_assembly_matches_the_exact_oracle(self, mode, include_connection):
+        # bit for bit, signed zeros counted: the fixture symbols at the integer q^2 and the
+        # DIAGONAL_SCALARS table give the doubles of the exact matrices and closed forms
+        dm = build_dirac(mode, include_connection=include_connection)
+        matrix, scalars = exact_dirac(mode, include_connection)
+        assert [[bits(z) for z in row] for row in dm.matrix] == [[bits(z) for z in row] for row in matrix]
+        assert {k: bits(v) for k, v in dm.scalars.items()} == {k: bits(v) for k, v in scalars.items()}
+        assert all(type(z) is complex for row in dm.matrix for z in row)
 
     def test_conjugation_symmetry_of_construction(self):
         di = np.array(build_dirac("i").matrix)
@@ -536,8 +583,6 @@ class TestSpectra:
         # derivation never touches the 32x32 eigensolver.
         import cmath
 
-        from ncgq.fixtures import reconstructed_offdiagonal_scalars
-
         off = reconstructed_offdiagonal_scalars("1")
         s12, s21 = off["s12"], off["s21"]
         roots = [1, 1j, -1, -1j]
@@ -568,7 +613,7 @@ class TestSpectra:
         # s21, fed the reference table, give spectra far from both lists
         q = q_root(mode)
         s = a_slash_printed(SpinConnection(reference_connection_values(q), "reference-table"), q)
-        printed = {"s12": s[(0, 1)].to_complex(), "s21": s[(1, 0)].to_complex()}
+        printed = {"s12": to_complex(s[(0, 1)]), "s21": to_complex(s[(1, 0)])}
         monkeypatch.setattr(dirac, "reconstructed_offdiagonal_scalars", lambda m: printed)
         _, _, report = spectrum_pipeline(mode)
         assert report.max_distance > 1
