@@ -30,14 +30,14 @@ def to_complex(z):
 
 
 def to_np(tm):
-    return np.array([[to_complex(tm[(i, j)]) for j in range(16)] for i in range(16)])
+    return np.array([[to_complex(tm[i][j]) for j in range(16)] for i in range(16)])
 
 
 def to_np_cols(cols):
     return np.array([[to_complex(cols[j][i]) for j in range(16)] for i in range(16)])
 
 
-R = printed_translation_matrices(q_root("i"))
+R = printed_translation_matrices(q_root("i") * q_root("i"))
 Ra, Rb, Rbs = (to_np(R[n]) for n in ("alpha", "beta", "beta_star"))
 I16 = np.eye(16)
 REF = np.array(printed_spectrum("i"))

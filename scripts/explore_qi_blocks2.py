@@ -43,8 +43,8 @@ def left_mult(x):
     return to_np_cols([(x * alg.monomial(p, r)).coords() for (p, r) in basis_monomials()])
 
 
-R = printed_translation_matrices(q_root("i"))
-Rnp = {n: np.array([[to_complex(R[n][(i, j)]) for j in range(16)] for i in range(16)]) for n in R}
+R = printed_translation_matrices(q_root("i") * q_root("i"))
+Rnp = {n: np.array([[to_complex(R[n][i][j]) for j in range(16)] for i in range(16)]) for n in R}
 
 CAND = {
     "R_b": Rnp["beta"],

@@ -23,11 +23,13 @@ TensorElement, by ordered word for a form (calculus.DiffForm) and by (right
 leg, word) for a tensor form (riemannian.TensorForm).  Every map is a fixed
 linear or bilinear map on that basis, so it sums plain ints over one
 denominator and normalises its result by one gcd per value, never per
-coefficient; GaussianRationals appear only in the .coeffs view.
+coefficient; GaussianRationals appear only in the .coeffs view.  Right
+multiplication by x is a plain matrix of 16 row tuples, the shape in which
+fixtures.printed_translation_matrices gives the reference matrices.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add
@@ -340,34 +342,6 @@ class TensorElement(KeyedSum):
                              negated_ys if negated else ys, vs)
         return TensorElement._reduce(self.algebra, self.den * other.den, num)
 
-    def apply(self, f_left: Callable[[AlgebraElement], AlgebraElement] | None,
-              f_right: Callable[[AlgebraElement], AlgebraElement] | None) -> "TensorElement":
-        """Apply linear maps to the tensor factors (None = identity)."""
-        alg = self.algebra
-        # (den, support) of f_left(m_i) and of f_right of the right legs under i, for each left index i;
-        # over den 1, a vector of integers is canonical as it stands
-        images = []
-        for i, ys in self.nonzero():
-            x = f_left(alg.monomial(i >> 2, i & 3)) if f_left else None
-            y = f_right(AlgebraElement._of(alg, 1, self.num[i], ys)) if f_right else None
-            images.append(((x.den, x.nonzero()) if f_left else (1, [(i, 1, 0)]),
-                           (y.den, y.nonzero()) if f_right else (1, ys)))
-        # summed over the lcm of the products of their denominators
-        den = lcm(*{dx * dy for (dx, _), (dy, _) in images})
-        num: dict = {}
-        for (dx, xs), (dy, ys) in images:
-            f = den // (dx * dy)
-            for k, s, t in xs:
-                add_products(num.get(k) or num.setdefault(k, [0] * (2 * DIM)), ((0, f * s, f * t),), ys)
-        return TensorElement._reduce(alg, self.den * den, num)
-
-    def multiply_out(self) -> AlgebraElement:
-        """Collapse x (x) y -> x*y."""
-        out = [0] * (2 * DIM)
-        for i, ys in self.nonzero():
-            add_products(out, ((i, 1, 0),), ys)
-        return AlgebraElement._reduce(self.algebra, self.den, out)
-
 
 class QuantumAlgebra:
     """Context object fixing the q mode and owning the generator normal forms."""
@@ -456,14 +430,12 @@ class QuantumAlgebra:
 
     # -- translation operators -----------------------------------------------
 
-    def right_multiplication_matrix(self, x: AlgebraElement) -> "TranslationMatrix":
-        from .fixtures import TranslationMatrix  # here: only the audit and the tests build one
-
+    def right_multiplication_matrix(self, x: AlgebraElement) -> tuple[tuple[GaussianRational, ...], ...]:
+        """The matrix of f -> f x as 16 row tuples: column j holds monomial_j * x."""
         cols = [(self.monomial(p, r) * x).coords() for (p, r) in basis_monomials()]
-        entries = tuple(tuple(cols[j][i] for j in range(DIM)) for i in range(DIM))
-        return TranslationMatrix(entries=entries)
+        return tuple(zip(*cols))
 
-    def translation_matrix(self, name: str) -> "TranslationMatrix":
+    def translation_matrix(self, name: str) -> tuple[tuple[GaussianRational, ...], ...]:
         return self.right_multiplication_matrix(self.generator(name))
 
     # -- generator matrix -------------------------------------------------------

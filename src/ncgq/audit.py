@@ -1,6 +1,6 @@
 """Consistency audit: every reference fixture gets a printed/computed verdict.
 
-The report is a flat list of rows {section, quantity, printed, computed,
+The report is a flat list of plain dicts {section, quantity, printed, computed,
 verdict} with verdict in {match, mismatch, unparseable}; nothing is silently
 patched, and reconstruction decisions (where the reproduction pipeline departs
 from corrupted reference data) each get their own row.
@@ -12,7 +12,7 @@ from .algebra import QuantumAlgebra
 from .calculus import FORMS, MATRIX_UNITS, Calculus, DiffForm
 from .constants import (ASLASH_MATRIX_PRINTED, CONNECTION_PRINTED, F_DIAG, LAMBDA_C, NU,
                         Q2_OVER_2Q, Q_OVER_2Q, XI, evaluate_connection_printed)
-from .fixtures import printed_translation_matrices
+from .fixtures import MATRIX_NAMES, printed_translation_matrices
 from .hopf import antipode_axioms_hold, relation_residuals
 from .riemannian import (ConnectionAssembler, SpinConnection, TensorForm,
                          connection_residuals, covariant_derivative_basis,
@@ -22,22 +22,9 @@ from .scalars import ONE, ZERO, GaussianRational, format_gaussian, q_root
 from .structure import ad_left, ad_right, graded_dimensions, reference_d_values
 
 
-class AuditRow:
-    __slots__ = ("section", "quantity", "printed", "computed", "verdict")
-
-    def __init__(self, section: str, quantity: str, printed: str, computed: str, verdict: str):
-        self.section = section
-        self.quantity = quantity
-        self.printed = printed
-        self.computed = computed
-        self.verdict = verdict  # match | mismatch | unparseable
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-
-def _row(section, quantity, printed, computed, verdict) -> AuditRow:
-    return AuditRow(section, quantity, str(printed), str(computed), verdict)
+def _row(section, quantity, printed, computed, verdict) -> dict:
+    return {"section": section, "quantity": quantity, "printed": str(printed), "computed": str(computed),
+            "verdict": verdict}  # match | mismatch | unparseable
 
 
 def _verdict(equal: bool) -> str:
@@ -47,14 +34,14 @@ def _verdict(equal: bool) -> str:
 # -- algebra section ----------------------------------------------------------------
 
 
-def audit_algebra(alg: QuantumAlgebra) -> list[AuditRow]:
-    rows: list[AuditRow] = []
-    printed = printed_translation_matrices(alg.q)
+def audit_algebra(alg: QuantumAlgebra) -> list[dict]:
+    rows: list[dict] = []
+    printed = printed_translation_matrices(alg.q2)
+    derived = {name: alg.translation_matrix(name) for name in MATRIX_NAMES}
 
-    for name in ("alpha", "beta", "beta_star", "delta"):
-        derived = alg.translation_matrix(name)
+    for name, matrix in derived.items():
         bad = [(i + 1, j + 1) for i in range(16) for j in range(16)
-               if derived[(i, j)] != printed[name][(i, j)]]
+               if matrix[i][j] != printed[name][i][j]]
         detail = f"derived from normal forms; {len(bad)} entry mismatches"
         if bad:
             detail += " at (row, col): " + ", ".join(f"({i},{j})" for i, j in bad)
@@ -66,22 +53,16 @@ def audit_algebra(alg: QuantumAlgebra) -> list[AuditRow]:
         ))
 
     # the reference claim that the delta and alpha operators coincide
-    derived_delta = alg.translation_matrix("delta")
-    derived_alpha = alg.translation_matrix("alpha")
-    same = derived_delta.entries == derived_alpha.entries
     rows.append(_row(
         "algebra", "claim R_delta = R_alpha",
         "asserted equal",
         "derived operators differ (delta normal form is a^3); "
         "spectra instead require R_delta = q^2 R_alpha",
-        _verdict(same),
+        _verdict(derived["delta"] == derived["alpha"]),
     ))
 
     # laws satisfied by the printed matrices themselves
-    ra = printed["alpha"].rows()
-    rb = printed["beta"].rows()
-    rbs = printed["beta_star"].rows()
-    rd = printed["delta"].rows()
+    ra, rb, rbs, rd = (printed[name] for name in MATRIX_NAMES)
     lhs = linalg.mat_mul(ra, rb, ZERO)
     rhs = [[alg.q2 * x for x in row] for row in linalg.mat_mul(rb, ra, ZERO)]
     rows.append(_row(
@@ -152,8 +133,8 @@ def audit_algebra(alg: QuantumAlgebra) -> list[AuditRow]:
 # -- calculus section ------------------------------------------------------------------
 
 
-def audit_calculus(cal: Calculus) -> list[AuditRow]:
-    rows: list[AuditRow] = []
+def audit_calculus(cal: Calculus) -> list[dict]:
+    rows: list[dict] = []
     alg = cal.algebra
 
     for q_, ok in reference_d_values(cal).items():
@@ -287,8 +268,8 @@ def audit_calculus(cal: Calculus) -> list[AuditRow]:
 # -- riemannian section ---------------------------------------------------------------
 
 
-def audit_riemannian(cal: Calculus, conn: SpinConnection) -> list[AuditRow]:
-    rows: list[AuditRow] = []
+def audit_riemannian(cal: Calculus, conn: SpinConnection) -> list[dict]:
+    rows: list[dict] = []
     q = cal.algebra.q
 
     system = ConnectionAssembler(cal).assemble()
@@ -452,10 +433,10 @@ def diagonal_scalars(mode: str) -> dict[str, GaussianRational]:
             "s22": -(w1 * A[("a", "d")]) + w2 * A[("d", "d")] + q * q * A[("c", "c")]}
 
 
-def audit_dirac(cal: Calculus, conn: SpinConnection) -> list[AuditRow]:
+def audit_dirac(cal: Calculus, conn: SpinConnection) -> list[dict]:
     from .dirac import EigensolverError, spectrum_pipeline
 
-    rows: list[AuditRow] = []
+    rows: list[dict] = []
     q = cal.algebra.q
 
     printed_as = a_slash_printed(conn, q)
@@ -523,7 +504,7 @@ def audit_report(mode: str = "i") -> dict:
             + audit_riemannian(cal, conn) + audit_dirac(cal, conn))
     return {
         "q_mode": mode,
-        "rows": [r.as_dict() for r in rows],
-        "summary": {verdict: sum(1 for r in rows if r.verdict == verdict)
+        "rows": rows,
+        "summary": {verdict: sum(1 for r in rows if r["verdict"] == verdict)
                     for verdict in ("match", "mismatch", "unparseable")},
     }

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from .fixtures import complex_translation_matrices, printed_spectrum, reconstructed_offdiagonal_scalars
+from .fixtures import printed_spectrum, printed_translation_matrices, reconstructed_offdiagonal_scalars
 
 
 class DiracMatrix:
@@ -58,7 +58,7 @@ def build_dirac(mode: str, include_connection: bool = True) -> DiracMatrix:
     """
     if mode not in Q_SQUARED:
         raise ValueError(f"no spectral mode {mode!r}")
-    R = complex_translation_matrices(Q_SQUARED[mode])
+    R = printed_translation_matrices(Q_SQUARED[mode])
     s11, s22 = DIAGONAL_SCALARS[mode]
     off = reconstructed_offdiagonal_scalars(mode)
     s = {(0, 0): s11, (1, 1): s22, (0, 1): off["s12"], (1, 0): off["s21"]}
@@ -69,7 +69,7 @@ def build_dirac(mode: str, include_connection: bool = True) -> DiracMatrix:
     m = []
     for a, (left, right) in enumerate(((R["alpha"], R["beta_star"]), (R["beta"], R["delta"]))):
         for i in range(16):
-            row = left[i] + right[i]
+            row = [complex(x) for x in left[i] + right[i]]
             for b in range(2):
                 k = 16 * b + i
                 row[k] = (row[k] - 1 if a == b else row[k]) + s[(a, b)]

@@ -3,8 +3,9 @@
 The fixture directory can be overridden with the NCGQ_FIXTURES environment
 variable so audits can be pointed at alternative transcriptions.  Each file is
 checked against its expected shape when it is read; a missing, unreadable or
-malformed file raises FixtureError.  The translation matrices' symbols are
-read exactly by the audit and the tests, and as complex numbers by `dirac`.
+malformed file raises FixtureError.  The translation matrices are plain row
+tuples, read at an exact q^2 by the audit and the tests and at an integer q^2
+by `dirac`.
 """
 from __future__ import annotations
 
@@ -12,10 +13,6 @@ import json
 import math
 import os
 from functools import lru_cache
-
-TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing; type checkers take it as True
-if TYPE_CHECKING:
-    from .scalars import GaussianRational
 
 
 def fixture_dir() -> str:
@@ -30,29 +27,6 @@ def _resolved_dir(env: str | None) -> str:
 
 class FixtureError(ValueError):
     """A fixture file that is missing, not JSON, or not of its expected shape."""
-
-
-class TranslationMatrix:
-    """16x16 matrix of right multiplication: column j holds monomial_j * g; compared by value."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple):
-        self.entries = entries  # tuple of 16 row-tuples of GaussianRational
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __getitem__(self, ij: tuple[int, int]) -> GaussianRational:
-        return self.entries[ij[0]][ij[1]]
-
-    def rows(self) -> list[list[GaussianRational]]:
-        return [list(r) for r in self.entries]
 
 
 # the four entries a fixture matrix may hold, as functions of q2 = q^2: exact at a GaussianRational
@@ -144,26 +118,15 @@ _SHAPES = {
 }
 
 
-def printed_translation_matrix(name: str, q: GaussianRational) -> TranslationMatrix:
-    """One of the reference right-translation matrices, evaluated exactly at q."""
-    data = _load("translation_matrices.json")
-    rows = data["matrices"][name]
-    q2 = q * q
+def printed_translation_matrices(q2) -> dict[str, tuple]:
+    """The reference right-translation matrices by name, each as 16 row tuples, evaluated at q2 = q^2.
+
+    Column j holds monomial_j * g for the generator g.  A GaussianRational q2 gives exact entries;
+    the integer q2 of a spectral mode gives integers.
+    """
     values = {sym: f(q2) for sym, f in ENTRY_SYMBOLS.items()}
-    entries = tuple(tuple(values[sym] for sym in row) for row in rows)
-    return TranslationMatrix(entries=entries)
-
-
-def printed_translation_matrices(q: GaussianRational) -> dict[str, TranslationMatrix]:
-    data = _load("translation_matrices.json")
-    return {name: printed_translation_matrix(name, q) for name in data["matrices"]}
-
-
-def complex_translation_matrices(q2: int) -> dict[str, list[list[complex]]]:
-    """The reference right-translation matrices as rows of complex numbers, at the integer q2 = q^2."""
-    data = _load("translation_matrices.json")
-    values = {sym: complex(f(q2)) for sym, f in ENTRY_SYMBOLS.items()}
-    return {name: [[values[sym] for sym in row] for row in rows] for name, rows in data["matrices"].items()}
+    return {name: tuple(tuple(values[sym] for sym in row) for row in rows)
+            for name, rows in _load("translation_matrices.json")["matrices"].items()}
 
 
 def printed_spectrum(mode: str) -> list[complex]:

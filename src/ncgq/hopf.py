@@ -4,14 +4,15 @@ QuantumAlgebra.coproduct, antipode and antipode_axiom_defect read these tables
 and import this module on their first call, so a command that never takes a
 coproduct or an antipode never compiles it.  Each table holds the images of
 the 16 basis monomials as flat entries (see algebra.flat_entry), filled once
-per q mode from the defining formula on first use.
+per q mode on first use: the coproduct and the antipode from their defining
+formulas, the antipode axiom defects from the integer entries of those two.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import (AlgebraElement, QuantumAlgebra, TensorElement, basis_monomials, flat_entry,
-                      monomial_index, monomial_name)
+from .algebra import (DIM, AlgebraElement, QuantumAlgebra, TensorElement, add_products, basis_monomials,
+                      flat_entry, monomial_index, monomial_name, support)
 
 
 @lru_cache(maxsize=None)
@@ -60,22 +61,30 @@ def antipode_table(mode: str) -> tuple[tuple, ...]:
 
 @lru_cache(maxsize=None)
 def antipode_defect_table(mode: str) -> tuple[tuple, ...]:
-    """The antipode axiom defects of a^p b^r at index 4p + r, as flat entries: under key 0
-    m(S (x) id) Delta(a^p b^r) - eps(a^p b^r) 1, under key 1 m(id (x) S) Delta(a^p b^r) - eps(a^p b^r) 1.
+    """The antipode axiom defects of m = a^p b^r at index 4p + r, as flat entries: under key 0
+    m(S (x) id) Delta(m) - eps(m) 1, under key 1 m(id (x) S) Delta(m) - eps(m) 1.
 
-    Each entry is filled once from that formula: coproduct, apply, multiply_out, minus the
-    counit.  Both axioms hold exactly when every entry is (), a proof, since both sides are linear.
+    Each entry is summed from the integer entries of `coproduct_table` and `antipode_table`: over
+    the terms (A + B i) m_i (x) m_j of Delta(m), (A + B i) S(m_i) m_j under key 0 and
+    (A + B i) m_i S(m_j) under key 1, minus eps(m) 1.  Both axioms hold exactly when every entry is
+    (), a proof, since both sides are linear.
     Built once per q mode on first use; shared, so never mutate it.
     """
-    alg = QuantumAlgebra(mode)
+    antipodes = [[(s >> 1, c, e) for _, s, c, e in zip(it, it, it, it)]
+                 for it in map(iter, antipode_table(mode))]
     images = []
-    for p, r in basis_monomials():
-        m = alg.monomial(p, r)
-        dm, unit = alg.coproduct(m), alg.scalar(m.counit())
-        sides = (dm.apply(alg.antipode, None), dm.apply(None, alg.antipode))
-        images.append(flat_entry({(key, mk): c for key, side in enumerate(sides)
-                                  for mk, c in (side.multiply_out() - unit).coeffs.items()},
-                                 f"antipode defect of {monomial_name((p, r))}"))
+    for (_, r), entry in zip(basis_monomials(), coproduct_table(mode)):
+        sides = ([0] * (2 * DIM), [0] * (2 * DIM))
+        it = iter(entry)
+        for i, s, a, b in zip(it, it, it, it):
+            j = s >> 1
+            add_products(sides[0], antipodes[i], ((j, a, b),))
+            add_products(sides[1], ((i, a, b),), antipodes[j])
+        if not r:  # eps(a^p) = 1, and eps(a^p b^r) = 0 for r > 0
+            sides[0][0] -= 1
+            sides[1][0] -= 1
+        images.append(tuple(v for key, side in enumerate(sides) for k, a, b in support(side)
+                            for v in (key, 2 * k, a, b)))
     return tuple(images)
 
 

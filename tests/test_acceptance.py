@@ -325,9 +325,9 @@ def test_criterion_10_audit_completeness():
         ]
         missing = [need for need in required if need not in quantities]
         alg = QuantumAlgebra("i")
-        printed = printed_translation_matrices(alg.q)
-        exact_alpha = alg.translation_matrix("alpha").entries == printed["alpha"].entries
-        exact_beta = alg.translation_matrix("beta").entries == printed["beta"].entries
+        printed = printed_translation_matrices(alg.q2)
+        exact_alpha = alg.translation_matrix("alpha") == printed["alpha"]
+        exact_beta = alg.translation_matrix("beta") == printed["beta"]
         bs_enumerated = any("beta_star" in row["quantity"] and "32 entry mismatches" in row["computed"]
                             for row in doc["rows"])
     ok = not missing and exact_alpha and exact_beta and bs_enumerated

@@ -9,6 +9,7 @@ from ncgq.algebra import QuantumAlgebra, TensorElement, basis_monomials
 from ncgq.fixtures import printed_translation_matrices
 from ncgq.hopf import relation_residuals
 from ncgq.scalars import GaussianRational, ONE, ZERO
+from test_table_oracles import oracle_apply, oracle_multiply_out
 
 random.seed(20260810)
 
@@ -197,7 +198,7 @@ class TestHopfStructure:
         assert alg.antipode(alg.one) == alg.one
         # m(S (x) id) Delta(alpha) = 1, including the S(beta) bstar term
         da = alg.coproduct(alg.alpha)
-        val = da.apply(alg.antipode, None).multiply_out()
+        val = oracle_multiply_out(oracle_apply(da, alg.antipode, None))
         assert val == alg.one
         # explicit: S(alpha) alpha + S(beta) bstar = delta alpha = 1
         check = alg.antipode_on_generator("alpha") * alg.alpha \
@@ -222,34 +223,34 @@ class TestHopfStructure:
 class TestTranslationMatrices:
     def test_column_of_unit_monomial(self, alg):
         m = alg.translation_matrix("alpha")
-        col = [m[(i, 0)] for i in range(16)]  # image of the monomial 1 is alpha = index 4
+        col = [m[i][0] for i in range(16)]  # image of the monomial 1 is alpha = index 4
         assert col[4] == ONE
         assert sum(1 for c in col if c) == 1
 
     def test_beta_cubed_column(self, alg):
         m = alg.translation_matrix("beta")
-        col = [m[(i, 3)] for i in range(16)]  # b^3 * b = 1
+        col = [m[i][3] for i in range(16)]  # b^3 * b = 1
         assert col[0] == ONE
         assert sum(1 for c in col if c) == 1
 
     def test_derived_alpha_beta_match_reference(self, alg_i):
-        printed = printed_translation_matrices(alg_i.q)
+        printed = printed_translation_matrices(alg_i.q2)
         for name in ("alpha", "beta"):
             derived = alg_i.translation_matrix(name)
-            assert derived.entries == printed[name].entries
+            assert derived == printed[name]
 
     def test_betastar_and_delta_diverge_from_reference(self, alg_i):
-        printed = printed_translation_matrices(alg_i.q)
+        printed = printed_translation_matrices(alg_i.q2)
         derived_bs = alg_i.translation_matrix("beta_star")
         mism = sum(
             1
             for i in range(16)
             for j in range(16)
-            if derived_bs[(i, j)] != printed["beta_star"][(i, j)]
+            if derived_bs[i][j] != printed["beta_star"][i][j]
         )
         assert mism == 32  # every nonzero reference entry
         derived_d = alg_i.translation_matrix("delta")
-        assert derived_d.entries != printed["delta"].entries
+        assert derived_d != printed["delta"]
 
     def test_right_multiplication_antihomomorphism(self, alg):
         rng = random.Random(11)
@@ -257,16 +258,16 @@ class TestTranslationMatrices:
         pairs = [(x, y) for x in gens for y in gens]
         pairs += [(random_element(alg, rng), random_element(alg, rng)) for _ in range(50)]
         for x, y in pairs:
-            mxy = alg.right_multiplication_matrix(x * y).rows()
-            mx = alg.right_multiplication_matrix(x).rows()
-            my = alg.right_multiplication_matrix(y).rows()
+            mxy = alg.right_multiplication_matrix(x * y)
+            mx = alg.right_multiplication_matrix(x)
+            my = alg.right_multiplication_matrix(y)
             assert linalg.mat_eq(mxy, linalg.mat_mul(my, mx, ZERO))
 
     def test_printed_matrices_swap_rule(self, alg_i):
         # the reference matrices satisfy R_alpha R_beta = q^2 R_beta R_alpha
-        printed = printed_translation_matrices(alg_i.q)
-        ra = printed["alpha"].rows()
-        rb = printed["beta"].rows()
+        printed = printed_translation_matrices(alg_i.q2)
+        ra = printed["alpha"]
+        rb = printed["beta"]
         lhs = linalg.mat_mul(ra, rb, ZERO)
         rhs = [[alg_i.q2 * x for x in row] for row in linalg.mat_mul(rb, ra, ZERO)]
         assert linalg.mat_eq(lhs, rhs)

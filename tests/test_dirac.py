@@ -37,8 +37,9 @@ def exact_dirac(mode: str, include_connection: bool = True) -> tuple[list[list[c
     the integer q^2 and from dirac.DIAGONAL_SCALARS: the same entries and
     scalars, in the same order of operations.
     """
-    exact = printed_translation_matrices(q_root(mode))
-    R = {name: [[to_complex(x) for x in row] for row in tm.entries] for name, tm in exact.items()}
+    q = q_root(mode)
+    exact = printed_translation_matrices(q * q)
+    R = {name: [[to_complex(x) for x in row] for row in tm] for name, tm in exact.items()}
     diag, off = diagonal_scalars(mode), reconstructed_offdiagonal_scalars(mode)
     s = {(0, 0): to_complex(diag["s11"]), (1, 1): to_complex(diag["s22"]),
          (0, 1): off["s12"], (1, 0): off["s21"]}
@@ -285,8 +286,8 @@ class TestAssembly:
         q = q_root("1")
         from ncgq.fixtures import printed_translation_matrices
 
-        R = printed_translation_matrices(q)
-        rb = np.array([[to_complex(R["beta"][(i, j)]) for j in range(16)] for i in range(16)])
+        R = printed_translation_matrices(q * q)
+        rb = np.array([[to_complex(R["beta"][i][j]) for j in range(16)] for i in range(16)])
         block21 = np.array(dm.matrix)[16:, :16]
         s21 = dm.scalars[(1, 0)]
         assert np.allclose(block21 - s21 * np.eye(16), rb)
@@ -627,7 +628,7 @@ class TestSpectra:
 
 
 def _left_multiplication(alg, x):
-    """Matrix of f -> x f, in the column convention of TranslationMatrix."""
+    """Matrix of f -> x f, in the column convention of the translation matrices."""
     cols = [(x * alg.monomial(p, r)).coords() for (p, r) in basis_monomials()]
     return [list(row) for row in zip(*cols)]
 
@@ -653,7 +654,7 @@ class TestMultiplicityObstruction:
     def multiplications(self):
         alg = QuantumAlgebra("i")
         left = [_left_multiplication(alg, x) for x in (alg.alpha, alg.beta)]
-        right = [alg.translation_matrix(name).rows() for name in ("alpha", "beta")]
+        right = [alg.translation_matrix(name) for name in ("alpha", "beta")]
         return alg, left, right
 
     @staticmethod
@@ -673,15 +674,15 @@ class TestMultiplicityObstruction:
 
     def test_printed_matrices_commute_with_left_multiplications(self, multiplications):
         alg, left, _ = multiplications
-        printed = printed_translation_matrices(alg.q)
+        printed = printed_translation_matrices(alg.q2)
         assert len(printed) == 4
         for name, tm in printed.items():
-            assert all(self._commute(tm.rows(), l) for l in left), name
+            assert all(self._commute(tm, l) for l in left), name
 
     def test_printed_transposes_commute_with_left_multiplications(self, multiplications):
         alg, left, _ = multiplications
-        for name, tm in printed_translation_matrices(alg.q).items():
-            transpose = [list(col) for col in zip(*tm.rows())]
+        for name, tm in printed_translation_matrices(alg.q2).items():
+            transpose = [list(col) for col in zip(*tm)]
             assert all(self._commute(transpose, l) for l in left), name
 
     def test_right_translations_commute_with_left_multiplications(self, multiplications):

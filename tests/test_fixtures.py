@@ -43,7 +43,7 @@ def test_loader_follows_a_changed_fixture_directory(tmp_path, monkeypatch):
 
 
 def test_translation_matrices_compare_and_hash_by_value():
-    q = q_root("i")
-    a, b = fixtures.printed_translation_matrix("alpha", q), fixtures.printed_translation_matrix("alpha", q)
+    q2 = q_root("i") * q_root("i")
+    a, b = fixtures.printed_translation_matrices(q2)["alpha"], fixtures.printed_translation_matrices(q2)["alpha"]
     assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
-    assert a != fixtures.printed_translation_matrix("beta", q)
+    assert a != fixtures.printed_translation_matrices(q2)["beta"]
