@@ -1,5 +1,6 @@
 """The fixture loader, and the script that writes the committed fixtures."""
 import importlib.util
+import inspect
 import json
 import shutil
 from pathlib import Path
@@ -21,6 +22,18 @@ def test_make_fixtures_reproduces_the_committed_files(tmp_path, monkeypatch):
     assert written == ["spectra.json", "translation_matrices.json"]
     for name in written:
         assert (tmp_path / name).read_bytes() == (COMMITTED / name).read_bytes(), name
+
+
+# each program under scripts/ and the tier-1 test that runs it, so that no
+# untested study lands there unnoticed
+SCRIPT_TESTS = {"make_fixtures.py": test_make_fixtures_reproduces_the_committed_files}
+
+
+def test_every_script_is_run_by_a_named_test():
+    scripts = ROOT / "scripts"
+    assert sorted(p.relative_to(scripts).as_posix() for p in scripts.rglob("*.py")) == sorted(SCRIPT_TESTS)
+    for name, test in SCRIPT_TESTS.items():
+        assert f'"{name}"' in inspect.getsource(test), name
 
 
 def test_every_committed_fixture_is_read_and_schema_checked():
