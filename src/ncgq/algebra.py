@@ -409,15 +409,13 @@ class QuantumAlgebra:
         }[name]
 
     def antipode(self, x: AlgebraElement) -> AlgebraElement:
-        """Anti-multiplicative extension of the generator values, read from the per-mode table."""
+        """Anti-multiplicative extension of the generator values, read from the per-mode table.
+
+        S is its own inverse: S(a) = a^3 and S(b) = b, so S^2 fixes both generators."""
         from .hopf import antipode_table
 
         acc = _apply_images(antipode_table(self.mode), x)
         return AlgebraElement._reduce(self, x.den, acc.get(0) or [0] * (2 * DIM))
-
-    def inverse_antipode(self, x: AlgebraElement) -> AlgebraElement:
-        """S^-1 x = S x: S(a) = a^3 and S(b) = b, so S^2 fixes both generators and S is involutive."""
-        return self.antipode(x)
 
     def antipode_axiom_defect(self, x: AlgebraElement) -> tuple[AlgebraElement, AlgebraElement]:
         """Both convolution identities minus eps(x)*1, read from the per-mode table of the 16

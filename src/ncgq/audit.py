@@ -206,13 +206,13 @@ def audit_calculus(cal: Calculus) -> list[dict]:
                      "mismatch"))
 
     # partials vs translation-minus-identity
-    parts = cal.partials(alg.alpha, normalized=False)
+    partial_a = cal.partials(alg.alpha)["a"].scale(alg.mu)  # unnormalised: mu times d's partial
     r_minus_id = alg.alpha * alg.alpha - alg.alpha
     rows.append(_row(
         "calculus", "unnormalized a-partial vs R_alpha - id",
         "claimed equal",
-        f"graded-commutator value {parts['a']}; translation value {r_minus_id}",
-        _verdict(parts["a"] == r_minus_id),
+        f"graded-commutator value {partial_a}; translation value {r_minus_id}",
+        _verdict(partial_a == r_minus_id),
     ))
 
     # structure constants: recomputed vs printed, entrywise counts
@@ -407,7 +407,7 @@ def a_slash_first_principles(calculus: Calculus, connection: SpinConnection) -> 
     for beta in range(2):
         col = {}
         for gamma in range(2):
-            elem = alg.inverse_antipode(t[gamma][beta])
+            elem = alg.antipode(t[gamma][beta])  # S^-1 = S: S is involutive
             proj = calculus.pi_tilde(elem)
             one_form = {f: c for f, c in proj.items() if c}
             # apply the connection: e_i -> A_i, then read the gamma-matrix entry

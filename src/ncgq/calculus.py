@@ -352,16 +352,16 @@ class Calculus:
 
     # -- exterior derivative -----------------------------------------------------------
 
-    def exterior_d(self, x: DiffForm, normalized: bool = True) -> DiffForm:
-        """Graded-commutator derivative: c * (theta ^ x - sigma(x) ^ theta).
+    def exterior_d(self, x: DiffForm) -> DiffForm:
+        """Graded-commutator derivative: (theta ^ x - sigma(x) ^ theta) / mu.
 
         sigma is the grading automorphism: it negates the odd-degree terms.
         Linear over the scalars, so read off the tabulated images of the basis
         elements m e_w, each derived once by its two wedges with theta.
         """
         check_mode(self, x)
-        # normalized: divided by mu = 1 - q^-2, which is 2 at q = +-i
-        return DiffForm._reduce(self, 2 * x.den if normalized else x.den, self._add_d({}, x, 1))
+        # the stored images are the unnormalised mu d, and mu = 1 - q^-2 is 2 at q = +-i
+        return DiffForm._reduce(self, 2 * x.den, self._add_d({}, x, 1))
 
     def _add_d(self, acc: dict, x: DiffForm, f: int) -> dict:
         """acc plus f times the unnormalised d(x) over den(x): exterior_d unreduced."""
@@ -387,14 +387,14 @@ class Calculus:
                                                      for j, a, b in support(vec)))
         return entry
 
-    def partials(self, f: AlgebraElement, normalized: bool = True) -> dict[str, AlgebraElement]:
+    def partials(self, f: AlgebraElement) -> dict[str, AlgebraElement]:
         """Unique left coefficients of d f on the basis 1-forms."""
-        df = self.exterior_d(self.from_function(f), normalized=normalized)
+        df = self.exterior_d(self.from_function(f))
         return {name: df.coefficient((name,)) for name in FORMS}
 
     def pi_tilde(self, f: AlgebraElement) -> dict[str, GaussianRational]:
         """Projection to invariant 1-forms: counit of each partial derivative."""
-        parts = self.partials(f, normalized=True)
+        parts = self.partials(f)
         return {name: parts[name].counit() for name in FORMS}
 
     def pi_tilde_matrix(self) -> list[list[GaussianRational]]:

@@ -27,7 +27,7 @@ def run(cfg) -> int:
     for mode, d in docs.items():
         for i, legs in d["riemann"].items():
             lines.append(f"mode {mode}: Riemann(e_{i}):")
-            for k, x in legs.items():
+            for k, x in sorted(legs.items()):
                 lines.append(f"    [{x}] (x) e_{k}")
     emit(cfg, doc, lines)
     return 0

@@ -16,7 +16,7 @@ def run(cfg) -> int:
     doc = {
         "q": cfg.qmode,
         "normalization": "unnormalized",
-        "extrapolated": dm.extrapolated,
+        "extrapolated": cfg.qmode == "1",
         "eigenvalues": [[z.real, z.imag] for z in eigs],
         "max_residual": spec.max_residual(),  # the largest certified radius, a residual bound
         "reference": "paper-prop4",
@@ -26,7 +26,7 @@ def run(cfg) -> int:
         "connection_scalars": {str(k): [v.real, v.imag] for k, v in dm.scalars.items()},
     }
     lines = [f"Dirac spectrum (q = {cfg.qmode}, unnormalized"
-             f"{', extrapolated' if dm.extrapolated else ''})"]
+             f"{', extrapolated' if cfg.qmode == '1' else ''})"]
     for z in eigs:
         lines.append(f"  {z.real:+.6f} {z.imag:+.6f}i")
     lines.append(f"max match distance vs reference list: {report.max_distance:.3g}")

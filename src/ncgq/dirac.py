@@ -26,16 +26,13 @@ from .fixtures import printed_spectrum, printed_translation_matrices, reconstruc
 
 
 class DiracMatrix:
-    """32x32 complex matrix, as a list of rows, with assembly metadata."""
+    """32x32 complex matrix, as a list of rows, with the 2x2 connection scalars it adds."""
 
-    __slots__ = ("mode", "matrix", "scalars", "extrapolated")
+    __slots__ = ("matrix", "scalars")
 
-    def __init__(self, mode: str, matrix: list[list[complex]], scalars: dict,
-                 extrapolated: bool = False):
-        self.mode = mode
+    def __init__(self, matrix: list[list[complex]], scalars: dict):
         self.matrix = matrix
         self.scalars = scalars
-        self.extrapolated = extrapolated
 
 
 # per spectral mode: q^2, and the diagonal scalars (s11, s22), the doubles nearest the exact values of
@@ -74,7 +71,7 @@ def build_dirac(mode: str, include_connection: bool = True) -> DiracMatrix:
                 k = 16 * b + i
                 row[k] = (row[k] - 1 if a == b else row[k]) + s[(a, b)]
             m.append(row)
-    return DiracMatrix(mode=mode, matrix=m, scalars=s, extrapolated=(mode == "1"))
+    return DiracMatrix(matrix=m, scalars=s)
 
 
 class EigensolverError(RuntimeError):
@@ -90,10 +87,9 @@ class Spectrum:
     eigenvector x; its `matrix_norm` is a lower bound of ||M||_2.
     """
 
-    __slots__ = ("mode", "eigenvalues", "residuals", "matrix_norm")
+    __slots__ = ("eigenvalues", "residuals", "matrix_norm")
 
-    def __init__(self, mode: str, eigenvalues: list, residuals: list, matrix_norm: float):
-        self.mode = mode
+    def __init__(self, eigenvalues: list, residuals: list, matrix_norm: float):
         self.eigenvalues = eigenvalues
         self.residuals = residuals
         self.matrix_norm = matrix_norm
@@ -109,7 +105,7 @@ class Spectrum:
         return self
 
 
-def eigenvalues(matrix, mode: str = "?") -> Spectrum:
+def eigenvalues(matrix) -> Spectrum:
     """Dense LAPACK eigensolve with a per-eigenpair backward-error certificate.
 
     The test oracle for `sectors.sector_eigenvalues`, and the solver of
@@ -127,18 +123,16 @@ def eigenvalues(matrix, mode: str = "?") -> Spectrum:
         v = vecs[:, k]
         r = np.linalg.norm(matrix @ v - lam[k] * v) / np.linalg.norm(v)
         residuals.append(float(r))
-    return Spectrum(mode=mode, eigenvalues=[complex(x) for x in lam],
-                    residuals=residuals, matrix_norm=norm).check_contract()
+    return Spectrum(eigenvalues=[complex(x) for x in lam], residuals=residuals, matrix_norm=norm).check_contract()
 
 
 # -- matching against the printed lists ------------------------------------------------
 
 
 class MatchReport:
-    __slots__ = ("mode", "max_distance", "mean_distance", "distances")
+    __slots__ = ("max_distance", "mean_distance", "distances")
 
-    def __init__(self, mode: str, max_distance: float, mean_distance: float, distances: list):
-        self.mode = mode
+    def __init__(self, max_distance: float, mean_distance: float, distances: list):
         self.max_distance = max_distance
         self.mean_distance = mean_distance
         self.distances = distances
@@ -152,12 +146,7 @@ def compare_spectrum(computed: Spectrum, reference: list[complex]) -> MatchRepor
     cost = [[abs(a - b) for b in reference] for a in computed.eigenvalues]
     _, cols = _linear_sum_assignment(cost)
     d = [row[j] for row, j in zip(cost, cols)]
-    return MatchReport(
-        mode=computed.mode,
-        max_distance=max(d),
-        mean_distance=math.fsum(d) / len(d),
-        distances=d,
-    )
+    return MatchReport(max_distance=max(d), mean_distance=math.fsum(d) / len(d), distances=d)
 
 
 def _linear_sum_assignment(cost) -> tuple[list[int], list[int]]:

@@ -187,7 +187,7 @@ class ConnectionAssembler:
         self.ad_left, self.ad_right = printed_ad_tables(calculus.algebra.q)
 
     def _de_coords(self, i: str) -> dict[tuple[str, str], GaussianRational]:
-        df = self.calculus.exterior_d(self.calculus.basis_form(i), normalized=True)
+        df = self.calculus.exterior_d(self.calculus.basis_form(i))
         return {(w[0], w[1]): el.counit() for w, el in df.terms.items()}
 
     def _wedge_pair(self, x: str, y: str) -> dict[tuple[str, str], GaussianRational]:
@@ -334,7 +334,7 @@ def covariant_derivative(calculus: Calculus, connection: SpinConnection, x: Diff
     _check_one_form(x, "covariant derivative")
     out = TensorForm(calculus, {})
     for (i,), f in x.terms.items():
-        df = calculus.exterior_d(calculus.from_function(f), normalized=True)
+        df = calculus.exterior_d(calculus.from_function(f))
         out = out + TensorForm(calculus, {i: df})
         out = out + covariant_derivative_basis(calculus, connection, i).left_multiply(f)
     return out
@@ -414,10 +414,10 @@ def regularity_check(calculus: Calculus, connection: SpinConnection) -> dict:
               for i in FORMS for j in FORMS}
     violations = []
     for idx, f in enumerate(kernel):
-        first = calculus.partials(f, normalized=True)
+        first = calculus.partials(f)
         total = calculus.zero()
         for j in FORMS:
-            second = calculus.partials(first[j], normalized=True)
+            second = calculus.partials(first[j])
             for i in FORMS:
                 s = second[i].counit()
                 if s:

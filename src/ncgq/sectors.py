@@ -112,8 +112,7 @@ def sector_eigenvalues(matrix: list[list[complex]], mode: str) -> Spectrum:
         radii += solved[poly][1]
     norm = _in_float_range(_root, max(sum(a * a + b * b for _, a, b in col) for col in columns),
                            1, -s, up=False)
-    return Spectrum(mode=mode, eigenvalues=lams, residuals=radii,
-                    matrix_norm=norm).check_contract()
+    return Spectrum(eigenvalues=lams, residuals=radii, matrix_norm=norm).check_contract()
 
 
 def _in_float_range(convert, *args, **kwargs):

@@ -39,7 +39,7 @@ def _ad(cal: Calculus, left: bool) -> dict[str, dict[tuple[str, str], GaussianRa
     for form in FORMS:
         row = out[form] = {}
         for g, coeff in right_coaction_on_form(cal, form):
-            proj = cal.pi_tilde(cal.algebra.inverse_antipode(coeff) if left else coeff)
+            proj = cal.pi_tilde(cal.algebra.antipode(coeff) if left else coeff)  # S^-1 = S
             row.update({((k, g) if left else (g, k)): s for k, s in proj.items() if s})
     return out
 

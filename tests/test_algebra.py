@@ -1,13 +1,15 @@
+import itertools
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from ncgq import linalg
-from ncgq.algebra import QuantumAlgebra, TensorElement, basis_monomials
+from ncgq.algebra import QuantumAlgebra, TensorElement, basis_monomials, monomial_index, monomial_product
 from ncgq.fixtures import printed_translation_matrices
-from ncgq.hopf import relation_residuals
+from ncgq.hopf import coproduct_table, relation_residuals
 from ncgq.scalars import GaussianRational, ONE, ZERO
 from test_table_oracles import oracle_apply, oracle_multiply_out
 
@@ -205,19 +207,74 @@ class TestHopfStructure:
             + alg.antipode_on_generator("beta") * alg.beta_star
         assert check == alg.one
 
-    def test_inverse_antipode_is_exact_inverse(self, alg):
-        rng = random.Random(3)
-        for _ in range(20):
-            x = random_element(alg, rng)
-            assert alg.inverse_antipode(alg.antipode(x)) == x
-            assert alg.antipode(alg.inverse_antipode(x)) == x
-
     def test_antipode_is_an_involution_on_the_basis(self, alg):
-        # S(S(m)) = m on all 16 monomials, so by linearity S^-1 = S, which inverse_antipode returns
+        # S(S(m)) = m on all 16 monomials, so by linearity S^-1 = S, which the coaction and audit use
         for (p, r) in basis_monomials():
             m = alg.monomial(p, r)
             assert alg.antipode(alg.antipode(m)) == m
-            assert alg.inverse_antipode(m) == alg.antipode(m)
+
+
+class TestUnbraidedCoproduct:
+    """Delta(xy) = Delta(x) Delta(y) fails for the plain product of the tensor square, and for
+    every diagonal braiding of it: the facts behind the audit's "coproduct multiplicativity" row.
+
+    A diagonal braiding multiplies (m_i (x) m_j)(m_i' (x) m_j') = chi(m_j, m_i') m_i m_i' (x) m_j m_j'
+    by a bicharacter chi(a^p b^r, a^p' b^r') = i^(A pp' + B pr' + C rp' + D rr') of Z4 x Z4; the
+    256 choices of (A, B, C, D) mod 4 are all of them, and (0, 0, 0, 0) is the plain product.
+    """
+
+    @staticmethod
+    def braided_defects(mode: str):
+        """{(k, l): (the terms of Delta(m_k) Delta(m_l), Delta(m_k m_l))} over the 256 monomial pairs.
+
+        A term is ((index of m_i m_i', index of m_j m_j'), (pp', pr', rp', rr'), coefficient), with
+        (p, r) the exponents of m_j and (p', r') those of m_i'; a product is {(i, j): coefficient}.
+        Coefficients are Gaussian integers held as complex numbers, exact at these sizes.
+        """
+        table, monomials = coproduct_table(mode), basis_monomials()
+
+        def terms(k):
+            it = iter(table[k])
+            return [(i, s >> 1, complex(a, b)) for i, s, a, b in zip(it, it, it, it)]
+
+        def times(i, j):
+            m, negated = monomial_product(monomials[i], monomials[j])
+            return monomial_index(m), -1 if negated else 1
+
+        out = {}
+        for k, l in itertools.product(range(16), repeat=2):
+            kl, sign = times(k, l)
+            products = []
+            for (i, j, c), (i2, j2, c2) in itertools.product(terms(k), terms(l)):
+                (left, s1), (right, s2) = times(i, i2), times(j, j2)
+                (p, r), (p2, r2) = monomials[j], monomials[i2]
+                products.append(((left, right), (p * p2, p * r2, r * p2, r * r2), s1 * s2 * c * c2))
+            out[k, l] = products, {(i, j): sign * c for i, j, c in terms(kl)}
+        return out
+
+    @staticmethod
+    def holds(products, want, chi) -> bool:
+        got = {}
+        for key, exponents, c in products:
+            got[key] = got.get(key, 0) + c * (1, 1j, -1, -1j)[sum(map(mul, chi, exponents)) % 4]
+        return {key: c for key, c in got.items() if c} == want
+
+    def test_the_plain_product_fails_on_96_of_the_256_pairs(self, alg):
+        monomials = [alg.monomial(p, r) for p, r in basis_monomials()]
+        failing = {(k, l) for k, l in itertools.product(range(16), repeat=2)
+                   if alg.coproduct(monomials[k]) * alg.coproduct(monomials[l])
+                   != alg.coproduct(monomials[k] * monomials[l])}
+        assert len(failing) == 96
+        assert (2, 3) in failing  # the audit's witness x = b^2, y = b^3
+        # the braided product below, at the trivial bicharacter, is TensorElement's product
+        defects = self.braided_defects(alg.mode)
+        assert failing == {kl for kl, (products, want) in defects.items()
+                           if not self.holds(products, want, (0, 0, 0, 0))}
+
+    def test_no_diagonal_braiding_makes_it_multiplicative(self, alg):
+        defects = list(self.braided_defects(alg.mode).values())
+        for chi in itertools.product(range(4), repeat=4):
+            assert any(not self.holds(products, want, chi) for products, want in defects), chi
 
 
 class TestTranslationMatrices:

@@ -98,12 +98,12 @@ class TestConnectionTerm:
 
 class TestEigensolver:
     def test_identity(self):
-        spec = eigenvalues(np.eye(32), mode="test")
+        spec = eigenvalues(np.eye(32))
         assert all(abs(z - 1) < 1e-12 for z in spec.eigenvalues)
 
     def test_diagonal(self):
         m = np.diag(np.arange(1, 33, dtype=complex))
-        spec = eigenvalues(m, mode="test")
+        spec = eigenvalues(m)
         got = sorted(z.real for z in spec.eigenvalues)
         assert np.allclose(got, np.arange(1, 33))
 
@@ -113,13 +113,13 @@ class TestEigensolver:
         m[1, 0] = 1.0  # 2x2 companion of z^2 - 1
         for k in range(2, 32):
             m[k, k] = 5.0
-        spec = eigenvalues(m, mode="test")
+        spec = eigenvalues(m)
         vals = sorted(z.real for z in spec.eigenvalues)[:2]
         assert np.allclose(vals, [-1.0, 1.0])
 
     def test_residual_contract(self):
         dm = build_dirac("i")
-        spec = eigenvalues(dm.matrix, mode="i")
+        spec = eigenvalues(dm.matrix)
         assert spec.max_residual() <= 1e-9 * spec.matrix_norm
 
     def test_nonfinite_rejected(self):
@@ -132,7 +132,7 @@ class TestEigensolver:
 class TestCompareSpectrum:
     def test_identical_lists(self):
         ref = printed_spectrum("i")
-        spec = Spectrum(mode="i", eigenvalues=list(ref), residuals=[0.0] * 32,
+        spec = Spectrum(eigenvalues=list(ref), residuals=[0.0] * 32,
                         matrix_norm=1.0)
         rep = compare_spectrum(spec, ref)
         assert rep.max_distance == 0.0
@@ -141,12 +141,12 @@ class TestCompareSpectrum:
         # the reference -i list is stated to be the conjugate of the i list
         a = printed_spectrum("i")
         b = printed_spectrum("-i")
-        spec = Spectrum(mode="-i", eigenvalues=[z.conjugate() for z in a],
+        spec = Spectrum(eigenvalues=[z.conjugate() for z in a],
                         residuals=[0.0] * 32, matrix_norm=1.0)
         assert compare_spectrum(spec, b).max_distance == 0.0
 
     def test_length_mismatch(self):
-        spec = Spectrum(mode="i", eigenvalues=[0j], residuals=[0.0], matrix_norm=1.0)
+        spec = Spectrum(eigenvalues=[0j], residuals=[0.0], matrix_norm=1.0)
         with pytest.raises(ValueError):
             compare_spectrum(spec, printed_spectrum("i"))
 
@@ -282,7 +282,6 @@ class TestAssignmentSolver:
 class TestAssembly:
     def test_block_structure_q1(self):
         dm = build_dirac("1")
-        assert dm.extrapolated
         q = q_root("1")
         from ncgq.fixtures import printed_translation_matrices
 
@@ -454,7 +453,7 @@ class TestSectorSolver:
     @pytest.mark.parametrize("mode", ["1", "i", "-i"])
     def test_matches_the_dense_solver(self, mode):
         matrix = build_dirac(mode).matrix
-        sector, dense = sectors.sector_eigenvalues(matrix, mode), eigenvalues(matrix, mode)
+        sector, dense = sectors.sector_eigenvalues(matrix, mode), eigenvalues(matrix)
         _assert_norm_is_the_largest_column_norm_rounded_down(sector, dense, matrix)
         assert compare_spectrum(sector, dense.eigenvalues).max_distance <= 1e-9 * dense.matrix_norm
         assert sector.max_residual() <= 1e-9 * sector.matrix_norm
@@ -462,7 +461,7 @@ class TestSectorSolver:
     @pytest.mark.parametrize("mode", ["i", "-i"])
     def test_bare_operator_matches_the_dense_solver(self, mode):
         matrix = build_dirac(mode, include_connection=False).matrix
-        sector, dense = sectors.sector_eigenvalues(matrix, mode), eigenvalues(matrix, mode)
+        sector, dense = sectors.sector_eigenvalues(matrix, mode), eigenvalues(matrix)
         _assert_norm_is_the_largest_column_norm_rounded_down(sector, dense, matrix)
         assert compare_spectrum(sector, dense.eigenvalues).max_distance <= 1e-9 * dense.matrix_norm
 
@@ -474,7 +473,7 @@ class TestSectorSolver:
         spec = sectors.sector_eigenvalues(build_dirac("1", include_connection=False).matrix, "1")
         exact = [a - 1 + sign * cmath.sqrt(a - 1)
                  for a in (1, 1j, -1, -1j) for _ in range(4) for sign in (1, -1)]
-        got = Spectrum(mode="1", eigenvalues=exact, residuals=[0.0] * 32, matrix_norm=1.0)
+        got = Spectrum(eigenvalues=exact, residuals=[0.0] * 32, matrix_norm=1.0)
         assert compare_spectrum(got, spec.eigenvalues).max_distance <= 1e-9 * spec.matrix_norm
         assert spec.max_residual() <= 1e-9 * spec.matrix_norm
 
@@ -593,7 +592,7 @@ class TestSpectra:
                 disc = cmath.sqrt(1 + ((a - 1) * b ** 3 + s12) * (b + s21))
                 analytic += [a + 4 + disc, a + 4 - disc]
         _, spec, _ = spectrum_pipeline("1")
-        got = Spectrum(mode="1", eigenvalues=analytic, residuals=[0.0] * 32,
+        got = Spectrum(eigenvalues=analytic, residuals=[0.0] * 32,
                        matrix_norm=1.0)
         rep = compare_spectrum(got, spec.eigenvalues)
         assert rep.max_distance <= 1e-9
@@ -603,7 +602,7 @@ class TestSpectra:
     def test_conjugation_symmetry_of_spectra(self):
         _, spec_i, _ = spectrum_pipeline("i")
         _, spec_mi, _ = spectrum_pipeline("-i")
-        got = Spectrum(mode="-i", eigenvalues=[z.conjugate() for z in spec_i.eigenvalues],
+        got = Spectrum(eigenvalues=[z.conjugate() for z in spec_i.eigenvalues],
                        residuals=[0.0] * 32, matrix_norm=spec_i.matrix_norm)
         rep = compare_spectrum(got, spec_mi.eigenvalues)
         assert rep.max_distance <= 1e-9
@@ -910,7 +909,7 @@ class TestSearchedFamilies:
         eye = np.eye(16)
         d = np.block([[r_a + (s11 - 1) * eye, x12 + s12 * eye], [x21 + s21 * eye, b22 + (s22 - 1) * eye]])
         lam = np.linalg.eigvals(d)
-        report = compare_spectrum(Spectrum("i", list(lam), [0.0] * 32, 1.0), printed_spectrum("i"))
+        report = compare_spectrum(Spectrum(list(lam), [0.0] * 32, 1.0), printed_spectrum("i"))
         assert report.max_distance == pytest.approx(recorded, abs=1e-6)
         assert report.max_distance > 1e-3
         assert min(abs(x - y) for x, y in itertools.combinations(lam, 2)) > 1e-6

@@ -1,9 +1,11 @@
 """Every entry of the image tables that `verify` fills, against its form-level formula, in order.
 
 Equality of two forms or tensor forms is equality of their keyed numerators as
-dicts, which ignores key order; but `curvature` and `audit` print the words of
-an image in the order its table entry lists them.  So each oracle here builds
-the image by the form-level formula, reduced at each step:
+dicts, which ignores key order.  No output reads that order either: `curvature`
+and `audit` print words, legs and monomials sorted, and the last test here
+fills every table and sum in reverse to show that their bytes stay the same.
+So the key order pinned below is stricter than any output needs.  Each oracle
+here builds the image by the form-level formula, reduced at each step:
 
 * the d image of m e_w as theta ^ m e_w - sigma(m e_w) ^ theta, through KeyedSum
   arithmetic;
@@ -17,7 +19,12 @@ in key order.  Every table starts empty here, so each entry is filled by the
 test that reads it.
 """
 import itertools
+import json
+import os
+import subprocess
+import sys
 from itertools import chain
+from pathlib import Path
 
 import pytest
 
@@ -135,3 +142,45 @@ def test_a_curvature_fill_sums_once_and_reduces_once(cal, monkeypatch):
     monkeypatch.undo()
     want = oracle_riemann(cal, conn, t)
     assert (got.den, flat(got)) == (want.den, flat(want))
+
+
+# Runs each argv of a JSON list through ncgq.cli.main in one fresh process, every table empty at the
+# start, and prints [[exit code, stdout], ...]; with "reversed" first, every sum that _of makes keeps
+# its keys and its support in reverse order, so every table fills and every sum iterates the other way.
+REVERSED_FILL_ENTRY = """
+import io, json, sys
+from contextlib import redirect_stdout
+from ncgq.algebra import ScalarSum
+from ncgq.calculus import FormSum
+from ncgq.cli import main
+
+def reversing(of):
+    def _of(cls, context, den, num, nonzero=None):
+        if isinstance(num, dict):
+            num = dict(reversed(num.items()))
+        return of(cls, context, den, num, None if nonzero is None else nonzero[::-1])
+    return classmethod(_of)
+
+if sys.argv[1] == "reversed":
+    for cls in (ScalarSum, FormSum):
+        cls._of = reversing(cls.__dict__["_of"].__func__)
+runs = []
+for argv in json.loads(sys.argv[2]):
+    with redirect_stdout(io.StringIO()) as out:
+        runs.append([main(argv), out.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_no_output_depends_on_fill_order():
+    argvs = [[command, "--q", "i", "--format", fmt] for command in ("curvature", "audit") for fmt in ("json", "text")]
+    runs = {}
+    for order in ("as filled", "reversed"):
+        done = subprocess.run([sys.executable, "-c", REVERSED_FILL_ENTRY, order, json.dumps(argvs)],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
+        assert done.returncode == 0, done.stderr
+        runs[order] = json.loads(done.stdout)
+    assert [code for code, _ in runs["as filled"]] == [0] * 4
+    for argv, plain, turned in zip(argvs, runs["as filled"], runs["reversed"]):
+        assert plain == turned, argv

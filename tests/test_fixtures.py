@@ -1,11 +1,15 @@
 """The fixture loader, and the script that writes the committed fixtures."""
+import copy
 import importlib.util
 import inspect
 import json
 import shutil
 from pathlib import Path
 
+import pytest
+
 from ncgq import fixtures
+from ncgq.cli import main
 from ncgq.scalars import q_root
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,3 +64,55 @@ def test_translation_matrices_compare_and_hash_by_value():
     a, b = fixtures.printed_translation_matrices(q2)["alpha"], fixtures.printed_translation_matrices(q2)["alpha"]
     assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != fixtures.printed_translation_matrices(q2)["beta"]
+
+
+# -- the fixture fuzz: every leaf of a fixture file, replaced by each value of a fixed list ----------
+
+FUZZ_VALUES = (0, -1, 1e308, 10**400, float("nan"), "x", None, [], {}, True)
+
+
+def fixture_leaves(doc, path: tuple = ()) -> list[tuple[tuple, object]]:
+    """[(path, value)] of every leaf of a JSON document, in document order.
+
+    A path is the tuple of keys and list indices from the root; a leaf is any value that is not a
+    non-empty object or list."""
+    if isinstance(doc, (dict, list)) and doc:
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return [leaf for key, value in items for leaf in fixture_leaves(value, path + (key,))]
+    return [(path, doc)]
+
+
+def with_leaf(doc, path: tuple, value):
+    """A copy of doc whose leaf at path is value; doc itself is left as it is."""
+    if not path:
+        return value
+    out = copy.copy(doc)
+    out[path[0]] = with_leaf(doc[path[0]], path[1:], value)
+    return out
+
+
+DIRAC_SCALARS = json.loads((COMMITTED / "dirac_scalars.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("path", [path for path, _ in fixture_leaves(DIRAC_SCALARS)],
+                         ids=lambda path: "/".join(map(str, path)))
+def test_every_value_in_a_dirac_scalars_leaf_ends_in_an_exit_code(path, tmp_path, monkeypatch, capsys):
+    # dirac runs at the leaf's own mode, and at q = i for a leaf outside "modes"
+    mode = path[1] if path[0] == "modes" else "i"
+    folder = tmp_path / "fixtures"
+    shutil.copytree(COMMITTED, folder)
+    monkeypatch.setenv("NCGQ_FIXTURES", str(folder))
+    try:
+        for value in FUZZ_VALUES:
+            (folder / "dirac_scalars.json").write_text(json.dumps(with_leaf(DIRAC_SCALARS, path, value)))
+            fixtures._read.cache_clear()
+            try:
+                code = main(["dirac", "--q", mode])
+            except Exception as exc:
+                pytest.fail(f"{value!r}: {exc!r} left main")
+            err = capsys.readouterr().err
+            assert code in (0, 1, 3), (value, code, err)
+            if code == 3:
+                assert err.count("\n") == 1 and err.startswith("fixture error: "), (value, err)
+    finally:
+        fixtures._read.cache_clear()

@@ -158,10 +158,9 @@ def test_wedge_and_d_on_rational_inputs(cal, kind):
         got = cal.wedge(x, y)
         assert got == oracle_wedge(cal, x, y)
         assert_pruned(got)
-        for normalized in (True, False):
-            got = cal.exterior_d(x, normalized)
-            assert got == oracle_d(cal, x, normalized)
-            assert_pruned(got)
+        got = cal.exterior_d(x)
+        assert got == oracle_d(cal, x)
+        assert_pruned(got)
 
 
 def test_results_that_cancel_to_zero(cal):
@@ -178,8 +177,7 @@ def test_results_that_cancel_to_zero(cal):
         assert cal.wedge(cal.basis_form("a", f), cal.basis_form("a", g)).terms == {}
         # d^2 = 0 and both antipode axioms, on rational inputs
         z = form(cal, rng, large_denominators)
-        for normalized in (True, False):
-            assert cal.exterior_d(cal.exterior_d(z, normalized), normalized).terms == {}
+        assert cal.exterior_d(cal.exterior_d(z)).terms == {}
         left, right = alg.antipode_axiom_defect(element(alg, rng, shared_denominators, 16))
         assert left.coeffs == {} and right.coeffs == {}
 
@@ -267,7 +265,7 @@ def test_coeffs_view_matches_the_oracles_coordinatewise(cal):
             assert_canonical(got)
         u = form(cal, rng, large_denominators)
         for w, f in cal.exterior_d(u).terms.items():
-            assert f.coeffs == oracle_d(cal, u, True).terms[w].coeffs
+            assert f.coeffs == oracle_d(cal, u).terms[w].coeffs
             assert_canonical(f)
 
 
@@ -300,8 +298,7 @@ def test_a_form_is_canonical_over_one_denominator(cal):
         assert x.den == math.lcm(*[f.den for f in xs.values()]) and x.terms == xs
         g, k = element(alg, rng, large_denominators, 16), shared_denominators(rng) or GaussianRational(5)
         results = {"x": x, "x + y": x + y, "x - y": x - y, "-x": -x, "x - x": x - x, "x k": x.scale(k),
-                   "g x": x.left_multiply(g), "x ^ y": cal.wedge(x, y), "d x": cal.exterior_d(x),
-                   "d' x": cal.exterior_d(x, False)}
+                   "g x": x.left_multiply(g), "x ^ y": cal.wedge(x, y), "d x": cal.exterior_d(x)}
         for got in results.values():
             assert_canonical(got)
         # .terms holds each word's canonical coefficient
@@ -423,7 +420,7 @@ def test_warm_wedge_d_and_curvature_make_no_algebra_element(cal, monkeypatch):
     x, y = one_forms
 
     def run():
-        return [cal.wedge(x, y), cal.wedge(x, two_form), cal.exterior_d(x), cal.exterior_d(two_form, False),
+        return [cal.wedge(x, y), cal.wedge(x, two_form), cal.exterior_d(x), cal.exterior_d(two_form),
                 riemann(cal, conn, x)]
 
     want = run()  # fills the tables these inputs read
