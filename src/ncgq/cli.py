@@ -14,10 +14,10 @@ or not of its expected shape (a NaN or infinite number included), 4
 output error: the --out file cannot be written, or exists and is not a regular
 file.  Each error is one line on stderr, naming the token or file at fault.
 JSON output is deterministic (sorted keys, fixed float formatting; `dirac`
-lists its eigenvalues in a canonical order, not the solver's); text output is
-human-oriented and unstable.  Files are written atomically; a symlink is
-written through.  `audit --q generic` audits q = i; `audit --q 1` is a
-configuration error.
+lists its eigenvalues, each beside its match distance, in a canonical order,
+equal ones by ascending distance); text output is human-oriented and
+unstable.  Files are written atomically; a symlink is written through.
+`audit --q generic` audits q = i; `audit --q 1` is a configuration error.
 
 Only `verify` forks, at a root and before it compiles the exact half: the child
 imports numpy, fixtures, dirac and sectors for the spectral half while this

@@ -7,11 +7,12 @@ from .dirac import spectrum_pipeline
 
 def run(cfg) -> int:
     dm, spec, report = spectrum_pipeline(cfg.qmode)
-    # the solver's order follows its choice of basis, so emit a canonical one:
-    # by real, then imaginary part at 9 decimals, then by the full values
-    lam = spec.eigenvalues
+    # the solver's order follows its choice of basis, so emit a canonical one: by real, then
+    # imaginary part at 9 decimals, then by the full values, then, as equal eigenvalues may be
+    # matched either way round, by match distance
+    lam, dist = spec.eigenvalues, report.distances
     order = sorted(range(len(lam)), key=lambda k: (round(lam[k].real, 9), round(lam[k].imag, 9),
-                                                   lam[k].real, lam[k].imag))
+                                                   lam[k].real, lam[k].imag, dist[k]))
     eigs = [lam[k] for k in order]
     doc = {
         "q": cfg.qmode,
@@ -22,7 +23,7 @@ def run(cfg) -> int:
         "reference": "paper-prop4",
         "max_match_distance": report.max_distance,
         "mean_match_distance": report.mean_distance,
-        "match_distances": [report.distances[k] for k in order],
+        "match_distances": [dist[k] for k in order],
         "connection_scalars": {str(k): [v.real, v.imag] for k, v in dm.scalars.items()},
     }
     lines = [f"Dirac spectrum (q = {cfg.qmode}, unnormalized"

@@ -15,7 +15,8 @@ from the fixture symbols and DIAGONAL_SCALARS, so `dirac` loads no exact arithme
 
 `spectrum_pipeline` solves D one small block at a time in pure Python
 (`sectors.sector_eigenvalues`), certifying each eigenvalue by a disk in exact
-arithmetic; `eigenvalues` is the dense LAPACK solver, and numpy is imported
+arithmetic, and matches the spectrum to the printed list at least total
+distance; `eigenvalues` is the dense LAPACK solver, and numpy is imported
 there only.
 """
 from __future__ import annotations
@@ -139,7 +140,7 @@ class MatchReport:
 
 
 def compare_spectrum(computed: Spectrum, reference: list[complex]) -> MatchReport:
-    """Minimum-cost bipartite matching under absolute complex distance."""
+    """A minimum-cost bipartite matching under absolute complex distance."""
     if len(computed.eigenvalues) != len(reference):
         raise ValueError(
             f"length mismatch: {len(computed.eigenvalues)} vs {len(reference)}")
@@ -150,16 +151,10 @@ def compare_spectrum(computed: Spectrum, reference: list[complex]) -> MatchRepor
 
 
 def _linear_sum_assignment(cost) -> tuple[list[int], list[int]]:
-    """Minimum-cost perfect matching of a square cost matrix (rows), as (rows, cols).
+    """A minimum-cost perfect matching of a square cost matrix (rows), as (rows, cols).
 
-    A square-only port of the shortest-augmenting-path solver with dual updates
-    behind scipy.optimize.linear_sum_assignment (Crouse, "On implementing 2D
-    rectangular assignment algorithms", IEEE TAES 52(4), 2016).  It returns
-    scipy's assignment, not only one of equal cost, because it keeps the three
-    details that break near-ties (the computed q = i spectrum comes in exact
-    pairs): the reduced cost is summed in scipy's order, the unscanned columns
-    start reversed and a scanned one is replaced by the last, and on an equal
-    path cost an unassigned column wins.
+    The Hungarian method with row and column potentials, O(n^3) (Kuhn 1955, Munkres
+    1957): each row in turn joins along a shortest augmenting path in reduced cost.
     """
     try:
         c = [[float(x) for x in row] for row in cost]
@@ -170,53 +165,34 @@ def _linear_sum_assignment(cost) -> tuple[list[int], list[int]]:
         raise ValueError(f"cost matrix is not square: shape {(n, *sorted({len(row) for row in c}))}")
     if not all(math.isfinite(x) for row in c for x in row):
         raise ValueError("cost matrix has non-finite entries")
-    u = [0.0] * n
-    v = [0.0] * n
-    path = [-1] * n
-    col4row = [-1] * n
-    row4col = [-1] * n
-    for cur in range(n):
-        # shortest augmenting path from the unassigned row cur
-        spc = [math.inf] * n
-        remaining = list(range(n - 1, -1, -1))
-        n_remaining = n
-        rows_seen, cols_seen = [], []
-        min_val = 0.0
-        i, sink = cur, -1
-        while sink == -1:
-            rows_seen.append(i)
-            row, ui = c[i], u[i]
-            lowest, index = math.inf, -1
-            for it in range(n_remaining):
-                j = remaining[it]
-                r = min_val + row[j] - ui - v[j]
-                if r < spc[j]:
-                    path[j] = i
-                    spc[j] = r
-                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
-                    lowest, index = spc[j], it
-            min_val = lowest
-            j = remaining[index]
-            if row4col[j] == -1:
-                sink = j
-            else:
-                i = row4col[j]
-            cols_seen.append(j)
-            n_remaining -= 1
-            remaining[index] = remaining[n_remaining]
-        u[cur] += min_val
-        for i in rows_seen[1:]:
-            u[i] += min_val - spc[col4row[i]]
-        for j in cols_seen:
-            v[j] -= min_val - spc[j]
-        j = sink
-        while True:
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur:
-                break
-    return list(range(n)), col4row
+    u, v = [0.0] * n, [0.0] * (n + 1)  # row and column potentials; each path starts at column n
+    row4col, way = [-1] * (n + 1), [n] * n  # way: the column before each on the path
+    for i in range(n):
+        row4col[n] = i
+        j0, minv, used = n, [math.inf] * (n + 1), [False] * (n + 1)
+        while row4col[j0] != -1:  # until the path reaches an unassigned column
+            used[j0] = True
+            i0, delta, j1 = row4col[j0], math.inf, n
+            for j in range(n):
+                if not used[j]:
+                    r = c[i0][j] - u[i0] - v[j]
+                    if r < minv[j]:
+                        minv[j], way[j] = r, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[row4col[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0 != n:  # augment: each column on the path takes the row of the one before it
+            row4col[j0], j0 = row4col[way[j0]], way[j0]
+    cols = [0] * n
+    for j in range(n):
+        cols[row4col[j]] = j
+    return list(range(n)), cols
 
 
 def spectrum_pipeline(mode: str) -> tuple[DiracMatrix, Spectrum, MatchReport]:

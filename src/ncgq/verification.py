@@ -130,23 +130,19 @@ def spectral_checks(mode: str) -> list[dict]:
     """The checks on the Dirac spectrum at one root.
 
     They share nothing with `exact_checks`, so the two halves can run side by
-    side.  D goes through the dense solver `dirac.eigenvalues`, and so imports
-    numpy, because the residual and trace details print its digits.  D also
-    goes through the sector solver, for its exact check that D commutes with
-    the left multiplications, which the spectra rest on: its EigensolverError
-    ends `verify` as it ends `dirac`.  Whether the connection term changes the
-    spectrum compares the sector spectra of D and of the bare D.
+    side.  They first run `dirac`'s pipeline, so a D or a reference list that
+    `dirac` rejects fails `verify` with the same error.  D then goes through
+    the dense solver `dirac.eigenvalues`, and so imports numpy, because the
+    residual and trace details print its digits.  Whether the connection term
+    changes the spectrum matches the sector spectra of D and of the bare D.
     """
-    from .dirac import build_dirac, eigenvalues
-    from .fixtures import printed_spectrum
+    from .dirac import build_dirac, compare_spectrum, eigenvalues, spectrum_pipeline
     from .sectors import sector_eigenvalues
 
     out: list[dict] = []
     record = _recorder(mode, out)
-    dm = build_dirac(mode)
+    dm, sectors, _ = spectrum_pipeline(mode)
     spec = eigenvalues(dm.matrix)
-    sectors = sector_eigenvalues(dm.matrix, mode)
-    printed_spectrum(mode)  # read, so a broken reference list fails verify as it fails `dirac`
     record("eigensolver residual contract (1e-9 ||M||)",
            spec.max_residual() <= 1e-9 * spec.matrix_norm,
            f"max residual {spec.max_residual():.3g}")
@@ -155,8 +151,6 @@ def spectral_checks(mode: str) -> list[dict]:
     record("eigenvalue sum equals trace (1e-8 ||M||)",
            abs(trace - expected) <= 1e-8 * spec.matrix_norm)
     bare = sector_eigenvalues(build_dirac(mode, include_connection=False).matrix, mode)
-    full_sorted = sorted(sectors.eigenvalues, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
-    bare_sorted = sorted(bare.eigenvalues, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
-    differs = any(abs(a - b) > 1e-6 for a, b in zip(full_sorted, bare_sorted))
-    record("connection term changes the spectrum", differs)
+    record("connection term changes the spectrum",
+           compare_spectrum(sectors, bare.eigenvalues).max_distance > 1e-6)
     return out

@@ -6,13 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from ncgq import fixtures, sectors
 from ncgq.cli import main
 from ncgq.cmd_verify import BLAS_THREAD_VARIABLES, alongside
-from ncgq.dirac import build_dirac
 
 COMMITTED_FIXTURES = Path(fixtures.__file__).resolve().parent / "fixtures"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -140,8 +138,9 @@ class TestCommands:
 
     @pytest.mark.parametrize("q, exit_code", [("1", 0), ("i", 1), ("-i", 1)])
     def test_dirac_eigenvalue_order_is_canonical(self, tmp_path, monkeypatch, q, exit_code):
-        # the emitted order must not follow the solver's: the blocks' order is a
-        # choice of basis, and LAPACK's order differs between BLAS builds
+        # the emitted order must not follow the solver's: the blocks' order is a choice of
+        # basis, LAPACK's order differs between BLAS builds, and at q = +-i each eigenvalue
+        # comes twice, so the matching may pair either copy with either list value
         plain, flipped = tmp_path / "plain.json", tmp_path / "flipped.json"
         assert run_cli(["dirac", "--q", q, "--out", str(plain)])[0] == exit_code
         solve = sectors.sector_eigenvalues
@@ -154,11 +153,7 @@ class TestCommands:
 
         monkeypatch.setattr(sectors, "sector_eigenvalues", reversed_solve)
         assert run_cli(["dirac", "--q", q, "--out", str(flipped)])[0] == exit_code
-        a, b = json.loads(plain.read_text()), json.loads(flipped.read_text())
-        assert a["eigenvalues"] == b["eigenvalues"]
-        tol = 1e-9 * np.linalg.norm(np.array(build_dirac(q).matrix), 2)
-        for key in ("max_match_distance", "mean_match_distance"):
-            assert abs(a[key] - b[key]) <= tol
+        assert plain.read_bytes() == flipped.read_bytes()
 
     def test_dirac_qi_exit_code_reflects_tolerance(self, tmp_path):
         # the q=i reference list is not reproducible to 1e-3 (see audit);
@@ -556,9 +551,9 @@ DIRAC_PACKAGE = {"ncgq", "ncgq.cli", "ncgq.cmd_dirac", "ncgq.fixtures", "ncgq.di
 HANDLERS = {f"ncgq.cmd_{name}" for name in ("verify", "connection", "curvature", "dirac", "audit")}
 # the most ncgq source lines each cold command may load: every cold run compiles them, and the
 # count, unlike wall time, repeats exactly
-SOURCE_LINE_CEILINGS = {"dirac --q 1": 857, "dirac --q i": 857, "dirac --q -i": 857,
-                        "connection --q i": 2215, "curvature --q i": 2104, "audit --q i": 3541,
-                        "verify --q i": 2627, "verify --q generic": 2416}
+SOURCE_LINE_CEILINGS = {"dirac --q 1": 834, "dirac --q i": 834, "dirac --q -i": 834,
+                        "connection --q i": 2215, "curvature --q i": 2104, "audit --q i": 3517,
+                        "verify --q i": 2621, "verify --q generic": 2410}
 
 
 def source_lines(modules) -> int:

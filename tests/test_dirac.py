@@ -208,8 +208,15 @@ def _paired_rows_cost(rng, n):
     return np.abs(a[:, None] - b[None, :])
 
 
+SEEDED_COSTS = {
+    "uniform": lambda rng, n: rng.random((n, n)),
+    "small-integers": lambda rng, n: rng.integers(0, 3, (n, n)).astype(float),  # many ties
+    "paired-rows": _paired_rows_cost,
+}
+
+
 class TestAssignmentSolver:
-    """The in-repo solver gives scipy's assignment, ties broken alike."""
+    """The in-repo solver finds an assignment of scipy's optimal cost."""
 
     @pytest.fixture(scope="class")
     def scipy_lsa(self):
@@ -217,9 +224,11 @@ class TestAssignmentSolver:
 
     def _assert_same(self, cost, scipy_lsa):
         rows, cols = dirac._linear_sum_assignment(cost)
+        n = cost.shape[0]
+        assert list(rows) == list(range(n)) and sorted(cols) == list(range(n))
         want_rows, want_cols = scipy_lsa(cost)
-        assert list(rows) == list(range(cost.shape[0])) == want_rows.tolist()
-        assert list(cols) == want_cols.tolist()
+        assert math.isclose(math.fsum(cost[rows, cols]), math.fsum(cost[want_rows, want_cols]),
+                            rel_tol=1e-12, abs_tol=1e-12)
 
     @pytest.mark.parametrize("mode", ["1", "i", "-i"])
     def test_matches_scipy_on_the_spectral_cost_matrices(self, mode, scipy_lsa):
@@ -239,11 +248,7 @@ class TestAssignmentSolver:
         with pytest.raises(ValueError, match="not square"):
             dirac._linear_sum_assignment([[1.0, 2.0], [3.0]])
 
-    @pytest.mark.parametrize("make_cost", [
-        lambda rng, n: rng.random((n, n)),
-        lambda rng, n: rng.integers(0, 3, (n, n)).astype(float),  # many ties
-        _paired_rows_cost,
-    ], ids=["uniform", "small-integers", "paired-rows"])
+    @pytest.mark.parametrize("make_cost", SEEDED_COSTS.values(), ids=SEEDED_COSTS.keys())
     def test_matches_scipy_on_seeded_matrices(self, make_cost, scipy_lsa):
         rng = np.random.default_rng(5)
         for k in range(400):
@@ -277,6 +282,19 @@ class TestAssignmentSolver:
                 assert report["children"] == [], report
             else:
                 assert report["children"] == [{"numpy": child_numpy, "scipy": False}], report
+
+
+@pytest.mark.parametrize("make_cost", SEEDED_COSTS.values(), ids=SEEDED_COSTS.keys())
+def test_assignment_is_optimal_over_every_permutation(make_cost):
+    # the Hungarian method's cost is the least of all n! assignments, by brute force
+    rng = np.random.default_rng(7)
+    for n in range(1, 7):
+        for _ in range(10):
+            cost = make_cost(rng, n).tolist()
+            rows, cols = dirac._linear_sum_assignment(cost)
+            assert rows == list(range(n)) and sorted(cols) == list(range(n))
+            best = min(math.fsum(cost[i][j] for i, j in enumerate(p)) for p in itertools.permutations(range(n)))
+            assert math.fsum(cost[i][j] for i, j in zip(rows, cols)) <= best + 1e-12
 
 
 class TestAssembly:

@@ -1,8 +1,10 @@
 """The fixture loader, and the script that writes the committed fixtures."""
 import copy
+import functools
 import importlib.util
 import inspect
 import json
+import operator
 import shutil
 from pathlib import Path
 
@@ -91,20 +93,15 @@ def with_leaf(doc, path: tuple, value):
     return out
 
 
-DIRAC_SCALARS = json.loads((COMMITTED / "dirac_scalars.json").read_text(encoding="utf-8"))
-
-
-@pytest.mark.parametrize("path", [path for path, _ in fixture_leaves(DIRAC_SCALARS)],
-                         ids=lambda path: "/".join(map(str, path)))
-def test_every_value_in_a_dirac_scalars_leaf_ends_in_an_exit_code(path, tmp_path, monkeypatch, capsys):
-    # dirac runs at the leaf's own mode, and at q = i for a leaf outside "modes"
-    mode = path[1] if path[0] == "modes" else "i"
+def assert_every_value_ends_in_an_exit_code(name, doc, path, values, mode, tmp_path, monkeypatch, capsys):
+    """`dirac --q mode` exits 0, 1 or 3, raising nothing, with each value at doc's leaf in fixture
+    file name; an exit of 3 writes one line on stderr."""
     folder = tmp_path / "fixtures"
     shutil.copytree(COMMITTED, folder)
     monkeypatch.setenv("NCGQ_FIXTURES", str(folder))
     try:
-        for value in FUZZ_VALUES:
-            (folder / "dirac_scalars.json").write_text(json.dumps(with_leaf(DIRAC_SCALARS, path, value)))
+        for value in values:
+            (folder / name).write_text(json.dumps(with_leaf(doc, path, value)))
             fixtures._read.cache_clear()
             try:
                 code = main(["dirac", "--q", mode])
@@ -116,3 +113,44 @@ def test_every_value_in_a_dirac_scalars_leaf_ends_in_an_exit_code(path, tmp_path
                 assert err.count("\n") == 1 and err.startswith("fixture error: "), (value, err)
     finally:
         fixtures._read.cache_clear()
+
+
+DIRAC_SCALARS = json.loads((COMMITTED / "dirac_scalars.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("path", [path for path, _ in fixture_leaves(DIRAC_SCALARS)],
+                         ids=lambda path: "/".join(map(str, path)))
+def test_every_value_in_a_dirac_scalars_leaf_ends_in_an_exit_code(path, tmp_path, monkeypatch, capsys):
+    # dirac runs at the leaf's own mode, and at q = i for a leaf outside "modes"
+    mode = path[1] if path[0] == "modes" else "i"
+    assert_every_value_ends_in_an_exit_code("dirac_scalars.json", DIRAC_SCALARS, path, FUZZ_VALUES, mode,
+                                            tmp_path, monkeypatch, capsys)
+
+
+def first_leaves(doc) -> list[tuple[tuple, object]]:
+    """The leaves of fixture_leaves(doc) at index 0 of every list, but at both parts of an [re, im] pair."""
+    def wanted(path):
+        *head, last = path
+        parent = functools.reduce(operator.getitem, head, doc)
+        pair = isinstance(parent, list) and len(parent) == 2 and all(isinstance(x, float) for x in parent)
+        return all(k == 0 for k in head if isinstance(k, int)) and (last == 0 or pair or isinstance(last, str))
+    return [(path, value) for path, value in fixture_leaves(doc) if wanted(path)]
+
+
+SAMPLED_FIXTURES = {name: json.loads((COMMITTED / name).read_text(encoding="utf-8"))
+                    for name in ("spectra.json", "translation_matrices.json")}
+
+
+@pytest.mark.parametrize("name, path, leaf", [
+    pytest.param(name, path, leaf, id="/".join(map(str, (name, *path))))
+    for name, doc in SAMPLED_FIXTURES.items() for path, leaf in first_leaves(doc)])
+def test_every_value_in_a_spectra_or_matrices_leaf_ends_in_an_exit_code(
+        name, path, leaf, tmp_path, monkeypatch, capsys):
+    # dirac runs at the leaf's own mode, and at q = i for a leaf outside "lists"; a matrix entry
+    # also takes each other valid entry symbol
+    mode = path[1] if path[0] == "lists" else "i"
+    values = FUZZ_VALUES
+    if path[0] == "matrices":
+        values += tuple(sorted(set(fixtures.ENTRY_SYMBOLS) - {leaf}))
+    assert_every_value_ends_in_an_exit_code(name, SAMPLED_FIXTURES[name], path, values, mode,
+                                            tmp_path, monkeypatch, capsys)
