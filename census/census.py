@@ -18,6 +18,10 @@ is one JSON object: every run's arguments and exit code, every function that no
 run called, named `module.py:Qualified.name`, and every parameter with a default
 that no valid run (exit code 0 or 1, or the library pass) sets to another value,
 named `module.py:Qualified.name(parameter)`, of the functions that some run calls.
+It also counts the leaves of the fixture files that the runs parse, and names
+each leaf whose value no run reads, by validation or by use, as `file.json/pointer`
+(a JSON pointer, RFC 6901): the fixture loader's json.load hands out documents
+that record each value taken from them.
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy  # noqa: F401  loaded first: `verify` then runs its spectral half in this process
 
@@ -104,6 +109,65 @@ def library_pass() -> None:
         library.main(["--seed", "1"])
 
 
+def child(pointer: str, key) -> str:
+    """The JSON pointer of member key of the value at pointer."""
+    return f"{pointer}/{str(key).replace('~', '~0').replace('/', '~1')}"
+
+
+class ReadObject(dict):
+    """A JSON object that adds to `read` the pointer of each value taken from it.
+
+    Only the ways the fixture loader takes values are recorded: a value taken another way goes
+    unrecorded, so its leaves show as unread and the census fails until this records that way."""
+
+    def __init__(self, items, pointer: str, read: set):
+        super().__init__(items)
+        self.pointer, self.read = pointer, read
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        self.read.add(child(self.pointer, key))
+        return value
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def items(self):
+        self.read.update(child(self.pointer, key) for key in self)
+        return super().items()
+
+
+class ReadArray(list):
+    """A JSON array that adds to `read` the pointer of each value taken from it."""
+
+    def __init__(self, items, pointer: str, read: set):
+        super().__init__(items)
+        self.pointer, self.read = pointer, read
+
+    def __getitem__(self, index: int):
+        value = super().__getitem__(index)
+        self.read.add(child(self.pointer, range(len(self))[index]))  # a negative index counts from the end
+        return value
+
+    def __iter__(self):
+        for i, value in enumerate(super().__iter__()):
+            self.read.add(child(self.pointer, i))
+            yield value
+
+
+def recording(doc, pointer: str, read: set, leaves: set):
+    """doc, a parsed JSON value, with each object and array in it read-recording; adds to leaves the
+    pointer of each of its leaves, the values that are not a non-empty object or array."""
+    if isinstance(doc, dict) and doc:
+        return ReadObject({key: recording(value, child(pointer, key), read, leaves) for key, value in doc.items()},
+                          pointer, read)
+    if isinstance(doc, list) and doc:
+        return ReadArray([recording(value, child(pointer, i), read, leaves) for i, value in enumerate(doc)],
+                         pointer, read)
+    leaves.add(pointer)
+    return doc
+
+
 def same(value, default) -> bool:
     """Whether a parameter holds its default: the object itself, or an equal one of its type."""
     try:
@@ -118,6 +182,10 @@ def census(scratch: Path) -> dict:
     # code -> {parameter: default} of its defaulted parameters that no valid run has set yet
     unset: dict = {}
     set_now: set = set()  # (code, parameter) set by the run in progress
+    read, leaves = set(), set()  # pointers of the fixture values taken, and of every fixture leaf
+
+    def load(fh):
+        return recording(json.load(fh), os.path.basename(fh.name), read, leaves)
 
     def defaults(frame) -> dict:
         code = frame.f_code
@@ -152,6 +220,8 @@ def census(scratch: Path) -> dict:
         from ncgq import fixtures
         from ncgq.cli import main
 
+        fixtures.json = SimpleNamespace(load=load)
+
         runs = [counted(run(main, argv)) for argv in VALID + ERRORS]
         runs.append(counted(run(main, ["connection", "--out", str(scratch / "out" / "connection.json")])))
         runs.append(counted(run(main, ["dirac", "--q", "1", "--out", str(scratch)])))
@@ -171,7 +241,8 @@ def census(scratch: Path) -> dict:
     uncalled = sorted(name for key, (name, _) in found.items() if key not in reached)
     unvaried = sorted(f"{found[resolved[code.co_filename], code.co_firstlineno, code.co_name][0]}({name})"
                       for code, params in unset.items() for name in params)
-    return {"runs": runs, "uncalled": uncalled, "unvaried": unvaried}
+    return {"runs": runs, "uncalled": uncalled, "unvaried": unvaried,
+            "fixture_leaves": len(leaves), "unread_fixture_leaves": sorted(leaves - read)}
 
 
 if __name__ == "__main__":

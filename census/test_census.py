@@ -1,5 +1,6 @@
 """The runtime census (not part of tier-1): every function of src/ncgq is run, or allowed not to be,
-and every parameter with a default is set to another value by a valid run, or allowed not to be.
+every parameter with a default is set to another value by a valid run, or allowed not to be, and
+every leaf of the committed fixtures is read by some run, or allowed not to be.
 
     PYTHONPATH=src python3 -m pytest census -q
 """
@@ -51,3 +52,11 @@ def test_every_unvaried_parameter_is_allowed_and_every_allowed_one_is_unvaried(r
     allowed, unvaried = allowlist("options_allowlist.txt").keys(), set(report["unvaried"])
     assert not unvaried - allowed, f"no valid run sets it, and not allowed: {sorted(unvaried - allowed)}"
     assert not allowed - unvaried, f"allowed but set, or no longer defined: {sorted(allowed - unvaried)}"
+
+
+def test_every_unread_fixture_leaf_is_allowed_and_every_allowed_one_is_unread(report):
+    # 4 x 256 matrix entries, 3 x 32 [re, im] pairs, 3 x 2 scalar pairs, 3 versions and the 8 allowed
+    assert report["fixture_leaves"] == 1024 + 192 + 12 + 3 + 8
+    allowed, unread = allowlist("fixture_allowlist.txt").keys(), set(report["unread_fixture_leaves"])
+    assert not unread - allowed, f"read by no run and not allowed: {sorted(unread - allowed)}"
+    assert not allowed - unread, f"allowed but read, or no longer a leaf: {sorted(allowed - unread)}"

@@ -1,5 +1,5 @@
-"""The standing mutation suite: each mutant is a small wrong edit of `src`, and the tests named with
-it must notice.
+"""The standing mutation suite: each mutant is a small wrong edit of `src`, or of an exact certificate
+that a test builds, and the tests named with it must notice.
 
     PYTHONPATH=src python -m pytest mutants -q
 
@@ -9,6 +9,10 @@ the snippet's replacement, and the ids of the tests that must fail.  The runner 
 the mutant there, and runs only the named tests, in a subprocess; at least one of them must fail.
 The named tests must all pass on an unmutated copy.  A refactor that moves a snippet fails here
 loudly, and must re-point the mutant.
+
+A `-0.0` imaginary part in a symbol value is made in `ENTRY_SYMBOLS` at the integer q^2 of `dirac`
+only: since the table serves exact and float entries alike, a complex value at every q^2 would
+fail every exact caller first, not the bit-for-bit oracle it is named for.
 """
 import os
 import shutil
@@ -50,6 +54,35 @@ MUTANTS = (
     Mutant("scipy at runtime", "src/ncgq/dirac.py",
            "import math\n", "import math\n\nimport scipy  # noqa: F401\n",
            ("tests/test_dirac.py::TestAssignmentSolver::test_runtime_never_imports_scipy",)),
+    Mutant("a boolean fixture version", "src/ncgq/fixtures.py",
+           ' and type(data["version"]) is int', "",
+           ("tests/test_fixtures.py::test_a_boolean_version_is_a_fixture_error",)),
+    Mutant("Smith's radius without the factor n", "src/ncgq/sectors.py",
+           "_root(n * n * (pr * pr + pi * pi),", "_root(pr * pr + pi * pi,",
+           ("tests/test_dirac.py::TestSectorSolver"
+            "::test_fraction_recomputation_gives_disjoint_disks_within_the_radii",)),
+    Mutant("a Frobenius norm in the sector solver", "src/ncgq/sectors.py",
+           "max(sum(a * a + b * b for _, a, b in col) for col in columns)",
+           "sum(sum(a * a + b * b for _, a, b in col) for col in columns)",
+           ("tests/test_dirac.py::TestSectorSolver::test_matches_the_dense_solver",
+            "tests/test_dirac.py::TestSectorSolver::test_bare_operator_matches_the_dense_solver")),
+    Mutant("argparse at the top of the CLI", "src/ncgq/cli.py",
+           "import json\nimport math\n", "import argparse  # noqa: F401\nimport json\nimport math\n",
+           ("tests/test_cli.py::TestColdImports::test_loads_no_dataclasses_and_dirac_no_algebra",)),
+    Mutant("curvature images filled as m R(e_i)", "src/ncgq/riemannian.py",
+           "    basis = calculus.basis_form(i, calculus.algebra.monomial(k >> 2, k & 3))\n"
+           "    t = riemann_of_tensor(calculus, connection, covariant_derivative(calculus, connection, basis))\n",
+           "    basis = calculus.basis_form(i)\n"
+           "    t = riemann_of_tensor(calculus, connection, covariant_derivative(calculus, connection, basis))\n"
+           "    t = t.left_multiply(calculus.algebra.monomial(k >> 2, k & 3))\n",
+           ("tests/test_riemannian.py::TestCurvatureImages::test_each_fill_derives_one_basis_element",)),
+    Mutant("a -0.0 imaginary part in a symbol value", "src/ncgq/fixtures.py",
+           '"0": lambda q2: 0 * q2,', '"0": lambda q2: complex(0.0, -0.0) if type(q2) is int else 0 * q2,',
+           ("tests/test_dirac.py::TestAssembly::test_assembly_matches_the_exact_oracle",)),
+    Mutant("a wrong sign in the doubling certificate", "tests/test_dirac.py",
+           "(alg.monomial(0, 0) - a + a ** 2 - a ** 3) * alg.beta",
+           "(alg.monomial(0, 0) + a + a ** 2 - a ** 3) * alg.beta",
+           ("tests/test_dirac.py::TestSearchedFamilies::test_certified_blocks_commute_with_the_certificate",)),
 )
 
 

@@ -60,8 +60,6 @@ R_BETASTAR = matrix_from_entries(
 translation = {
     "source": "paper",
     "version": 1,
-    "basis": "1, b, b^2, b^3, a, a b, a b^2, a b^3, a^2, a^2 b, a^2 b^2, a^2 b^3, a^3, a^3 b, a^3 b^2, a^3 b^3",
-    "entry_symbols": {"1": [1], "q^2": [0, 0, 1], "-q^2": [0, 0, -1], "0": [0]},
     "matrices": {
         "alpha": R_ALPHA,
         "beta": R_BETA,
@@ -69,7 +67,6 @@ translation = {
         # the reference asserts the delta operator equals the alpha operator
         "delta": R_ALPHA,
     },
-    "delta_equals_alpha_claim": True,
 }
 
 SPECTRUM_Q1 = [
@@ -97,7 +94,6 @@ SPECTRUM_QI = [
 spectra = {
     "source": "paper",
     "version": 1,
-    "normalization": "unnormalized",
     "lists": {
         "1": SPECTRUM_Q1,
         "i": SPECTRUM_QI,

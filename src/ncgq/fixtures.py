@@ -1,11 +1,11 @@
-"""Loaders for the versioned reference-data fixtures (JSON, tagged source: paper).
+"""Loaders for the versioned reference-data fixtures (JSON, each tagged with its source).
 
-The fixture directory can be overridden with the NCGQ_FIXTURES environment
-variable so audits can be pointed at alternative transcriptions.  Each file is
-checked against its expected shape when it is read; a missing, unreadable or
-malformed file raises FixtureError.  The translation matrices are plain row
-tuples, read at an exact q^2 by the audit and the tests and at an integer q^2
-by `dirac`.
+NCGQ_FIXTURES overrides the fixture directory, to audit other transcriptions.
+Each file is checked against its shape when read; a missing, unreadable or
+malformed file raises FixtureError.  A translation matrix is 16 row tuples,
+rows and columns in the order 4p + r of a^p b^r; ENTRY_SYMBOLS defines its
+entry symbols, read at an exact q^2 by the audit and the tests and at an
+integer q^2 by `dirac`.
 """
 from __future__ import annotations
 
@@ -75,7 +75,7 @@ def _is_finite_number(v) -> bool:
 
 
 def _version_problem(data: dict) -> str | None:
-    return None if data.get("version") == 1 else "version is not 1"
+    return None if data.get("version") == 1 and type(data["version"]) is int else "version is not 1"
 
 
 def _translation_matrices_problem(data: dict) -> str | None:

@@ -1,11 +1,12 @@
-"""Every entry of the image tables that `verify` fills, against its form-level formula, in order.
+"""Every entry of the image tables that `verify` fills, against its form-level formula.
 
-Equality of two forms or tensor forms is equality of their keyed numerators as
-dicts, which ignores key order.  No output reads that order either: `curvature`
-and `audit` print words, legs and monomials sorted, and the last test here
-fills every table and sum in reverse to show that their bytes stay the same.
-So the key order pinned below is stricter than any output needs.  Each oracle
-here builds the image by the form-level formula, reduced at each step:
+The order in which a table entry lists its (key, slot) values is free: equality
+of two forms or tensor forms is equality of their keyed numerators as dicts,
+and no output reads that order either.  `curvature` and `audit` print words,
+legs and monomials sorted, and the last test here fills every table and sum in
+reverse to show that their bytes stay the same.  So each entry is compared with
+its oracle as {(key, slot): value}.  Each oracle here builds the image by the
+form-level formula, reduced at each step:
 
 * the d image of m e_w as theta ^ m e_w - sigma(m e_w) ^ theta, through KeyedSum
   arithmetic;
@@ -14,16 +15,15 @@ here builds the image by the form-level formula, reduced at each step:
   with + over their lcm;
 * the antipode axiom defects through the oracles' apply and multiply_out;
 
-and each table entry must equal the oracle's flat entry, entry for entry and
-in key order.  Every table starts empty here, so each entry is filled by the
-test that reads it.
+and each table entry must hold the oracle's values, each (key, slot) once.  The
+test names still end in "in_order", as mutants/ and CHANGES.md cite them.  Every
+table starts empty here, so each entry is filled by the test that reads it.
 """
 import itertools
 import json
 import os
 import subprocess
 import sys
-from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -51,15 +51,23 @@ def fresh_connection(cal: Calculus) -> SpinConnection:
     return SpinConnection(reference_connection_values(cal.algebra.q), "reference-table")
 
 
-def flat(x) -> tuple:
-    """A form, tensor form or tensor as a flat table entry (key, slot, A, B, ...) in key order."""
-    return tuple(chain.from_iterable((key, 2 * j, a, b) for key, coords in x.nonzero() for j, a, b in coords))
+def values(x) -> dict:
+    """A form, tensor form or tensor as {(key, slot): (A, B)}, the values of a table entry."""
+    return {(key, 2 * j): (a, b) for key, coords in x.nonzero() for j, a, b in coords}
 
 
-def oracle_d_image(cal: Calculus, w: tuple, k: int) -> tuple:
+def entry_values(entry: tuple) -> dict:
+    """A flat table entry (key, slot, A, B, ...), in whatever order, as {(key, slot): (A, B)}."""
+    it = iter(entry)
+    table = {(key, slot): (a, b) for key, slot, a, b in zip(it, it, it, it)}
+    assert 4 * len(table) == len(entry), f"a (key, slot) listed twice: {entry}"
+    return table
+
+
+def oracle_d_image(cal: Calculus, w: tuple, k: int) -> dict:
     basis = cal._single(w, cal.algebra.monomial(k >> 2, k & 3))
     sigma = -basis if len(w) % 2 else basis
-    return flat(cal.wedge(cal.theta(), basis) - cal.wedge(sigma, cal.theta()))
+    return values(cal.wedge(cal.theta(), basis) - cal.wedge(sigma, cal.theta()))
 
 
 def oracle_riemann(cal: Calculus, conn: SpinConnection, t: TensorForm) -> TensorForm:
@@ -81,7 +89,7 @@ def test_every_d_image_is_its_formula_in_order(cal):
     for w in ORDERED_WORDS:
         for k, (p, r) in enumerate(basis_monomials()):
             cal.exterior_d(cal._single(w, cal.algebra.monomial(p, r)))
-            assert images[w][k] == oracle_d_image(cal, w, k), (w, k)
+            assert entry_values(images[w][k]) == oracle_d_image(cal, w, k), (w, k)
     assert sum(len(slots) for slots in images.values()) == 256
 
 
@@ -92,7 +100,8 @@ def test_every_curvature_image_is_its_formula_in_order(cal):
             basis = cal.basis_form(i, alg.monomial(p, r))
             riemann(cal, conn, basis)
             want = oracle_riemann(cal, conn, covariant_derivative(cal, conn, basis))
-            assert conn._riemann[(alg.mode, i)][k] == (want.den, flat(want)), (i, k)
+            den, entry = conn._riemann[(alg.mode, i)][k]
+            assert (den, entry_values(entry)) == (want.den, values(want)), (i, k)
     assert len(conn._riemann) == 4
 
 
@@ -113,9 +122,9 @@ def test_every_antipode_defect_is_its_formula_in_order(cal, fresh_antipode_table
         m = alg.monomial(p, r)
         dm, unit = alg.coproduct(m), alg.scalar(m.counit())
         sides = (oracle_apply(dm, alg.antipode, None), oracle_apply(dm, None, alg.antipode))
-        want = tuple(chain.from_iterable((key, 2 * j, a, b) for key, side in enumerate(sides)
-                                         for j, a, b in (oracle_multiply_out(side) - unit).nonzero()))
-        assert table[k] == want, k
+        want = {(key, 2 * j): (a, b) for key, side in enumerate(sides)
+                for j, a, b in (oracle_multiply_out(side) - unit).nonzero()}
+        assert entry_values(table[k]) == want, k
     assert len(table) == 16
 
 
@@ -141,7 +150,7 @@ def test_a_curvature_fill_sums_once_and_reduces_once(cal, monkeypatch):
     assert calls == ["_lowest"]
     monkeypatch.undo()
     want = oracle_riemann(cal, conn, t)
-    assert (got.den, flat(got)) == (want.den, flat(want))
+    assert (got.den, values(got)) == (want.den, values(want))
 
 
 # Runs each argv of a JSON list through ncgq.cli.main in one fresh process, every table empty at the

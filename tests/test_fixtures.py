@@ -5,7 +5,10 @@ import importlib.util
 import inspect
 import json
 import operator
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,9 +96,9 @@ def with_leaf(doc, path: tuple, value):
     return out
 
 
-def assert_every_value_ends_in_an_exit_code(name, doc, path, values, mode, tmp_path, monkeypatch, capsys):
-    """`dirac --q mode` exits 0, 1 or 3, raising nothing, with each value at doc's leaf in fixture
-    file name; an exit of 3 writes one line on stderr."""
+def assert_every_value_ends_in_an_exit_code(name, doc, path, values, argv, codes, tmp_path, monkeypatch, capsys):
+    """main(argv) exits with one of codes, raising nothing, with each value at doc's leaf in fixture
+    file name; an exit of 3 writes one line on stderr, naming that file."""
     folder = tmp_path / "fixtures"
     shutil.copytree(COMMITTED, folder)
     monkeypatch.setenv("NCGQ_FIXTURES", str(folder))
@@ -104,13 +107,13 @@ def assert_every_value_ends_in_an_exit_code(name, doc, path, values, mode, tmp_p
             (folder / name).write_text(json.dumps(with_leaf(doc, path, value)))
             fixtures._read.cache_clear()
             try:
-                code = main(["dirac", "--q", mode])
+                code = main(argv)
             except Exception as exc:
                 pytest.fail(f"{value!r}: {exc!r} left main")
             err = capsys.readouterr().err
-            assert code in (0, 1, 3), (value, code, err)
+            assert code in codes, (value, code, err)
             if code == 3:
-                assert err.count("\n") == 1 and err.startswith("fixture error: "), (value, err)
+                assert err.count("\n") == 1 and err.startswith("fixture error: ") and name in err, (value, err)
     finally:
         fixtures._read.cache_clear()
 
@@ -123,8 +126,8 @@ DIRAC_SCALARS = json.loads((COMMITTED / "dirac_scalars.json").read_text(encoding
 def test_every_value_in_a_dirac_scalars_leaf_ends_in_an_exit_code(path, tmp_path, monkeypatch, capsys):
     # dirac runs at the leaf's own mode, and at q = i for a leaf outside "modes"
     mode = path[1] if path[0] == "modes" else "i"
-    assert_every_value_ends_in_an_exit_code("dirac_scalars.json", DIRAC_SCALARS, path, FUZZ_VALUES, mode,
-                                            tmp_path, monkeypatch, capsys)
+    assert_every_value_ends_in_an_exit_code("dirac_scalars.json", DIRAC_SCALARS, path, FUZZ_VALUES,
+                                            ["dirac", "--q", mode], (0, 1, 3), tmp_path, monkeypatch, capsys)
 
 
 def first_leaves(doc) -> list[tuple[tuple, object]]:
@@ -139,6 +142,14 @@ def first_leaves(doc) -> list[tuple[tuple, object]]:
 
 SAMPLED_FIXTURES = {name: json.loads((COMMITTED / name).read_text(encoding="utf-8"))
                     for name in ("spectra.json", "translation_matrices.json")}
+FIXTURE_DOCS = {**SAMPLED_FIXTURES, "dirac_scalars.json": DIRAC_SCALARS}
+
+
+def leaf_values(path: tuple, leaf) -> tuple:
+    """The values a fuzzed leaf takes: FUZZ_VALUES, and for a matrix entry each other entry symbol."""
+    if path[0] == "matrices":
+        return FUZZ_VALUES + tuple(sorted(set(fixtures.ENTRY_SYMBOLS) - {leaf}))
+    return FUZZ_VALUES
 
 
 @pytest.mark.parametrize("name, path, leaf", [
@@ -146,11 +157,46 @@ SAMPLED_FIXTURES = {name: json.loads((COMMITTED / name).read_text(encoding="utf-
     for name, doc in SAMPLED_FIXTURES.items() for path, leaf in first_leaves(doc)])
 def test_every_value_in_a_spectra_or_matrices_leaf_ends_in_an_exit_code(
         name, path, leaf, tmp_path, monkeypatch, capsys):
-    # dirac runs at the leaf's own mode, and at q = i for a leaf outside "lists"; a matrix entry
-    # also takes each other valid entry symbol
+    # dirac runs at the leaf's own mode, and at q = i for a leaf outside "lists"
     mode = path[1] if path[0] == "lists" else "i"
-    values = FUZZ_VALUES
-    if path[0] == "matrices":
-        values += tuple(sorted(set(fixtures.ENTRY_SYMBOLS) - {leaf}))
-    assert_every_value_ends_in_an_exit_code(name, SAMPLED_FIXTURES[name], path, values, mode,
-                                            tmp_path, monkeypatch, capsys)
+    assert_every_value_ends_in_an_exit_code(name, SAMPLED_FIXTURES[name], path, leaf_values(path, leaf),
+                                            ["dirac", "--q", mode], (0, 1, 3), tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("name, path", [
+    pytest.param(name, path, id="/".join(map(str, (name, *path)))) for name, path in (
+        ("translation_matrices.json", ("matrices", "alpha", 0, 0)), ("spectra.json", ("lists", "i", 0, 0)),
+        ("dirac_scalars.json", ("modes", "i", "s12", 0)))])
+def test_every_value_in_a_sampled_leaf_ends_audit_in_an_exit_code(name, path, tmp_path, monkeypatch, capsys):
+    # one leaf per file, under `audit`, which reports a bad spectrum in its rows and exits 0;
+    # fuzz/ runs audit and verify over every leaf that the tests above sample
+    leaf = functools.reduce(operator.getitem, path, FIXTURE_DOCS[name])
+    assert_every_value_ends_in_an_exit_code(name, FIXTURE_DOCS[name], path, leaf_values(path, leaf),
+                                            ["audit", "--q", "i"], (0, 3), tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_DOCS))
+def test_a_boolean_version_is_a_fixture_error(name, tmp_path, monkeypatch, capsys):
+    # True == 1 in Python: the version must be an int that is not a bool
+    assert_every_value_ends_in_an_exit_code(name, FIXTURE_DOCS[name], ("version",), (True,),
+                                            ["dirac", "--q", "i"], (3,), tmp_path, monkeypatch, capsys)
+
+
+def test_a_boolean_version_fails_a_cold_verify_through_its_forked_child(tmp_path):
+    # a cold verify forks its spectral half, which reads dirac_scalars.json; the child fails, and the
+    # parent computes that half again in process, where the fixture error reaches main
+    shutil.copytree(COMMITTED, tmp_path, dirs_exist_ok=True)
+    (tmp_path / "dirac_scalars.json").write_text(json.dumps(with_leaf(DIRAC_SCALARS, ("version",), True)))
+    done = subprocess.run([sys.executable, "-m", "ncgq.cli", "verify", "--q", "i"], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(ROOT / "src"),
+                                            "NCGQ_FIXTURES": str(tmp_path)})
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("fixture error: ")
+    assert "dirac_scalars.json" in done.stderr
+
+
+def test_the_recorded_q_i_max_match_distance_is_the_computed_one():
+    from ncgq.dirac import spectrum_pipeline
+
+    _, _, report = spectrum_pipeline("i")
+    assert DIRAC_SCALARS["qi_fit"]["max_match_distance"] == round(report.max_distance, 4)
