@@ -83,6 +83,14 @@ MUTANTS = (
            "(alg.monomial(0, 0) - a + a ** 2 - a ** 3) * alg.beta",
            "(alg.monomial(0, 0) + a + a ** 2 - a ** 3) * alg.beta",
            ("tests/test_dirac.py::TestSearchedFamilies::test_certified_blocks_commute_with_the_certificate",)),
+    Mutant("a table entry with its imaginary part negated", "src/ncgq/algebra.py",
+           "for v in (key, 2 * k, a, b))", "for v in (key, 2 * k, a, -b))",
+           ("tests/test_table_oracles.py::test_d_on_all_basis_elements",
+            "tests/test_fill_order.py::test_every_curvature_image_is_its_formula_in_order")),
+    Mutant("diagonal scalars without the minus sign", "src/ncgq/audit.py",
+           '{"s11": -s[(0, 0)], "s22": -s[(1, 1)]}', '{"s11": s[(0, 0)], "s22": s[(1, 1)]}',
+           ("tests/test_dirac.py::TestConnectionTerm::test_diagonal_scalars_at_i",
+            "tests/test_dirac.py::TestAssembly::test_assembly_matches_the_exact_oracle")),
 )
 
 

@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import add
 
-from .scalars import ZERO, ONE, GaussianRational, format_gaussian, gaussian, q_root
+from .scalars import ZERO, ONE, GaussianRational, gaussian, q_root
 
 Monomial = tuple[int, int]  # (p, r): exponents of a and b
 
@@ -96,7 +96,7 @@ class ScalarSum:
     are canonical, gcd(den, *num) == 1, so zero has den == 1 and equal values
     have equal (den, num).  A sum is a value: den and num never change after
     it is made.  Equality needs one q mode, and + raises ValueError on mixed
-    modes.  The read-only view .coeffs gives {basis key: GaussianRational}
+    modes.  An element's read-only view .coeffs gives {monomial: GaussianRational}
     (a form's .terms, {word: AlgebraElement}; a tensor form's, {leg: form}).
     """
 
@@ -316,12 +316,6 @@ class TensorElement(KeyedSum):
             vec[2 * j], vec[2 * j + 1] = a * (den // d), b * (den // d)
         self.algebra, self.den, self.num, self._nonzero = algebra, den, num, None
 
-    @property
-    def coeffs(self) -> dict[tuple[Monomial, Monomial], GaussianRational]:
-        """{(m1, m2): coefficient} of the nonzero terms, built on each read."""
-        return {(_MONOMIALS[i], _MONOMIALS[j]): gaussian(a, b, self.den)
-                for i, ys in self.nonzero() for j, a, b in ys}
-
     @classmethod
     def pure(cls, x: AlgebraElement, y: AlgebraElement) -> "TensorElement":
         ys, num = y.nonzero(), {}
@@ -469,22 +463,13 @@ def add_products(out: list, xs: Iterable, ys: list) -> None:
 # -- tables of basis images ------------------------------------------------------------
 
 
-def flat_entry(coeffs: Mapping, name: str) -> tuple:
-    """{(key, monomial): coefficient} as one flat table entry (key, s, A, B, key, s, A, B, ...).
+def table_entry(num: Mapping) -> tuple:
+    """{key: numerator vector} as one flat table entry (key, s, A, B, key, s, A, B, ...).
 
-    Each nonzero coefficient is the Gaussian integer A + B*i, at the slot s = 2k of its monomial
-    index k in the numerator vector of its key; the zero entry is ().  At q = +-i every rule
-    coefficient (q, q^-1, q^2 = -1, mu = 2) is one, so a fraction raises ValueError naming the entry.
+    Each nonzero numerator A + B*i of a key's vector is at the slot s = 2k of its monomial index k;
+    the zero entry is ().  sum_entries reads it.
     """
-    entry = []
-    for (key, m), c in coeffs.items():
-        a, b, d = c.triple
-        if d != 1:
-            raise ValueError(f"table entry {name} has the non-integral coefficient {format_gaussian(c)} "
-                             f"at {key!r}, {monomial_name(m)}")
-        if a or b:
-            entry += (key, 2 * monomial_index(m), a, b)
-    return tuple(entry)
+    return tuple(v for key, vec in num.items() for k, a, b in support(vec) for v in (key, 2 * k, a, b))
 
 
 def sum_entries(terms: Iterable[tuple], acc: dict) -> dict:

@@ -10,14 +10,13 @@ from __future__ import annotations
 from . import linalg
 from .algebra import QuantumAlgebra
 from .calculus import FORMS, MATRIX_UNITS, Calculus, DiffForm
-from .constants import (ASLASH_MATRIX_PRINTED, CONNECTION_PRINTED, F_DIAG, LAMBDA_C, NU,
-                        Q2_OVER_2Q, Q_OVER_2Q, XI, evaluate_connection_printed)
+from .constants import ASLASH_MATRIX_PRINTED, CONNECTION_PRINTED, LAMBDA_C, NU, XI, evaluate_connection_printed
 from .fixtures import MATRIX_NAMES, printed_translation_matrices
 from .hopf import antipode_axioms_hold, relation_residuals
 from .riemannian import (ConnectionAssembler, SpinConnection, TensorForm,
                          connection_residuals, covariant_derivative_basis,
-                         printed_ad_tables, reference_connection, regularity_check,
-                         riemann_basis)
+                         printed_ad_tables, reference_connection, reference_connection_values,
+                         regularity_check, riemann_basis)
 from .scalars import ONE, ZERO, GaussianRational, format_gaussian, q_root
 from .structure import ad_left, ad_right, graded_dimensions, reference_d_values
 
@@ -424,13 +423,11 @@ def a_slash_first_principles(calculus: Calculus, connection: SpinConnection) -> 
 
 
 def diagonal_scalars(mode: str) -> dict[str, GaussianRational]:
-    """The diagonal connection scalars from the reference closed forms, which the printed spectra
-    confirm: s11 = -f A_d^a + A_a^a + q^2 A_b^b, s22 = -(q^2/[2]_q) A_a^d + (q/[2]_q) A_d^d + q^2 A_c^c."""
+    """The diagonal connection scalars s11 and s22, which the printed spectra confirm: minus the
+    diagonal of a_slash_printed of the reference connection at q = mode."""
     q = q_root(mode)
-    f, w1, w2 = (c.evaluate_at(q) for c in (F_DIAG, Q2_OVER_2Q, Q_OVER_2Q))
-    A = evaluate_connection_printed(q)
-    return {"s11": -(f * A[("d", "a")]) + A[("a", "a")] + q * q * A[("b", "b")],
-            "s22": -(w1 * A[("a", "d")]) + w2 * A[("d", "d")] + q * q * A[("c", "c")]}
+    s = a_slash_printed(SpinConnection(reference_connection_values(q), "reference-table"), q)
+    return {"s11": -s[(0, 0)], "s22": -s[(1, 1)]}
 
 
 def audit_dirac(cal: Calculus, conn: SpinConnection) -> list[dict]:

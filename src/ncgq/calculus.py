@@ -1,4 +1,11 @@
-"""The 4-dimensional bicovariant exterior calculus over the reduced algebra.
+"""The 4-dimensional exterior calculus over the reduced algebra.
+
+It is bicovariant in the sense of its construction: the reference structure
+constants come from left and right coactions.  For the unbraided coproduct of
+the reduced algebra, d is neither left nor right covariant.  Writing
+d f = sum_g d_g(f) e_g, Delta(d_g f) = (id (x) d_g) Delta f fails on 28 of the
+64 pairs (monomial f, form g), and Delta(d_g f) = (d_g (x) id) Delta f on 50,
+at both roots (tests/test_calculus.py::TestUnbraidedCovariance).
 
 Basis 1-forms a < b < c < d.  The invariant exterior algebra is presented by
 the reference wedge relations
@@ -16,8 +23,8 @@ The bimodule structure moves basis 1-forms past algebra elements through a
 table of the 64 images e_x a^p b^r, built once per q mode and shared by
 pushing each form through the monomial with the eight generator-level rules;
 the dependent-generator rules of the reference table (including the repaired
-assignment of the orphaned rule to the pair (c, delta)) are retained as audit
-fixtures in :mod:`ncgq.fixtures`.
+assignment of the orphaned rule to the pair (c, delta)) live as rows of
+:func:`ncgq.audit.audit_calculus`.
 
 The wedge product and d are fixed linear maps for a given exterior algebra.
 Each ExteriorAlgebra tabulates the word products e_w1 m ^ e_w2 and the images
@@ -34,14 +41,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from math import lcm
 from types import MappingProxyType
 
 from .algebra import (DIM, AlgebraElement, KeyedSum, Monomial, QuantumAlgebra, add_products,
-                      basis_monomials, check_mode, flat_entry, monomial_name, monomial_product, monomial_table,
-                      sum_entries, support)
-from .scalars import ZERO, ONE, GaussianRational, q_root
+                      basis_monomials, check_mode, monomial_name, monomial_product, monomial_table,
+                      sum_entries, table_entry)
+from .scalars import ZERO, ONE, GaussianRational, format_gaussian, q_root
 
 FORMS = ("a", "b", "c", "d")
 # basis 1-form -> its 2x2 matrix unit (row, column), the index pair of the
@@ -179,8 +186,10 @@ class ExteriorAlgebra:
             for (w, m1), (c, e) in moved.items():
                 for wred, g in self.reduce_word(w + w2).items():
                     s, t, d = g.triple
-                    if d != 1:  # a non-integral rule coefficient: flat_entry raises, naming the entry
-                        flat_entry({(wred, divmod(m1, 4)): g}, f"{w1} {monomial_name(divmod(k, 4))} ^ {w2}")
+                    if d != 1:  # at q = +-i every rule coefficient (q, q^-1, q^2 = -1, mu = 2) is one
+                        raise ValueError(f"table entry {w1} {monomial_name(divmod(k, 4))} ^ {w2} has the "
+                                         f"non-integral coefficient {format_gaussian(g)} at {wred!r}, "
+                                         f"{monomial_name(divmod(m1, 4))}")
                     u, v = acc.get(key := (wred, m1), (0, 0))
                     acc[key] = u + c * s - e * t, v + c * t + e * s
             entry = slots[k] = tuple((w, j, a, b) for (w, j), (a, b) in acc.items() if a or b)
@@ -383,8 +392,7 @@ class Calculus:
         num = self.wedge(self.theta(), basis).num
         for v, vec in self.wedge(basis, self.theta()).num.items():
             num[v] = [u + sign * t for u, t in zip(num[v], vec)] if v in num else [sign * t for t in vec]
-        slots[k] = entry = tuple(chain.from_iterable((v, 2 * j, a, b) for v, vec in num.items()
-                                                     for j, a, b in support(vec)))
+        slots[k] = entry = table_entry(num)
         return entry
 
     def partials(self, f: AlgebraElement) -> dict[str, AlgebraElement]:

@@ -36,9 +36,9 @@ class DiracMatrix:
         self.scalars = scalars
 
 
-# per spectral mode: q^2, and the diagonal scalars (s11, s22), the doubles nearest the exact values of
-# the closed forms in audit.diagonal_scalars; test_dirac.py's test_assembly_matches_the_exact_oracle
-# holds the two to each other, bit for bit
+# per spectral mode: q^2, and the diagonal scalars (s11, s22), the doubles nearest audit.diagonal_scalars,
+# minus the diagonal of constants.ASLASH_MATRIX_PRINTED at the reference connection; test_dirac.py's
+# test_assembly_matches_the_exact_oracle holds the two to each other, bit for bit
 Q_SQUARED = {"1": 1, "i": -1, "-i": -1}
 DIAGONAL_SCALARS = {
     "1": (complex(4, 0), complex(6, 0)),

@@ -3,16 +3,18 @@
 QuantumAlgebra.coproduct, antipode and antipode_axiom_defect read these tables
 and import this module on their first call, so a command that never takes a
 coproduct or an antipode never compiles it.  Each table holds the images of
-the 16 basis monomials as flat entries (see algebra.flat_entry), filled once
+the 16 basis monomials as flat entries (see algebra.table_entry), filled once
 per q mode on first use: the coproduct and the antipode from their defining
-formulas, the antipode axiom defects from the integer entries of those two.
+formulas (products of monomials over the denominator 1, so their numerators
+are their coefficients), the antipode axiom defects from the integer entries
+of those two.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
 from .algebra import (DIM, AlgebraElement, QuantumAlgebra, TensorElement, add_products, basis_monomials,
-                      flat_entry, monomial_index, monomial_name, support)
+                      table_entry)
 
 
 @lru_cache(maxsize=None)
@@ -34,8 +36,7 @@ def coproduct_table(mode: str) -> tuple[tuple, ...]:
             term = term * da
         for _ in range(r):
             term = term * db
-        images.append(flat_entry({(monomial_index(m1), m2): c for (m1, m2), c in term.coeffs.items()},
-                                 f"Delta({monomial_name((p, r))})"))
+        images.append(table_entry(term.num))
     return tuple(images)
 
 
@@ -55,7 +56,7 @@ def antipode_table(mode: str) -> tuple[tuple, ...]:
             term = term * s_b
         for _ in range(p):
             term = term * s_a
-        images.append(flat_entry({(0, m): c for m, c in term.coeffs.items()}, f"S({monomial_name((p, r))})"))
+        images.append(table_entry({0: term.num}))
     return tuple(images)
 
 
@@ -83,8 +84,7 @@ def antipode_defect_table(mode: str) -> tuple[tuple, ...]:
         if not r:  # eps(a^p) = 1, and eps(a^p b^r) = 0 for r > 0
             sides[0][0] -= 1
             sides[1][0] -= 1
-        images.append(tuple(v for key, side in enumerate(sides) for k, a, b in support(side)
-                            for v in (key, 2 * k, a, b)))
+        images.append(table_entry(dict(enumerate(sides))))
     return tuple(images)
 
 

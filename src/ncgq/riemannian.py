@@ -32,11 +32,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import lru_cache
-from itertools import chain
 from math import lcm
 from types import MappingProxyType
 
-from .algebra import DIM, check_mode, sum_entries
+from .algebra import DIM, check_mode, sum_entries, table_entry
 from .calculus import Calculus, DiffForm, FormSum, FORMS
 from .constants import (AD_L_PRINTED, AD_R_PRINTED, CONNECTION_UNPRINTED, RHO,
                         TWO_Q, connection_db_candidate, evaluate_ad_table,
@@ -396,8 +395,7 @@ def _fill_image(calculus: Calculus, connection: SpinConnection, slots: list, i: 
     """R(m e_i), m of index k, by the formula on that one element; at slots[k] as (den, entry by (leg, word))."""
     basis = calculus.basis_form(i, calculus.algebra.monomial(k >> 2, k & 3))
     t = riemann_of_tensor(calculus, connection, covariant_derivative(calculus, connection, basis))
-    slots[k] = image = (t.den, tuple(chain.from_iterable((key, 2 * j, a, b) for key, coords in t.nonzero()
-                                                         for j, a, b in coords)))
+    slots[k] = image = (t.den, table_entry(t.num))
     return image
 
 

@@ -13,6 +13,7 @@ from ncgq.scalars import GaussianRational, ONE, ZERO
 from ncgq.structure import ad_right, graded_dimensions
 from ncgq.verification import run_checks
 from test_connection_conventions import SymmetricPairRule
+from test_table_oracles import oracle_apply
 
 random.seed(20260810)
 
@@ -518,6 +519,47 @@ class TestPartialsAndProjection:
         r_minus_id = alg.alpha * alg.alpha - alg.alpha
         assert partial_a != r_minus_id
         assert partial_a == alg.alpha.scale(alg.q - ONE)
+
+
+class TestUnbraidedCovariance:
+    """d f = sum_g d_g(f) e_g is covariant under neither leg of the unbraided coproduct Delta.
+
+    On the invariant basis, left covariance of d reads Delta(d_g f) = (id (x) d_g) Delta f, and
+    right covariance Delta(d_g f) = (d_g (x) id) Delta f.  Over the 64 pairs (monomial f, form g),
+    the first fails on 28 and the second on 50, on the same pairs at both roots, pinned here as
+    {monomial index 4p + r: the forms g that fail}.  The leg maps are oracle_apply: d_g applied
+    to one leg of each term.  So the calculus is "bicovariant" only in the sense of its construction
+    from the reference left and right coactions, not for the coproduct of the reduced algebra.
+    """
+
+    LEFT_FAILURES = {1: "ab", 2: "bc", 3: "abc", 4: "b", 5: "b", 6: "abc", 7: "bc",
+                     9: "ab", 10: "bc", 11: "abc", 12: "b", 13: "b", 14: "abc", 15: "bc"}
+    # every form on the 12 monomials with a power of b, and d_b on a and a^3
+    RIGHT_FAILURES = {**{k: "abcd" for k in range(16) if k % 4}, 4: "b", 12: "b"}
+
+    @staticmethod
+    def failing(cal, leg: int) -> set:
+        """The pairs (monomial index, g) where Delta(d_g f) differs from d_g on leg 0 or 1 of Delta f."""
+        alg, out = cal.algebra, set()
+        for k, (p, r) in enumerate(basis_monomials()):
+            f = alg.monomial(p, r)
+            df, parts = alg.coproduct(f), cal.partials(f)
+            for g in FORMS:
+                legs = [None, None]
+                legs[leg] = lambda x, g=g: cal.partials(x)[g]
+                if alg.coproduct(parts[g]) != oracle_apply(df, *legs):
+                    out.add((k, g))
+        return out
+
+    def test_left_covariance_fails_on_28_of_the_64_pairs(self, cal):
+        failing = self.failing(cal, 1)
+        assert len(failing) == 28
+        assert failing == {(k, g) for k, gs in self.LEFT_FAILURES.items() for g in gs}
+
+    def test_right_covariance_fails_on_50_of_the_64_pairs(self, cal):
+        failing = self.failing(cal, 0)
+        assert len(failing) == 50
+        assert failing == {(k, g) for k, gs in self.RIGHT_FAILURES.items() for g in gs}
 
 
 class TestStructureConstants:

@@ -552,8 +552,8 @@ HANDLERS = {f"ncgq.cmd_{name}" for name in ("verify", "connection", "curvature",
 # the most ncgq source lines each cold command may load: every cold run compiles them, and the
 # count, unlike wall time, repeats exactly
 SOURCE_LINE_CEILINGS = {"dirac --q 1": 834, "dirac --q i": 834, "dirac --q -i": 834,
-                        "connection --q i": 2215, "curvature --q i": 2104, "audit --q i": 3517,
-                        "verify --q i": 2621, "verify --q generic": 2410}
+                        "connection --q i": 2206, "curvature --q i": 2095, "audit --q i": 3505,
+                        "verify --q i": 2612, "verify --q generic": 2401}
 
 
 def source_lines(modules) -> int:
@@ -746,20 +746,30 @@ class TestAlongside:
 
 
 class TestOutputErrors:
-    """An --out path that cannot be written is exit 4 with one line on stderr."""
+    """An --out path that cannot be written is exit 4 with one line on stderr, and no temporary file."""
 
-    def _check(self, args, parent):
-        code, out, err = run_cli(["connection", "--q", "i", *args])
+    def _check(self, args, parent, command="connection --q i"):
+        code, out, err = run_cli([*command.split(), *args])
         assert code == 4
         assert not out
         assert err.startswith("output error: ") and err.count("\n") == 1
         assert not list(parent.glob(".ncgq-*"))
 
-    def test_out_is_a_directory(self, tmp_path):
+    # every command at one mode; `verify --q i` forks its spectral half, `--q generic` does not
+    @pytest.mark.parametrize("command", ["verify --q i", "verify --q generic", "connection --q i",
+                                         "curvature --q i", "audit --q i", "dirac --q 1"])
+    def test_out_is_a_directory(self, command, tmp_path):
         target = tmp_path / "report"
         target.mkdir()
-        self._check(["--out", str(target)], tmp_path)
+        self._check(["--out", str(target)], tmp_path, command)
         assert target.is_dir() and not any(target.iterdir())
+
+    def test_out_is_a_symlink_loop(self, tmp_path):
+        loop = tmp_path / "loop"
+        os.symlink("loop", loop)
+        self._check(["--out", str(loop)], tmp_path)
+        assert loop.is_symlink() and os.readlink(loop) == "loop"
+        assert [p.name for p in tmp_path.iterdir()] == ["loop"]
 
     def test_out_under_a_regular_file(self, tmp_path):
         blocker = tmp_path / "blocker"

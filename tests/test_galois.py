@@ -25,6 +25,7 @@ from ncgq.riemannian import (ConnectionAssembler, TensorForm, covariant_derivati
 from ncgq.scalars import format_gaussian, q_root
 from test_closed_forms import closed_forms
 from test_scalars import parse_gaussian
+from test_table_oracles import tensor_coeffs
 
 ORDERED_WORDS = [w for n in range(5) for w in itertools.combinations(FORMS, n)]
 ALG = {mode: QuantumAlgebra(mode) for mode in ("i", "-i")}
@@ -36,7 +37,8 @@ def sigma(x):
     if isinstance(x, (DiffForm, TensorForm)):
         return type(x)(CAL["-i"], {w: sigma(f) for w, f in x.terms.items()})
     cls = type(x)
-    return cls(ALG["-i"], {k: c.conjugate() for k, c in x.coeffs.items()})
+    coeffs = tensor_coeffs(x) if cls is TensorElement else x.coeffs
+    return cls(ALG["-i"], {k: c.conjugate() for k, c in coeffs.items()})
 
 
 def both(make):

@@ -9,8 +9,9 @@ and the defect applies S to one leg of the coproduct and multiplies out.
 Every oracle computes term by term in GaussianRational arithmetic, as the
 library did before its maps accumulated numerators over one denominator:
 the algebra and tensor products, multiply_out and apply below are those
-loops.  The library must agree with them exactly, on every basis element and
-on seeded random sparse forms with rational coefficients.
+loops, and tensor_coeffs reads a tensor's terms as GaussianRationals.  The
+library must agree with them exactly, on every basis element and on seeded
+random sparse forms with rational coefficients.
 """
 import functools
 import itertools
@@ -23,7 +24,7 @@ from ncgq import hopf
 from ncgq.algebra import AlgebraElement, QuantumAlgebra, TensorElement, basis_monomials, monomial_product
 from ncgq.calculus import Calculus, DiffForm, FORMS, bimodule_table
 from ncgq.hopf import antipode_defect_table, antipode_table
-from ncgq.scalars import ONE, GaussianRational
+from ncgq.scalars import ONE, GaussianRational, gaussian
 
 ORDERED_WORDS = [w for n in range(5) for w in itertools.combinations(FORMS, n)]
 
@@ -31,6 +32,12 @@ ORDERED_WORDS = [w for n in range(5) for w in itertools.combinations(FORMS, n)]
 @pytest.fixture(scope="module", params=["i", "-i"])
 def cal(request):
     return Calculus(QuantumAlgebra(request.param))
+
+
+def tensor_coeffs(t: TensorElement) -> dict:
+    """{(m1, m2): coefficient} of the nonzero terms of t, read from its numerators over t.den."""
+    monomials = basis_monomials()
+    return {(monomials[i], monomials[j]): gaussian(a, b, t.den) for i, ys in t.nonzero() for j, a, b in ys}
 
 
 def oracle_wedge(cal: Calculus, x: DiffForm, y: DiffForm) -> DiffForm:
@@ -89,8 +96,8 @@ def oracle_pure(x: AlgebraElement, y: AlgebraElement) -> TensorElement:
 
 def oracle_tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
     out = {}
-    for (x1, y1), c1 in s.coeffs.items():
-        for (x2, y2), c2 in t.coeffs.items():
+    for (x1, y1), c1 in tensor_coeffs(s).items():
+        for (x2, y2), c2 in tensor_coeffs(t).items():
             mx, neg_x = monomial_product(x1, x2)
             my, neg_y = monomial_product(y1, y2)
             c = -(c1 * c2) if neg_x != neg_y else c1 * c2
@@ -102,7 +109,7 @@ def oracle_tensor_mul(s: TensorElement, t: TensorElement) -> TensorElement:
 def oracle_apply(t: TensorElement, f_left, f_right) -> TensorElement:
     alg = t.algebra
     out = {}
-    for (mx, my), c in t.coeffs.items():
+    for (mx, my), c in tensor_coeffs(t).items():
         ex = AlgebraElement(alg, {mx: ONE})
         ey = AlgebraElement(alg, {my: ONE})
         if f_left is not None:
@@ -119,7 +126,7 @@ def oracle_apply(t: TensorElement, f_left, f_right) -> TensorElement:
 
 def oracle_multiply_out(t: TensorElement) -> AlgebraElement:
     out = {}
-    for (mx, my), c in t.coeffs.items():
+    for (mx, my), c in tensor_coeffs(t).items():
         m, negated = monomial_product(mx, my)
         if negated:
             c = -c
